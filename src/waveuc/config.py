@@ -1,5 +1,6 @@
 """Run configuration, validation and the built-in experiment presets."""
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -59,6 +60,16 @@ class DiscretizationConfig:
         return default_lambda(self.k) if self.lam is None else self.lam
 
     def validate(self):
+        # nan fails every comparison below and inf passes most of them
+        reals = [("T", self.T), ("a", self.a), ("b", self.b),
+                 ("tol", self.tol)]
+        if self.lam is not None:
+            reals.append(("lam", self.lam))
+        reals += [(f"omega[{i}]", v)
+                  for i, interval in enumerate(self.omega) for v in interval]
+        for name, value in reals:
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.k < 1 or self.q < 1 or self.kstar < 1:
             raise ValueError("degrees k, q and kstar must all be at least 1")
         if self.qstar < 0:

@@ -1,5 +1,6 @@
 """Non-restarted GMRes with right preconditioning and residual logging."""
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -22,8 +23,8 @@ class GmresConfig:
     maxiter: int = 3000
 
     def validate(self):
-        if self.tol <= 0 or self.maxiter < 1:
-            raise ValueError("GMRes needs tol > 0 and maxiter >= 1")
+        if not math.isfinite(self.tol) or self.tol <= 0 or self.maxiter < 1:
+            raise ValueError("GMRes needs a finite tol > 0 and maxiter >= 1")
         return self
 
 
@@ -44,10 +45,10 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
 
     Because the preconditioner sits on the right, the minimized residual is
     the true residual of the unpreconditioned system, so iteration counts
-    are comparable across preconditioners.  The Arnoldi process is modified
-    Gram-Schmidt with one reorthogonalization pass; the Arnoldi residual
-    estimate is recorded every iteration and the true residual is recomputed
-    every few iterations as a consistency check.
+    are comparable across preconditioners.  The Arnoldi process is classical
+    Gram-Schmidt with one full reorthogonalization pass (CGS2); the Arnoldi
+    residual estimate is recorded every iteration and the true residual is
+    recomputed every few iterations as a consistency check.
 
     log, if given, is called with (iteration, arnoldi_residual,
     true_residual_or_None) once per iteration.
@@ -90,7 +91,7 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
         # copy: the operator may hand back (a view of) its input, which
         # must not be clobbered by the orthogonalization below
         w = np.array(apply_op(apply_m(Q[j])), dtype=float)
-        # modified Gram-Schmidt with one reorthogonalization pass
+        # classical Gram-Schmidt, then one full reorthogonalization pass (CGS2)
         h = Q[: j + 1] @ w
         w -= Q[: j + 1].T @ h
         h2 = Q[: j + 1] @ w

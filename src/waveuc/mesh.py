@@ -21,9 +21,6 @@ class IntervalMesh:
     # (vertex index, outward unit normal) for the two domain endpoints
     boundary_points: tuple
 
-    def element_interval(self, e):
-        return self.vertices[e], self.vertices[e + 1]
-
 
 def build_interval_mesh(a, b, n_elems):
     if not b > a:

@@ -53,12 +53,9 @@ class LiftedSolution:
 def extract_primal_field(system, x, field=0):
     """Field coefficients from a global vector, shape (N, q + 1, n_x)."""
     space = system.primal
-    out = np.empty((system.n_slabs, space.n_modes, space.n_x))
-    for n in range(system.n_slabs):
-        ps = system.primal_slice(n)
-        block = x[ps][field * space.n_field : (field + 1) * space.n_field]
-        out[n] = block.reshape(space.n_modes, space.n_x)
-    return out
+    cols = slice(field * space.n_field, (field + 1) * space.n_field)
+    return system.slab_view(x)[:, cols].reshape(
+        system.n_slabs, space.n_modes, space.n_x).copy()
 
 
 def lift(space, u1):
@@ -78,9 +75,8 @@ def lift(space, u1):
 
     coeffs = np.einsum("mi,niJ->nmJ", embed, u1)
     jumps = np.zeros((n_slabs, space.n_x))
-    for n in range(1, n_slabs):
-        jumps[n] = trace_plus @ u1[n] - trace_minus @ u1[n - 1]
-        coeffs[n] -= np.outer(theta, jumps[n])
+    jumps[1:] = trace_plus @ u1[1:] - trace_minus @ u1[:-1]
+    coeffs[1:] -= theta[:, None] * jumps[1:, None, :]
     return LiftedSolution(
         mesh=space.mesh,
         xbasis=space.xbasis,
@@ -99,25 +95,29 @@ class ErrorReport:
     err_L2L2_ut_restricted: Optional[float] = None
 
 
-def _spatial_error_sq(sol, f, spatial_coeffs, interval):
-    """Squared L2 distance between f and the coefficient function over the
-    (possibly clipped) spatial interval."""
+def _squared_errors(sol, f, times, coeffs, region, rule):
+    """Squared L2 distances between f(t, .) and the spatial functions with
+    coefficient rows coeffs, one per time t, over region(t) or the whole
+    mesh when region is None, by the quadrature rule on every element.
+
+    All elements at all the times are handled in one array expression;
+    elements cut by the region boundary get a sub-interval rule, and
+    elements outside it a zero length.
+    """
     mesh, xb = sol.mesh, sol.xbasis
-    k, h = xb.degree, mesh.h
-    rule = gauss_rule(ERROR_QUADRATURE_POINTS)
-    lo, hi = interval
-    total = 0.0
-    for e in range(mesh.n_elems):
-        x0, x1 = mesh.element_interval(e)
-        a, b = max(x0, lo), min(x1, hi)
-        if b - a <= 0.0:
-            continue
-        # sub-interval rule handles elements cut by the region boundary
-        xq = a + (b - a) * rule.points
-        ref = (xq - x0) / h
-        uh = xb.eval(ref) @ spatial_coeffs[e * k : e * k + k + 1]
-        total += np.sum(rule.weights * (b - a) * (f(xq) - uh) ** 2)
-    return total
+    k = xb.degree
+    x0, x1 = mesh.vertices[:-1], mesh.vertices[1:]
+    bounds = ([(mesh.a, mesh.b)] * len(times) if region is None
+              else [region(t) for t in times])
+    lo, hi = np.array(bounds, dtype=float).T[..., None]
+    a, b = np.maximum(x0, lo), np.minimum(x1, hi)
+    length = np.maximum(b - a, 0.0)  # shape (times, elems)
+    xq = a[..., None] + length[..., None] * rule.points
+    vals = xb.eval((xq - x0[:, None]) / mesh.h)
+    dofs = k * np.arange(mesh.n_elems)[:, None] + np.arange(k + 1)
+    uh = np.einsum("teqi,tei->teq", vals, coeffs[:, dofs])
+    fx = np.array([f(t, xt) for t, xt in zip(times, xq)])
+    return np.einsum("q,te,teq->t", rule.weights, length, (fx - uh) ** 2)
 
 
 def error_norms(u_exact, dt_u_exact, sol, region=None):
@@ -128,35 +128,25 @@ def error_norms(u_exact, dt_u_exact, sol, region=None):
     integrated with Gauss quadrature in time.  region, if given, maps a
     time to the spatial subinterval over which restricted norms are taken.
     """
-    dt = sol.dt
-    full = (sol.mesh.a, sol.mesh.b)
-    samples = gauss_lobatto_nodes(sol.tbasis.cardinality + 2)
-    trule = gauss_rule(ERROR_QUADRATURE_POINTS)
-
-    linf2 = l2l2 = 0.0
-    linf2_r = l2l2_r = 0.0 if region is not None else None
-    for n in range(sol.n_slabs):
-        t0 = n * dt
-        for xi in samples:
-            tau = t0 + dt * xi
-            c = sol.spatial_coeffs_at(n, xi)
-            f = lambda x: u_exact(tau, x)
-            linf2 = max(linf2, _spatial_error_sq(sol, f, c, full))
-            if region is not None:
-                linf2_r = max(linf2_r, _spatial_error_sq(sol, f, c, region(tau)))
-        for wq, xi in zip(trule.weights, trule.points):
-            tau = t0 + dt * xi
-            dc = sol.spatial_dt_coeffs_at(n, xi)
-            f = lambda x: dt_u_exact(tau, x)
-            l2l2 += dt * wq * _spatial_error_sq(sol, f, dc, full)
-            if region is not None:
-                l2l2_r += dt * wq * _spatial_error_sq(sol, f, dc, region(tau))
-    return ErrorReport(
-        err_LinfL2_u=math.sqrt(linf2),
-        err_L2L2_ut=math.sqrt(l2l2),
-        err_LinfL2_u_restricted=None if region is None else math.sqrt(linf2_r),
-        err_L2L2_ut_restricted=None if region is None else math.sqrt(l2l2_r),
-    )
+    dt, tb = sol.dt, sol.tbasis
+    samples = gauss_lobatto_nodes(tb.cardinality + 2)
+    # one Gauss rule serves in time and, per element, in space
+    rule = gauss_rule(ERROR_QUADRATURE_POINTS)
+    vals, ders = tb.eval(samples), tb.eval(rule.points, deriv=1)
+    regions = [None] if region is None else [None, region]
+    linf2 = [0.0] * len(regions)
+    l2l2 = [0.0] * len(regions)
+    # slab by slab: the element arrays stay small whatever the slab count
+    for n, coeffs in enumerate(sol.coeffs):
+        t_val, t_dt = n * dt + dt * samples, n * dt + dt * rule.points
+        c, dc = vals @ coeffs, ders @ coeffs / dt
+        for i, reg in enumerate(regions):
+            e = _squared_errors(sol, u_exact, t_val, c, reg, rule)
+            linf2[i] = max(linf2[i], e.max())
+            e = _squared_errors(sol, dt_u_exact, t_dt, dc, reg, rule)
+            l2l2[i] += dt * rule.weights @ e
+    return ErrorReport(*(math.sqrt(v) for pair in zip(linf2, l2l2)
+                         for v in pair))
 
 
 def eoc(errors):

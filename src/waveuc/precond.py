@@ -52,15 +52,8 @@ class BlockJacobi:
         self.lu = _factorize(D, "slab-diagonal block")
 
     def apply(self, r):
-        self.system._check(r)
-        x = np.zeros_like(r)
-        n_p = self.system.n_primal
-        for n in range(self.system.n_slabs):
-            ps, ds = self.system.primal_slice(n), self.system.dual_slice(n)
-            sol = self.lu.solve(np.concatenate((r[ps], r[ds])))
-            x[ps] = sol[:n_p]
-            x[ds] = sol[n_p:]
-        return x
+        # one multi-right-hand-side solve, a column per slab
+        return self.lu.solve(self.system.slab_view(r).T).T.ravel()
 
 
 def _spatial_embedding(mesh, fine, coarse):
@@ -116,6 +109,7 @@ class MonolithicForward:
             Et = sp.csr_matrix(sweep_dual.tbasis.eval(system.dual.tbasis.nodes))
             Ef = sp.kron(Et, Ex, format="csr")
             self.embed = sp.block_diag((Ef, Ef), format="csr")
+            self.embed_T = self.embed.T.tocsr()
             self.sstar_lu = _factorize(system.Sstar, "dual stabilizer")
         self.n_sweep_dual = sweep_dual.n_pair
 
@@ -131,25 +125,23 @@ class MonolithicForward:
 
     def apply(self, r):
         sys = self.system
-        sys._check(r)
-        x = np.zeros_like(r)
+        R = sys.slab_view(r)
         n_p = sys.n_primal
-        u_prev = None
+        R_w, R_y = R[:, :n_p], R[:, n_p:]
+        R_sweep = R_y if self.embed is None else (self.embed_T @ R_y.T).T
+        sweep = np.empty((sys.n_slabs, n_p + self.n_sweep_dual))
         for n in range(sys.n_slabs):
-            ps, ds = sys.primal_slice(n), sys.dual_slice(n)
-            r_w, r_y = r[ps], r[ds]
-            r_sweep = r_y if self.embed is None else self.embed.T @ r_y
-            rhs_p = r_w if n == 0 else r_w + self.cross @ u_prev
+            rhs_p = R_w[n]
+            if n >= 1:
+                rhs_p = rhs_p + self.cross @ sweep[n - 1, :n_p]
             lu = self.lu_first if n == 0 else self.lu_interior
-            sol = lu.solve(np.concatenate((rhs_p, r_sweep)))
-            u = sol[:n_p]
-            if self.embed is None:
-                x[ds] = sol[n_p:]
-            else:
-                x[ds] = self.sstar_lu.solve(sys.A_pd @ u - r_y)
-            x[ps] = u
-            u_prev = u
-        return x
+            sweep[n] = lu.solve(np.concatenate((rhs_p, R_sweep[n])))
+        if self.embed is None:
+            return sweep.ravel()
+        # exact dual part from the slab-local dual-test rows, all slabs at once
+        U = sweep[:, :n_p]
+        Z = self.sstar_lu.solve(sys.A_pd @ U.T - R_y.T)
+        return np.hstack((U, Z.T)).ravel()
 
 
 class ForwardBackwardSplit:
@@ -174,31 +166,30 @@ class ForwardBackwardSplit:
         G0 = system.A_pd + extras["observer"] + extras["nitsche"]
         Gint = G0 + extras["coupling_diag"]
         self.coupling_sub = extras["coupling_sub"]
+        self.coupling_sub_T = self.coupling_sub.T.tocsr()
         self.lu_first = _factorize(G0, "first slab, forward sweep")
         self.lu_interior = _factorize(Gint, "interior slab, forward sweep")
 
     def apply(self, r):
         sys = self.system
-        sys._check(r)
-        N = sys.n_slabs
-        x = np.zeros_like(r)
-        u_prev = None
+        R = sys.slab_view(r)
+        N, n_p = sys.n_slabs, sys.n_primal
+        x = sys.zero_vector()
+        X = sys.slab_view(x)
         for n in range(N):
-            rhs = r[sys.dual_slice(n)]
+            rhs = R[n, n_p:]
             if n >= 1:
-                rhs = rhs + self.coupling_sub @ u_prev
+                rhs = rhs + self.coupling_sub @ X[n - 1, :n_p]
             lu = self.lu_first if n == 0 else self.lu_interior
-            u_prev = lu.solve(rhs)
-            x[sys.primal_slice(n)] = u_prev
-        stab = sys.apply_primal_stabilized(x)
-        z_next = None
+            X[n, :n_p] = lu.solve(rhs)
+        stab = sys.slab_view(sys.apply_primal_stabilized(x))
+        rest = R[:, :n_p] - stab[:, :n_p]
         for n in reversed(range(N)):
-            rhs = r[sys.primal_slice(n)] - stab[sys.primal_slice(n)]
+            rhs = rest[n]
             if n < N - 1:
-                rhs = rhs + self.coupling_sub.T @ z_next
+                rhs = rhs + self.coupling_sub_T @ X[n + 1, n_p:]
             lu = self.lu_first if n == 0 else self.lu_interior
-            z_next = lu.solve(rhs, trans="T")
-            x[sys.dual_slice(n)] = z_next
+            X[n, n_p:] = lu.solve(rhs, trans="T")
         return x
 
 

@@ -5,6 +5,13 @@ The global coefficient vector is slab-major.  Each slab stores the primal
 field pair (u1, u2) first and the dual pair (z1, z2) second; that ordering
 makes the forward-relaxed interface coupling block-lower-triangular, which
 the sweep preconditioners rely on.
+
+Every slab carries the same blocks, so the operator, the right-hand side
+and the norms work on the (n_slabs, slab_size) view of a global vector: each
+block is applied once to all slabs as a sparse x dense product on the
+transposed primal or dual columns (one column per slab), and the interface
+terms couple the column ranges [:, 1:] (later slab) and [:, :-1] (earlier
+slab).  dense_matrix keeps an independent per-slab assembly as the oracle.
 """
 
 from dataclasses import dataclass
@@ -52,11 +59,13 @@ class SpaceTimeSystem:
         self.n_slabs = config.n_slabs
 
         self.A_pd = assemble_A(self.primal, self.dual)
-        self.stab_parts = assemble_primal_stabilizers(self.primal)
-        self.Sh = self.stab_parts["Sh"]
+        self.Sh = assemble_primal_stabilizers(self.primal)["Sh"]
         self.Sstar = assemble_dual_stabilizer(self.dual)
         self.Momega = assemble_data_mass(self.primal, self.primal, self.data)
         self.jump = interface_jump_blocks(self.primal)
+        # transposes used by every operator application, built once
+        self.A_pd_T = self.A_pd.T.tocsr()
+        self.cross_T = self.jump["cross"].T.tocsr()
 
         self.n_primal = self.primal.n_pair
         self.n_dual = self.dual.n_pair
@@ -76,12 +85,28 @@ class SpaceTimeSystem:
     def zero_vector(self):
         return np.zeros(self.ndof)
 
-    def _check(self, x):
+    def slab_view(self, x):
+        """x as an (n_slabs, slab_size) view; row n holds slab n."""
         if x.shape != (self.ndof,):
             raise ValueError(f"vector of length {x.shape} does not match layout "
                              f"({self.ndof} dofs)")
+        return x.reshape(self.n_slabs, self.slab_size)
 
     # -- operator --------------------------------------------------------
+
+    def _split(self, x):
+        """Primal and dual coefficients of x, one column per slab."""
+        X = self.slab_view(x)
+        return (np.ascontiguousarray(X[:, : self.n_primal].T),
+                np.ascontiguousarray(X[:, self.n_primal :].T))
+
+    def _join(self, Up, Ud):
+        """Global vector from per-slab primal and dual columns."""
+        y = np.empty(self.ndof)
+        Y = y.reshape(self.n_slabs, self.slab_size)
+        Y[:, : self.n_primal] = Up.T
+        Y[:, self.n_primal :] = Ud.T
+        return y
 
     def apply(self, x):
         """Action of the full coupled operator.
@@ -91,82 +116,62 @@ class SpaceTimeSystem:
         operator acting on the dual pair; dual-test rows carry the wave
         operator on the primal pair minus the dual stabilizer.
         """
-        self._check(x)
-        y = np.zeros_like(x)
-        for n in range(self.n_slabs):
-            ps, ds = self.primal_slice(n), self.dual_slice(n)
-            xp, xd = x[ps], x[ds]
-            y[ps] = self.Momega @ xp + self.Sh @ xp + self.A_pd.T @ xd
-            y[ds] = self.A_pd @ xp - self.Sstar @ xd
-        self._add_interface_jumps(x, y)
-        return y
+        U, Z = self._split(x)
+        Yp = self.Momega @ U + self.Sh @ U + self.A_pd_T @ Z
+        self._add_interface_jumps(U, Yp)
+        return self._join(Yp, self.A_pd @ U - self.Sstar @ Z)
 
-    def _add_interface_jumps(self, x, y):
+    def _add_interface_jumps(self, U, Yp):
+        """Add the jump terms of every interface: column n of U and Yp is
+        slab n, so the later slab of each interface is [:, 1:]."""
         P, Mm, C = self.jump["plus"], self.jump["minus"], self.jump["cross"]
-        for n in range(1, self.n_slabs):
-            ps_prev, ps = self.primal_slice(n - 1), self.primal_slice(n)
-            up, u = x[ps_prev], x[ps]
-            y[ps] += P @ u - C @ up
-            y[ps_prev] += Mm @ up - C.T @ u
-        return y
+        later, earlier = U[:, 1:], U[:, :-1]
+        Yp[:, 1:] += P @ later - C @ earlier
+        Yp[:, :-1] += Mm @ earlier - self.cross_T @ later
 
     def apply_primal_stabilized(self, x):
         """Primal-test rows of (measurement mass + stabilizers + interface
         jumps) applied to the primal part of x; dual rows zero."""
-        self._check(x)
-        y = np.zeros_like(x)
-        for n in range(self.n_slabs):
-            ps = self.primal_slice(n)
-            y[ps] = self.Momega @ x[ps] + self.Sh @ x[ps]
-        self._add_interface_jumps(x, y)
-        return y
+        U, _ = self._split(x)
+        Yp = self.Momega @ U + self.Sh @ U
+        self._add_interface_jumps(U, Yp)
+        return self._join(Yp, np.zeros((self.n_dual, self.n_slabs)))
 
     # -- right-hand side -------------------------------------------------
 
-    def _spatial_data_functional(self, space, f):
-        """Vector of (f, phi_j) over the measurement region, by quadrature."""
+    def _data_functional(self, space, offset, u_omega):
+        """(u_omega, first test field of space) over the measurement region
+        on every slab, by space-time quadrature; the block of slab n starts
+        at column offset of row n of the (n_slabs, slab_size) view."""
         rule = gauss_rule(DATA_QUADRATURE_POINTS)
-        xb = space.xbasis
-        vals = xb.eval(rule.points)
-        out = np.zeros(space.n_x)
-        k, h = xb.degree, self.mesh.h
-        for e in range(self.mesh.n_elems):
-            if not self.data.element_mask[e]:
-                continue
-            x0 = self.mesh.vertices[e]
-            fx = f(x0 + h * rule.points)
-            out[e * k : e * k + k + 1] += (rule.weights * h * fx) @ vals
-        return out
-
-    def _data_functional(self, space, slab_start, u_omega):
-        """One slab's (u_omega, first test field) block, space-time quadrature."""
-        rule = gauss_rule(DATA_QUADRATURE_POINTS)
+        N, dt, h = self.n_slabs, self.config.dt, self.mesh.h
+        k = space.degree_x
+        elems = np.flatnonzero(self.data.element_mask)
+        xq = self.mesh.vertices[elems, None] + h * rule.points
+        taus = (np.arange(N) * dt)[:, None] + dt * rule.points
+        f = np.array([np.broadcast_to(u_omega(tau, xq), xq.shape)
+                      for tau in taus.ravel()])
+        # (f, phi_i) on each marked element, then summed into the nodal dofs
+        local = (rule.weights * h * f) @ space.xbasis.eval(rule.points)
+        loads = np.zeros((f.shape[0], space.n_x))
+        for i in range(k + 1):
+            loads[:, k * elems + i] += local[:, :, i]
+        loads = loads.reshape(N, rule.n_points, space.n_x)
         psi = space.tbasis.eval(rule.points)
-        dt = self.config.dt
+        blocks = np.einsum("q,qm,nqj->nmj", dt * rule.weights, psi, loads)
         b = self.zero_vector()
-        for n in range(self.n_slabs):
-            t0 = n * dt
-            block = np.zeros((space.n_modes, space.n_x))
-            for wq, xq, prow in zip(rule.weights, rule.points, psi):
-                tau = t0 + dt * xq
-                sv = self._spatial_data_functional(space, lambda x: u_omega(tau, x))
-                block += dt * wq * np.outer(prow, sv)
-            off = slab_start(n)
-            b[off : off + space.n_field] = block.ravel()
+        b.reshape(N, self.slab_size)[:, offset : offset + space.n_field] = (
+            blocks.reshape(N, space.n_field))
         return b
 
     def assemble_rhs(self, u_omega):
         """Measurement data tested against w1, integrated over the slabs."""
-        return self._data_functional(
-            self.primal, lambda n: self.primal_slice(n).start, u_omega
-        )
+        return self._data_functional(self.primal, 0, u_omega)
 
     def assemble_dual_rhs(self, u_omega):
         """Measurement data tested against y1 (dual pair), used by the
         forward-backward split solver's first sweep."""
-        return self._data_functional(
-            self.dual, lambda n: self.dual_slice(n).start, u_omega
-        )
+        return self._data_functional(self.dual, self.n_primal, u_omega)
 
     # -- dense oracle and norms ------------------------------------------
 
@@ -198,20 +203,14 @@ class SpaceTimeSystem:
 
     def triple_norm(self, x):
         """Stabilized energy norm split into its four contributions."""
-        self._check(x)
-        sh2 = om2 = ds2 = 0.0
-        for n in range(self.n_slabs):
-            ps, ds = self.primal_slice(n), self.dual_slice(n)
-            xp, xd = x[ps], x[ds]
-            sh2 += xp @ (self.Sh @ xp)
-            om2 += xp @ (self.Momega @ xp)
-            ds2 += xd @ (self.Sstar @ xd)
-        jm2 = 0.0
+        U, Z = self._split(x)
         P, Mm, C = self.jump["plus"], self.jump["minus"], self.jump["cross"]
-        for n in range(1, self.n_slabs):
-            up = x[self.primal_slice(n - 1)]
-            u = x[self.primal_slice(n)]
-            jm2 += u @ (P @ u) + up @ (Mm @ up) - 2.0 * (u @ (C @ up))
+        later, earlier = U[:, 1:], U[:, :-1]
+        sh2 = np.vdot(U, self.Sh @ U)
+        om2 = np.vdot(U, self.Momega @ U)
+        ds2 = np.vdot(Z, self.Sstar @ Z)
+        jm2 = (np.sum(later * (P @ later)) + np.sum(earlier * (Mm @ earlier))
+               - 2.0 * np.sum(later * (C @ earlier)))
         # quadratic forms can dip below zero by roundoff
         sh2, om2, ds2, jm2 = (max(v, 0.0) for v in (sh2, om2, ds2, jm2))
         total = np.sqrt(sh2 + om2 + ds2 + jm2)

@@ -1,10 +1,12 @@
 import csv
+import re
 
 import numpy as np
 import pytest
 
 from waveuc.cli import CSV_HEADER, main
 from waveuc.config import PRESETS, DiscretizationConfig, default_lambda
+from waveuc.krylov import GmresConfig
 
 
 def read_rows(path):
@@ -52,6 +54,35 @@ def test_config_validation_errors():
         DiscretizationConfig(n_elems=1000, n_slabs=2).validate()
     with pytest.raises(ValueError):
         DiscretizationConfig(precond="dfb", k=2, q=1, kstar=1, qstar=1).validate()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("tol", INF), ("tol", NAN), ("lam", INF), ("lam", NAN),
+    ("T", INF), ("T", NAN), ("a", -INF), ("b", NAN),
+    ("omega", ((0.0, INF),)), ("omega", ((NAN, 0.25),)),
+])
+def test_config_rejects_non_finite(field, value):
+    name = "omega[0]" if field == "omega" else field
+    with pytest.raises(ValueError, match=rf"{re.escape(name)} must be finite"):
+        DiscretizationConfig(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("tol", [INF, NAN])
+def test_gmres_config_rejects_non_finite_tol(tol):
+    with pytest.raises(ValueError, match="finite"):
+        GmresConfig(tol=tol).validate()
+
+
+def test_non_finite_tol_flag_exits_1(capsys):
+    code = main(["solve", "--slabs", "4", "--elems", "8", "--tol", "inf"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error:") and "tol" in line
 
 
 # -- solve command ----------------------------------------------------------

@@ -3,13 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from waveuc.basis import gauss_rule
+from waveuc.basis import gauss_lobatto_nodes, gauss_rule
 from waveuc.config import PRESETS
 from waveuc.mesh import build_interval_mesh
-from waveuc.postproc import eoc, error_norms, extract_primal_field, lift
+from waveuc.postproc import (
+    ERROR_QUADRATURE_POINTS,
+    eoc,
+    error_norms,
+    extract_primal_field,
+    lift,
+)
 from waveuc.slab_forms import SlabSpace
 
-from conftest import make_system
+from conftest import SlabFunction, make_system
 
 
 def random_displacement(space, n_slabs, rng):
@@ -171,6 +177,71 @@ def test_restricted_clipping_matches_analytic():
     assert report.err_L2L2_ut_restricted == pytest.approx(
         math.sqrt(0.3 * s.config.T), rel=1e-12
     )
+
+
+def pointwise_error_norms(u, dt_u, sol, region):
+    """Oracle for error_norms: the same time points, but every spatial
+    integral split at the mesh vertices and the region endpoints, with an
+    8-point Gauss rule on each piece and the lifted function evaluated point
+    by point (SlabFunction)."""
+    mesh = sol.mesh
+    space = SlabSpace(mesh, sol.xbasis.degree, sol.tbasis.degree, sol.dt)
+    xg, wg = np.polynomial.legendre.leggauss(8)
+
+    def sq_error(f, uh, lo, hi):
+        cuts = np.unique(np.clip(np.r_[mesh.vertices, lo, hi], lo, hi))
+        total = 0.0
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            x = a + (b - a) * (xg + 1) / 2
+            total += (b - a) / 2 * wg @ (f(x) - uh(x)) ** 2
+        return total
+
+    samples = gauss_lobatto_nodes(sol.tbasis.cardinality + 2)
+    trule = gauss_rule(ERROR_QUADRATURE_POINTS)
+    linf = [0.0, 0.0]
+    l2 = [0.0, 0.0]
+    for n in range(sol.n_slabs):
+        fn = SlabFunction(space, [sol.coeffs[n], np.zeros_like(sol.coeffs[n])])
+        for xi in samples:
+            tau = (n + xi) * sol.dt
+            for i, (lo, hi) in enumerate([(mesh.a, mesh.b), region(tau)]):
+                e = sq_error(lambda x: u(tau, x),
+                             lambda x: fn(0, xi, x), lo, hi)
+                linf[i] = max(linf[i], e)
+        for w, xi in zip(trule.weights, trule.points):
+            tau = (n + xi) * sol.dt
+            for i, (lo, hi) in enumerate([(mesh.a, mesh.b), region(tau)]):
+                l2[i] += sol.dt * w * sq_error(
+                    lambda x: dt_u(tau, x),
+                    lambda x: fn(0, xi, x, dtime=1), lo, hi)
+    return np.sqrt([linf[0], l2[0], linf[1], l2[1]])
+
+
+def _window(t):
+    # both endpoints move and cut elements
+    return (0.15 + 0.3 * t, 0.7 - 0.2 * t)
+
+
+@pytest.mark.parametrize("region", [PRESETS["nogcc1d"].restricted_region,
+                                    _window], ids=["cone", "window"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_error_norms_match_pointwise_oracle(k, region, rng):
+    preset = PRESETS["nogcc1d"]
+    s = make_system(preset="nogcc1d", n_elems=8, n_slabs=4, k=k, q=k,
+                    kstar=k, qstar=k)
+    u = rng.standard_normal((s.n_slabs, s.primal.n_modes, s.primal.n_x))
+    sol = lift(s.primal, u)
+    # the region's moving endpoints cut an element at every interior sample
+    samples = gauss_lobatto_nodes(sol.tbasis.cardinality + 2)
+    ends = np.array([region((n + xi) * sol.dt)
+                     for n in range(s.n_slabs) for xi in samples])
+    off_vertex = np.abs(ends / s.mesh.h - np.round(ends / s.mesh.h)) > 1e-3
+    assert off_vertex[:, 1].sum() >= len(ends) // 2
+    report = error_norms(preset.u, preset.dt_u, sol, region=region)
+    got = [report.err_LinfL2_u, report.err_L2L2_ut,
+           report.err_LinfL2_u_restricted, report.err_L2L2_ut_restricted]
+    want = pointwise_error_norms(preset.u, preset.dt_u, sol, region)
+    assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_extract_primal_field(rng):

@@ -117,6 +117,19 @@ def test_reduced_dual_sweep_equals_full_when_orders_match(rng):
     assert np.linalg.norm(a - b) <= 1e-11 * np.linalg.norm(a)
 
 
+@pytest.mark.parametrize("n_slabs", [1, 3])
+def test_reduced_dual_sweep_solves_dual_rows(n_slabs, rng):
+    # the dual output is recovered from the slab-local dual-test rows, so
+    # those rows of the system hold exactly on every slab
+    s = make_system(n_elems=4, n_slabs=n_slabs, k=2, q=2, kstar=2, qstar=2)
+    M = MonolithicForward(s, dual_orders=(1, 0))
+    r = rng.standard_normal(s.ndof)
+    y = s.apply(M.apply(r))
+    for n in range(s.n_slabs):
+        d = s.dual_slice(n)
+        assert np.linalg.norm(y[d] - r[d]) <= 1e-10 * np.linalg.norm(r[d])
+
+
 def test_reduced_dual_orders_must_embed():
     s = make_system(n_elems=4, n_slabs=2)
     with pytest.raises(ValueError):

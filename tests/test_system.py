@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from waveuc.config import PRESETS
-from waveuc.spacetime_system import SpaceTimeSystem
+from waveuc.spacetime_system import DATA_QUADRATURE_POINTS, SpaceTimeSystem
 
 from conftest import make_system
 
@@ -49,6 +49,81 @@ def test_dense_oracle_equivalence(rng):
         y = s.apply(x)
         yd = D @ x
         assert np.linalg.norm(y - yd) <= 1e-12 * np.linalg.norm(yd)
+
+
+# (k, q, kstar, qstar, N): no interface, several interfaces, higher
+# degrees and dual orders below and above the primal ones
+BATCH_CASES = [
+    (1, 1, 1, 1, 1),
+    (1, 1, 1, 1, 3),
+    (2, 2, 2, 2, 2),
+    (1, 1, 1, 0, 3),
+    (2, 1, 1, 2, 2),
+]
+
+
+def primal_mask(system):
+    mask = np.zeros(system.ndof, dtype=bool)
+    for n in range(system.n_slabs):
+        mask[system.primal_slice(n)] = True
+    return mask
+
+
+@pytest.mark.parametrize("k,q,kstar,qstar,n_slabs", BATCH_CASES)
+def test_batched_apply_matches_dense_oracle(k, q, kstar, qstar, n_slabs, rng):
+    s = make_system(n_elems=4, n_slabs=n_slabs, k=k, q=q, kstar=kstar,
+                    qstar=qstar)
+    D = s.dense_matrix()
+    for _ in range(5):
+        x = rng.standard_normal(s.ndof)
+        yd = D @ x
+        assert np.linalg.norm(s.apply(x) - yd) <= 1e-12 * np.linalg.norm(yd)
+
+
+@pytest.mark.parametrize("k,q,kstar,qstar,n_slabs", BATCH_CASES)
+def test_batched_primal_stabilized_matches_dense_blocks(
+        k, q, kstar, qstar, n_slabs, rng):
+    s = make_system(n_elems=4, n_slabs=n_slabs, k=k, q=q, kstar=kstar,
+                    qstar=qstar)
+    p = primal_mask(s)
+    D_pp = s.dense_matrix()[np.ix_(p, p)]
+    x = rng.standard_normal(s.ndof)
+    y = s.apply_primal_stabilized(x)
+    assert np.all(y[~p] == 0)
+    yd = D_pp @ x[p]
+    assert np.linalg.norm(y[p] - yd) <= 1e-12 * np.linalg.norm(yd)
+
+
+@pytest.mark.parametrize("k,q,kstar,qstar,n_slabs", BATCH_CASES)
+def test_batched_triple_norm_matches_dense_blocks(
+        k, q, kstar, qstar, n_slabs, rng):
+    s = make_system(n_elems=4, n_slabs=n_slabs, k=k, q=q, kstar=kstar,
+                    qstar=qstar)
+    p = primal_mask(s)
+    D = s.dense_matrix()
+    Sh, Mo, Ss = (m.toarray() for m in (s.Sh, s.Momega, s.Sstar))
+    x = rng.standard_normal(s.ndof)
+    sh2 = om2 = ds2 = 0.0
+    for n in range(s.n_slabs):
+        xp, xd = x[s.primal_slice(n)], x[s.dual_slice(n)]
+        sh2 += xp @ Sh @ xp
+        om2 += xp @ Mo @ xp
+        ds2 += xd @ Ss @ xd
+    # the primal-primal dense block is measurement mass + stabilizers +
+    # interface jumps, the dual-dual one minus the dual stabilizer
+    jm2 = x[p] @ D[np.ix_(p, p)] @ x[p] - sh2 - om2
+    D_dd = D[np.ix_(~p, ~p)]
+    assert -(x[~p] @ D_dd @ x[~p]) == pytest.approx(ds2, rel=1e-12)
+    report = s.triple_norm(x)
+    assert report.sh**2 == pytest.approx(sh2, rel=1e-10)
+    assert report.omega**2 == pytest.approx(om2, rel=1e-10)
+    assert report.sstar**2 == pytest.approx(ds2, rel=1e-10)
+    # jm2 comes from a difference: allow for its cancellation
+    assert report.jump**2 == pytest.approx(jm2, rel=1e-10,
+                                           abs=1e-12 * (sh2 + om2))
+    if n_slabs == 1:
+        assert report.jump == 0.0
+    assert report.total**2 == pytest.approx(sh2 + om2 + ds2 + jm2, rel=1e-10)
 
 
 def test_dense_assembly_size_guard():
@@ -178,3 +253,44 @@ def test_dual_rhs_lives_on_dual_rows():
         block = b[s.dual_slice(n)]
         assert np.any(block != 0)
         assert np.all(block[s.dual.n_field :] == 0)
+
+
+def loop_data_functional(system, space, u_omega):
+    """Reference for the batched right-hand side: slab by slab, time point
+    by time point and element by element quadrature of (u_omega, first
+    test field of space) over the marked elements."""
+    xg, wg = np.polynomial.legendre.leggauss(DATA_QUADRATURE_POINTS)
+    pts, wts = (xg + 1) / 2, wg / 2
+    mesh, dt, k = system.mesh, system.config.dt, space.degree_x
+    out = np.zeros((system.n_slabs, space.n_modes, space.n_x))
+    for n in range(system.n_slabs):
+        for tq, wt in zip(pts, wts):
+            tau = (n + tq) * dt
+            psi = space.tbasis.eval(np.array(tq))
+            for e in np.flatnonzero(system.data.element_mask):
+                for xq, wx in zip(pts, wts):
+                    x = mesh.vertices[e] + mesh.h * xq
+                    phi = space.xbasis.eval(np.array(xq))
+                    val = u_omega(tau, np.array([x]))[0]
+                    out[n][:, e * k : e * k + k + 1] += (
+                        dt * wt * mesh.h * wx * val * np.outer(psi, phi))
+    return out
+
+
+@pytest.mark.parametrize("preset,k,q,kstar,qstar", [
+    ("gcc1d", 2, 2, 2, 2),
+    ("nogcc1d", 1, 1, 1, 0),
+    ("gcc1d", 2, 1, 1, 2),
+])
+def test_rhs_matches_loop_reference(preset, k, q, kstar, qstar):
+    s = make_system(preset=preset, n_elems=8, n_slabs=3, k=k, q=q,
+                    kstar=kstar, qstar=qstar)
+    u = PRESETS[preset].u
+    for b, space, rows in ((s.assemble_rhs(u), s.primal, s.primal_slice),
+                           (s.assemble_dual_rhs(u), s.dual, s.dual_slice)):
+        ref = loop_data_functional(s, space, u)
+        for n in range(s.n_slabs):
+            block = b[rows(n)]
+            assert np.allclose(block[: space.n_field], ref[n].ravel(),
+                               rtol=0, atol=1e-14 * np.abs(ref).max())
+            assert np.all(block[space.n_field :] == 0)
