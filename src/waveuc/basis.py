@@ -9,7 +9,6 @@ __all__ = [
     "LagrangeBasis",
     "SpatialBasis",
     "TemporalBasis",
-    "eval_basis",
 ]
 
 MAX_SPATIAL_DEGREE = 3
@@ -111,8 +110,3 @@ class TemporalBasis(LagrangeBasis):
             super().__init__(np.array([1.0]))
         else:
             super().__init__(gauss_lobatto_nodes(degree + 1))
-
-
-def eval_basis(basis, x, deriv_order=0):
-    """Evaluate a basis at reference coordinate(s) x, see LagrangeBasis.eval."""
-    return basis.eval(x, deriv=deriv_order)

@@ -3,6 +3,8 @@ preconditioner iteration tables, all emitting one fixed CSV schema."""
 
 import argparse
 import csv
+import itertools
+import math
 import sys
 import time
 from dataclasses import replace
@@ -128,11 +130,16 @@ _KEY_TO_FIELD = {
 
 
 def build_config(args):
+    """The run's configuration and preset from a config file and the flags
+    that override it; not yet validated."""
     preset = PRESETS[args.preset]
     values = {}
     if getattr(args, "config", None):
         for key, raw in _read_config_file(args.config).items():
             if key == "preset":
+                if raw not in PRESETS:
+                    raise ValueError(f"unknown preset {raw!r} (known: "
+                                     f"{', '.join(sorted(PRESETS))})")
                 preset = PRESETS[raw]
                 continue
             if key not in _CONFIG_KEYS:
@@ -151,7 +158,7 @@ def build_config(args):
         cfg = replace(cfg, kstar=values["k"])
     if "qstar" not in values and "q" in values:
         cfg = replace(cfg, qstar=values["q"])
-    return cfg.validate(), preset
+    return cfg, preset
 
 
 def _add_common_flags(p):
@@ -173,72 +180,63 @@ def _add_common_flags(p):
     p.add_argument("--residual-log", help="per-iteration residual log path")
 
 
-def _elems_for_slabs(preset, n_slabs):
-    """Element count giving h = dt for a preset's geometry."""
-    exact = n_slabs * (preset.b - preset.a) / preset.T
-    n = round(exact)
-    if abs(exact - n) > 1e-9:
+def _elems_for_slabs(config):
+    """Element count giving h = dt on the configuration's own [a, b] and T."""
+    exact = (config.n_slabs * (config.b - config.a) / config.T
+             if config.T else math.nan)
+    n = round(exact) if math.isfinite(exact) else 0
+    if n < 1 or abs(exact - n) > 1e-9:
         raise ValueError(
-            f"cannot match h = dt with N = {n_slabs} on [{preset.a}, "
-            f"{preset.b}] and T = {preset.T}"
+            f"cannot match h = dt with N = {config.n_slabs} on [{config.a}, "
+            f"{config.b}] and T = {config.T}"
         )
     return n
 
 
+def _sweep(args, preconds, slab_counts):
+    """Solve every (preconditioner, N) pair with h = dt and write the rows.
+
+    Each configuration is built from a copy of args with the element count
+    set from h = dt (any --elems or file elems is ignored), and all of them
+    are validated before the first solve.  Returns the error reports and
+    whether every solve converged.
+    """
+    runs = []
+    for precond, n_slabs in itertools.product(preconds, slab_counts):
+        config, preset = build_config(argparse.Namespace(
+            **{**vars(args), "precond": precond, "n_slabs": n_slabs}))
+        config = replace(config, n_elems=_elems_for_slabs(config))
+        runs.append((config.validate(), preset))
+    results = [run_solve(config, preset) for config, preset in runs]
+    _write_rows([row for row, _, _ in results], args.out)
+    return ([errors for _, _, errors in results],
+            all(report.converged for _, report, _ in results))
+
+
 def cmd_solve(args):
     config, preset = build_config(args)
-    row, report, _ = run_solve(config, preset, residual_log=args.residual_log)
+    row, report, _ = run_solve(config.validate(), preset,
+                               residual_log=args.residual_log)
     _write_rows([row], args.out)
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
 def cmd_convergence(args):
-    base_args = args
-    levels = args.levels
-    rows, errs_u, errs_ut = [], [], []
-    all_converged = True
-    restricted = []
-    for n_slabs in levels:
-        args.n_slabs = n_slabs
-        args.n_elems = None
-        config, preset = build_config(args)
-        config = replace(config, n_elems=_elems_for_slabs(preset, n_slabs),
-                         n_slabs=n_slabs)
-        row, report, errors = run_solve(config.validate(), preset)
-        rows.append(row)
-        errs_u.append(errors.err_LinfL2_u)
-        errs_ut.append(errors.err_L2L2_ut)
-        if errors.err_L2L2_ut_restricted is not None:
-            restricted.append(errors.err_L2L2_ut_restricted)
-        all_converged &= report.converged
-    _write_rows(rows, base_args.out)
-    if len(levels) >= 2:
-        print("eoc err_LinfL2_u:", " ".join(f"{r:.2f}" for r in eoc(errs_u)),
-              file=sys.stderr)
-        print("eoc err_L2L2_ut:", " ".join(f"{r:.2f}" for r in eoc(errs_ut)),
-              file=sys.stderr)
-        if len(restricted) == len(levels):
-            print("eoc err_L2L2_ut_Bt:",
-                  " ".join(f"{r:.2f}" for r in eoc(restricted)),
-                  file=sys.stderr)
+    errors, all_converged = _sweep(args, [args.precond], args.levels)
+    if len(errors) >= 2:
+        columns = [("err_LinfL2_u", [e.err_LinfL2_u for e in errors]),
+                   ("err_L2L2_ut", [e.err_L2L2_ut for e in errors]),
+                   ("err_L2L2_ut_Bt",
+                    [e.err_L2L2_ut_restricted for e in errors])]
+        for name, errs in columns:
+            if None not in errs:
+                print(f"eoc {name}:", " ".join(f"{r:.2f}" for r in eoc(errs)),
+                      file=sys.stderr)
     return EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
 
 
 def cmd_iters(args):
-    rows = []
-    all_converged = True
-    for precond in args.precond_list:
-        for n_slabs in args.slab_list:
-            args.n_slabs = n_slabs
-            args.n_elems = None
-            args.precond = precond
-            config, preset = build_config(args)
-            config = replace(config, n_elems=_elems_for_slabs(preset, n_slabs),
-                             n_slabs=n_slabs)
-            row, report, _ = run_solve(config.validate(), preset)
-            rows.append(row)
-            all_converged &= report.converged
-    _write_rows(rows, args.out)
+    _, all_converged = _sweep(args, args.precond_list, args.slab_list)
     return EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
 
 
@@ -278,10 +276,14 @@ def make_parser():
 
 def main(argv=None):
     parser = make_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # a usage error is an invalid configuration; --help exits 0
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -66,10 +66,11 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
         return np.zeros(n), report
 
     maxiter = min(cfg.maxiter, n)
-    # Krylov basis grows on demand; a full upfront allocation would be
-    # wasteful for the large runs
-    capacity = min(64, maxiter + 1)
-    Q = np.empty((capacity, n))
+    # the whole basis is reserved at once: the operating system commits its
+    # rows to memory only when they are first written, so a run that
+    # converges early costs only the rows it built, and a basis larger than
+    # the system will reserve fails here, before the solve starts
+    Q = np.empty((maxiter + 1, n))
     H = np.zeros((maxiter + 1, maxiter))
     g = np.zeros(maxiter + 1)
     cs = np.zeros(maxiter)
@@ -84,10 +85,6 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
 
     j = 0
     for j in range(maxiter):
-        if j + 1 >= Q.shape[0]:
-            grown = np.empty((min(2 * Q.shape[0], maxiter + 1), n))
-            grown[: Q.shape[0]] = Q
-            Q = grown
         # copy: the operator may hand back (a view of) its input, which
         # must not be clobbered by the orthogonalization below
         w = np.array(apply_op(apply_m(Q[j])), dtype=float)

@@ -18,8 +18,6 @@ class IntervalMesh:
     vertices: np.ndarray
     # interior_facets[i] is the vertex index shared by elements i and i+1
     interior_facets: np.ndarray
-    # (vertex index, outward unit normal) for the two domain endpoints
-    boundary_points: tuple
 
 
 def build_interval_mesh(a, b, n_elems):
@@ -35,7 +33,6 @@ def build_interval_mesh(a, b, n_elems):
         h=(b - a) / n_elems,
         vertices=vertices,
         interior_facets=np.arange(1, n_elems),
-        boundary_points=((0, -1.0), (n_elems, 1.0)),
     )
 
 

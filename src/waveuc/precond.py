@@ -33,6 +33,17 @@ def _factorize(matrix, label):
         raise ValueError(f"singular slab system ({label}): {exc}") from exc
 
 
+def _march(R, lus, coupling, trans="N"):
+    """Block substitution down the rows of R: row n solves lus[n] (with
+    trans) against R[n] plus coupling applied to the row solved just
+    before it.  Every slab-marching sweep is one call of this."""
+    X = np.empty(R.shape)
+    for n, lu in enumerate(lus):
+        rhs = R[n] if n == 0 else R[n] + coupling @ X[n - 1]
+        X[n] = lu.solve(rhs, trans=trans)
+    return X
+
+
 class IdentityPreconditioner:
     def apply(self, r):
         return r.copy()
@@ -111,7 +122,6 @@ class MonolithicForward:
             self.embed = sp.block_diag((Ef, Ef), format="csr")
             self.embed_T = self.embed.T.tocsr()
             self.sstar_lu = _factorize(system.Sstar, "dual stabilizer")
-        self.n_sweep_dual = sweep_dual.n_pair
 
         diag_pp = system.Sh + system.Momega
         D0 = sp.bmat([[diag_pp, A_sw.T], [A_sw, -Sstar_sw]], format="csc")
@@ -119,27 +129,25 @@ class MonolithicForward:
             [[diag_pp + system.jump["plus"], A_sw.T], [A_sw, -Sstar_sw]],
             format="csc",
         )
-        self.lu_first = _factorize(D0, "first slab")
-        self.lu_interior = _factorize(Dint, "interior slab")
-        self.cross = system.jump["cross"]
+        lu_interior = _factorize(Dint, "interior slab")
+        self.lus = ([_factorize(D0, "first slab")]
+                    + [lu_interior] * (system.n_slabs - 1))
+        # the upstream primal trace couples into the primal-test rows only:
+        # the cross block padded with zeros to the sweep block
+        n_sweep = system.n_primal + sweep_dual.n_pair
+        self.coupling = system.jump["cross"].copy()
+        self.coupling.resize(n_sweep, n_sweep)
 
     def apply(self, r):
         sys = self.system
         R = sys.slab_view(r)
         n_p = sys.n_primal
-        R_w, R_y = R[:, :n_p], R[:, n_p:]
-        R_sweep = R_y if self.embed is None else (self.embed_T @ R_y.T).T
-        sweep = np.empty((sys.n_slabs, n_p + self.n_sweep_dual))
-        for n in range(sys.n_slabs):
-            rhs_p = R_w[n]
-            if n >= 1:
-                rhs_p = rhs_p + self.cross @ sweep[n - 1, :n_p]
-            lu = self.lu_first if n == 0 else self.lu_interior
-            sweep[n] = lu.solve(np.concatenate((rhs_p, R_sweep[n])))
         if self.embed is None:
-            return sweep.ravel()
+            return _march(R, self.lus, self.coupling).ravel()
+        R_y = R[:, n_p:]
+        R_sweep = np.hstack((R[:, :n_p], (self.embed_T @ R_y.T).T))
+        U = _march(R_sweep, self.lus, self.coupling)[:, :n_p]
         # exact dual part from the slab-local dual-test rows, all slabs at once
-        U = sweep[:, :n_p]
         Z = self.sstar_lu.solve(sys.A_pd @ U.T - R_y.T)
         return np.hstack((U, Z.T)).ravel()
 
@@ -167,33 +175,26 @@ class ForwardBackwardSplit:
         Gint = G0 + extras["coupling_diag"]
         self.coupling_sub = extras["coupling_sub"]
         self.coupling_sub_T = self.coupling_sub.T.tocsr()
-        self.lu_first = _factorize(G0, "first slab, forward sweep")
-        self.lu_interior = _factorize(Gint, "interior slab, forward sweep")
+        lu_interior = _factorize(Gint, "interior slab, forward sweep")
+        self.lus = ([_factorize(G0, "first slab, forward sweep")]
+                    + [lu_interior] * (system.n_slabs - 1))
 
     def apply(self, r):
         sys = self.system
         R = sys.slab_view(r)
-        N, n_p = sys.n_slabs, sys.n_primal
+        n_p = sys.n_primal
         x = sys.zero_vector()
         X = sys.slab_view(x)
-        for n in range(N):
-            rhs = R[n, n_p:]
-            if n >= 1:
-                rhs = rhs + self.coupling_sub @ X[n - 1, :n_p]
-            lu = self.lu_first if n == 0 else self.lu_interior
-            X[n, :n_p] = lu.solve(rhs)
+        X[:, :n_p] = _march(R[:, n_p:], self.lus, self.coupling_sub)
         stab = sys.slab_view(sys.apply_primal_stabilized(x))
         rest = R[:, :n_p] - stab[:, :n_p]
-        for n in reversed(range(N)):
-            rhs = rest[n]
-            if n < N - 1:
-                rhs = rhs + self.coupling_sub_T @ X[n + 1, n_p:]
-            lu = self.lu_first if n == 0 else self.lu_interior
-            X[n, n_p:] = lu.solve(rhs, trans="T")
+        # the backward sweep is the same march on the reversed slab order
+        X[:, n_p:] = _march(rest[::-1], self.lus[::-1], self.coupling_sub_T,
+                            trans="T")[::-1]
         return x
 
 
-def build_preconditioner(system, kind, lam=None):
+def build_preconditioner(system, kind):
     if kind == "none":
         return IdentityPreconditioner()
     if kind == "block":
@@ -203,7 +204,5 @@ def build_preconditioner(system, kind, lam=None):
     if kind == "ml":
         return MonolithicForward(system, dual_orders=(1, 0))
     if kind == "dfb":
-        if lam is None:
-            lam = system.config.resolved_lambda()
-        return ForwardBackwardSplit(system, lam)
+        return ForwardBackwardSplit(system, system.config.resolved_lambda())
     raise ValueError(f"unknown preconditioner kind: {kind!r}")

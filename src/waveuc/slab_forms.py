@@ -52,15 +52,6 @@ class SlabSpace:
         self.n_field = self.n_modes * self.n_x
         self.n_pair = 2 * self.n_field
 
-    def default_quadrature(self):
-        return gauss_rule(max(self.degree_x, self.degree_t) + 2)
-
-
-def _volume_rule(*spaces, nq=None):
-    if nq is None:
-        nq = max(max(s.degree_x, s.degree_t) for s in spaces) + 2
-    return gauss_rule(nq)
-
 
 def spatial_matrix(mesh, test, trial, d_test=0, d_trial=0, nq=None, mask=None):
     """Element-wise integral of D^a(test_i) * D^b(trial_j) over the mesh.

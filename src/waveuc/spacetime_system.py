@@ -139,12 +139,12 @@ class SpaceTimeSystem:
 
     # -- right-hand side -------------------------------------------------
 
-    def _data_functional(self, space, offset, u_omega):
-        """(u_omega, first test field of space) over the measurement region
-        on every slab, by space-time quadrature; the block of slab n starts
-        at column offset of row n of the (n_slabs, slab_size) view."""
+    def assemble_rhs(self, u_omega):
+        """Measurement data tested against w1 over the measurement region on
+        every slab, by space-time quadrature."""
         rule = gauss_rule(DATA_QUADRATURE_POINTS)
         N, dt, h = self.n_slabs, self.config.dt, self.mesh.h
+        space = self.primal
         k = space.degree_x
         elems = np.flatnonzero(self.data.element_mask)
         xq = self.mesh.vertices[elems, None] + h * rule.points
@@ -160,18 +160,8 @@ class SpaceTimeSystem:
         psi = space.tbasis.eval(rule.points)
         blocks = np.einsum("q,qm,nqj->nmj", dt * rule.weights, psi, loads)
         b = self.zero_vector()
-        b.reshape(N, self.slab_size)[:, offset : offset + space.n_field] = (
-            blocks.reshape(N, space.n_field))
+        self.slab_view(b)[:, : space.n_field] = blocks.reshape(N, space.n_field)
         return b
-
-    def assemble_rhs(self, u_omega):
-        """Measurement data tested against w1, integrated over the slabs."""
-        return self._data_functional(self.primal, 0, u_omega)
-
-    def assemble_dual_rhs(self, u_omega):
-        """Measurement data tested against y1 (dual pair), used by the
-        forward-backward split solver's first sweep."""
-        return self._data_functional(self.dual, self.n_primal, u_omega)
 
     # -- dense oracle and norms ------------------------------------------
 

@@ -5,7 +5,6 @@ from waveuc.basis import (
     LagrangeBasis,
     SpatialBasis,
     TemporalBasis,
-    eval_basis,
     gauss_lobatto_nodes,
     gauss_rule,
 )
@@ -104,13 +103,6 @@ def test_degree_limits():
         SpatialBasis(4)
     with pytest.raises(ValueError):
         TemporalBasis(-1)
-
-
-def test_eval_basis_wrapper():
-    basis = SpatialBasis(1)
-    assert eval_basis(basis, np.array(0.25)) == pytest.approx([0.75, 0.25])
-    with pytest.raises(ValueError):
-        eval_basis(basis, np.array(0.25), deriv_order=3)
 
 
 def test_partition_of_unity_degree_four(rng):

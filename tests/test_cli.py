@@ -6,7 +6,8 @@ import pytest
 
 from waveuc.cli import CSV_HEADER, main
 from waveuc.config import PRESETS, DiscretizationConfig, default_lambda
-from waveuc.krylov import GmresConfig
+from waveuc.krylov import GmresConfig, SolveReport
+from waveuc.postproc import ErrorReport
 
 
 def read_rows(path):
@@ -222,3 +223,91 @@ def test_iters_command(tmp_path):
     ]
     by = {(r["precond"], r["N"]): int(r["iters"]) for r in rows}
     assert by[("mf", "8")] <= by[("block", "8")]
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """Configurations the CLI hands to run_solve, recorded instead of
+    solved; each fake solve converges with errors of size 1/N."""
+    configs = []
+
+    def fake_run_solve(config, preset, residual_log=None):
+        configs.append(config)
+        row = dict.fromkeys(CSV_HEADER, "")
+        row.update(preset=preset.name, N=config.n_slabs, h=config.h,
+                   dt=config.dt, precond=config.precond)
+        return (row, SolveReport(iterations=1, converged=True),
+                ErrorReport(1.0 / config.n_slabs, 1.0 / config.n_slabs))
+
+    monkeypatch.setattr("waveuc.cli.run_solve", fake_run_solve)
+    return configs
+
+
+def test_convergence_matches_h_to_dt_on_the_runs_own_T(tmp_path):
+    out = tmp_path / "conv.csv"
+    code = main(["convergence", "--T", "1.0", "--levels", "4,8",
+                 "--out", str(out)])
+    assert code == 0
+    for r in read_rows(out):
+        assert float(r["h"]) == pytest.approx(float(r["dt"]))
+        assert float(r["dt"]) == pytest.approx(1.0 / int(r["N"]))
+
+
+def test_sweep_ignores_elems_from_config_file(tmp_path, solved):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("elems = 8\n")
+    out = tmp_path / "conv.csv"
+    code = main(["convergence", "--config", str(cfg_file), "--elems", "8",
+                 "--levels", "4,64", "--out", str(out)])
+    assert code == 0
+    assert [(c.n_slabs, c.n_elems) for c in solved] == [(4, 8), (64, 128)]
+    assert [r["h"] == r["dt"] for r in read_rows(out)] == [True, True]
+
+
+def test_iters_rejects_bad_precond_before_any_solve(tmp_path, solved, capsys):
+    out = tmp_path / "iters.csv"
+    code = main(["iters", "--precond-list", "mf,bogus", "--slab-list", "4",
+                 "--out", str(out)])
+    assert code == 1
+    assert solved == []
+    assert not out.exists()
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and "bogus" in line
+
+
+def test_unknown_preset_in_config_file_exits_1(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("preset = bogus\n")
+    assert main(["solve", "--config", str(cfg_file)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:")
+    assert all(name in line for name in ("bogus", "gcc1d", "nogcc1d"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--omega", "0.1"],
+    ["solve", "--k", "x"],
+    ["solve", "--precond", "ilu"],
+    ["solve", "--no-such-flag"],
+    [],
+], ids=["bad-omega", "bad-int", "bad-choice", "unknown-flag", "no-command"])
+def test_usage_errors_exit_1(argv, capsys):
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert main(["solve", "--help"]) == 0
+    assert "--precond" in capsys.readouterr().out
+
+
+def test_memory_error_exits_1(monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 147. GiB for an array")
+
+    monkeypatch.setattr("waveuc.cli.run_solve", no_memory)
+    assert main(["solve", "--slabs", "4", "--elems", "8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line == "error: Unable to allocate 147. GiB for an array"

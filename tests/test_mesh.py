@@ -9,9 +9,6 @@ def test_unit_interval_four_elements():
     assert mesh.vertices == pytest.approx([0, 0.25, 0.5, 0.75, 1])
     assert mesh.h == pytest.approx(0.25)
     assert list(mesh.interior_facets) == [1, 2, 3]
-    (i0, n0), (i1, n1) = mesh.boundary_points
-    assert (i0, n0) == (0, -1.0)
-    assert (i1, n1) == (4, 1.0)
 
 
 def test_symmetric_interval():

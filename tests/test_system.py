@@ -245,16 +245,6 @@ def test_rhs_supported_on_masked_elements():
         assert np.any(block[0][:, 0] != 0)
 
 
-def test_dual_rhs_lives_on_dual_rows():
-    s = make_system(n_elems=4, n_slabs=2)
-    b = s.assemble_dual_rhs(lambda t, x: np.ones_like(x))
-    for n in range(s.n_slabs):
-        assert np.all(b[s.primal_slice(n)] == 0)
-        block = b[s.dual_slice(n)]
-        assert np.any(block != 0)
-        assert np.all(block[s.dual.n_field :] == 0)
-
-
 def loop_data_functional(system, space, u_omega):
     """Reference for the batched right-hand side: slab by slab, time point
     by time point and element by element quadrature of (u_omega, first
@@ -286,11 +276,10 @@ def test_rhs_matches_loop_reference(preset, k, q, kstar, qstar):
     s = make_system(preset=preset, n_elems=8, n_slabs=3, k=k, q=q,
                     kstar=kstar, qstar=qstar)
     u = PRESETS[preset].u
-    for b, space, rows in ((s.assemble_rhs(u), s.primal, s.primal_slice),
-                           (s.assemble_dual_rhs(u), s.dual, s.dual_slice)):
-        ref = loop_data_functional(s, space, u)
-        for n in range(s.n_slabs):
-            block = b[rows(n)]
-            assert np.allclose(block[: space.n_field], ref[n].ravel(),
-                               rtol=0, atol=1e-14 * np.abs(ref).max())
-            assert np.all(block[space.n_field :] == 0)
+    b, space = s.assemble_rhs(u), s.primal
+    ref = loop_data_functional(s, space, u)
+    for n in range(s.n_slabs):
+        block = b[s.primal_slice(n)]
+        assert np.allclose(block[: space.n_field], ref[n].ravel(),
+                           rtol=0, atol=1e-14 * np.abs(ref).max())
+        assert np.all(block[space.n_field :] == 0)
