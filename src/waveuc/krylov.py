@@ -6,9 +6,12 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
+from scipy.linalg.lapack import dgetrs
 
 __all__ = ["GmresConfig", "SolveReport", "GmresBreakdown", "gmres"]
 
+# Arnoldi breaks down when ||w|| after orthogonalization falls to this
+# fraction of ||A M q_j|| before it
 BREAKDOWN_TOL = 1e-14
 TRUE_RESIDUAL_EVERY = 10
 
@@ -50,6 +53,20 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
     residual estimate is recorded every iteration and the true residual is
     recomputed every few iterations as a consistency check.
 
+    The small least-squares problem is kept in QR form by Givens rotations,
+    so iteration j costs O(j) and each iterate O(j^2) besides the basis
+    work.  The rotations of each new Hessenberg column run on Python floats,
+    which is the same IEEE arithmetic in the same order as on NumPy scalars
+    at a fraction of the interpreter cost.  The iterate's coefficients come
+    from a back substitution with the rotated triangle: LAPACK ``getrs``
+    with identity pivots, which is exactly what a dense LU solve does with
+    an upper-triangular matrix whose diagonal is positive (partial pivoting
+    swaps no row and L = I), so the coefficients keep that solve's rounding
+    bit for bit without its O(j^3) factorization.
+
+    Arnoldi breaks down when the orthogonalized vector is tiny relative to
+    ``A M q_j`` itself, so the test does not depend on the operator's scale.
+
     log, if given, is called with (iteration, arnoldi_residual,
     true_residual_or_None) once per iteration.
     """
@@ -73,14 +90,18 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
     Q = np.empty((maxiter + 1, n))
     H = np.zeros((maxiter + 1, maxiter))
     g = np.zeros(maxiter + 1)
-    cs = np.zeros(maxiter)
-    sn = np.zeros(maxiter)
+    # rotation cosines and sines as Python floats
+    cs = []
+    sn = []
 
     Q[0] = b / beta
     g[0] = beta
 
     def solution(j):
-        y = np.linalg.solve(np.triu(H[: j + 1, : j + 1]), g[: j + 1])
+        # back substitution with the rotated triangle H[:j+1, :j+1]
+        y, info = dgetrs(H[: j + 1, : j + 1], np.arange(j + 1), g[: j + 1])
+        if info != 0:
+            raise ValueError(f"getrs failed with info={info}")
         return apply_m(Q[: j + 1].T @ y)
 
     j = 0
@@ -88,25 +109,30 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
         # copy: the operator may hand back (a view of) its input, which
         # must not be clobbered by the orthogonalization below
         w = np.array(apply_op(apply_m(Q[j])), dtype=float)
+        wnorm = np.linalg.norm(w)
         # classical Gram-Schmidt, then one full reorthogonalization pass (CGS2)
         h = Q[: j + 1] @ w
         w -= Q[: j + 1].T @ h
         h2 = Q[: j + 1] @ w
         w -= Q[: j + 1].T @ h2
         h += h2
-        H[: j + 1, j] = h
         hnext = np.linalg.norm(w)
-        H[j + 1, j] = hnext
 
+        # apply the previous rotations to the new column, then annihilate
+        # its subdiagonal entry; the column goes back into H in one write
+        col = h.tolist() + [hnext]
         for i in range(j):
-            hi, hj = H[i, j], H[i + 1, j]
-            H[i, j] = cs[i] * hi + sn[i] * hj
-            H[i + 1, j] = -sn[i] * hi + cs[i] * hj
-        denom = np.hypot(H[j, j], H[j + 1, j])
-        cs[j] = H[j, j] / denom
-        sn[j] = H[j + 1, j] / denom
-        H[j, j] = denom
-        H[j + 1, j] = 0.0
+            hi, hj = col[i], col[i + 1]
+            col[i] = cs[i] * hi + sn[i] * hj
+            col[i + 1] = -sn[i] * hi + cs[i] * hj
+        # a NumPy scalar, so that 0/0 (a zero column) gives nan and reaches
+        # the breakdown test below instead of raising ZeroDivisionError
+        denom = np.hypot(col[j], col[j + 1])
+        cs.append(float(col[j] / denom))
+        sn.append(float(col[j + 1] / denom))
+        col[j] = denom
+        col[j + 1] = 0.0
+        H[: j + 2, j] = col
         g[j + 1] = -sn[j] * g[j]
         g[j] = cs[j] * g[j]
 
@@ -128,7 +154,7 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
                 report.basis = Q[: j + 1].copy()
             return solution(j), report
 
-        if hnext < BREAKDOWN_TOL:
+        if hnext <= BREAKDOWN_TOL * wnorm:
             raise GmresBreakdown(
                 f"Arnoldi breakdown at iteration {j + 1} with residual "
                 f"estimate {est:.3e}"
