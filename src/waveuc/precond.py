@@ -1,14 +1,18 @@
 """Slab-marching preconditioners for the coupled space-time system.
 
-All preconditioners are linear maps r -> x built from sparse LU
-factorizations of per-slab blocks.  On a uniform mesh every interior slab
-shares one factorization; the first slab differs because no interface jump
-terms reach it.
+All preconditioners are linear maps r -> x built from banded LU
+factorizations (LAPACK gbtrf) of per-slab blocks.  A slab block couples
+only dofs whose spatial nodes lie at most two elements apart, so once its
+dofs are sorted by spatial node position (all temporal modes, fields and
+both pairs of one node side by side) it is banded with a bandwidth
+independent of the mesh.  On a uniform mesh every interior slab shares one
+factorization; the first slab differs because no interface jump terms
+reach it.
 """
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .slab_forms import (
     SlabSpace,
@@ -26,21 +30,65 @@ __all__ = [
 ]
 
 
-def _factorize(matrix, label):
-    try:
-        return splu(matrix.tocsc())
-    except RuntimeError as exc:
-        raise ValueError(f"singular slab system ({label}): {exc}") from exc
+def _node_order(*spaces):
+    """Permutation sorting the dofs of the concatenated field pairs of
+    spaces by spatial node position.
+
+    Within a field block, dof m * n_x + i sits at node i / degree_x (in
+    element lengths), so spaces of different spatial degrees interleave by
+    position; the sort is stable, so ties keep their block order.
+    """
+    keys = [np.tile(np.arange(s.n_x) / s.degree_x, 2 * s.n_modes)
+            for s in spaces]
+    return np.argsort(np.concatenate(keys), kind="stable")
 
 
-def _march(R, lus, coupling, trans="N"):
+class _BandLU:
+    """LU factorization of one slab block, banded after the symmetric
+    permutation perm (rows and columns both reordered by it)."""
+
+    def __init__(self, matrix, perm, label):
+        n = matrix.shape[0]
+        self.perm = perm
+        inv = np.empty(n, dtype=np.intp)
+        inv[perm] = np.arange(n)
+        coo = matrix.tocoo()
+        cols = inv[coo.col]
+        offset = inv[coo.row] - cols
+        self.kl = int(offset.max(initial=0))
+        self.ku = int(-offset.min(initial=0))
+        # LAPACK band storage, Fortran order, with kl extra rows on top
+        # for the fill-in: entry (i, j) at row kl + ku + i - j of column j
+        # (bincount sums duplicate entries)
+        ldab = 2 * self.kl + self.ku + 1
+        ab = np.bincount(cols * ldab + self.kl + self.ku + offset,
+                         weights=coo.data, minlength=n * ldab)
+        self.lu, self.piv, info = dgbtrf(ab.reshape(n, ldab).T, self.kl,
+                                         self.ku, overwrite_ab=True)
+        if info > 0:
+            raise ValueError(f"singular slab system ({label}): zero pivot "
+                             f"in column {info} of {n}")
+        if info < 0:
+            raise RuntimeError(f"dgbtrf: illegal value in argument {-info}")
+
+    def solve(self, b, trans=0):
+        """Solution of the block (trans=0) or its transpose (trans=1)
+        against b, one right-hand side per column."""
+        x, _ = dgbtrs(self.lu, self.kl, self.ku, b[self.perm], self.piv,
+                      trans=trans, overwrite_b=True)
+        out = np.empty_like(x)
+        out[self.perm] = x
+        return out
+
+
+def _march(R, lus, coupling, trans=0):
     """Block substitution down the rows of R: row n solves lus[n] (with
     trans) against R[n] plus coupling applied to the row solved just
     before it.  Every slab-marching sweep is one call of this."""
     X = np.empty(R.shape)
     for n, lu in enumerate(lus):
         rhs = R[n] if n == 0 else R[n] + coupling @ X[n - 1]
-        X[n] = lu.solve(rhs, trans=trans)
+        X[n] = lu.solve(rhs, trans)
     return X
 
 
@@ -58,9 +106,9 @@ class BlockJacobi:
         D = sp.bmat(
             [[system.Sh + system.Momega, system.A_pd.T],
              [system.A_pd, -system.Sstar]],
-            format="csc",
         )
-        self.lu = _factorize(D, "slab-diagonal block")
+        self.lu = _BandLU(D, _node_order(system.primal, system.dual),
+                          "slab-diagonal block")
 
     def apply(self, r):
         # one multi-right-hand-side solve, a column per slab
@@ -121,16 +169,17 @@ class MonolithicForward:
             Ef = sp.kron(Et, Ex, format="csr")
             self.embed = sp.block_diag((Ef, Ef), format="csr")
             self.embed_T = self.embed.T.tocsr()
-            self.sstar_lu = _factorize(system.Sstar, "dual stabilizer")
+            self.sstar_lu = _BandLU(system.Sstar, _node_order(system.dual),
+                                    "dual stabilizer")
 
         diag_pp = system.Sh + system.Momega
-        D0 = sp.bmat([[diag_pp, A_sw.T], [A_sw, -Sstar_sw]], format="csc")
+        D0 = sp.bmat([[diag_pp, A_sw.T], [A_sw, -Sstar_sw]])
         Dint = sp.bmat(
             [[diag_pp + system.jump["plus"], A_sw.T], [A_sw, -Sstar_sw]],
-            format="csc",
         )
-        lu_interior = _factorize(Dint, "interior slab")
-        self.lus = ([_factorize(D0, "first slab")]
+        perm = _node_order(system.primal, sweep_dual)
+        lu_interior = _BandLU(Dint, perm, "interior slab")
+        self.lus = ([_BandLU(D0, perm, "first slab")]
                     + [lu_interior] * (system.n_slabs - 1))
         # the upstream primal trace couples into the primal-test rows only:
         # the cross block padded with zeros to the sweep block
@@ -175,8 +224,10 @@ class ForwardBackwardSplit:
         Gint = G0 + extras["coupling_diag"]
         self.coupling_sub = extras["coupling_sub"]
         self.coupling_sub_T = self.coupling_sub.T.tocsr()
-        lu_interior = _factorize(Gint, "interior slab, forward sweep")
-        self.lus = ([_factorize(G0, "first slab, forward sweep")]
+        # equal orders: the dual-test rows sort like the primal columns
+        perm = _node_order(system.primal)
+        lu_interior = _BandLU(Gint, perm, "interior slab, forward sweep")
+        self.lus = ([_BandLU(G0, perm, "first slab, forward sweep")]
                     + [lu_interior] * (system.n_slabs - 1))
 
     def apply(self, r):
@@ -190,7 +241,7 @@ class ForwardBackwardSplit:
         rest = R[:, :n_p] - stab[:, :n_p]
         # the backward sweep is the same march on the reversed slab order
         X[:, n_p:] = _march(rest[::-1], self.lus[::-1], self.coupling_sub_T,
-                            trans="T")[::-1]
+                            trans=1)[::-1]
         return x
 
 

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from waveuc.config import PRESETS
 from waveuc.spacetime_system import SpaceTimeSystem
+
+# reproducible property tests: the same examples on every run, no example
+# database, and a generous per-example deadline for the slower solves
+settings.register_profile("waveuc", derandomize=True, database=None,
+                          deadline=2000)
+settings.load_profile("waveuc")
 
 
 def make_system(preset="gcc1d", **overrides):

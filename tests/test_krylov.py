@@ -263,11 +263,7 @@ def dominant_systems(draw):
     return A, rng.standard_normal(n)
 
 
-PROPERTY_SETTINGS = settings(max_examples=40, deadline=2000,
-                             derandomize=True, database=None)
-
-
-@PROPERTY_SETTINGS
+@settings(max_examples=40)
 @given(dominant_systems())
 def test_property_residual_estimate_never_increases(system):
     A, b = system
@@ -278,7 +274,7 @@ def test_property_residual_estimate_never_increases(system):
     assert all(later <= earlier for earlier, later in zip(history, history[1:]))
 
 
-@PROPERTY_SETTINGS
+@settings(max_examples=40)
 @given(dominant_systems(), st.integers(1, 12))
 def test_property_unconverged_iterate_is_krylov_least_squares(system, k):
     A, b = system
@@ -292,7 +288,7 @@ def test_property_unconverged_iterate_is_krylov_least_squares(system, k):
     assert np.linalg.norm(x - x_ls) <= 1e-8 * np.linalg.norm(x_ls)
 
 
-@PROPERTY_SETTINGS
+@settings(max_examples=40)
 @given(dominant_systems(), st.floats(-12.0, 12.0))
 def test_property_iteration_count_is_scale_invariant(system, log10_c):
     A, b = system

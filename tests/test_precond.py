@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from waveuc.cli import main
 from waveuc.precond import (
     BlockJacobi,
     ForwardBackwardSplit,
@@ -8,6 +12,8 @@ from waveuc.precond import (
     MonolithicForward,
     build_preconditioner,
 )
+
+import waveuc.spacetime_system as spacetime_system
 
 from conftest import make_system
 
@@ -38,6 +44,34 @@ def test_zero_maps_to_zero():
         assert np.all(M.apply(s.zero_vector()) == 0)
 
 
+# (k, q, kstar, qstar): equal orders of each degree and two mixes whose
+# spatial degrees differ between the primal and dual pairs; the default
+# (1, 1, 1, 1) case is the test without the suffix
+MIXED_ORDERS = [(2, 2, 2, 2), (3, 3, 3, 3), (2, 1, 1, 2), (2, 2, 1, 0)]
+# The relaxed matrix reaches condition numbers of 1e10 at k = q = 3, where
+# two backward-stable solves differ by 1e-9 relative, so the checks over
+# all orders ask for a solution at rounding level instead: a normwise
+# backward error within a small multiple of eps (sweep and dense solve
+# both measure about 2e-17).
+BACKWARD_TOL = 1e-14
+
+
+def backward_error(D, x, r):
+    """Normwise backward error of x as a solution of D x = r (infinity
+    norms): the smallest relative change of D and r that x solves."""
+    return (np.linalg.norm(D @ x - r, np.inf)
+            / (np.linalg.norm(D, np.inf) * np.linalg.norm(x, np.inf)
+               + np.linalg.norm(r, np.inf)))
+
+
+def orders_kwargs(orders):
+    return dict(zip(("k", "q", "kstar", "qstar"), orders))
+
+
+def order_id(orders):
+    return "-".join(map(str, orders))
+
+
 def test_forward_sweep_matches_dense_relaxed_solve(rng):
     for n_slabs in (2, 3):
         s = make_system(n_elems=4, n_slabs=n_slabs)
@@ -46,6 +80,15 @@ def test_forward_sweep_matches_dense_relaxed_solve(rng):
         x = M.apply(r)
         xd = np.linalg.solve(dense_relaxed_matrix(s), r)
         assert np.linalg.norm(x - xd) <= 1e-10 * np.linalg.norm(xd)
+
+
+@pytest.mark.parametrize("orders", MIXED_ORDERS, ids=order_id)
+def test_forward_sweep_matches_dense_relaxed_solve_across_orders(orders, rng):
+    for n_slabs in (2, 3):
+        s = make_system(n_elems=4, n_slabs=n_slabs, **orders_kwargs(orders))
+        r = rng.standard_normal(s.ndof)
+        x = MonolithicForward(s).apply(r)
+        assert backward_error(dense_relaxed_matrix(s), x, r) <= BACKWARD_TOL
 
 
 def test_relaxed_system_is_block_lower_triangular():
@@ -68,20 +111,39 @@ def test_single_slab_sweep_is_exact_solve(rng):
     assert np.linalg.norm(s.apply(x) - r) <= 1e-10 * np.linalg.norm(r)
 
 
+def dense_slab_block(system):
+    """Dense slab-diagonal block without any interface terms (oracle for
+    block Jacobi)."""
+    s = system
+    return np.block(
+        [[(s.Sh + s.Momega).toarray(), s.A_pd.T.toarray()],
+         [s.A_pd.toarray(), -s.Sstar.toarray()]]
+    )
+
+
 def test_block_jacobi_matches_dense_block_solve(rng):
     s = make_system(n_elems=4, n_slabs=2)
     M = BlockJacobi(s)
     r = rng.standard_normal(s.ndof)
     x = M.apply(r)
-    # dense oracle: block-diagonal matrix without any interface terms
-    blk = np.block(
-        [[(s.Sh + s.Momega).toarray(), s.A_pd.T.toarray()],
-         [s.A_pd.toarray(), -s.Sstar.toarray()]]
-    )
+    blk = dense_slab_block(s)
     for n in range(s.n_slabs):
         sl = slice(n * s.slab_size, (n + 1) * s.slab_size)
         xd = np.linalg.solve(blk, r[sl])
         assert np.linalg.norm(x[sl] - xd) <= 1e-10 * np.linalg.norm(xd)
+
+
+def check_block_jacobi(s, r):
+    X = s.slab_view(BlockJacobi(s).apply(r))
+    blk = dense_slab_block(s)
+    for x, rn in zip(X, s.slab_view(r)):
+        assert backward_error(blk, x, rn) <= BACKWARD_TOL
+
+
+@pytest.mark.parametrize("orders", MIXED_ORDERS, ids=order_id)
+def test_block_jacobi_matches_dense_block_solve_across_orders(orders, rng):
+    s = make_system(n_elems=4, n_slabs=2, **orders_kwargs(orders))
+    check_block_jacobi(s, rng.standard_normal(s.ndof))
 
 
 def test_block_jacobi_preserves_slab_support(rng):
@@ -117,11 +179,16 @@ def test_reduced_dual_sweep_equals_full_when_orders_match(rng):
     assert np.linalg.norm(a - b) <= 1e-11 * np.linalg.norm(a)
 
 
-@pytest.mark.parametrize("n_slabs", [1, 3])
-def test_reduced_dual_sweep_solves_dual_rows(n_slabs, rng):
+@pytest.mark.parametrize("n_slabs, k", [
+    pytest.param(1, 2, id="1"),
+    pytest.param(3, 2, id="3"),
+    pytest.param(1, 3, id="1-k3"),
+    pytest.param(3, 3, id="3-k3"),
+])
+def test_reduced_dual_sweep_solves_dual_rows(n_slabs, k, rng):
     # the dual output is recovered from the slab-local dual-test rows, so
     # those rows of the system hold exactly on every slab
-    s = make_system(n_elems=4, n_slabs=n_slabs, k=2, q=2, kstar=2, qstar=2)
+    s = make_system(n_elems=4, n_slabs=n_slabs, k=k, q=k, kstar=k, qstar=k)
     M = MonolithicForward(s, dual_orders=(1, 0))
     r = rng.standard_normal(s.ndof)
     y = s.apply(M.apply(r))
@@ -153,14 +220,9 @@ def dense_dfb_forward_matrix(system, lam):
     return D
 
 
-@pytest.mark.parametrize("n_slabs", [1, 2, 3])
-def test_dfb_sweeps_match_dense_triangular_solves(n_slabs, rng):
-    # three slabs give a middle slab that both sweeps couple on both sides
-    s = make_system(n_elems=4, n_slabs=n_slabs)
+def check_dfb_sweeps(s, r):
     lam = s.config.resolved_lambda()
-    M = ForwardBackwardSplit(s, lam)
-    r = rng.standard_normal(s.ndof)
-    x = M.apply(r)
+    x = ForwardBackwardSplit(s, lam).apply(r)
 
     G = dense_dfb_forward_matrix(s, lam)
     r_dual = np.concatenate([r[s.dual_slice(n)] for n in range(s.n_slabs)])
@@ -179,6 +241,17 @@ def test_dfb_sweeps_match_dense_triangular_solves(n_slabs, rng):
     Z = np.linalg.solve(G.T, rhs2)
     got_Z = np.concatenate([x[s.dual_slice(n)] for n in range(s.n_slabs)])
     assert np.linalg.norm(got_Z - Z) <= 1e-10 * np.linalg.norm(Z)
+
+
+# k = q = 1 keeps the ids of the slab count alone
+@pytest.mark.parametrize("n_slabs, k", [
+    pytest.param(n_slabs, k, id=str(n_slabs) if k == 1 else f"{n_slabs}-k{k}")
+    for k in (1, 2, 3) for n_slabs in (1, 2, 3)
+])
+def test_dfb_sweeps_match_dense_triangular_solves(n_slabs, k, rng):
+    # three slabs give a middle slab that both sweeps couple on both sides
+    s = make_system(n_elems=4, n_slabs=n_slabs, k=k, q=k, kstar=k, qstar=k)
+    check_dfb_sweeps(s, rng.standard_normal(s.ndof))
 
 
 def test_dfb_rejects_order_mismatch():
@@ -211,3 +284,127 @@ def test_unknown_kind_rejected():
     s = make_system()
     with pytest.raises(ValueError):
         build_preconditioner(s, "ilu")
+
+
+# -- singular slab blocks ------------------------------------------------------
+
+@pytest.mark.parametrize("kind, label", [
+    ("block", "slab-diagonal block"),
+    ("mf", "interior slab"),
+    ("ml", "dual stabilizer"),
+])
+def test_singular_slab_block_raises(kind, label):
+    s = make_system(n_elems=4, n_slabs=2)
+    # no wave operator and no dual stabilizer: the dual rows of every
+    # monolithic slab block vanish
+    s.A_pd = 0.0 * s.A_pd
+    s.Sstar = 0.0 * s.Sstar
+    with pytest.raises(ValueError,
+                       match=rf"^singular slab system \({label}\): zero pivot"):
+        build_preconditioner(s, kind)
+
+
+def test_singular_dfb_block_raises(monkeypatch):
+    def no_extras(primal, dual, data, lam):
+        zero = sp.csr_matrix((dual.n_pair, primal.n_pair))
+        return dict.fromkeys(
+            ("observer", "nitsche", "coupling_diag", "coupling_sub"), zero)
+
+    monkeypatch.setattr("waveuc.precond.assemble_dfb_extras", no_extras)
+    s = make_system(n_elems=4, n_slabs=2)
+    s.A_pd = 0.0 * s.A_pd
+    with pytest.raises(ValueError, match=r"^singular slab system "
+                       r"\(interior slab, forward sweep\): zero pivot"):
+        ForwardBackwardSplit(s, 10.0)
+
+
+def test_singular_slab_block_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(
+        spacetime_system, "assemble_A",
+        lambda primal, dual: sp.csr_matrix((dual.n_pair, primal.n_pair)))
+    monkeypatch.setattr(
+        spacetime_system, "assemble_dual_stabilizer",
+        lambda dual: sp.csr_matrix((dual.n_pair, dual.n_pair)))
+    code = main(["solve", "--slabs", "2", "--elems", "4", "--precond", "block"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: singular slab system (slab-diagonal block)")
+
+
+# -- properties over random orders and meshes ----------------------------------
+
+@st.composite
+def small_systems(draw, equal_orders=False, elems=(4, 8), max_slabs=3):
+    """A valid system, small enough for dense oracles (at most 1200 dofs),
+    and a generator for its random vectors.  Element counts are multiples
+    of 4, as the data intervals of both presets end on quarters of [0, 1]."""
+    k = draw(st.integers(1, 3))
+    q = draw(st.integers(1, 3))
+    if equal_orders:
+        kstar, qstar = k, q
+    else:
+        kstar = draw(st.integers(1, 3))
+        qstar = draw(st.integers(0, 3))
+    s = make_system(draw(st.sampled_from(["gcc1d", "nogcc1d"])),
+                    k=k, q=q, kstar=kstar, qstar=qstar,
+                    n_slabs=draw(st.integers(1, max_slabs)),
+                    n_elems=draw(st.sampled_from(elems)))
+    assert s.ndof <= spacetime_system.DENSE_DOF_LIMIT
+    return s, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=15)
+@given(small_systems())
+def test_property_mf_matches_dense_relaxed_solve(case):
+    s, rng = case
+    r = rng.standard_normal(s.ndof)
+    x = MonolithicForward(s).apply(r)
+    assert backward_error(dense_relaxed_matrix(s), x, r) <= BACKWARD_TOL
+
+
+@settings(max_examples=15)
+@given(small_systems())
+def test_property_block_matches_dense_block_solve(case):
+    s, rng = case
+    check_block_jacobi(s, rng.standard_normal(s.ndof))
+
+
+@settings(max_examples=15)
+@given(small_systems(equal_orders=True))
+def test_property_dfb_matches_dense_triangular_solves(case):
+    s, rng = case
+    check_dfb_sweeps(s, rng.standard_normal(s.ndof))
+
+
+@settings(max_examples=15)
+@given(small_systems(elems=(4,), max_slabs=2), st.data())
+def test_property_ml_is_linear_and_injective(case, data):
+    s, rng = case
+    kc = data.draw(st.integers(1, s.config.kstar), label="kc")
+    qc = data.draw(st.integers(0, s.config.qstar), label="qc")
+    M = MonolithicForward(s, dual_orders=(kc, qc))
+    x = rng.standard_normal(s.ndof)
+    y = rng.standard_normal(s.ndof)
+    lhs = M.apply(0.3 * x - 1.7 * y)
+    rhs = 0.3 * M.apply(x) - 1.7 * M.apply(y)
+    assert np.linalg.norm(lhs - rhs) <= 1e-11 * np.linalg.norm(rhs)
+    # injective: the dense matrix of the map, column by column, has full rank
+    columns = [M.apply(e) for e in np.eye(s.ndof)]
+    assert np.linalg.matrix_rank(np.array(columns)) == s.ndof
+
+
+@settings(max_examples=15)
+@given(small_systems(), st.data())
+def test_property_block_keeps_slab_support(case, data):
+    s, rng = case
+    n = data.draw(st.integers(0, s.n_slabs - 1), label="slab")
+    r = np.zeros(s.ndof)
+    sl = slice(n * s.slab_size, (n + 1) * s.slab_size)
+    r[sl] = rng.standard_normal(s.slab_size)
+    x = BlockJacobi(s).apply(r)
+    mask = np.ones(s.ndof, dtype=bool)
+    mask[sl] = False
+    assert np.all(x[mask] == 0)
+    assert np.any(x[sl] != 0)
