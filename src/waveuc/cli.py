@@ -144,13 +144,15 @@ def build_config(args):
                 continue
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config key: {key}")
-            values[_KEY_TO_FIELD.get(key, key)] = _CONFIG_KEYS[key](raw)
-    for key, parse in _CONFIG_KEYS.items():
+            try:
+                values[_KEY_TO_FIELD.get(key, key)] = _CONFIG_KEYS[key](raw)
+            except ValueError as exc:
+                raise ValueError(f"config key {key}: invalid value {raw!r} "
+                                 f"({exc})") from None
+    for key in _CONFIG_KEYS:  # flags arrive parsed by argparse
         flag = getattr(args, _KEY_TO_FIELD.get(key, key), None)
         if flag is not None:
-            values[_KEY_TO_FIELD.get(key, key)] = (
-                flag if not isinstance(flag, str) else parse(flag)
-            )
+            values[_KEY_TO_FIELD.get(key, key)] = flag
     cfg = preset.make_config(**values)
     # degrees default pairwise: the dual orders follow the primal ones
     # unless set explicitly

@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .basis import TemporalBasis, gauss_lobatto_nodes, gauss_rule
+from .slab_forms import element_dofs
 
 __all__ = ["LiftedSolution", "ErrorReport", "lift", "extract_primal_field",
            "error_norms", "eoc"]
@@ -105,7 +106,6 @@ def _squared_errors(sol, f, times, coeffs, region, rule):
     elements outside it a zero length.
     """
     mesh, xb = sol.mesh, sol.xbasis
-    k = xb.degree
     x0, x1 = mesh.vertices[:-1], mesh.vertices[1:]
     bounds = ([(mesh.a, mesh.b)] * len(times) if region is None
               else [region(t) for t in times])
@@ -114,7 +114,7 @@ def _squared_errors(sol, f, times, coeffs, region, rule):
     length = np.maximum(b - a, 0.0)  # shape (times, elems)
     xq = a[..., None] + length[..., None] * rule.points
     vals = xb.eval((xq - x0[:, None]) / mesh.h)
-    dofs = k * np.arange(mesh.n_elems)[:, None] + np.arange(k + 1)
+    dofs = element_dofs(mesh, xb.degree)
     uh = np.einsum("teqi,tei->teq", vals, coeffs[:, dofs])
     fx = np.array([f(t, xt) for t, xt in zip(times, xq)])
     return np.einsum("q,te,teq->t", rule.weights, length, (fx - uh) ** 2)

@@ -19,6 +19,7 @@ from .slab_forms import (
     assemble_A,
     assemble_dfb_extras,
     assemble_dual_stabilizer,
+    point_matrix,
 )
 
 __all__ = [
@@ -117,18 +118,12 @@ class BlockJacobi:
 
 def _spatial_embedding(mesh, fine, coarse):
     """Coefficients of coarse spatial functions expressed in the fine nodal
-    basis (same mesh, lower degree)."""
-    kf, kc = fine.degree, coarse.degree
-    n_f = kf * mesh.n_elems + 1
-    n_c = kc * mesh.n_elems + 1
-    E = sp.lil_matrix((n_f, n_c))
-    vals = coarse.eval(fine.nodes)
-    for e in range(mesh.n_elems):
-        rows = e * kf + np.arange(kf + 1)
-        cols = e * kc + np.arange(kc + 1)
-        # plain assignment: shared vertex rows agree from both elements
-        E[np.ix_(rows, cols)] = vals
-    return E.tocsr()
+    basis (same mesh, lower degree): the coarse basis evaluated at the fine
+    nodes, each shared vertex node taken from the element to its right."""
+    kf = fine.degree
+    nodes = np.arange(kf * mesh.n_elems + 1)
+    elems = np.minimum(nodes // kf, mesh.n_elems - 1)
+    return point_matrix(mesh, coarse, elems, fine.nodes[nodes - kf * elems])
 
 
 class MonolithicForward:

@@ -6,6 +6,10 @@ pair (displacement, velocity) is stored as two stacked field blocks; within
 a field block the coefficient layout is (temporal mode, spatial dof),
 flattened C-style, so a field block has (q+1) * n_x entries.
 
+Every spatial form is an element integral, one local matrix scattered over
+element_dofs (the global dofs of each element), or a product of point_matrix
+evaluations; each is built from one COO array, with no element loop.
+
 All assembled blocks are scipy.sparse matrices over one slab's field-pair
 coefficients.  Coupling between neighbouring slabs is expressed through the
 time-trace matrices returned by time_trace_matrices / interface_jump_blocks.
@@ -18,6 +22,8 @@ from .basis import SpatialBasis, TemporalBasis, gauss_rule
 
 __all__ = [
     "SlabSpace",
+    "element_dofs",
+    "point_matrix",
     "spatial_matrix",
     "temporal_matrix",
     "boundary_penalty_matrix",
@@ -53,6 +59,29 @@ class SlabSpace:
         self.n_pair = 2 * self.n_field
 
 
+def element_dofs(mesh, degree):
+    """Global dofs of every element for the continuous Lagrange space of the
+    given degree, shape (n_elems, degree + 1): element e holds the nodes
+    e * degree, ..., (e + 1) * degree, so neighbours share one vertex dof."""
+    return degree * np.arange(mesh.n_elems)[:, None] + np.arange(degree + 1)
+
+
+def point_matrix(mesh, basis, elems, ref, deriv=0):
+    """Point evaluations over the global dofs, as a CSR matrix whose row r
+    holds the values (deriv = 0) or physical derivatives of the basis of
+    element elems[r] at reference point ref[r] (or at ref, if scalar).
+    Basis values that vanish exactly are not stored."""
+    cols = element_dofs(mesh, basis.degree)[elems]
+    vals = basis.eval(np.asarray(ref, dtype=float), deriv) / mesh.h**deriv
+    rows = np.repeat(np.arange(len(cols)), basis.degree + 1)
+    out = sp.csr_matrix(
+        (np.broadcast_to(vals, cols.shape).ravel(), (rows, cols.ravel())),
+        shape=(len(cols), basis.degree * mesh.n_elems + 1),
+    )
+    out.eliminate_zeros()
+    return out
+
+
 def spatial_matrix(mesh, test, trial, d_test=0, d_trial=0, nq=None, mask=None):
     """Element-wise integral of D^a(test_i) * D^b(trial_j) over the mesh.
 
@@ -68,21 +97,15 @@ def spatial_matrix(mesh, test, trial, d_test=0, d_trial=0, nq=None, mask=None):
     vt = test.eval(rule.points, d_test) / h**d_test
     vr = trial.eval(rule.points, d_trial) / h**d_trial
     local = np.einsum("q,qi,qj->ij", rule.weights * h, vt, vr)
-    n_row = test.degree * mesh.n_elems + 1
-    n_col = trial.degree * mesh.n_elems + 1
-    rows, cols, vals = [], [], []
-    li, lj = np.nonzero(np.ones_like(local))
-    for e in range(mesh.n_elems):
-        if mask is not None and not mask[e]:
-            continue
-        rows.append(e * test.degree + li)
-        cols.append(e * trial.degree + lj)
-        vals.append(local[li, lj])
-    if not rows:
-        return sp.csr_matrix((n_row, n_col))
+    elems = slice(None) if mask is None else np.flatnonzero(mask)
+    rows, cols = np.broadcast_arrays(
+        element_dofs(mesh, test.degree)[elems, :, None],
+        element_dofs(mesh, trial.degree)[elems, None, :])
+    vals = np.broadcast_to(local, rows.shape)
     return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_row, n_col),
+        (vals.ravel(), (rows.ravel(), cols.ravel())),
+        shape=(test.degree * mesh.n_elems + 1,
+               trial.degree * mesh.n_elems + 1),
     )
 
 
@@ -101,32 +124,22 @@ def temporal_matrix(test, trial, d_test=0, d_trial=0, dt=1.0, nq=None):
     return dt ** (1 - d_test - d_trial) * ref
 
 
+def _endpoint_matrix(mesh, basis, deriv=0):
+    """Point evaluations at the two domain endpoints (left row first)."""
+    return point_matrix(mesh, basis, [0, mesh.n_elems - 1], [0.0, 1.0], deriv)
+
+
 def boundary_penalty_matrix(mesh, test, trial):
     """Sum over the two domain endpoints of test_i * trial_j."""
-    n_row = test.degree * mesh.n_elems + 1
-    n_col = trial.degree * mesh.n_elems + 1
-    out = sp.lil_matrix((n_row, n_col))
-    for (elem, ref) in ((0, 0.0), (mesh.n_elems - 1, 1.0)):
-        vt = test.eval(np.array(ref))
-        vr = trial.eval(np.array(ref))
-        ri = elem * test.degree + np.arange(test.cardinality)
-        ci = elem * trial.degree + np.arange(trial.cardinality)
-        out[np.ix_(ri, ci)] += np.outer(vt, vr)
-    return out.tocsr()
+    return (_endpoint_matrix(mesh, test).T
+            @ _endpoint_matrix(mesh, trial)).tocsr()
 
 
 def boundary_flux_matrix(mesh, test, trial):
     """Sum over the two endpoints of test_i * (normal derivative of trial_j)."""
-    n_row = test.degree * mesh.n_elems + 1
-    n_col = trial.degree * mesh.n_elems + 1
-    out = sp.lil_matrix((n_row, n_col))
-    for (elem, ref, normal) in ((0, 0.0, -1.0), (mesh.n_elems - 1, 1.0, 1.0)):
-        vt = test.eval(np.array(ref))
-        dr = trial.eval(np.array(ref), deriv=1) / mesh.h
-        ri = elem * test.degree + np.arange(test.cardinality)
-        ci = elem * trial.degree + np.arange(trial.cardinality)
-        out[np.ix_(ri, ci)] += normal * np.outer(vt, dr)
-    return out.tocsr()
+    normals = sp.diags([-1.0, 1.0])
+    return (_endpoint_matrix(mesh, test).T
+            @ normals @ _endpoint_matrix(mesh, trial, deriv=1)).tocsr()
 
 
 def gradient_jump_matrix(mesh, basis):
@@ -134,24 +147,13 @@ def gradient_jump_matrix(mesh, basis):
 
     The facet measure in 1D is a point evaluation; the weight h makes the
     penalty scale like the continuous-interior-penalty gradient-jump term.
+    The penalty is h G^T G, where row i of G is the left minus the right
+    derivative at interior vertex i.
     """
-    k = basis.degree
-    n = k * mesh.n_elems + 1
-    d_left = basis.eval(np.array(1.0), deriv=1) / mesh.h
-    d_right = basis.eval(np.array(0.0), deriv=1) / mesh.h
-    out = sp.lil_matrix((n, n))
-    for v in mesh.interior_facets:
-        e_left, e_right = v - 1, v
-        idx = np.concatenate(
-            (e_left * k + np.arange(k + 1), e_right * k + np.arange(k + 1))
-        )
-        jump = np.concatenate((d_left, -d_right))
-        # shared vertex dof appears twice; accumulate its two contributions
-        g = np.zeros(n)
-        np.add.at(g, idx, jump)
-        nz = np.nonzero(g)[0]
-        out[np.ix_(nz, nz)] += mesh.h * np.outer(g[nz], g[nz])
-    return out.tocsr()
+    v = mesh.interior_facets
+    G = (point_matrix(mesh, basis, v - 1, 1.0, deriv=1)
+         - point_matrix(mesh, basis, v, 0.0, deriv=1))
+    return (mesh.h * (G.T @ G)).tocsr()
 
 
 def _pair_blocks(b11, b12, b21, b22, shape11):

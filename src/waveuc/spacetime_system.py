@@ -26,6 +26,7 @@ from .slab_forms import (
     assemble_data_mass,
     assemble_dual_stabilizer,
     assemble_primal_stabilizers,
+    element_dofs,
     interface_jump_blocks,
 )
 
@@ -145,7 +146,6 @@ class SpaceTimeSystem:
         rule = gauss_rule(DATA_QUADRATURE_POINTS)
         N, dt, h = self.n_slabs, self.config.dt, self.mesh.h
         space = self.primal
-        k = space.degree_x
         elems = np.flatnonzero(self.data.element_mask)
         xq = self.mesh.vertices[elems, None] + h * rule.points
         taus = (np.arange(N) * dt)[:, None] + dt * rule.points
@@ -153,9 +153,9 @@ class SpaceTimeSystem:
                       for tau in taus.ravel()])
         # (f, phi_i) on each marked element, then summed into the nodal dofs
         local = (rule.weights * h * f) @ space.xbasis.eval(rule.points)
+        dofs = element_dofs(self.mesh, space.degree_x)[elems]
         loads = np.zeros((f.shape[0], space.n_x))
-        for i in range(k + 1):
-            loads[:, k * elems + i] += local[:, :, i]
+        np.add.at(loads, (slice(None), dofs), local)
         loads = loads.reshape(N, rule.n_points, space.n_x)
         psi = space.tbasis.eval(rule.points)
         blocks = np.einsum("q,qm,nqj->nmj", dt * rule.weights, psi, loads)

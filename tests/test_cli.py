@@ -190,6 +190,26 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert main(["solve", "--config", str(cfg_file)]) == 1
 
 
+@pytest.mark.parametrize("line,names", [
+    ("omega = 0.1", ["omega", "0.1"]),
+    ("omega = a,b", ["omega", "a,b"]),
+    ("omega = 0,0.25;", ["omega", "0,0.25;"]),
+    ("k = x", ["k", "'x'"]),
+    ("omega 0.1", ["omega 0.1"]),
+], ids=["omega-one-value", "omega-not-numbers", "omega-empty-interval",
+        "int-not-a-number", "no-equals"])
+def test_malformed_config_value_names_its_key(tmp_path, capsys, line, names):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"slabs = 4\n{line}\n")
+    assert main(["solve", "--config", str(cfg_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (message,) = captured.err.splitlines()
+    assert message.startswith("error:")
+    for name in names:
+        assert name in message
+
+
 # -- sweep commands ---------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from waveuc.basis import SpatialBasis, TemporalBasis, gauss_rule
 from waveuc.mesh import build_interval_mesh, mark_data_domain
@@ -13,14 +14,16 @@ from waveuc.slab_forms import (
     assemble_primal_stabilizers,
     boundary_flux_matrix,
     boundary_penalty_matrix,
+    element_dofs,
     gradient_jump_matrix,
     interface_jump_blocks,
     spatial_matrix,
     temporal_matrix,
     time_trace_matrices,
 )
+from waveuc.precond import _spatial_embedding
 
-from conftest import pair_coeffs
+from conftest import make_system, pair_coeffs
 
 
 def eval_elem(space, coeffs, field, tau, e, ref, dx=0, dtime=0):
@@ -423,3 +426,142 @@ def test_quadrature_order_independence():
     S1 = assemble_primal_stabilizers(primal, nq=base_nq)["Sh"]
     S2 = assemble_primal_stabilizers(primal, nq=base_nq + 2)["Sh"]
     assert abs(S1 - S2).max() < 1e-12
+
+
+# -- point-evaluation forms against the builders they replaced --------------
+#
+# Test-local copies of the per-element and per-vertex lil_matrix builders
+# that point_matrix replaced.
+
+
+def lil_boundary_penalty(mesh, test, trial):
+    n_row = test.degree * mesh.n_elems + 1
+    n_col = trial.degree * mesh.n_elems + 1
+    out = sp.lil_matrix((n_row, n_col))
+    for (elem, ref) in ((0, 0.0), (mesh.n_elems - 1, 1.0)):
+        vt = test.eval(np.array(ref))
+        vr = trial.eval(np.array(ref))
+        ri = elem * test.degree + np.arange(test.cardinality)
+        ci = elem * trial.degree + np.arange(trial.cardinality)
+        out[np.ix_(ri, ci)] += np.outer(vt, vr)
+    return out.tocsr()
+
+
+def lil_boundary_flux(mesh, test, trial):
+    n_row = test.degree * mesh.n_elems + 1
+    n_col = trial.degree * mesh.n_elems + 1
+    out = sp.lil_matrix((n_row, n_col))
+    for (elem, ref, normal) in ((0, 0.0, -1.0), (mesh.n_elems - 1, 1.0, 1.0)):
+        vt = test.eval(np.array(ref))
+        dr = trial.eval(np.array(ref), deriv=1) / mesh.h
+        ri = elem * test.degree + np.arange(test.cardinality)
+        ci = elem * trial.degree + np.arange(trial.cardinality)
+        out[np.ix_(ri, ci)] += normal * np.outer(vt, dr)
+    return out.tocsr()
+
+
+def lil_gradient_jump(mesh, basis):
+    k = basis.degree
+    n = k * mesh.n_elems + 1
+    d_left = basis.eval(np.array(1.0), deriv=1) / mesh.h
+    d_right = basis.eval(np.array(0.0), deriv=1) / mesh.h
+    out = sp.lil_matrix((n, n))
+    for v in mesh.interior_facets:
+        e_left, e_right = v - 1, v
+        idx = np.concatenate(
+            (e_left * k + np.arange(k + 1), e_right * k + np.arange(k + 1))
+        )
+        jump = np.concatenate((d_left, -d_right))
+        g = np.zeros(n)
+        np.add.at(g, idx, jump)
+        nz = np.nonzero(g)[0]
+        out[np.ix_(nz, nz)] += mesh.h * np.outer(g[nz], g[nz])
+    return out.tocsr()
+
+
+def lil_spatial_embedding(mesh, fine, coarse):
+    kf, kc = fine.degree, coarse.degree
+    n_f = kf * mesh.n_elems + 1
+    n_c = kc * mesh.n_elems + 1
+    E = sp.lil_matrix((n_f, n_c))
+    vals = coarse.eval(fine.nodes)
+    for e in range(mesh.n_elems):
+        rows = e * kf + np.arange(kf + 1)
+        cols = e * kc + np.arange(kc + 1)
+        E[np.ix_(rows, cols)] = vals
+    return E.tocsr()
+
+
+def point_forms(mesh):
+    """(name, rebuilt, frozen) for every point-evaluation form and degree
+    pair up to 3 on mesh."""
+    bases = [SpatialBasis(k) for k in (1, 2, 3)]
+    for a in bases:
+        yield (f"J{a.degree}", gradient_jump_matrix(mesh, a),
+               lil_gradient_jump(mesh, a))
+        for b in bases:
+            tag = f"{a.degree}{b.degree}"
+            yield (f"P{tag}", boundary_penalty_matrix(mesh, a, b),
+                   lil_boundary_penalty(mesh, a, b))
+            yield (f"F{tag}", boundary_flux_matrix(mesh, a, b),
+                   lil_boundary_flux(mesh, a, b))
+            if b.degree <= a.degree:
+                yield (f"E{tag}", _spatial_embedding(mesh, a, b),
+                       lil_spatial_embedding(mesh, a, b))
+
+
+@pytest.mark.parametrize("n_elems", [1, 2, 5, 8, 7, 13])
+def test_point_forms_equal_frozen_lil_builders(n_elems):
+    # one element puts both domain endpoints in the same element.  h G^T G
+    # rounds once where the frozen builder rounds h g g^T at every vertex:
+    # the two agree bit for bit on 1, 2, 5 and 8 elements, and differ in the
+    # last bit at k = 3 on 7 and 13 elements
+    mesh = build_interval_mesh(0, 1, n_elems)
+    for name, rebuilt, frozen in point_forms(mesh):
+        new, old = rebuilt.toarray(), frozen.toarray()
+        if n_elems not in (7, 13):
+            assert np.array_equal(new, old), name
+        else:
+            assert np.abs(new - old).max() <= 1e-15 * np.abs(old).max(), name
+
+
+def assert_canonical(name, matrix):
+    """Sorted, duplicate-free CSR with no explicit zero: the stored pattern
+    fixes SpMV summation order and the slab LUs' bandwidths."""
+    assert sp.issparse(matrix) and matrix.format == "csr", name
+    assert matrix.has_canonical_format, name
+    assert np.all(matrix.data != 0), name
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_blocks_are_canonical_without_stored_zeros(k):
+    s = make_system(k=k, q=k, kstar=k, qstar=k, n_elems=8, n_slabs=2)
+    for name in ("A_pd", "Sh", "Sstar", "Momega"):
+        assert_canonical(name, getattr(s, name))
+    for name, block in s.jump.items():
+        assert_canonical(f"jump {name}", block)
+
+
+@pytest.mark.parametrize("n_elems", [1, 2, 5])
+def test_point_forms_are_canonical_without_stored_zeros(n_elems):
+    for name, rebuilt, _ in point_forms(build_interval_mesh(0, 1, n_elems)):
+        assert_canonical(name, rebuilt)
+
+
+def test_element_dofs_share_vertices():
+    mesh = build_interval_mesh(0, 1, 3)
+    dofs = element_dofs(mesh, 2)
+    assert dofs.tolist() == [[0, 1, 2], [2, 3, 4], [4, 5, 6]]
+
+
+@pytest.mark.parametrize("fine,coarse", [(2, 1), (3, 1), (3, 2), (3, 3)])
+def test_spatial_embedding_interpolates_coarse_functions(fine, coarse, rng):
+    mesh = build_interval_mesh(0, 1, 4)
+    E = _spatial_embedding(mesh, SpatialBasis(fine), SpatialBasis(coarse))
+    # a continuous piecewise polynomial of the coarse degree, given by its
+    # coarse nodal values, has the fine nodal values of the same function
+    x_c = np.linspace(0, 1, coarse * mesh.n_elems + 1)
+    x_f = np.linspace(0, 1, fine * mesh.n_elems + 1)
+    c = rng.standard_normal(coarse + 1)
+    assert E @ np.polyval(c, x_c) == pytest.approx(np.polyval(c, x_f),
+                                                   abs=1e-12)

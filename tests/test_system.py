@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waveuc.config import PRESETS
-from waveuc.spacetime_system import DATA_QUADRATURE_POINTS, SpaceTimeSystem
+from waveuc.spacetime_system import (
+    DATA_QUADRATURE_POINTS,
+    DENSE_DOF_LIMIT,
+    SpaceTimeSystem,
+)
 
 from conftest import make_system
 
@@ -283,3 +289,42 @@ def test_rhs_matches_loop_reference(preset, k, q, kstar, qstar):
         assert np.allclose(block[: space.n_field], ref[n].ravel(),
                            rtol=0, atol=1e-14 * np.abs(ref).max())
         assert np.all(block[space.n_field :] == 0)
+
+
+# -- properties over random orders, meshes and measurement regions -----------
+
+
+@st.composite
+def random_systems(draw):
+    """A valid system within the dense oracle's limit, with one or two data
+    intervals whose endpoints lie on mesh vertices, and a random vector."""
+    n_elems = draw(st.integers(1, 10))
+    n_slabs = draw(st.integers(1, 5))
+    omega = []
+    for _ in range(draw(st.integers(1, 2))):
+        lo = draw(st.integers(0, n_elems - 1))
+        hi = draw(st.integers(lo + 1, n_elems))
+        omega.append((lo / n_elems, hi / n_elems))
+    s = make_system(k=draw(st.integers(1, 3)), q=draw(st.integers(1, 3)),
+                    kstar=draw(st.integers(1, 3)),
+                    qstar=draw(st.integers(0, 3)), n_elems=n_elems,
+                    n_slabs=n_slabs, omega=tuple(omega))
+    assert s.ndof <= DENSE_DOF_LIMIT
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return s, rng.standard_normal(s.ndof)
+
+
+@settings(max_examples=40)
+@given(random_systems())
+def test_property_apply_matches_dense_oracle(case):
+    s, x = case
+    yd = s.dense_matrix() @ x
+    assert np.linalg.norm(s.apply(x) - yd) <= 1e-12 * np.linalg.norm(yd)
+
+
+@settings(max_examples=40)
+@given(random_systems())
+def test_property_norm_identity(case):
+    s, x = case
+    lhs = s.apply(negate_dual(s, x)) @ x
+    assert lhs == pytest.approx(s.triple_norm(x).total**2, rel=1e-10)

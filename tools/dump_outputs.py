@@ -1,0 +1,161 @@
+"""Dump the assembled and solved outputs of waveuc, or compare two dumps
+bit for bit.
+
+    PYTHONPATH=<tree>/src python3 tools/dump_outputs.py OUT.npz
+    PYTHONPATH=src python3 tools/dump_outputs.py --compare A.npz B.npz
+
+A dump holds, for a few fixed systems, the CSR arrays of every slab block,
+the right-hand side, one operator apply and the apply of each slab-marching
+preconditioner; the point-evaluation forms (gradient jump, boundary penalty
+and flux, degree embedding) on meshes of 1, 2 and 5 elements; and the
+iterates, residual histories, CSV rows and residual logs of the benchmark's
+solves.  Only names present in every version of the package are used, so
+two trees can be dumped with the same script and compared; --compare exits
+1 unless every array of both files has the same bytes.  The solves take
+about a minute on a 2-core machine.
+"""
+
+import argparse
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+import waveuc.cli as cli
+from waveuc.basis import SpatialBasis
+from waveuc.config import PRESETS
+from waveuc.mesh import build_interval_mesh
+from waveuc.precond import _spatial_embedding, build_preconditioner
+from waveuc.slab_forms import (
+    boundary_flux_matrix,
+    boundary_penalty_matrix,
+    gradient_jump_matrix,
+)
+from waveuc.spacetime_system import SpaceTimeSystem
+
+# (preset, k = q = kstar = qstar, slabs); every system has 2 * slabs elements
+SYSTEMS = [("gcc1d", 1, 16), ("nogcc1d", 1, 32), ("gcc1d", 2, 4),
+           ("gcc1d", 2, 48), ("gcc1d", 3, 4), ("nogcc1d", 2, 2)]
+SOLVES = ([("gcc1d", 2, n, "mf") for n in (12, 24, 48)]
+          + [("nogcc1d", 1, n, "mf") for n in (8, 16, 32)]
+          + [("gcc1d", 1, 16, p)
+             for p in ("mf", "ml", "block", "dfb", "none")])
+
+
+def _config(preset, k, n_slabs, **extra):
+    return PRESETS[preset].make_config(k=k, q=k, kstar=k, qstar=k,
+                                       n_slabs=n_slabs, n_elems=2 * n_slabs,
+                                       **extra)
+
+
+def _put_csr(out, key, matrix):
+    matrix = matrix.tocsr()
+    out[key + "-data"] = matrix.data
+    out[key + "-indices"] = matrix.indices
+    out[key + "-indptr"] = matrix.indptr
+
+
+def dump_systems(out):
+    for preset, k, n_slabs in SYSTEMS:
+        s = SpaceTimeSystem(_config(preset, k, n_slabs))
+        key = f"{preset}-k{k}-N{n_slabs}"
+        for name in ("A_pd", "Sh", "Sstar", "Momega"):
+            _put_csr(out, f"{key}-{name}", getattr(s, name))
+        for name, block in s.jump.items():
+            _put_csr(out, f"{key}-jump_{name}", block)
+        out[key + "-rhs"] = s.assemble_rhs(PRESETS[preset].u)
+        r = np.random.default_rng(2024).standard_normal(s.ndof)
+        out[key + "-apply"] = s.apply(r)
+        for kind in ("mf", "ml", "dfb", "block"):
+            out[f"{key}-{kind}"] = build_preconditioner(s, kind).apply(r)
+
+
+def dump_forms(out):
+    degrees = (1, 2, 3)
+    for n_elems in (1, 2, 5):
+        mesh = build_interval_mesh(0.0, 1.0, n_elems)
+        for k in degrees:
+            fine = SpatialBasis(k)
+            _put_csr(out, f"J-n{n_elems}-k{k}",
+                     gradient_jump_matrix(mesh, fine))
+            for kc in degrees:
+                coarse = SpatialBasis(kc)
+                tag = f"n{n_elems}-k{k}-{kc}"
+                _put_csr(out, f"P-{tag}",
+                         boundary_penalty_matrix(mesh, fine, coarse))
+                _put_csr(out, f"F-{tag}",
+                         boundary_flux_matrix(mesh, fine, coarse))
+                if kc <= k:
+                    _put_csr(out, f"E-{tag}",
+                             _spatial_embedding(mesh, fine, coarse))
+
+
+def dump_solves(out):
+    solve = cli.gmres
+    last = {}
+
+    def capture(*args, **kwargs):
+        last["x"], last["report"] = solve(*args, **kwargs)
+        return last["x"], last["report"]
+
+    cli.gmres = capture
+    try:
+        for preset, k, n_slabs, precond in SOLVES:
+            cfg = _config(preset, k, n_slabs, precond=precond, tol=1e-7,
+                          maxiter=3000).validate()
+            with tempfile.TemporaryDirectory() as tmp:
+                log = os.path.join(tmp, "resid.log")
+                row, report, _ = cli.run_solve(cfg, PRESETS[preset],
+                                               residual_log=log)
+                with open(log) as fh:
+                    log_text = fh.read()
+            del row["walltime_s"]
+            key = f"{preset}-k{k}-N{n_slabs}-{precond}-solve"
+            out[key + "-x"] = last["x"]
+            out[key + "-history"] = np.array(report.residual_history)
+            out[key + "-true"] = np.array(report.true_residuals)
+            out[key + "-row"] = np.array(repr(sorted(row.items())))
+            out[key + "-log"] = np.array(log_text)
+    finally:
+        cli.gmres = solve
+
+
+def compare(path_a, path_b):
+    """Print every array that differs between the dumps; True if none."""
+    with np.load(path_a) as a, np.load(path_b) as b:
+        keys_a, keys_b = set(a.files), set(b.files)
+        for key in sorted(keys_a ^ keys_b):
+            print(f"only in {path_a if key in keys_a else path_b}: {key}")
+        differ = [key for key in sorted(keys_a & keys_b)
+                  if a[key].dtype != b[key].dtype
+                  or a[key].shape != b[key].shape
+                  or a[key].tobytes() != b[key].tobytes()]
+        for key in differ:
+            print(f"differs: {key}")
+        same = len(keys_a & keys_b) - len(differ)
+        print(f"{same} of {len(keys_a | keys_b)} outputs bitwise identical")
+        return not differ and keys_a == keys_b
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", nargs="?", help="dump to this .npz file")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="compare two dumps instead")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return 0 if compare(*args.compare) else 1
+    if args.out is None:
+        parser.error("give an output file or --compare A B")
+    out = {}
+    dump_systems(out)
+    dump_forms(out)
+    dump_solves(out)
+    np.savez(args.out, **out)
+    print(f"{len(out)} outputs written to {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
