@@ -166,18 +166,10 @@ def build_config(args):
 def _add_common_flags(p):
     p.add_argument("--preset", choices=sorted(PRESETS), default="gcc1d")
     p.add_argument("--config", help="key = value file; flags override it")
-    p.add_argument("--k", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--kstar", type=int)
-    p.add_argument("--qstar", type=int)
-    p.add_argument("--elems", type=int, dest="n_elems")
-    p.add_argument("--slabs", type=int, dest="n_slabs")
-    p.add_argument("--T", type=float, dest="T")
-    p.add_argument("--omega", type=_parse_omega)
-    p.add_argument("--precond", choices=PRECONDITIONERS)
-    p.add_argument("--lambda", type=float, dest="lam")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--maxiter", type=int)
+    for key, parse in _CONFIG_KEYS.items():
+        p.add_argument(f"--{key}", type=parse,
+                       dest=_KEY_TO_FIELD.get(key, key),
+                       choices=PRECONDITIONERS if key == "precond" else None)
     p.add_argument("--out", help="CSV output path (default: stdout)")
     p.add_argument("--residual-log", help="per-iteration residual log path")
 

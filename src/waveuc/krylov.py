@@ -1,7 +1,6 @@
 """Non-restarted GMRes with right preconditioning and residual logging."""
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -37,7 +36,6 @@ class SolveReport:
     converged: bool = False
     residual_history: List[float] = field(default_factory=list)
     true_residuals: List[Tuple[int, float]] = field(default_factory=list)
-    wall_time: float = 0.0
     # built Arnoldi basis, rows = basis vectors; only kept on request
     basis: Optional[np.ndarray] = None
 
@@ -73,13 +71,11 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
     cfg = (cfg or GmresConfig()).validate()
     apply_m = (lambda v: v) if precond is None else precond.apply
 
-    t0 = time.perf_counter()
     report = SolveReport()
     n = len(b)
     beta = np.linalg.norm(b)
     if beta == 0.0:
         report.converged = True
-        report.wall_time = time.perf_counter() - t0
         return np.zeros(n), report
 
     maxiter = min(cfg.maxiter, n)
@@ -149,7 +145,6 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
         if est <= cfg.tol:
             report.iterations = j + 1
             report.converged = True
-            report.wall_time = time.perf_counter() - t0
             if keep_basis:
                 report.basis = Q[: j + 1].copy()
             return solution(j), report
@@ -163,7 +158,6 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
 
     report.iterations = maxiter
     report.converged = False
-    report.wall_time = time.perf_counter() - t0
     if keep_basis:
         report.basis = Q[: maxiter + 1].copy()
     return solution(maxiter - 1), report

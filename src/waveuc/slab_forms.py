@@ -6,13 +6,14 @@ pair (displacement, velocity) is stored as two stacked field blocks; within
 a field block the coefficient layout is (temporal mode, spatial dof),
 flattened C-style, so a field block has (q+1) * n_x entries.
 
+Every block is a scipy.sparse sum of kron(temporal factor, spatial factor)
+terms over one slab's field-pair coefficients.  A SlabSpace keeps the
+factors it is tested with, so a system builds each distinct factor once.
 Every spatial form is an element integral, one local matrix scattered over
 element_dofs (the global dofs of each element), or a product of point_matrix
-evaluations; each is built from one COO array, with no element loop.
-
-All assembled blocks are scipy.sparse matrices over one slab's field-pair
-coefficients.  Coupling between neighbouring slabs is expressed through the
-time-trace matrices returned by time_trace_matrices / interface_jump_blocks.
+evaluations, with no element loop.  The temporal factors of the blocks that
+couple neighbouring slabs are products of slab-endpoint values
+(temporal_trace_matrix).
 """
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "point_matrix",
     "spatial_matrix",
     "temporal_matrix",
+    "temporal_trace_matrix",
     "boundary_penalty_matrix",
     "boundary_flux_matrix",
     "gradient_jump_matrix",
@@ -33,7 +35,6 @@ __all__ = [
     "assemble_primal_stabilizers",
     "assemble_dual_stabilizer",
     "assemble_data_mass",
-    "time_trace_matrices",
     "interface_jump_blocks",
     "assemble_dfb_extras",
     "assemble_dual_interface_mass",
@@ -41,7 +42,12 @@ __all__ = [
 
 
 class SlabSpace:
-    """Tensor-product trial/test space on one uniform time slab."""
+    """Tensor-product trial/test space on one uniform time slab.
+
+    spatial, temporal and boundary_penalty build the factors of the forms
+    tested with this space once per trial space's orders, derivative pair
+    and data mask, and hand back the same matrix on every later call.
+    """
 
     def __init__(self, mesh, degree_x, degree_t, dt):
         if dt <= 0:
@@ -57,6 +63,35 @@ class SlabSpace:
         # one field block; a field pair has 2 * n_field coefficients
         self.n_field = self.n_modes * self.n_x
         self.n_pair = 2 * self.n_field
+        self._factors = {}
+
+    def _factor(self, trial, key, build):
+        """build() on the first call with key and trial's orders, the kept
+        result after that; trial must share this slab's mesh and length."""
+        if trial.mesh is not self.mesh or trial.dt != self.dt:
+            raise ValueError("test and trial slabs must share mesh and length")
+        key += (trial.degree_x, trial.degree_t)
+        if key not in self._factors:
+            self._factors[key] = build()
+        return self._factors[key]
+
+    def spatial(self, trial, d_test=0, d_trial=0, mask=None):
+        """spatial_matrix of this space's basis (test) against trial's."""
+        key = ("x", d_test, d_trial, None if mask is None else mask.tobytes())
+        return self._factor(trial, key, lambda: spatial_matrix(
+            self.mesh, self.xbasis, trial.xbasis, d_test, d_trial, mask=mask))
+
+    def temporal(self, trial, d_test=0, d_trial=0):
+        """temporal_matrix of this space's basis (test) against trial's."""
+        return self._factor(trial, ("t", d_test, d_trial), lambda:
+                            temporal_matrix(self.tbasis, trial.tbasis,
+                                            d_test, d_trial, self.dt))
+
+    def boundary_penalty(self, trial):
+        """boundary_penalty_matrix of this space's basis against trial's."""
+        return self._factor(trial, ("penalty",), lambda:
+                            boundary_penalty_matrix(self.mesh, self.xbasis,
+                                                    trial.xbasis))
 
 
 def element_dofs(mesh, degree):
@@ -124,6 +159,13 @@ def temporal_matrix(test, trial, d_test=0, d_trial=0, dt=1.0, nq=None):
     return dt ** (1 - d_test - d_trial) * ref
 
 
+def temporal_trace_matrix(test, trial, t_test, t_trial):
+    """Temporal factor of a slab-interface term: test_i at reference time
+    t_test times trial_j at t_trial (0 is the slab start, 1 its end); with
+    bases nodal at both endpoints it selects one test and one trial mode."""
+    return np.outer(test.eval(t_test), trial.eval(t_trial))
+
+
 def _endpoint_matrix(mesh, basis, deriv=0):
     """Point evaluations at the two domain endpoints (left row first)."""
     return point_matrix(mesh, basis, [0, mesh.n_elems - 1], [0.0, 1.0], deriv)
@@ -158,38 +200,30 @@ def gradient_jump_matrix(mesh, basis):
 
 def _pair_blocks(b11, b12, b21, b22, shape11):
     """2x2 field-pair block matrix with explicit zero blocks where needed."""
-    n_r, n_c = shape11
-    z = lambda: sp.csr_matrix((n_r, n_c))
-    return sp.bmat(
-        [[b11 if b11 is not None else z(), b12 if b12 is not None else z()],
-         [b21 if b21 is not None else z(), b22 if b22 is not None else z()]],
-        format="csr",
-    )
+    blocks = [sp.csr_matrix(shape11) if blk is None else blk
+              for blk in (b11, b12, b21, b22)]
+    return sp.bmat([blocks[:2], blocks[2:]], format="csr")
 
 
-def assemble_A(primal, dual, nq=None):
+def assemble_A(primal, dual):
     """Space-time wave operator on one slab, tested against the dual pair.
 
     Rows run over the dual field pair (y1, y2), columns over the primal pair
     (u1, u2).  The boundary term is the Nitsche-style consistency flux
     -(du1/dn, y1) over the lateral boundary.
     """
-    if primal.mesh is not dual.mesh or primal.dt != dual.dt:
-        raise ValueError("primal and dual slabs must share mesh and slab length")
-    mesh, dt = primal.mesh, primal.dt
-    Mt = temporal_matrix(dual.tbasis, primal.tbasis, 0, 0, dt, nq=nq)
-    Ct = temporal_matrix(dual.tbasis, primal.tbasis, 0, 1, dt, nq=nq)
-    Mx = spatial_matrix(mesh, dual.xbasis, primal.xbasis, nq=nq)
-    Kx = spatial_matrix(mesh, dual.xbasis, primal.xbasis, 1, 1, nq=nq)
-    Fx = boundary_flux_matrix(mesh, dual.xbasis, primal.xbasis)
+    Mt = dual.temporal(primal)
+    Ct = dual.temporal(primal, 0, 1)
+    Mx = dual.spatial(primal)
+    Kx = dual.spatial(primal, 1, 1)
+    Fx = boundary_flux_matrix(primal.mesh, dual.xbasis, primal.xbasis)
     A11 = sp.kron(Mt, Kx - Fx, format="csr")
     A12 = sp.kron(Ct, Mx, format="csr")
-    A21 = sp.kron(Ct, Mx, format="csr")
     A22 = -sp.kron(Mt, Mx, format="csr")
-    return _pair_blocks(A11, A12, A21, A22, A11.shape)
+    return _pair_blocks(A11, A12, A12, A22, A11.shape)
 
 
-def assemble_primal_stabilizers(space, nq=None):
+def assemble_primal_stabilizers(space):
     """Primal residual-type stabilizers on one slab.
 
     Returns a dict with the gradient-jump penalty "J", the interior
@@ -197,15 +231,14 @@ def assemble_primal_stabilizers(space, nq=None):
     lateral boundary penalty "R" and their sum "Sh".  All are symmetric
     field-pair matrices; the sum is positive semidefinite.
     """
-    mesh, dt, h = space.mesh, space.dt, space.mesh.h
-    xb, tb = space.xbasis, space.tbasis
-    tmat = lambda a, b: temporal_matrix(tb, tb, a, b, dt, nq=nq)
-    Mx = spatial_matrix(mesh, xb, xb, nq=nq)
-    Jx = gradient_jump_matrix(mesh, xb)
-    S22 = spatial_matrix(mesh, xb, xb, 2, 2, nq=nq)
-    S02 = spatial_matrix(mesh, xb, xb, 0, 2, nq=nq)
-    S20 = spatial_matrix(mesh, xb, xb, 2, 0, nq=nq)
-    Pb = boundary_penalty_matrix(mesh, xb, xb)
+    h = space.mesh.h
+    tmat = lambda a, b: space.temporal(space, a, b)
+    Mx = space.spatial(space)
+    Jx = gradient_jump_matrix(space.mesh, space.xbasis)
+    S22 = space.spatial(space, 2, 2)
+    S02 = space.spatial(space, 0, 2)
+    S20 = space.spatial(space, 2, 0)
+    Pb = space.boundary_penalty(space)
     shape = (space.n_field, space.n_field)
 
     J = _pair_blocks(sp.kron(tmat(0, 0), Jx), None, None, None, shape)
@@ -235,50 +268,25 @@ def assemble_primal_stabilizers(space, nq=None):
     return parts
 
 
-def assemble_dual_stabilizer(space, nq=None):
+def assemble_dual_stabilizer(space):
     """Dual-pair stabilizer: full H1-type mass on z1 (with lateral boundary
     weight 1/h) and plain mass on z2.  Symmetric positive definite."""
-    mesh, dt, h = space.mesh, space.dt, space.mesh.h
-    xb, tb = space.xbasis, space.tbasis
-    Mt = temporal_matrix(tb, tb, 0, 0, dt, nq=nq)
-    Mx = spatial_matrix(mesh, xb, xb, nq=nq)
-    Kx = spatial_matrix(mesh, xb, xb, 1, 1, nq=nq)
-    Pb = boundary_penalty_matrix(mesh, xb, xb)
-    B11 = sp.kron(Mt, Mx + Kx + Pb / h, format="csr")
+    Mt = space.temporal(space)
+    Mx = space.spatial(space)
+    Kx = space.spatial(space, 1, 1)
+    Pb = space.boundary_penalty(space)
+    B11 = sp.kron(Mt, Mx + Kx + Pb / space.mesh.h, format="csr")
     B22 = sp.kron(Mt, Mx, format="csr")
     return _pair_blocks(B11, None, None, B22, B11.shape)
 
 
-def assemble_data_mass(test_space, trial_space, data, nq=None):
+def assemble_data_mass(test_space, trial_space, data):
     """Mass restricted to the measurement region, acting on the first field
     only.  Rows run over test_space, columns over trial_space."""
-    mesh, dt = trial_space.mesh, trial_space.dt
-    Mt = temporal_matrix(test_space.tbasis, trial_space.tbasis, 0, 0, dt, nq=nq)
-    Mw = spatial_matrix(
-        mesh, test_space.xbasis, trial_space.xbasis, nq=nq, mask=data.element_mask
-    )
+    Mt = test_space.temporal(trial_space)
+    Mw = test_space.spatial(trial_space, mask=data.element_mask)
     B11 = sp.kron(Mt, Mw, format="csr")
     return _pair_blocks(B11, None, None, None, B11.shape)
-
-
-def time_trace_matrices(space):
-    """Slab-endpoint trace operators per field.
-
-    Returns {"plus": [T1, T2], "minus": [T1, T2]} where each T maps one
-    slab's field-pair coefficients to the spatial coefficients of the
-    selected field at the slab start (plus) or end (minus).
-    """
-    out = {}
-    eye = sp.identity(space.n_x, format="csr")
-    zero = sp.csr_matrix((space.n_x, space.n_field))
-    for key, ref in (("plus", 0.0), ("minus", 1.0)):
-        psi = space.tbasis.eval(np.array(ref))
-        T = sp.kron(sp.csr_matrix(psi[None, :]), eye, format="csr")
-        out[key] = [
-            sp.hstack([T, zero], format="csr"),
-            sp.hstack([zero, T], format="csr"),
-        ]
-    return out
 
 
 def interface_jump_blocks(space):
@@ -290,22 +298,22 @@ def interface_jump_blocks(space):
     ("plus"), a minus-minus block ("minus") and the cross block ("cross",
     rows on the later slab, columns on the earlier one, to be subtracted).
     """
-    mesh, dt = space.mesh, space.dt
-    Mx = spatial_matrix(mesh, space.xbasis, space.xbasis)
-    Kx = spatial_matrix(mesh, space.xbasis, space.xbasis, 1, 1)
-    W1 = Mx / dt + dt * Kx
+    dt = space.dt
+    Mx = space.spatial(space)
+    W1 = Mx / dt + dt * space.spatial(space, 1, 1)
     W2 = Mx / dt
-    tr = time_trace_matrices(space)
-    T1p, T2p = tr["plus"]
-    T1m, T2m = tr["minus"]
-    return {
-        "plus": (T1p.T @ W1 @ T1p + T2p.T @ W2 @ T2p).tocsr(),
-        "minus": (T1m.T @ W1 @ T1m + T2m.T @ W2 @ T2m).tocsr(),
-        "cross": (T1p.T @ W1 @ T1m + T2p.T @ W2 @ T2m).tocsr(),
-    }
+    shape = (space.n_field, space.n_field)
+
+    def block(t_test, t_trial):
+        T = temporal_trace_matrix(space.tbasis, space.tbasis, t_test, t_trial)
+        return _pair_blocks(sp.kron(T, W1, format="csr"), None, None,
+                            sp.kron(T, W2, format="csr"), shape)
+
+    return {"plus": block(0.0, 0.0), "minus": block(1.0, 1.0),
+            "cross": block(0.0, 1.0)}
 
 
-def assemble_dfb_extras(primal, dual, data, lam, nq=None):
+def assemble_dfb_extras(primal, dual, data, lam):
     """Extra terms that make the slab-wise primal operator invertible.
 
     Returns the measurement-region observer term, the lateral boundary
@@ -316,32 +324,33 @@ def assemble_dfb_extras(primal, dual, data, lam, nq=None):
     """
     if lam <= 0:
         raise ValueError(f"boundary penalty weight must be positive, got {lam}")
-    mesh, dt, h = primal.mesh, primal.dt, primal.mesh.h
-    observer = assemble_data_mass(dual, primal, data, nq=nq)
-    Mt = temporal_matrix(dual.tbasis, primal.tbasis, 0, 0, dt, nq=nq)
-    Pb = boundary_penalty_matrix(mesh, dual.xbasis, primal.xbasis)
+    shape = (dual.n_field, primal.n_field)
     nitsche = _pair_blocks(
-        (lam / h) * sp.kron(Mt, Pb), None, None, None,
-        (dual.n_field, primal.n_field),
+        (lam / primal.mesh.h)
+        * sp.kron(dual.temporal(primal), dual.boundary_penalty(primal)),
+        None, None, None, shape,
     )
-    Mdp = spatial_matrix(mesh, dual.xbasis, primal.xbasis, nq=nq)
-    dtr = time_trace_matrices(dual)
-    ptr = time_trace_matrices(primal)
-    D1p, D2p = dtr["plus"]
-    T1p, T2p = ptr["plus"]
-    T1m, T2m = ptr["minus"]
+    Mdp = dual.spatial(primal)
+
+    def coupling(t_trial):
+        # y2 tests the jump of u1 and y1 that of u2, at the dual slab start
+        T = temporal_trace_matrix(dual.tbasis, primal.tbasis, 0.0, t_trial)
+        C = sp.kron(T, Mdp, format="csr")
+        return _pair_blocks(None, C, C, None, shape)
+
     return {
-        "observer": observer,
+        "observer": assemble_data_mass(dual, primal, data),
         "nitsche": nitsche,
-        "coupling_diag": (D2p.T @ Mdp @ T1p + D1p.T @ Mdp @ T2p).tocsr(),
-        "coupling_sub": (D2p.T @ Mdp @ T1m + D1p.T @ Mdp @ T2m).tocsr(),
+        "coupling_diag": coupling(0.0),
+        "coupling_sub": coupling(1.0),
     }
 
 
 def assemble_dual_interface_mass(dual):
-    """Incoming-trace mass of the dual pair, weight dt, used to augment the
-    dual stabilizer on every slab after the first."""
-    Mx = spatial_matrix(dual.mesh, dual.xbasis, dual.xbasis)
-    tr = time_trace_matrices(dual)
-    D1p, D2p = tr["plus"]
-    return (dual.dt * (D1p.T @ Mx @ D1p + D2p.T @ Mx @ D2p)).tocsr()
+    """Incoming-trace mass of the dual pair, weight dt.  No block of the
+    system uses it (the dual stabilizer has no interface term, and adding
+    one would change the discretization); acceptance criterion 9 checks
+    that it is symmetric positive semidefinite."""
+    T = temporal_trace_matrix(dual.tbasis, dual.tbasis, 0.0, 0.0)
+    B = sp.kron(T, dual.spatial(dual), format="csr")
+    return dual.dt * _pair_blocks(B, None, None, B, B.shape)

@@ -56,7 +56,11 @@ class SpaceTimeSystem:
         self.mesh = build_interval_mesh(config.a, config.b, config.n_elems)
         self.data = mark_data_domain(self.mesh, config.omega)
         self.primal = SlabSpace(self.mesh, config.k, config.q, config.dt)
-        self.dual = SlabSpace(self.mesh, config.kstar, config.qstar, config.dt)
+        # at equal orders the dual space is the primal one, so all blocks
+        # share one copy of each factor
+        same = (config.kstar, config.qstar) == (config.k, config.q)
+        self.dual = self.primal if same else SlabSpace(
+            self.mesh, config.kstar, config.qstar, config.dt)
         self.n_slabs = config.n_slabs
 
         self.A_pd = assemble_A(self.primal, self.dual)

@@ -19,7 +19,7 @@ from waveuc.slab_forms import (
     interface_jump_blocks,
     spatial_matrix,
     temporal_matrix,
-    time_trace_matrices,
+    temporal_trace_matrix,
 )
 from waveuc.precond import _spatial_embedding
 
@@ -310,25 +310,35 @@ def test_data_mass_supported_on_marked_elements(rng):
 # -- time traces and interface coupling -------------------------------------
 
 
-def test_traces_q0_identity():
-    mesh = build_interval_mesh(0, 1, 2)
-    space = SlabSpace(mesh, 1, 0, dt=0.25)
-    tr = time_trace_matrices(space)
-    V = np.arange(space.n_pair, dtype=float)
-    for key in ("plus", "minus"):
-        assert np.allclose(tr[key][0] @ V, V[: space.n_x])
-        assert np.allclose(tr[key][1] @ V, V[space.n_field :])
+def trace_selections(space, V):
+    """(t_test, t_trial, selected, modes) for every pair of slab endpoints
+    and field of V: selected is the interface factor applied to the field's
+    modes, which puts the trial endpoint's trace on the test endpoint's
+    mode."""
+    tb = space.tbasis
+    for t_test in (0.0, 1.0):
+        for t_trial in (0.0, 1.0):
+            T = temporal_trace_matrix(tb, tb, t_test, t_trial)
+            for field in (0, 1):
+                yield t_test, t_trial, T @ V[field], V[field]
+
+
+def test_traces_q0_identity(rng):
+    # the one mode is constant in time: both endpoints select it
+    space = SlabSpace(build_interval_mesh(0, 1, 2), 1, 0, dt=0.25)
+    for _, _, selected, modes in trace_selections(space,
+                                                  pair_coeffs(space, rng)):
+        assert np.array_equal(selected, modes)
 
 
 def test_traces_q1_select_endpoint_modes(rng):
-    mesh = build_interval_mesh(0, 1, 2)
-    space = SlabSpace(mesh, 1, 1, dt=0.25)
-    V = pair_coeffs(space, rng)
-    tr = time_trace_matrices(space)
-    assert np.allclose(tr["plus"][0] @ V.ravel(), V[0, 0])
-    assert np.allclose(tr["minus"][0] @ V.ravel(), V[0, 1])
-    assert np.allclose(tr["plus"][1] @ V.ravel(), V[1, 0])
-    assert np.allclose(tr["minus"][1] @ V.ravel(), V[1, 1])
+    # Gauss-Lobatto modes: mode 0 is the slab start, mode 1 its end
+    space = SlabSpace(build_interval_mesh(0, 1, 2), 1, 1, dt=0.25)
+    for t_test, t_trial, selected, modes in trace_selections(
+            space, pair_coeffs(space, rng)):
+        expected = np.zeros_like(modes)
+        expected[int(t_test)] = modes[int(t_trial)]
+        assert np.array_equal(selected, expected)
 
 
 def test_interface_jump_form_vanishes_for_continuous(rng):
@@ -416,16 +426,22 @@ def test_dual_interface_mass_values(rng):
 
 
 def test_quadrature_order_independence():
+    # every derivative pair the assemblers use, between bases of unequal
+    # orders, is integrated exactly by the default rule
     mesh = build_interval_mesh(0, 1, 3)
     primal = SlabSpace(mesh, 2, 2, dt=0.25)
     dual = SlabSpace(mesh, 1, 1, dt=0.25)
     base_nq = max(primal.degree_x, primal.degree_t) + 2
-    A1 = assemble_A(primal, dual, nq=base_nq)
-    A2 = assemble_A(primal, dual, nq=base_nq + 2)
-    assert abs(A1 - A2).max() < 1e-12
-    S1 = assemble_primal_stabilizers(primal, nq=base_nq)["Sh"]
-    S2 = assemble_primal_stabilizers(primal, nq=base_nq + 2)["Sh"]
-    assert abs(S1 - S2).max() < 1e-12
+    for test, trial in ((dual, primal), (primal, dual)):
+        for a, b in ((0, 0), (1, 1), (2, 2), (0, 2), (2, 0)):
+            S1, S2 = (spatial_matrix(mesh, test.xbasis, trial.xbasis, a, b,
+                                     nq=nq) for nq in (base_nq, base_nq + 2))
+            assert abs(S1 - S2).max() < 1e-12, (a, b)
+        for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            T1, T2 = (temporal_matrix(test.tbasis, trial.tbasis, a, b,
+                                      test.dt, nq=nq)
+                      for nq in (base_nq, base_nq + 2))
+            assert np.abs(T1 - T2).max() < 1e-12, (a, b)
 
 
 # -- point-evaluation forms against the builders they replaced --------------

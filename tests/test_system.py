@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from waveuc import slab_forms
 from waveuc.config import PRESETS
+from waveuc.precond import build_preconditioner
 from waveuc.spacetime_system import (
     DATA_QUADRATURE_POINTS,
     DENSE_DOF_LIMIT,
@@ -18,6 +20,25 @@ def negate_dual(system, x):
     for n in range(system.n_slabs):
         y[system.dual_slice(n)] *= -1
     return y
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_each_factor_is_built_once(k, monkeypatch):
+    # the 6 distinct spatial factors (M, K, the three second-derivative
+    # pairs, the data mass) and the 4 distinct temporal ones (derivative
+    # pairs 0/0, 0/1, 1/0, 1/1) are each built once per system, and dfb
+    # reuses the system's spatial factors
+    calls = {}
+    for name in ("spatial_matrix", "temporal_matrix"):
+        def counted(*args, _build=getattr(slab_forms, name), _name=name,
+                    **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _build(*args, **kwargs)
+        monkeypatch.setattr(slab_forms, name, counted)
+    s = make_system(k=k, q=k, kstar=k, qstar=k, n_elems=8, n_slabs=3)
+    assert calls == {"spatial_matrix": 6, "temporal_matrix": 4}
+    build_preconditioner(s, "dfb")
+    assert calls["spatial_matrix"] == 6
 
 
 def test_layout_covers_all_dofs():

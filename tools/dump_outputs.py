@@ -4,15 +4,16 @@ bit for bit.
     PYTHONPATH=<tree>/src python3 tools/dump_outputs.py OUT.npz
     PYTHONPATH=src python3 tools/dump_outputs.py --compare A.npz B.npz
 
-A dump holds, for a few fixed systems, the CSR arrays of every slab block,
-the right-hand side, one operator apply and the apply of each slab-marching
-preconditioner; the point-evaluation forms (gradient jump, boundary penalty
-and flux, degree embedding) on meshes of 1, 2 and 5 elements; and the
-iterates, residual histories, CSV rows and residual logs of the benchmark's
-solves.  Only names present in every version of the package are used, so
-two trees can be dumped with the same script and compared; --compare exits
-1 unless every array of both files has the same bytes.  The solves take
-about a minute on a 2-core machine.
+A dump holds, for a few fixed systems (one of them with dual orders below
+the primal ones), the CSR arrays of every slab block, the right-hand side,
+one operator apply and the apply of each slab-marching preconditioner; the
+point-evaluation forms (gradient jump, boundary penalty and flux, degree
+embedding) on meshes of 1, 2 and 5 elements; and the iterates, residual
+histories, CSV rows and residual logs of the benchmark's solves.  Only
+names present in every version of the package are used, so two trees can
+be dumped with the same script and compared; --compare exits 1 unless
+every array of both files has the same bytes.  The solves take about a
+minute on a 2-core machine.
 """
 
 import argparse
@@ -34,9 +35,10 @@ from waveuc.slab_forms import (
 )
 from waveuc.spacetime_system import SpaceTimeSystem
 
-# (preset, k = q = kstar = qstar, slabs); every system has 2 * slabs elements
-SYSTEMS = [("gcc1d", 1, 16), ("nogcc1d", 1, 32), ("gcc1d", 2, 4),
-           ("gcc1d", 2, 48), ("gcc1d", 3, 4), ("nogcc1d", 2, 2)]
+# (preset, k = q, kstar = qstar, slabs); every system has 2 * slabs elements
+SYSTEMS = [("gcc1d", 1, 1, 16), ("nogcc1d", 1, 1, 32), ("gcc1d", 2, 2, 4),
+           ("gcc1d", 2, 2, 48), ("gcc1d", 3, 3, 4), ("nogcc1d", 2, 2, 2),
+           ("gcc1d", 2, 1, 4)]
 SOLVES = ([("gcc1d", 2, n, "mf") for n in (12, 24, 48)]
           + [("nogcc1d", 1, n, "mf") for n in (8, 16, 32)]
           + [("gcc1d", 1, 16, p)
@@ -44,9 +46,9 @@ SOLVES = ([("gcc1d", 2, n, "mf") for n in (12, 24, 48)]
 
 
 def _config(preset, k, n_slabs, **extra):
-    return PRESETS[preset].make_config(k=k, q=k, kstar=k, qstar=k,
-                                       n_slabs=n_slabs, n_elems=2 * n_slabs,
-                                       **extra)
+    return PRESETS[preset].make_config(**{
+        "k": k, "q": k, "kstar": k, "qstar": k, "n_slabs": n_slabs,
+        "n_elems": 2 * n_slabs, **extra})
 
 
 def _put_csr(out, key, matrix):
@@ -57,9 +59,15 @@ def _put_csr(out, key, matrix):
 
 
 def dump_systems(out):
-    for preset, k, n_slabs in SYSTEMS:
-        s = SpaceTimeSystem(_config(preset, k, n_slabs))
+    for preset, k, kstar, n_slabs in SYSTEMS:
+        s = SpaceTimeSystem(_config(preset, k, n_slabs, kstar=kstar,
+                                    qstar=kstar))
         key = f"{preset}-k{k}-N{n_slabs}"
+        kinds = ["mf", "ml", "dfb", "block"]
+        if kstar != k:
+            # dfb refuses unequal orders
+            key = f"{preset}-k{k}-kstar{kstar}-N{n_slabs}"
+            kinds.remove("dfb")
         for name in ("A_pd", "Sh", "Sstar", "Momega"):
             _put_csr(out, f"{key}-{name}", getattr(s, name))
         for name, block in s.jump.items():
@@ -67,7 +75,7 @@ def dump_systems(out):
         out[key + "-rhs"] = s.assemble_rhs(PRESETS[preset].u)
         r = np.random.default_rng(2024).standard_normal(s.ndof)
         out[key + "-apply"] = s.apply(r)
-        for kind in ("mf", "ml", "dfb", "block"):
+        for kind in kinds:
             out[f"{key}-{kind}"] = build_preconditioner(s, kind).apply(r)
 
 
