@@ -65,6 +65,12 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
     Arnoldi breaks down when the orthogonalized vector is tiny relative to
     ``A M q_j`` itself, so the test does not depend on the operator's scale.
 
+    When precond inverts apply_op up to terms on a few rows (it has
+    ``defect_rows``; see ``_coordinates``), the basis is stored and
+    orthogonalized on span{b} plus those rows only, and the Arnoldi step
+    needs no operator apply.  The true-residual checks still apply apply_op
+    in full.
+
     log, if given, is called with (iteration, arnoldi_residual,
     true_residual_or_None) once per iteration.
     """
@@ -78,19 +84,20 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
         report.converged = True
         return np.zeros(n), report
 
-    maxiter = min(cfg.maxiter, n)
+    m, expand, step, q0 = _coordinates(apply_op, apply_m, precond, b, beta)
+    maxiter = min(cfg.maxiter, m)
     # the whole basis is reserved at once: the operating system commits its
     # rows to memory only when they are first written, so a run that
     # converges early costs only the rows it built, and a basis larger than
     # the system will reserve fails here, before the solve starts
-    Q = np.empty((maxiter + 1, n))
+    Q = np.empty((maxiter + 1, m))
     H = np.zeros((maxiter + 1, maxiter))
     g = np.zeros(maxiter + 1)
     # rotation cosines and sines as Python floats
     cs = []
     sn = []
 
-    Q[0] = b / beta
+    Q[0] = q0
     g[0] = beta
 
     def solution(j):
@@ -98,13 +105,11 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
         y, info = dgetrs(H[: j + 1, : j + 1], np.arange(j + 1), g[: j + 1])
         if info != 0:
             raise ValueError(f"getrs failed with info={info}")
-        return apply_m(Q[: j + 1].T @ y)
+        return apply_m(expand(Q[: j + 1].T @ y))
 
     j = 0
     for j in range(maxiter):
-        # copy: the operator may hand back (a view of) its input, which
-        # must not be clobbered by the orthogonalization below
-        w = np.array(apply_op(apply_m(Q[j])), dtype=float)
+        w = step(Q[j])
         wnorm = np.linalg.norm(w)
         # classical Gram-Schmidt, then one full reorthogonalization pass (CGS2)
         h = Q[: j + 1] @ w
@@ -146,7 +151,7 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
             report.iterations = j + 1
             report.converged = True
             if keep_basis:
-                report.basis = Q[: j + 1].copy()
+                report.basis = _expand_rows(expand, Q[: j + 1])
             return solution(j), report
 
         if hnext <= BREAKDOWN_TOL * wnorm:
@@ -159,5 +164,55 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
     report.iterations = maxiter
     report.converged = False
     if keep_basis:
-        report.basis = Q[: maxiter + 1].copy()
+        report.basis = _expand_rows(expand, Q[: maxiter + 1])
     return solution(maxiter - 1), report
+
+
+def _coordinates(apply_op, apply_m, precond, b, beta):
+    """The space the Arnoldi basis lives in: (m, expand, step, q0).
+
+    The basis vectors have m coordinates; expand maps coordinates to a
+    vector of the system isometrically, step(q) is the coordinates of
+    A M expand(q), and q0 those of b / beta.
+
+    On the full path the coordinates are the unknowns themselves.  When
+    apply_op is the operator of precond's own system and precond inverts it
+    up to a defect E = A - M^-1 that is nonzero only on the rows S of
+    precond.defect_rows, A M = I + E M, so every Krylov vector lies in
+    span{b} + R^S.  Coordinate 0 then lies along e = b' / |b'|, where b' is b
+    with S zeroed (dropped when b' = 0), the others are the rows S, and
+    step(q) = q + precond.defect(M expand(q)) on S: no operator apply, and
+    an orthogonalization over |S| + 1 instead of len(b) entries.
+    """
+    rows = getattr(precond, "defect_rows", None)
+    if rows is None or apply_op != precond.system.apply:
+        def step(q):
+            # copy: the operator may hand back (a view of) its input, which
+            # must not be clobbered by the orthogonalization
+            return np.array(apply_op(apply_m(q)), dtype=float)
+
+        return len(b), (lambda q: q), step, b / beta
+
+    b_off = b.copy()
+    b_off[rows] = 0.0
+    off_norm = np.linalg.norm(b_off)
+    lead = 1 if off_norm > 0.0 else 0
+    e = b_off / off_norm if lead else None
+
+    def expand(q):
+        v = q[0] * e if lead else np.zeros(len(b))
+        v[rows] = q[lead:]
+        return v
+
+    def step(q):
+        w = q.copy()
+        w[lead:] += precond.defect(apply_m(expand(q)))
+        return w
+
+    q0 = np.concatenate(([off_norm] if lead else [], b[rows])) / beta
+    return len(q0), expand, step, q0
+
+
+def _expand_rows(expand, Q):
+    """The basis rows of Q expanded to vectors of the system."""
+    return np.array([expand(q) for q in Q])

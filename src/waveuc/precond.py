@@ -93,6 +93,42 @@ def _march(R, lus, coupling, trans=0):
     return X
 
 
+class _JumpDefect:
+    """The interface jump terms that a preconditioner M leaves out of the
+    matrix it inverts: the upper half (tested on the earlier slab of each
+    interface) and, with lower, the lower half too.  They are the whole
+    defect E = A - M^-1, so A M = I + E M, and E is nonzero only on the
+    primal-test rows these terms reach.
+
+    rows holds the global indices of those rows, in ascending order; a call
+    with z returns (E z) on them, computed from the jump blocks alone.
+    """
+
+    def __init__(self, system, lower):
+        self.system, self.lower = system, lower
+        jump = system.jump
+        reach = np.zeros((system.n_slabs, system.n_primal), dtype=bool)
+        for block in (jump["minus"], system.cross_T):
+            reach[:-1, block.nonzero()[0]] = True
+        if lower:
+            for block in (jump["plus"], jump["cross"]):
+                reach[1:, block.nonzero()[0]] = True
+        slab, row = np.nonzero(reach)
+        self.rows = slab * system.slab_size + row
+        # the same rows in the (n_primal, n_slabs) array of jump terms
+        self._at = row * system.n_slabs + slab
+
+    def __call__(self, z):
+        sys = self.system
+        U = np.ascontiguousarray(sys.slab_view(z)[:, : sys.n_primal].T)
+        EU = np.zeros(U.shape)
+        if self.lower:
+            sys._add_interface_jumps(U, EU)
+        else:
+            EU[:, :-1] = sys._upper_jumps(U)
+        return EU.ravel()[self._at]
+
+
 class IdentityPreconditioner:
     def apply(self, r):
         return r.copy()
@@ -100,10 +136,16 @@ class IdentityPreconditioner:
 
 class BlockJacobi:
     """Independent per-slab solves of the slab-diagonal block, with the
-    interface jump terms dropped entirely."""
+    interface jump terms dropped entirely.
+
+    All four jump terms are the defect of this inverse: defect_rows are the
+    rows they reach, and defect(z) is their action on z there.
+    """
 
     def __init__(self, system):
         self.system = system
+        self.defect = _JumpDefect(system, lower=True)
+        self.defect_rows = self.defect.rows
         D = sp.bmat(
             [[system.Sh + system.Momega, system.A_pd.T],
              [system.A_pd, -system.Sstar]],
@@ -136,6 +178,10 @@ class MonolithicForward:
     uses the minimal orders (1, 0)); the dual part of the output is then
     recovered exactly from the dual-test rows, which are slab-local, so the
     map stays invertible and all variants precondition the same system.
+
+    At the system's own dual orders the sweep inverts the system up to the
+    upper jump terms it relaxed: defect_rows are the rows they reach, and
+    defect(z) is their action on z there.  A reduced sweep exposes neither.
     """
 
     def __init__(self, system, dual_orders=None):
@@ -148,6 +194,8 @@ class MonolithicForward:
             A_sw = system.A_pd
             Sstar_sw = system.Sstar
             self.embed = None
+            self.defect = _JumpDefect(system, lower=False)
+            self.defect_rows = self.defect.rows
         else:
             kc, qc = orders
             if kc > cfg.kstar or qc > cfg.qstar:

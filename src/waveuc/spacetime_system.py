@@ -129,10 +129,18 @@ class SpaceTimeSystem:
     def _add_interface_jumps(self, U, Yp):
         """Add the jump terms of every interface: column n of U and Yp is
         slab n, so the later slab of each interface is [:, 1:]."""
-        P, Mm, C = self.jump["plus"], self.jump["minus"], self.jump["cross"]
-        later, earlier = U[:, 1:], U[:, :-1]
-        Yp[:, 1:] += P @ later - C @ earlier
-        Yp[:, :-1] += Mm @ earlier - self.cross_T @ later
+        Yp[:, 1:] += self._lower_jumps(U)
+        Yp[:, :-1] += self._upper_jumps(U)
+
+    def _lower_jumps(self, U):
+        """Jump terms tested on the later slab of each interface (plus and
+        cross), one column per interface."""
+        return self.jump["plus"] @ U[:, 1:] - self.jump["cross"] @ U[:, :-1]
+
+    def _upper_jumps(self, U):
+        """Jump terms tested on the earlier slab of each interface (minus
+        and the transposed cross), one column per interface."""
+        return self.jump["minus"] @ U[:, :-1] - self.cross_T @ U[:, 1:]
 
     def apply_primal_stabilized(self, x):
         """Primal-test rows of (measurement mass + stabilizers + interface

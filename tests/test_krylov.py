@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from waveuc.config import PRESETS
 from waveuc.krylov import GmresBreakdown, GmresConfig, SolveReport, gmres
 from waveuc.precond import MonolithicForward, build_preconditioner
 
@@ -297,3 +298,98 @@ def test_property_iteration_count_is_scale_invariant(system, log10_c):
     _, scaled = gmres(MatrixOp(10.0**log10_c * A), b, cfg=cfg)
     assert scaled.converged and report.converged
     assert scaled.iterations == report.iterations
+
+
+# -- the defect-row basis of mf and block ---------------------------------------
+
+class ApplyOnly:
+    """The same preconditioner with nothing but apply: gmres must take the
+    full path with it."""
+
+    def __init__(self, precond):
+        self.precond = precond
+
+    def apply(self, r):
+        return self.precond.apply(r)
+
+
+def solve_system(preset, k, n_slabs):
+    s = make_system(preset, k=k, q=k, kstar=k, qstar=k, n_slabs=n_slabs,
+                    n_elems=2 * n_slabs)
+    return s, s.assemble_rhs(PRESETS[preset].u)
+
+
+@pytest.mark.parametrize("kind", ["mf", "block"])
+@pytest.mark.parametrize("preset, k, n_slabs",
+                         [("gcc1d", 1, 6), ("nogcc1d", 2, 4)])
+def test_defect_row_basis_matches_the_full_path(preset, k, n_slabs, kind):
+    s, b = solve_system(preset, k, n_slabs)
+    M = build_preconditioner(s, kind)
+    cfg = GmresConfig(tol=1e-7, maxiter=3000)
+    x, report = gmres(s.apply, b, M, cfg)
+    x_full, full = gmres(s.apply, b, ApplyOnly(M), cfg)
+    assert report.converged and full.converged
+    assert abs(report.iterations - full.iterations) <= 1
+    assert np.linalg.norm(x - x_full) <= 1e-6 * np.linalg.norm(x_full)
+    assert np.linalg.norm(b - s.apply(x)) <= 10 * cfg.tol * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("kind", ["mf", "block"])
+def test_defect_row_basis_is_orthonormal(kind):
+    s, b = solve_system("gcc1d", 1, 6)
+    M = build_preconditioner(s, kind)
+    _, report = gmres(s.apply, b, M, keep_basis=True)
+    Q = report.basis
+    assert Q.shape == (report.iterations, s.ndof)
+    assert np.abs(Q @ Q.T - np.eye(len(Q))).max() <= 1e-8
+    # every basis vector lies in span{b} + the defect rows
+    off = np.ones(s.ndof, dtype=bool)
+    off[M.defect_rows] = False
+    b_off = b[off] / np.linalg.norm(b[off])
+    assert np.abs(Q[:, off] - np.outer(Q[:, off] @ b_off, b_off)).max() <= 1e-14
+
+
+def test_defect_row_basis_needs_no_operator_apply_in_arnoldi():
+    s, b = solve_system("gcc1d", 1, 6)
+    calls = []
+    apply = s.apply
+
+    def counted(v):
+        calls.append(1)
+        return apply(v)
+
+    # the system's own apply, counted: the split path is still taken
+    s.apply = counted
+    M = build_preconditioner(s, "mf")
+    _, report = gmres(s.apply, b, M)
+    assert report.converged
+    assert len(calls) == len(report.true_residuals) < report.iterations
+
+
+@pytest.mark.parametrize("kind", ["mf", "block"])
+def test_rhs_on_the_defect_rows_only(kind, rng):
+    # b' = 0: the basis has no coordinate along b', only the defect rows
+    s, _ = solve_system("gcc1d", 1, 6)
+    M = build_preconditioner(s, kind)
+    b = np.zeros(s.ndof)
+    b[M.defect_rows] = rng.standard_normal(len(M.defect_rows))
+    cfg = GmresConfig(tol=1e-7, maxiter=3000)
+    x, report = gmres(s.apply, b, M, cfg, keep_basis=True)
+    x_full, full = gmres(s.apply, b, ApplyOnly(M), cfg)
+    assert report.converged
+    assert abs(report.iterations - full.iterations) <= 1
+    assert np.linalg.norm(x - x_full) <= 1e-6 * np.linalg.norm(x_full)
+    assert np.linalg.norm(b - s.apply(x)) <= 10 * cfg.tol * np.linalg.norm(b)
+    off = np.ones(s.ndof, dtype=bool)
+    off[M.defect_rows] = False
+    assert np.all(report.basis[:, off] == 0)
+
+
+def test_scaled_operator_takes_the_full_path():
+    s, b = solve_system("gcc1d", 1, 6)
+    M = build_preconditioner(s, "mf")
+    cfg = GmresConfig(tol=1e-9, maxiter=3000)
+    x, _ = gmres(s.apply, b, M, cfg)
+    x2, report = gmres(lambda v: 2 * s.apply(v), b, M, cfg)
+    assert report.converged
+    assert np.linalg.norm(2 * x2 - x) <= 1e-6 * np.linalg.norm(x)

@@ -408,3 +408,37 @@ def test_property_block_keeps_slab_support(case, data):
     mask[sl] = False
     assert np.all(x[mask] == 0)
     assert np.any(x[sl] != 0)
+
+
+# -- the defect of the sweeps that invert the system up to jump terms ----------
+
+@settings(max_examples=20)
+@given(st.integers(1, 2), st.integers(1, 2), st.sampled_from([1, 2, 3, 5]),
+       st.sampled_from([4, 8]), st.sampled_from(["gcc1d", "nogcc1d"]),
+       st.sampled_from(["mf", "block"]), st.integers(0, 2**32 - 1))
+def test_property_defect_is_where_the_preconditioned_operator_leaves_identity(
+        k, q, n_slabs, n_elems, preset, kind, seed):
+    s = make_system(preset, k=k, q=q, kstar=k, qstar=q, n_slabs=n_slabs,
+                    n_elems=n_elems)
+    M = build_preconditioner(s, kind)
+    rows = M.defect_rows
+    assert np.array_equal(rows, np.unique(rows))
+    if n_slabs == 1:
+        assert len(rows) == 0
+    r = np.random.default_rng(seed).standard_normal(s.ndof)
+    z = M.apply(r)
+    # A (M r) - r = E M r, E = A - M^-1, is nonzero on the defect rows only
+    excess = s.apply(z) - r
+    scale = (np.linalg.norm(s.dense_matrix(), np.inf)
+             * np.linalg.norm(z, np.inf))
+    off = np.ones(s.ndof, dtype=bool)
+    off[rows] = False
+    assert np.abs(excess[off]).max() <= 1e-13 * scale
+    assert np.abs(excess[rows] - M.defect(z)).max(initial=0.0) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("kind", ["ml", "dfb", "none"])
+def test_other_preconditioners_expose_no_defect(kind):
+    # ml sweeps at dual orders (1, 0), below the system's (1, 1)
+    s = make_system(n_slabs=3)
+    assert getattr(build_preconditioner(s, kind), "defect_rows", None) is None

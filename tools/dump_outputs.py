@@ -12,8 +12,10 @@ embedding) on meshes of 1, 2 and 5 elements; and the iterates, residual
 histories, CSV rows and residual logs of the benchmark's solves.  Only
 names present in every version of the package are used, so two trees can
 be dumped with the same script and compared; --compare exits 1 unless
-every array of both files has the same bytes.  The solves take about a
-minute on a 2-core machine.
+every array of both files has the same bytes.  For each numeric array that
+differs at equal shape it also prints max|a - b| / max|a|, so that an
+intended rounding change shows its size.  The solves take about a minute
+on a 2-core machine.
 """
 
 import argparse
@@ -129,6 +131,17 @@ def dump_solves(out):
         cli.gmres = solve
 
 
+def _relative_change(a, b):
+    """max|a - b| / max|a| of two numeric arrays of one shape, as a suffix
+    for the report line; empty for any other pair."""
+    if (a.shape != b.shape or a.size == 0
+            or not all(np.issubdtype(x.dtype, np.number) for x in (a, b))):
+        return ""
+    scale = np.abs(a).max()
+    diff = np.abs(a.astype(float) - b.astype(float)).max()
+    return f" (max|a - b| / max|a| = {diff / scale if scale else np.inf:.3e})"
+
+
 def compare(path_a, path_b):
     """Print every array that differs between the dumps; True if none."""
     with np.load(path_a) as a, np.load(path_b) as b:
@@ -140,7 +153,7 @@ def compare(path_a, path_b):
                   or a[key].shape != b[key].shape
                   or a[key].tobytes() != b[key].tobytes()]
         for key in differ:
-            print(f"differs: {key}")
+            print(f"differs: {key}{_relative_change(a[key], b[key])}")
         same = len(keys_a & keys_b) - len(differ)
         print(f"{same} of {len(keys_a | keys_b)} outputs bitwise identical")
         return not differ and keys_a == keys_b
