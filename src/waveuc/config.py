@@ -6,6 +6,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .mesh import build_interval_mesh, mark_data_domain
+
 __all__ = [
     "DiscretizationConfig",
     "ExperimentPreset",
@@ -46,7 +48,6 @@ class DiscretizationConfig:
     lam: Optional[float] = None
     tol: float = 1e-7
     maxiter: int = 3000
-    preset: str = ""
 
     @property
     def dt(self):
@@ -99,6 +100,9 @@ class DiscretizationConfig:
             raise ValueError("boundary penalty weight must be positive")
         if self.tol <= 0 or self.maxiter < 1:
             raise ValueError("invalid solver tolerance or iteration cap")
+        # the measurement region must be a union of elements of this mesh
+        mark_data_domain(build_interval_mesh(self.a, self.b, self.n_elems),
+                         self.omega)
         return self
 
 
@@ -118,9 +122,8 @@ class ExperimentPreset:
     restricted_region: Optional[Callable[[float], tuple]] = None
 
     def make_config(self, **overrides):
-        cfg = DiscretizationConfig(
-            a=self.a, b=self.b, T=self.T, omega=self.omega, preset=self.name
-        )
+        cfg = DiscretizationConfig(a=self.a, b=self.b, T=self.T,
+                                   omega=self.omega)
         return replace(cfg, **overrides)
 
 

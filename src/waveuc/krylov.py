@@ -63,13 +63,16 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
     bit for bit without its O(j^3) factorization.
 
     Arnoldi breaks down when the orthogonalized vector is tiny relative to
-    ``A M q_j`` itself, so the test does not depend on the operator's scale.
+    ``A M q_j`` itself, so the test does not depend on the operator's scale;
+    a non-finite vector breaks down at once, and a right-hand side with a
+    non-finite norm is refused before the basis is reserved.
 
-    When precond inverts apply_op up to terms on a few rows (it has
-    ``defect_rows``; see ``_coordinates``), the basis is stored and
-    orthogonalized on span{b} plus those rows only, and the Arnoldi step
-    needs no operator apply.  The true-residual checks still apply apply_op
-    in full.
+    precond is None (no preconditioner) or has ``apply(r)``, the action of
+    M.  If it also has a ``defect``, with ``defect.system.apply`` being
+    apply_op, it inverts apply_op up to terms on the rows ``defect.rows``
+    (see ``_coordinates``): the basis is then stored and orthogonalized on
+    span{b} plus those rows only, and the Arnoldi step needs no operator
+    apply.  The true-residual checks still apply apply_op in full.
 
     log, if given, is called with (iteration, arnoldi_residual,
     true_residual_or_None) once per iteration.
@@ -80,6 +83,8 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
     report = SolveReport()
     n = len(b)
     beta = np.linalg.norm(b)
+    if not math.isfinite(beta):
+        raise ValueError(f"right-hand side has a non-finite norm ({beta})")
     if beta == 0.0:
         report.converged = True
         return np.zeros(n), report
@@ -107,7 +112,6 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
             raise ValueError(f"getrs failed with info={info}")
         return apply_m(expand(Q[: j + 1].T @ y))
 
-    j = 0
     for j in range(maxiter):
         w = step(Q[j])
         wnorm = np.linalg.norm(w)
@@ -148,24 +152,23 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
             log(j + 1, est, true_res)
 
         if est <= cfg.tol:
-            report.iterations = j + 1
             report.converged = True
-            if keep_basis:
-                report.basis = _expand_rows(expand, Q[: j + 1])
-            return solution(j), report
-
-        if hnext <= BREAKDOWN_TOL * wnorm:
+            break
+        # written so that nan breaks down too
+        if not hnext > BREAKDOWN_TOL * wnorm:
             raise GmresBreakdown(
                 f"Arnoldi breakdown at iteration {j + 1} with residual "
                 f"estimate {est:.3e}"
             )
         Q[j + 1] = w / hnext
 
-    report.iterations = maxiter
-    report.converged = False
+    report.iterations = j + 1
     if keep_basis:
-        report.basis = _expand_rows(expand, Q[: maxiter + 1])
-    return solution(maxiter - 1), report
+        # every basis vector built: one more than the iterations unless the
+        # last iteration converged
+        built = j + 1 if report.converged else j + 2
+        report.basis = _expand_rows(expand, Q[:built])
+    return solution(j), report
 
 
 def _coordinates(apply_op, apply_m, precond, b, beta):
@@ -176,16 +179,17 @@ def _coordinates(apply_op, apply_m, precond, b, beta):
     A M expand(q), and q0 those of b / beta.
 
     On the full path the coordinates are the unknowns themselves.  When
-    apply_op is the operator of precond's own system and precond inverts it
-    up to a defect E = A - M^-1 that is nonzero only on the rows S of
-    precond.defect_rows, A M = I + E M, so every Krylov vector lies in
-    span{b} + R^S.  Coordinate 0 then lies along e = b' / |b'|, where b' is b
-    with S zeroed (dropped when b' = 0), the others are the rows S, and
-    step(q) = q + precond.defect(M expand(q)) on S: no operator apply, and
-    an orthogonalization over |S| + 1 instead of len(b) entries.
+    precond has a defect and apply_op is precond.defect.system.apply,
+    precond inverts apply_op up to the defect E = A - M^-1, which is nonzero
+    only on the rows S = precond.defect.rows.  Then A M = I + E M, so every
+    Krylov vector lies in span{b} + R^S.  Coordinate 0 lies along
+    e = b' / |b'|, where b' is b with S zeroed (dropped when b' = 0), the
+    others are the rows S, and step(q) = q + precond.defect(M expand(q)) on
+    S: no operator apply, and an orthogonalization over |S| + 1 instead of
+    len(b) entries.
     """
-    rows = getattr(precond, "defect_rows", None)
-    if rows is None or apply_op != precond.system.apply:
+    defect = getattr(precond, "defect", None)
+    if defect is None or apply_op != defect.system.apply:
         def step(q):
             # copy: the operator may hand back (a view of) its input, which
             # must not be clobbered by the orthogonalization
@@ -193,6 +197,7 @@ def _coordinates(apply_op, apply_m, precond, b, beta):
 
         return len(b), (lambda q: q), step, b / beta
 
+    rows = defect.rows
     b_off = b.copy()
     b_off[rows] = 0.0
     off_norm = np.linalg.norm(b_off)
@@ -206,7 +211,7 @@ def _coordinates(apply_op, apply_m, precond, b, beta):
 
     def step(q):
         w = q.copy()
-        w[lead:] += precond.defect(apply_m(expand(q)))
+        w[lead:] += defect(apply_m(expand(q)))
         return w
 
     q0 = np.concatenate(([off_norm] if lead else [], b[rows])) / beta

@@ -23,7 +23,6 @@ from .slab_forms import (
 )
 
 __all__ = [
-    "IdentityPreconditioner",
     "BlockJacobi",
     "MonolithicForward",
     "ForwardBackwardSplit",
@@ -82,6 +81,15 @@ class _BandLU:
         return out
 
 
+def _slab_block(system, A, Sstar, plus=None):
+    """The slab-diagonal block [[Sh + Momega (+ plus), A^T], [A, -Sstar]]
+    of a sweep whose dual pair is tested by A and Sstar."""
+    diag_pp = system.Sh + system.Momega
+    if plus is not None:
+        diag_pp = diag_pp + plus
+    return sp.bmat([[diag_pp, A.T], [A, -Sstar]])
+
+
 def _march(R, lus, coupling, trans=0):
     """Block substitution down the rows of R: row n solves lus[n] (with
     trans) against R[n] plus coupling applied to the row solved just
@@ -122,35 +130,25 @@ class _JumpDefect:
         sys = self.system
         U = np.ascontiguousarray(sys.slab_view(z)[:, : sys.n_primal].T)
         EU = np.zeros(U.shape)
+        EU[:, :-1] = sys.upper_jumps(U)
         if self.lower:
-            sys._add_interface_jumps(U, EU)
-        else:
-            EU[:, :-1] = sys._upper_jumps(U)
+            EU[:, 1:] += sys.lower_jumps(U)
         return EU.ravel()[self._at]
-
-
-class IdentityPreconditioner:
-    def apply(self, r):
-        return r.copy()
 
 
 class BlockJacobi:
     """Independent per-slab solves of the slab-diagonal block, with the
     interface jump terms dropped entirely.
 
-    All four jump terms are the defect of this inverse: defect_rows are the
+    All four jump terms are the defect of this inverse: defect.rows are the
     rows they reach, and defect(z) is their action on z there.
     """
 
     def __init__(self, system):
         self.system = system
         self.defect = _JumpDefect(system, lower=True)
-        self.defect_rows = self.defect.rows
-        D = sp.bmat(
-            [[system.Sh + system.Momega, system.A_pd.T],
-             [system.A_pd, -system.Sstar]],
-        )
-        self.lu = _BandLU(D, _node_order(system.primal, system.dual),
+        self.lu = _BandLU(_slab_block(system, system.A_pd, system.Sstar),
+                          _node_order(system.primal, system.dual),
                           "slab-diagonal block")
 
     def apply(self, r):
@@ -180,8 +178,8 @@ class MonolithicForward:
     map stays invertible and all variants precondition the same system.
 
     At the system's own dual orders the sweep inverts the system up to the
-    upper jump terms it relaxed: defect_rows are the rows they reach, and
-    defect(z) is their action on z there.  A reduced sweep exposes neither.
+    upper jump terms it relaxed: defect.rows are the rows they reach, and
+    defect(z) is their action on z there.  A reduced sweep has no defect.
     """
 
     def __init__(self, system, dual_orders=None):
@@ -190,12 +188,9 @@ class MonolithicForward:
         system_orders = (cfg.kstar, cfg.qstar)
         orders = system_orders if dual_orders is None else tuple(dual_orders)
         if orders == system_orders:
-            sweep_dual = system.dual
-            A_sw = system.A_pd
-            Sstar_sw = system.Sstar
+            sweep_dual, A_sw, Sstar_sw = system.dual, system.A_pd, system.Sstar
             self.embed = None
             self.defect = _JumpDefect(system, lower=False)
-            self.defect_rows = self.defect.rows
         else:
             kc, qc = orders
             if kc > cfg.kstar or qc > cfg.qstar:
@@ -215,14 +210,12 @@ class MonolithicForward:
             self.sstar_lu = _BandLU(system.Sstar, _node_order(system.dual),
                                     "dual stabilizer")
 
-        diag_pp = system.Sh + system.Momega
-        D0 = sp.bmat([[diag_pp, A_sw.T], [A_sw, -Sstar_sw]])
-        Dint = sp.bmat(
-            [[diag_pp + system.jump["plus"], A_sw.T], [A_sw, -Sstar_sw]],
-        )
         perm = _node_order(system.primal, sweep_dual)
-        lu_interior = _BandLU(Dint, perm, "interior slab")
-        self.lus = ([_BandLU(D0, perm, "first slab")]
+        lu_interior = _BandLU(
+            _slab_block(system, A_sw, Sstar_sw, system.jump["plus"]), perm,
+            "interior slab")
+        self.lus = ([_BandLU(_slab_block(system, A_sw, Sstar_sw), perm,
+                             "first slab")]
                     + [lu_interior] * (system.n_slabs - 1))
         # the upstream primal trace couples into the primal-test rows only:
         # the cross block padded with zeros to the sweep block
@@ -280,8 +273,9 @@ class ForwardBackwardSplit:
         x = sys.zero_vector()
         X = sys.slab_view(x)
         X[:, :n_p] = _march(R[:, n_p:], self.lus, self.coupling_sub)
-        stab = sys.slab_view(sys.apply_primal_stabilized(x))
-        rest = R[:, :n_p] - stab[:, :n_p]
+        # x has no dual part yet, so the primal-test rows of A x hold only
+        # the measurement mass, stabilizer and jump terms of its primal part
+        rest = R[:, :n_p] - sys.slab_view(sys.apply(x))[:, :n_p]
         # the backward sweep is the same march on the reversed slab order
         X[:, n_p:] = _march(rest[::-1], self.lus[::-1], self.coupling_sub_T,
                             trans=1)[::-1]
@@ -289,8 +283,9 @@ class ForwardBackwardSplit:
 
 
 def build_preconditioner(system, kind):
+    """The preconditioner of the given kind, or None for "none"."""
     if kind == "none":
-        return IdentityPreconditioner()
+        return None
     if kind == "block":
         return BlockJacobi(system)
     if kind == "mf":

@@ -117,7 +117,7 @@ def point_matrix(mesh, basis, elems, ref, deriv=0):
     return out
 
 
-def spatial_matrix(mesh, test, trial, d_test=0, d_trial=0, nq=None, mask=None):
+def spatial_matrix(mesh, test, trial, d_test=0, d_trial=0, mask=None):
     """Element-wise integral of D^a(test_i) * D^b(trial_j) over the mesh.
 
     test/trial are SpatialBasis objects; derivatives are physical ones.
@@ -125,9 +125,7 @@ def spatial_matrix(mesh, test, trial, d_test=0, d_trial=0, nq=None, mask=None):
     derivatives are taken element by element (no distributional part), which
     is what the interior least-squares terms need.
     """
-    if nq is None:
-        nq = max(test.degree, trial.degree) + 2
-    rule = gauss_rule(nq)
+    rule = gauss_rule(max(test.degree, trial.degree) + 2)
     h = mesh.h
     vt = test.eval(rule.points, d_test) / h**d_test
     vr = trial.eval(rule.points, d_trial) / h**d_trial
@@ -144,15 +142,13 @@ def spatial_matrix(mesh, test, trial, d_test=0, d_trial=0, nq=None, mask=None):
     )
 
 
-def temporal_matrix(test, trial, d_test=0, d_trial=0, dt=1.0, nq=None):
+def temporal_matrix(test, trial, d_test=0, d_trial=0, dt=1.0):
     """Integral over one slab of d^a/dt^a(test_i) * d^b/dt^b(trial_j).
 
     test/trial are TemporalBasis objects.  The physical slab length enters
     as dt^(1 - a - b).
     """
-    if nq is None:
-        nq = max(test.degree, trial.degree) + 2
-    rule = gauss_rule(nq)
+    rule = gauss_rule(max(test.degree, trial.degree) + 2)
     vt = test.eval(rule.points, d_test)
     vr = trial.eval(rule.points, d_trial)
     ref = np.einsum("q,qi,qj->ij", rule.weights, vt, vr)

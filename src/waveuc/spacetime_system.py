@@ -123,32 +123,22 @@ class SpaceTimeSystem:
         """
         U, Z = self._split(x)
         Yp = self.Momega @ U + self.Sh @ U + self.A_pd_T @ Z
-        self._add_interface_jumps(U, Yp)
+        # column n is slab n, so the later slab of each interface is [:, 1:]
+        Yp[:, 1:] += self.lower_jumps(U)
+        Yp[:, :-1] += self.upper_jumps(U)
         return self._join(Yp, self.A_pd @ U - self.Sstar @ Z)
 
-    def _add_interface_jumps(self, U, Yp):
-        """Add the jump terms of every interface: column n of U and Yp is
-        slab n, so the later slab of each interface is [:, 1:]."""
-        Yp[:, 1:] += self._lower_jumps(U)
-        Yp[:, :-1] += self._upper_jumps(U)
-
-    def _lower_jumps(self, U):
+    def lower_jumps(self, U):
         """Jump terms tested on the later slab of each interface (plus and
-        cross), one column per interface."""
+        cross), one column per interface; U holds the primal coefficients,
+        one column per slab."""
         return self.jump["plus"] @ U[:, 1:] - self.jump["cross"] @ U[:, :-1]
 
-    def _upper_jumps(self, U):
+    def upper_jumps(self, U):
         """Jump terms tested on the earlier slab of each interface (minus
-        and the transposed cross), one column per interface."""
+        and the transposed cross), one column per interface; U as in
+        lower_jumps."""
         return self.jump["minus"] @ U[:, :-1] - self.cross_T @ U[:, 1:]
-
-    def apply_primal_stabilized(self, x):
-        """Primal-test rows of (measurement mass + stabilizers + interface
-        jumps) applied to the primal part of x; dual rows zero."""
-        U, _ = self._split(x)
-        Yp = self.Momega @ U + self.Sh @ U
-        self._add_interface_jumps(U, Yp)
-        return self._join(Yp, np.zeros((self.n_dual, self.n_slabs)))
 
     # -- right-hand side -------------------------------------------------
 

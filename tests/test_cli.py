@@ -55,6 +55,9 @@ def test_config_validation_errors():
         DiscretizationConfig(n_elems=1000, n_slabs=2).validate()
     with pytest.raises(ValueError):
         DiscretizationConfig(precond="dfb", k=2, q=1, kstar=1, qstar=1).validate()
+    with pytest.raises(ValueError, match="mesh vertex"):
+        # 10 elements: the data region's endpoint 0.25 is no vertex
+        DiscretizationConfig(n_elems=10, n_slabs=5).validate()
 
 
 NAN, INF = float("nan"), float("inf")
@@ -293,6 +296,20 @@ def test_iters_rejects_bad_precond_before_any_solve(tmp_path, solved, capsys):
     assert not out.exists()
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error:") and "bogus" in line
+
+
+def test_sweep_rejects_off_vertex_data_before_any_solve(tmp_path, solved,
+                                                       capsys):
+    # N = 5 gives 10 elements of width 0.1, so 0.25 is not a vertex
+    out = tmp_path / "conv.csv"
+    code = main(["convergence", "--k", "1", "--q", "1", "--levels", "16,32,5",
+                 "--out", str(out)])
+    assert code == 1
+    assert solved == []
+    assert not out.exists()
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == ("error: data interval endpoint 0.25 does not lie on a "
+                    "mesh vertex")
 
 
 def test_unknown_preset_in_config_file_exits_1(tmp_path, capsys):

@@ -142,6 +142,36 @@ def test_zero_operator_breaks_down(rng):
             gmres(lambda v: 0.0 * v, rng.standard_normal(12))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_rhs_is_refused_before_any_iteration(bad, rng):
+    b = rng.standard_normal(40)
+    b[7] = bad
+    calls = []
+
+    def op(v):
+        calls.append(1)
+        return 2 * v
+
+    with pytest.raises(ValueError, match="non-finite"):
+        gmres(op, b, cfg=GmresConfig(maxiter=40))
+    assert not calls
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_operator_breaks_down_at_once(bad, rng):
+    def op(v):
+        w = 2 * v
+        w[7] = bad
+        return w
+
+    lines = []
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(GmresBreakdown, match="at iteration 1 "):
+            gmres(op, rng.standard_normal(40), cfg=GmresConfig(maxiter=40),
+                  log=lambda *a: lines.append(a))
+    assert len(lines) == 1
+
+
 # -- bitwise equivalence with the dense-solve bookkeeping ---------------------
 
 def _dense_bookkeeping_gmres(apply_op, b, precond, cfg, log=None,
@@ -344,7 +374,7 @@ def test_defect_row_basis_is_orthonormal(kind):
     assert np.abs(Q @ Q.T - np.eye(len(Q))).max() <= 1e-8
     # every basis vector lies in span{b} + the defect rows
     off = np.ones(s.ndof, dtype=bool)
-    off[M.defect_rows] = False
+    off[M.defect.rows] = False
     b_off = b[off] / np.linalg.norm(b[off])
     assert np.abs(Q[:, off] - np.outer(Q[:, off] @ b_off, b_off)).max() <= 1e-14
 
@@ -372,7 +402,7 @@ def test_rhs_on_the_defect_rows_only(kind, rng):
     s, _ = solve_system("gcc1d", 1, 6)
     M = build_preconditioner(s, kind)
     b = np.zeros(s.ndof)
-    b[M.defect_rows] = rng.standard_normal(len(M.defect_rows))
+    b[M.defect.rows] = rng.standard_normal(len(M.defect.rows))
     cfg = GmresConfig(tol=1e-7, maxiter=3000)
     x, report = gmres(s.apply, b, M, cfg, keep_basis=True)
     x_full, full = gmres(s.apply, b, ApplyOnly(M), cfg)
@@ -381,7 +411,7 @@ def test_rhs_on_the_defect_rows_only(kind, rng):
     assert np.linalg.norm(x - x_full) <= 1e-6 * np.linalg.norm(x_full)
     assert np.linalg.norm(b - s.apply(x)) <= 10 * cfg.tol * np.linalg.norm(b)
     off = np.ones(s.ndof, dtype=bool)
-    off[M.defect_rows] = False
+    off[M.defect.rows] = False
     assert np.all(report.basis[:, off] == 0)
 
 

@@ -6,16 +6,17 @@ bit for bit.
 
 A dump holds, for a few fixed systems (one of them with dual orders below
 the primal ones), the CSR arrays of every slab block, the right-hand side,
-one operator apply and the apply of each slab-marching preconditioner; the
+one operator apply, the apply of each slab-marching preconditioner and,
+for each one that has a defect, its rows and its action; the
 point-evaluation forms (gradient jump, boundary penalty and flux, degree
 embedding) on meshes of 1, 2 and 5 elements; and the iterates, residual
-histories, CSV rows and residual logs of the benchmark's solves.  Only
-names present in every version of the package are used, so two trees can
-be dumped with the same script and compared; --compare exits 1 unless
-every array of both files has the same bytes.  For each numeric array that
-differs at equal shape it also prints max|a - b| / max|a|, so that an
-intended rounding change shows its size.  The solves take about a minute
-on a 2-core machine.
+histories, CSV rows, residual logs and error norms of the benchmark's
+solves.  Only names present in every version of the package are used, so
+two trees can be dumped with the same script and compared; --compare
+exits 1 unless every array of both files has the same bytes.  For each
+numeric array that differs at equal shape it also prints
+max|a - b| / max|a|, so that an intended rounding change shows its size.
+The solves take about a minute on a 2-core machine.
 """
 
 import argparse
@@ -78,7 +79,12 @@ def dump_systems(out):
         r = np.random.default_rng(2024).standard_normal(s.ndof)
         out[key + "-apply"] = s.apply(r)
         for kind in kinds:
-            out[f"{key}-{kind}"] = build_preconditioner(s, kind).apply(r)
+            M = build_preconditioner(s, kind)
+            out[f"{key}-{kind}"] = M.apply(r)
+            defect = getattr(M, "defect", None)
+            if defect is not None:
+                out[f"{key}-{kind}-defect_rows"] = defect.rows
+                out[f"{key}-{kind}-defect"] = defect(r)
 
 
 def dump_forms(out):
@@ -116,8 +122,8 @@ def dump_solves(out):
                           maxiter=3000).validate()
             with tempfile.TemporaryDirectory() as tmp:
                 log = os.path.join(tmp, "resid.log")
-                row, report, _ = cli.run_solve(cfg, PRESETS[preset],
-                                               residual_log=log)
+                row, report, errors = cli.run_solve(cfg, PRESETS[preset],
+                                                    residual_log=log)
                 with open(log) as fh:
                     log_text = fh.read()
             del row["walltime_s"]
@@ -127,6 +133,12 @@ def dump_solves(out):
             out[key + "-true"] = np.array(report.true_residuals)
             out[key + "-row"] = np.array(repr(sorted(row.items())))
             out[key + "-log"] = np.array(log_text)
+            # the restricted norms are None without a restricted region
+            out[key + "-errors"] = np.array(
+                [np.nan if v is None else v for v in (
+                    errors.err_LinfL2_u, errors.err_L2L2_ut,
+                    errors.err_LinfL2_u_restricted,
+                    errors.err_L2L2_ut_restricted)])
     finally:
         cli.gmres = solve
 
