@@ -71,8 +71,9 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
     M.  If it also has a ``defect``, with ``defect.system.apply`` being
     apply_op, it inverts apply_op up to terms on the rows ``defect.rows``
     (see ``_coordinates``): the basis is then stored and orthogonalized on
-    span{b} plus those rows only, and the Arnoldi step needs no operator
-    apply.  The true-residual checks still apply apply_op in full.
+    span{b} plus those rows only, and the Arnoldi step applies neither
+    apply_op nor M.  The true-residual checks and the returned iterate
+    still apply M and apply_op in full.
 
     log, if given, is called with (iteration, arnoldi_residual,
     true_residual_or_None) once per iteration.
@@ -96,7 +97,10 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
     # converges early costs only the rows it built, and a basis larger than
     # the system will reserve fails here, before the solve starts
     Q = np.empty((maxiter + 1, m))
-    H = np.zeros((maxiter + 1, maxiter))
+    # the rotated Hessenberg columns, packed: column j holds its j + 1
+    # entries above the (zeroed) subdiagonal at offset j (j + 1) / 2, so
+    # the entries written lie side by side, like Q's rows
+    H = np.empty(maxiter * (maxiter + 1) // 2)
     g = np.zeros(maxiter + 1)
     # rotation cosines and sines as Python floats
     cs = []
@@ -106,8 +110,11 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
     g[0] = beta
 
     def solution(j):
-        # back substitution with the rotated triangle H[:j+1, :j+1]
-        y, info = dgetrs(H[: j + 1, : j + 1], np.arange(j + 1), g[: j + 1])
+        # back substitution with the rotated triangle of the first j + 1
+        # columns: its transpose, read row-major, is their packed entries
+        R = np.zeros((j + 1, j + 1), order="F")
+        R.T[np.tri(j + 1, dtype=bool)] = H[: (j + 1) * (j + 2) // 2]
+        y, info = dgetrs(R, np.arange(j + 1), g[: j + 1])
         if info != 0:
             raise ValueError(f"getrs failed with info={info}")
         return apply_m(expand(Q[: j + 1].T @ y))
@@ -124,7 +131,7 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
         hnext = np.linalg.norm(w)
 
         # apply the previous rotations to the new column, then annihilate
-        # its subdiagonal entry; the column goes back into H in one write
+        # its subdiagonal entry; the column goes into H in one write
         col = h.tolist() + [hnext]
         for i in range(j):
             hi, hj = col[i], col[i + 1]
@@ -136,8 +143,7 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
         cs.append(float(col[j] / denom))
         sn.append(float(col[j + 1] / denom))
         col[j] = denom
-        col[j + 1] = 0.0
-        H[: j + 2, j] = col
+        H[j * (j + 1) // 2 : (j + 1) * (j + 2) // 2] = col[: j + 1]
         g[j + 1] = -sn[j] * g[j]
         g[j] = cs[j] * g[j]
 
@@ -184,9 +190,13 @@ def _coordinates(apply_op, apply_m, precond, b, beta):
     only on the rows S = precond.defect.rows.  Then A M = I + E M, so every
     Krylov vector lies in span{b} + R^S.  Coordinate 0 lies along
     e = b' / |b'|, where b' is b with S zeroed (dropped when b' = 0), the
-    others are the rows S, and step(q) = q + precond.defect(M expand(q)) on
-    S: no operator apply, and an orthogonalization over |S| + 1 instead of
-    len(b) entries.
+    others are the rows S, and on S
+
+        step(q) = q + q[0] (E M e) + defect.em(q[lead:]),
+
+    with E M e = defect(M e) from one apply of M per solve and defect.em
+    giving E M on S from S alone: the Arnoldi step applies neither A nor
+    M, and it orthogonalizes over |S| + 1 instead of len(b) entries.
     """
     defect = getattr(precond, "defect", None)
     if defect is None or apply_op != defect.system.apply:
@@ -209,9 +219,13 @@ def _coordinates(apply_op, apply_m, precond, b, beta):
         v[rows] = q[lead:]
         return v
 
+    em_e = defect(apply_m(e)) if lead else None
+
     def step(q):
         w = q.copy()
-        w[lead:] += defect(apply_m(expand(q)))
+        w[lead:] += defect.em(q[lead:])
+        if lead:
+            w[lead:] += q[0] * em_e
         return w
 
     q0 = np.concatenate(([off_norm] if lead else [], b[rows])) / beta

@@ -10,6 +10,8 @@ factorization; the first slab differs because no interface jump terms
 reach it.
 """
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -28,6 +30,13 @@ __all__ = [
     "ForwardBackwardSplit",
     "build_preconditioner",
 ]
+
+# unit columns per multi-right-hand-side solve when a defect builds its
+# trace inverse: a few, because each solve makes three slab-by-chunk
+# temporaries that the allocator may keep resident once freed (after the
+# build at gcc1d k=2 N=48, 64 columns left 3.6 MiB resident beside the
+# 4.5 MiB inverse, 8 left 0.3 MiB, in the same build time)
+TRACE_SOLVE_CHUNK = 8
 
 
 def _node_order(*spaces):
@@ -108,23 +117,44 @@ class _JumpDefect:
     defect E = A - M^-1, so A M = I + E M, and E is nonzero only on the
     primal-test rows these terms reach.
 
-    rows holds the global indices of those rows, in ascending order; a call
-    with z returns (E z) on them, computed from the jump blocks alone.
+    rows holds the global indices of those rows, in ascending order.  A call
+    with z returns (E z) on them, computed from the jump blocks alone;
+    em(v) returns (E M v) on them for a v that lives on them, given by its
+    values there.
+
+    M solves the slab blocks first (slab 0) and interior (every other
+    slab), both _BandLU.  Without lower it is the forward sweep that keeps
+    the lower half: interior holds the plus term, and each slab takes the
+    cross term of the slab before it.  With lower it is independent slab
+    solves.  E reads, and the sweep passes on, only each slab's trace dofs
+    T: the end-time rows of the upper terms and the start-time rows of the
+    lower ones.  So em needs no sweep (the interface reduction of Saad,
+    Iterative Methods for Sparse Linear Systems, ch. 14): the inverse of
+    interior on T, len(T)^2 doubles built on the first call, acts on the
+    traces of all slabs at once, and without lower a recurrence over the
+    end traces and one band solve on the first slab follow.
     """
 
-    def __init__(self, system, lower):
+    def __init__(self, system, lower, first, interior):
         self.system, self.lower = system, lower
+        self._first, self._interior = first, interior
         jump = system.jump
+        end = np.union1d(jump["minus"].nonzero()[0], system.cross_T.nonzero()[0])
+        start = np.union1d(jump["plus"].nonzero()[0], jump["cross"].nonzero()[0])
         reach = np.zeros((system.n_slabs, system.n_primal), dtype=bool)
-        for block in (jump["minus"], system.cross_T):
-            reach[:-1, block.nonzero()[0]] = True
+        reach[:-1, end] = True
         if lower:
-            for block in (jump["plus"], jump["cross"]):
-                reach[1:, block.nonzero()[0]] = True
+            reach[1:, start] = True
         slab, row = np.nonzero(reach)
         self.rows = slab * system.slab_size + row
-        # the same rows in the (n_primal, n_slabs) array of jump terms
+        # the same rows in the (n_primal, n_slabs) array of jump terms and in
+        # the (len(T), n_slabs) array of traces, T = end then start
         self._at = row * system.n_slabs + slab
+        at_trace = np.empty(system.n_primal, dtype=np.intp)
+        at_trace[end] = np.arange(len(end))
+        at_trace[start] = len(end) + np.arange(len(start))
+        self._trace_at = at_trace[row] * system.n_slabs + slab
+        self._end, self._start = end, start
 
     def __call__(self, z):
         sys = self.system
@@ -134,6 +164,54 @@ class _JumpDefect:
         if self.lower:
             EU[:, 1:] += sys.lower_jumps(U)
         return EU.ravel()[self._at]
+
+    @cached_property
+    def _traces(self):
+        """What em reads: the inverse of the interior slab block on T, from
+        unit solves in chunks of columns, and the jump blocks between
+        traces (E and the sweep's coupling read nothing else)."""
+        lu, end, start = self._interior, self._end, self._start
+        T = np.concatenate((end, start))
+        G = np.empty((len(T), len(T)))
+        for c in range(0, len(T), TRACE_SOLVE_CHUNK):
+            cols = T[c : c + TRACE_SOLVE_CHUNK]
+            unit = np.zeros((len(lu.perm), len(cols)))
+            unit[cols, np.arange(len(cols))] = 1.0
+            G[:, c : c + len(cols)] = lu.solve(unit)[T]
+        jump, cross_T = self.system.jump, self.system.cross_T
+        return (T, G, jump["minus"][end][:, end], jump["plus"][start][:, start],
+                jump["cross"][start][:, end], cross_T[end][:, start])
+
+    def em(self, v):
+        """(E M v) on rows, for the v given by its values on rows."""
+        if len(v) == 0:
+            return np.zeros(0)
+        T, G, minus, plus, cross, cross_T = self._traces
+        r, N = len(self._end), self.system.n_slabs
+        V = np.zeros((len(T), N))
+        V.ravel()[self._trace_at] = v
+        # the traces of M v, one column per slab, end rows first: the
+        # slab-local responses of all slabs at once, then the sweep's
+        # coupling
+        if self.lower:
+            X = G @ V
+        else:
+            X = G[:, :r] @ V[:r]
+            # the first slab's block has no plus term: one band solve there
+            rhs = np.zeros(len(self._first.perm))
+            rhs[self._end] = V[:r, 0]
+            X[:, 0] = self._first.solve(rhs)[T]
+            # the cross term carries each end trace into the start rows of
+            # the next slab
+            for n in range(1, N - 1):
+                X[:r, n] += G[:r, r:] @ (cross @ X[:r, n - 1])
+            X[r:, 1:] += G[r:, r:] @ (cross @ X[:r, :-1])
+        E, S = X[:r], X[r:]
+        out = np.zeros(V.shape)
+        out[:r, :-1] = minus @ E[:, :-1] - cross_T @ S[:, 1:]
+        if self.lower:
+            out[r:, 1:] = plus @ S[:, 1:] - cross @ E[:, :-1]
+        return out.ravel()[self._trace_at]
 
 
 class BlockJacobi:
@@ -146,10 +224,10 @@ class BlockJacobi:
 
     def __init__(self, system):
         self.system = system
-        self.defect = _JumpDefect(system, lower=True)
         self.lu = _BandLU(_slab_block(system, system.A_pd, system.Sstar),
                           _node_order(system.primal, system.dual),
                           "slab-diagonal block")
+        self.defect = _JumpDefect(system, True, self.lu, self.lu)
 
     def apply(self, r):
         # one multi-right-hand-side solve, a column per slab
@@ -190,7 +268,6 @@ class MonolithicForward:
         if orders == system_orders:
             sweep_dual, A_sw, Sstar_sw = system.dual, system.A_pd, system.Sstar
             self.embed = None
-            self.defect = _JumpDefect(system, lower=False)
         else:
             kc, qc = orders
             if kc > cfg.kstar or qc > cfg.qstar:
@@ -222,6 +299,8 @@ class MonolithicForward:
         n_sweep = system.n_primal + sweep_dual.n_pair
         self.coupling = system.jump["cross"].copy()
         self.coupling.resize(n_sweep, n_sweep)
+        if self.embed is None:
+            self.defect = _JumpDefect(system, False, self.lus[0], lu_interior)
 
     def apply(self, r):
         sys = self.system

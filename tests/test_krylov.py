@@ -397,6 +397,32 @@ def test_defect_row_basis_needs_no_operator_apply_in_arnoldi():
 
 
 @pytest.mark.parametrize("kind", ["mf", "block"])
+@pytest.mark.parametrize("off_rows", [True, False], ids=["b-off-rows", "b-on-rows"])
+def test_defect_row_basis_applies_m_only_outside_arnoldi(kind, off_rows, rng):
+    # M is applied at the true-residual checks, for the returned iterate and,
+    # when b has a part off the defect rows, once for E M of that part
+    s, b = solve_system("gcc1d", 1, 6)
+    M = build_preconditioner(s, kind)
+    off = np.ones(s.ndof, dtype=bool)
+    off[M.defect.rows] = False
+    if not off_rows:
+        b = np.zeros(s.ndof)
+        b[M.defect.rows] = rng.standard_normal(len(M.defect.rows))
+    assert np.any(b[off] != 0) == off_rows
+    calls = []
+    apply = M.apply
+
+    def counted(r):
+        calls.append(1)
+        return apply(r)
+
+    M.apply = counted
+    _, report = gmres(s.apply, b, M)
+    assert report.converged and report.iterations > 20
+    assert len(calls) == len(report.true_residuals) + 1 + off_rows
+
+
+@pytest.mark.parametrize("kind", ["mf", "block"])
 def test_rhs_on_the_defect_rows_only(kind, rng):
     # b' = 0: the basis has no coordinate along b', only the defect rows
     s, _ = solve_system("gcc1d", 1, 6)

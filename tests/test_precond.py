@@ -438,3 +438,37 @@ def test_other_preconditioners_expose_no_defect(kind):
     # ml sweeps at dual orders (1, 0), below the system's (1, 1)
     s = make_system(n_slabs=3)
     assert getattr(build_preconditioner(s, kind), "defect", None) is None
+
+
+@settings(max_examples=30)
+@given(st.integers(1, 2), st.integers(1, 2), st.sampled_from([1, 2, 3, 5]),
+       st.sampled_from([4, 8]), st.sampled_from(["gcc1d", "nogcc1d"]),
+       st.sampled_from(["mf", "block"]), st.data(), st.integers(0, 2**32 - 1))
+def test_property_em_is_the_defect_of_the_preconditioned_vector(
+        k, q, n_slabs, n_elems, preset, kind, data, seed):
+    # dual orders equal to or below the primal ones
+    kstar = data.draw(st.integers(1, k), label="kstar")
+    qstar = data.draw(st.integers(0, q), label="qstar")
+    s = make_system(preset, k=k, q=q, kstar=kstar, qstar=qstar,
+                    n_slabs=n_slabs, n_elems=n_elems)
+    M = build_preconditioner(s, kind)
+    rows = M.defect.rows
+    v = np.random.default_rng(seed).standard_normal(len(rows))
+    on_rows = s.zero_vector()
+    on_rows[rows] = v
+    # (E M v) on the rows, from the slab traces alone and from a full sweep
+    em = M.defect.em(v)
+    swept = M.defect(M.apply(on_rows))
+    assert em.shape == swept.shape == (len(rows),)
+    assert np.linalg.norm(em - swept) <= 1e-9 * np.linalg.norm(swept)
+
+
+@pytest.mark.parametrize("kind", ["mf", "block"])
+def test_traces_are_built_on_the_first_em_only(kind):
+    s = make_system(n_slabs=3)
+    defect = build_preconditioner(s, kind).defect
+    assert "_traces" not in vars(defect)
+    defect.em(np.zeros(len(defect.rows)))
+    traces = vars(defect)["_traces"]
+    defect.em(np.ones(len(defect.rows)))
+    assert vars(defect)["_traces"] is traces

@@ -7,15 +7,18 @@ bit for bit.
 A dump holds, for a few fixed systems (one of them with dual orders below
 the primal ones), the CSR arrays of every slab block, the right-hand side,
 one operator apply, the apply of each slab-marching preconditioner and,
-for each one that has a defect, its rows and its action; the
-point-evaluation forms (gradient jump, boundary penalty and flux, degree
-embedding) on meshes of 1, 2 and 5 elements; and the iterates, residual
-histories, CSV rows, residual logs and error norms of the benchmark's
-solves.  Only names present in every version of the package are used, so
-two trees can be dumped with the same script and compared; --compare
-exits 1 unless every array of both files has the same bytes.  For each
-numeric array that differs at equal shape it also prints
-max|a - b| / max|a|, so that an intended rounding change shows its size.
+for each one that has a defect, its rows, its action and (where the
+package has it) its action after the preconditioner on a vector that lives
+on those rows; the point-evaluation forms (gradient jump, boundary penalty
+and flux, degree embedding) on meshes of 1, 2 and 5 elements; and the
+iterates, residual histories, CSV rows, residual logs, error norms and
+preconditioner apply counts of the benchmark's solves.  Only names present
+in every version of the package are used, or their outputs are skipped
+where they are missing, so two trees can be dumped with the same script
+and compared; --compare exits 1 unless both files hold the same outputs
+with the same bytes.  For each numeric array that differs at equal shape
+it also prints max|a - b| / max|a| over the positions finite in both, so
+that an intended rounding change shows its size.
 The solves take about a minute on a 2-core machine.
 """
 
@@ -85,6 +88,10 @@ def dump_systems(out):
             if defect is not None:
                 out[f"{key}-{kind}-defect_rows"] = defect.rows
                 out[f"{key}-{kind}-defect"] = defect(r)
+                if hasattr(defect, "em"):
+                    v = np.random.default_rng(7).standard_normal(
+                        len(defect.rows))
+                    out[f"{key}-{kind}-defect_em"] = defect.em(v)
 
 
 def dump_forms(out):
@@ -111,8 +118,19 @@ def dump_solves(out):
     solve = cli.gmres
     last = {}
 
-    def capture(*args, **kwargs):
-        last["x"], last["report"] = solve(*args, **kwargs)
+    def capture(apply_op, b, precond, *args, **kwargs):
+        # count the preconditioner applies of the solve
+        last["applies"] = 0
+        if precond is not None:
+            apply = precond.apply
+
+            def counted(r):
+                last["applies"] += 1
+                return apply(r)
+
+            precond.apply = counted
+        last["x"], last["report"] = solve(apply_op, b, precond, *args,
+                                          **kwargs)
         return last["x"], last["report"]
 
     cli.gmres = capture
@@ -133,6 +151,7 @@ def dump_solves(out):
             out[key + "-true"] = np.array(report.true_residuals)
             out[key + "-row"] = np.array(repr(sorted(row.items())))
             out[key + "-log"] = np.array(log_text)
+            out[key + "-precond_applies"] = np.array(last["applies"])
             # the restricted norms are None without a restricted region
             out[key + "-errors"] = np.array(
                 [np.nan if v is None else v for v in (
@@ -144,13 +163,19 @@ def dump_solves(out):
 
 
 def _relative_change(a, b):
-    """max|a - b| / max|a| of two numeric arrays of one shape, as a suffix
-    for the report line; empty for any other pair."""
-    if (a.shape != b.shape or a.size == 0
+    """max|a - b| / max|a| over the positions where both of two numeric
+    arrays of one shape are finite (the unset restricted error norms are
+    NaN in both), as a suffix for the report line; empty for any other
+    pair."""
+    if (a.shape != b.shape
             or not all(np.issubdtype(x.dtype, np.number) for x in (a, b))):
         return ""
-    scale = np.abs(a).max()
-    diff = np.abs(a.astype(float) - b.astype(float)).max()
+    a, b = a.astype(float), b.astype(float)
+    finite = np.isfinite(a) & np.isfinite(b)
+    if not finite.any():
+        return ""
+    scale = np.abs(a[finite]).max()
+    diff = np.abs(a[finite] - b[finite]).max()
     return f" (max|a - b| / max|a| = {diff / scale if scale else np.inf:.3e})"
 
 
