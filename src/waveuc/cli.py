@@ -10,7 +10,7 @@ import time
 from dataclasses import replace
 
 from .config import PRECONDITIONERS, PRESETS
-from .krylov import GmresConfig, gmres
+from .krylov import GmresBreakdown, GmresConfig, gmres
 from .postproc import eoc, error_norms, extract_primal_field, lift
 from .precond import build_preconditioner
 from .spacetime_system import SpaceTimeSystem
@@ -277,7 +277,7 @@ def main(argv=None):
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return args.func(args)
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError, GmresBreakdown) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dgetrs
+from scipy.linalg.lapack import dtrtrs
 
 __all__ = ["GmresConfig", "SolveReport", "GmresBreakdown", "gmres"]
 
@@ -56,16 +56,14 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
     work.  The rotations of each new Hessenberg column run on Python floats,
     which is the same IEEE arithmetic in the same order as on NumPy scalars
     at a fraction of the interpreter cost.  The iterate's coefficients come
-    from a back substitution with the rotated triangle: LAPACK ``getrs``
-    with identity pivots, which is exactly what a dense LU solve does with
-    an upper-triangular matrix whose diagonal is positive (partial pivoting
-    swaps no row and L = I), so the coefficients keep that solve's rounding
-    bit for bit without its O(j^3) factorization.
+    from a back substitution with the rotated triangle (LAPACK ``trtrs``).
 
     Arnoldi breaks down when the orthogonalized vector is tiny relative to
     ``A M q_j`` itself, so the test does not depend on the operator's scale;
-    a non-finite vector breaks down at once, and a right-hand side with a
-    non-finite norm is refused before the basis is reserved.
+    on the last iteration the space allows, which needs no further basis
+    vector, the solve then ends unconverged instead.  A non-finite vector
+    breaks down at once, and a right-hand side with a non-finite norm is
+    refused before the basis is reserved.
 
     precond is None (no preconditioner) or has ``apply(r)``, the action of
     M.  If it also has a ``defect``, with ``defect.system.apply`` being
@@ -107,6 +105,7 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
     sn = []
 
     Q[0] = q0
+    built = 1  # rows of Q written
     g[0] = beta
 
     def solution(j):
@@ -114,9 +113,9 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
         # columns: its transpose, read row-major, is their packed entries
         R = np.zeros((j + 1, j + 1), order="F")
         R.T[np.tri(j + 1, dtype=bool)] = H[: (j + 1) * (j + 2) // 2]
-        y, info = dgetrs(R, np.arange(j + 1), g[: j + 1])
+        y, info = dtrtrs(R, g[: j + 1])
         if info != 0:
-            raise ValueError(f"getrs failed with info={info}")
+            raise ValueError(f"trtrs failed with info={info}")
         return apply_m(expand(Q[: j + 1].T @ y))
 
     for j in range(maxiter):
@@ -149,7 +148,7 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
 
         est = abs(g[j + 1]) / beta
         report.residual_history.append(est)
-        true_res = None
+        x = true_res = None
         if (j + 1) % TRUE_RESIDUAL_EVERY == 0:
             x = solution(j)
             true_res = np.linalg.norm(b - apply_op(x)) / beta
@@ -160,21 +159,23 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
         if est <= cfg.tol:
             report.converged = True
             break
-        # written so that nan breaks down too
+        # written so that nan breaks down too; the last iteration needs no
+        # further basis vector, so only a non-finite est breaks down there
         if not hnext > BREAKDOWN_TOL * wnorm:
+            if j + 1 == maxiter and math.isfinite(est):
+                break
             raise GmresBreakdown(
                 f"Arnoldi breakdown at iteration {j + 1} with residual "
                 f"estimate {est:.3e}"
             )
         Q[j + 1] = w / hnext
+        built += 1
 
     report.iterations = j + 1
     if keep_basis:
-        # every basis vector built: one more than the iterations unless the
-        # last iteration converged
-        built = j + 1 if report.converged else j + 2
         report.basis = _expand_rows(expand, Q[:built])
-    return solution(j), report
+    # a check iteration has computed the iterate already
+    return solution(j) if x is None else x, report
 
 
 def _coordinates(apply_op, apply_m, precond, b, beta):

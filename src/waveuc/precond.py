@@ -118,76 +118,62 @@ class _JumpDefect:
     primal-test rows these terms reach.
 
     rows holds the global indices of those rows, in ascending order.  A call
-    with z returns (E z) on them, computed from the jump blocks alone;
-    em(v) returns (E M v) on them for a v that lives on them, given by its
-    values there.
+    with z returns (E z) on them; em(v) returns (E M v) on them for a v that
+    lives on them, given by its values there.  On rows, E is A's whole jump
+    action (the lower half reaches only start-time rows, which rows omit
+    without lower), so both end in system.trace_jumps.
 
     M solves the slab blocks first (slab 0) and interior (every other
     slab), both _BandLU.  Without lower it is the forward sweep that keeps
     the lower half: interior holds the plus term, and each slab takes the
     cross term of the slab before it.  With lower it is independent slab
-    solves.  E reads, and the sweep passes on, only each slab's trace dofs
-    T: the end-time rows of the upper terms and the start-time rows of the
-    lower ones.  So em needs no sweep (the interface reduction of Saad,
+    solves.  E reads, and the sweep passes on, only each slab's traces
+    (system.trace).  So em needs no sweep (the interface reduction of Saad,
     Iterative Methods for Sparse Linear Systems, ch. 14): the inverse of
-    interior on T, len(T)^2 doubles built on the first call, acts on the
-    traces of all slabs at once, and without lower a recurrence over the
-    end traces and one band solve on the first slab follow.
+    interior on the traces, len(trace)^2 doubles built on the first call,
+    acts on the traces of all slabs at once, and without lower a recurrence
+    over the end traces and one band solve on the first slab follow.
     """
 
     def __init__(self, system, lower, first, interior):
         self.system, self.lower = system, lower
         self._first, self._interior = first, interior
-        jump = system.jump
-        end = np.union1d(jump["minus"].nonzero()[0], system.cross_T.nonzero()[0])
-        start = np.union1d(jump["plus"].nonzero()[0], jump["cross"].nonzero()[0])
+        T, r = system.trace, system.n_end
         reach = np.zeros((system.n_slabs, system.n_primal), dtype=bool)
-        reach[:-1, end] = True
+        reach[:-1, T[:r]] = True
         if lower:
-            reach[1:, start] = True
+            reach[1:, T[r:]] = True
         slab, row = np.nonzero(reach)
         self.rows = slab * system.slab_size + row
-        # the same rows in the (n_primal, n_slabs) array of jump terms and in
-        # the (len(T), n_slabs) array of traces, T = end then start
-        self._at = row * system.n_slabs + slab
+        # the same rows in the (len(trace), n_slabs) array of traces
         at_trace = np.empty(system.n_primal, dtype=np.intp)
-        at_trace[end] = np.arange(len(end))
-        at_trace[start] = len(end) + np.arange(len(start))
+        at_trace[T] = np.arange(len(T))
         self._trace_at = at_trace[row] * system.n_slabs + slab
-        self._end, self._start = end, start
 
     def __call__(self, z):
         sys = self.system
-        U = np.ascontiguousarray(sys.slab_view(z)[:, : sys.n_primal].T)
-        EU = np.zeros(U.shape)
-        EU[:, :-1] = sys.upper_jumps(U)
-        if self.lower:
-            EU[:, 1:] += sys.lower_jumps(U)
-        return EU.ravel()[self._at]
+        X = sys.slab_view(z)[:, sys.trace].T
+        return sys.trace_jumps(X).ravel()[self._trace_at]
 
     @cached_property
     def _traces(self):
-        """What em reads: the inverse of the interior slab block on T, from
-        unit solves in chunks of columns, and the jump blocks between
-        traces (E and the sweep's coupling read nothing else)."""
-        lu, end, start = self._interior, self._end, self._start
-        T = np.concatenate((end, start))
+        """The inverse of the interior slab block on the traces, from unit
+        solves in chunks of columns."""
+        lu, T = self._interior, self.system.trace
         G = np.empty((len(T), len(T)))
         for c in range(0, len(T), TRACE_SOLVE_CHUNK):
             cols = T[c : c + TRACE_SOLVE_CHUNK]
             unit = np.zeros((len(lu.perm), len(cols)))
             unit[cols, np.arange(len(cols))] = 1.0
             G[:, c : c + len(cols)] = lu.solve(unit)[T]
-        jump, cross_T = self.system.jump, self.system.cross_T
-        return (T, G, jump["minus"][end][:, end], jump["plus"][start][:, start],
-                jump["cross"][start][:, end], cross_T[end][:, start])
+        return G
 
     def em(self, v):
         """(E M v) on rows, for the v given by its values on rows."""
         if len(v) == 0:
             return np.zeros(0)
-        T, G, minus, plus, cross, cross_T = self._traces
-        r, N = len(self._end), self.system.n_slabs
+        G, sys = self._traces, self.system
+        T, r, N = sys.trace, sys.n_end, sys.n_slabs
         V = np.zeros((len(T), N))
         V.ravel()[self._trace_at] = v
         # the traces of M v, one column per slab, end rows first: the
@@ -199,19 +185,15 @@ class _JumpDefect:
             X = G[:, :r] @ V[:r]
             # the first slab's block has no plus term: one band solve there
             rhs = np.zeros(len(self._first.perm))
-            rhs[self._end] = V[:r, 0]
+            rhs[T[:r]] = V[:r, 0]
             X[:, 0] = self._first.solve(rhs)[T]
             # the cross term carries each end trace into the start rows of
             # the next slab
+            cross = sys.trace_jump["cross"]
             for n in range(1, N - 1):
                 X[:r, n] += G[:r, r:] @ (cross @ X[:r, n - 1])
             X[r:, 1:] += G[r:, r:] @ (cross @ X[:r, :-1])
-        E, S = X[:r], X[r:]
-        out = np.zeros(V.shape)
-        out[:r, :-1] = minus @ E[:, :-1] - cross_T @ S[:, 1:]
-        if self.lower:
-            out[r:, 1:] = plus @ S[:, 1:] - cross @ E[:, :-1]
-        return out.ravel()[self._trace_at]
+        return sys.trace_jumps(X).ravel()[self._trace_at]
 
 
 class BlockJacobi:

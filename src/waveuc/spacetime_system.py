@@ -9,9 +9,11 @@ the sweep preconditioners rely on.
 Every slab carries the same blocks, so the operator, the right-hand side
 and the norms work on the (n_slabs, slab_size) view of a global vector: each
 block is applied once to all slabs as a sparse x dense product on the
-transposed primal or dual columns (one column per slab), and the interface
-terms couple the column ranges [:, 1:] (later slab) and [:, :-1] (earlier
-slab).  dense_matrix keeps an independent per-slab assembly as the oracle.
+transposed primal or dual columns (one column per slab).  The interface
+jump terms read and reach only the primal traces of each slab (its end- and
+start-time rows), so trace_jumps applies them to the traces alone; they
+couple the column ranges [:, 1:] (later slab) and [:, :-1] (earlier slab).
+dense_matrix keeps an independent per-slab assembly as the oracle.
 """
 
 from dataclasses import dataclass
@@ -68,9 +70,22 @@ class SpaceTimeSystem:
         self.Sstar = assemble_dual_stabilizer(self.dual)
         self.Momega = assemble_data_mass(self.primal, self.primal, self.data)
         self.jump = interface_jump_blocks(self.primal)
-        # transposes used by every operator application, built once
+        # transpose used by every operator application, built once
         self.A_pd_T = self.A_pd.T.tocsr()
-        self.cross_T = self.jump["cross"].T.tocsr()
+        # the primal rows the jump terms read and reach, trace: the end-time
+        # rows (minus and the transposed cross), then the start-time rows
+        # (plus and cross), disjoint because q >= 1; trace_jump holds the
+        # jump blocks restricted to them
+        jump, cross_T = self.jump, self.jump["cross"].T.tocsr()
+        end = np.union1d(jump["minus"].nonzero()[0], cross_T.nonzero()[0])
+        start = np.union1d(jump["plus"].nonzero()[0], jump["cross"].nonzero()[0])
+        self.trace, self.n_end = np.concatenate((end, start)), len(end)
+        self.trace_jump = {
+            "minus": jump["minus"][end][:, end],
+            "plus": jump["plus"][start][:, start],
+            "cross": jump["cross"][start][:, end],
+            "cross_T": cross_T[end][:, start],
+        }
 
         self.n_primal = self.primal.n_pair
         self.n_dual = self.dual.n_pair
@@ -123,22 +138,22 @@ class SpaceTimeSystem:
         """
         U, Z = self._split(x)
         Yp = self.Momega @ U + self.Sh @ U + self.A_pd_T @ Z
-        # column n is slab n, so the later slab of each interface is [:, 1:]
-        Yp[:, 1:] += self.lower_jumps(U)
-        Yp[:, :-1] += self.upper_jumps(U)
+        Yp[self.trace] += self.trace_jumps(U[self.trace])
         return self._join(Yp, self.A_pd @ U - self.Sstar @ Z)
 
-    def lower_jumps(self, U):
-        """Jump terms tested on the later slab of each interface (plus and
-        cross), one column per interface; U holds the primal coefficients,
-        one column per slab."""
-        return self.jump["plus"] @ U[:, 1:] - self.jump["cross"] @ U[:, :-1]
-
-    def upper_jumps(self, U):
-        """Jump terms tested on the earlier slab of each interface (minus
-        and the transposed cross), one column per interface; U as in
-        lower_jumps."""
-        return self.jump["minus"] @ U[:, :-1] - self.cross_T @ U[:, 1:]
+    def trace_jumps(self, X):
+        """The interface jump terms of A on the trace rows, from the primal
+        traces X (rows trace, one column per slab): each slab's end-time
+        rows take the minus and transposed cross terms of the interface
+        after it, its start-time rows the plus and cross terms of the one
+        before it."""
+        blocks, r = self.trace_jump, self.n_end
+        E, S = X[:r], X[r:]
+        Y = np.zeros(X.shape)
+        # column n is slab n, so the later slab of each interface is [:, 1:]
+        Y[:r, :-1] = blocks["minus"] @ E[:, :-1] - blocks["cross_T"] @ S[:, 1:]
+        Y[r:, 1:] = blocks["plus"] @ S[:, 1:] - blocks["cross"] @ E[:, :-1]
+        return Y
 
     # -- right-hand side -------------------------------------------------
 

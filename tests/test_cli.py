@@ -154,6 +154,29 @@ def test_unconverged_solve_exits_2(tmp_path):
     assert row["iters"] == "5"
 
 
+def test_arnoldi_breakdown_exits_1(capsys):
+    # the huge boundary penalty makes the first Arnoldi vector NaN
+    code = main(["solve", "--slabs", "2", "--elems", "4", "--precond", "dfb",
+                 "--lambda", "1e308"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: Arnoldi breakdown at iteration 1 ")
+
+
+@pytest.mark.parametrize("precond, iters", [("none", 80), ("mf", 11)])
+def test_exhausted_krylov_space_exits_2(tmp_path, precond, iters):
+    # tol 1e-300 is never met: the solve runs until the Krylov space is the
+    # whole space it lives in (80 unknowns, or 10 defect rows plus span{b})
+    out = tmp_path / "run.csv"
+    code = main(["solve", "--slabs", "2", "--elems", "4", "--precond",
+                 precond, "--tol", "1e-300", "--out", str(out)])
+    assert code == 2
+    (row,) = read_rows(out)
+    assert (row["converged"], row["iters"]) == ("false", str(iters))
+
+
 def test_residual_log(tmp_path):
     out = tmp_path / "run.csv"
     log = tmp_path / "resid.log"

@@ -164,12 +164,29 @@ def test_non_finite_operator_breaks_down_at_once(bad, rng):
         w[7] = bad
         return w
 
-    lines = []
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(GmresBreakdown, match="at iteration 1 "):
-            gmres(op, rng.standard_normal(40), cfg=GmresConfig(maxiter=40),
-                  log=lambda *a: lines.append(a))
-    assert len(lines) == 1
+    # maxiter 1: on the last iteration too, which needs no basis vector
+    for maxiter in (40, 1):
+        lines = []
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(GmresBreakdown, match="at iteration 1 "):
+                gmres(op, rng.standard_normal(40),
+                      cfg=GmresConfig(maxiter=maxiter),
+                      log=lambda *a: lines.append(a))
+        assert len(lines) == 1
+
+
+def test_exhausted_space_returns_the_iterate_unconverged(rng):
+    # after n iterations the Krylov space is the whole space, so the next
+    # basis vector is rounding noise: no tolerance is met, nothing breaks
+    # down, and the iterate solves the system
+    n = 20
+    A = rng.standard_normal((n, n)) + 6 * np.eye(n)
+    b = rng.standard_normal(n)
+    x, report = gmres(MatrixOp(A), b, cfg=GmresConfig(tol=1e-300),
+                      keep_basis=True)
+    assert not report.converged and report.iterations == n
+    assert report.basis.shape == (n, n)
+    assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
 
 
 # -- bitwise equivalence with the dense-solve bookkeeping ---------------------
@@ -396,12 +413,20 @@ def test_defect_row_basis_needs_no_operator_apply_in_arnoldi():
     assert len(calls) == len(report.true_residuals) < report.iterations
 
 
-@pytest.mark.parametrize("kind", ["mf", "block"])
-@pytest.mark.parametrize("off_rows", [True, False], ids=["b-off-rows", "b-on-rows"])
-def test_defect_row_basis_applies_m_only_outside_arnoldi(kind, off_rows, rng):
-    # M is applied at the true-residual checks, for the returned iterate and,
-    # when b has a part off the defect rows, once for E M of that part
-    s, b = solve_system("gcc1d", 1, 6)
+@pytest.mark.parametrize("preset, k, n_slabs, kind, off_rows", [
+    pytest.param("gcc1d", 1, 6, "block", True, id="b-off-rows-block"),
+    pytest.param("gcc1d", 1, 6, "mf", True, id="b-off-rows-mf"),
+    pytest.param("gcc1d", 1, 6, "block", False, id="b-on-rows-block"),
+    pytest.param("gcc1d", 1, 6, "mf", False, id="b-on-rows-mf"),
+    # converges on iteration 30, a true-residual check
+    pytest.param("nogcc1d", 2, 4, "mf", True, id="b-off-rows-mf-on-check"),
+])
+def test_defect_row_basis_applies_m_only_outside_arnoldi(
+        preset, k, n_slabs, kind, off_rows, rng):
+    # M is applied at the true-residual checks, for the returned iterate
+    # unless the last check computed it and, when b has a part off the
+    # defect rows, once for E M of that part
+    s, b = solve_system(preset, k, n_slabs)
     M = build_preconditioner(s, kind)
     off = np.ones(s.ndof, dtype=bool)
     off[M.defect.rows] = False
@@ -419,7 +444,9 @@ def test_defect_row_basis_applies_m_only_outside_arnoldi(kind, off_rows, rng):
     M.apply = counted
     _, report = gmres(s.apply, b, M)
     assert report.converged and report.iterations > 20
-    assert len(calls) == len(report.true_residuals) + 1 + off_rows
+    on_check = report.iterations % 10 == 0
+    assert on_check == (preset == "nogcc1d")
+    assert len(calls) == len(report.true_residuals) + (not on_check) + off_rows
 
 
 @pytest.mark.parametrize("kind", ["mf", "block"])

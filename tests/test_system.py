@@ -349,3 +349,40 @@ def test_property_norm_identity(case):
     s, x = case
     lhs = s.apply(negate_dual(s, x)) @ x
     assert lhs == pytest.approx(s.triple_norm(x).total**2, rel=1e-10)
+
+
+@st.composite
+def trace_systems(draw):
+    """A system of either preset with primal orders k, q in 1..3, k* <= k,
+    1, 2, 3 or 5 slabs, and a random vector."""
+    k = draw(st.integers(1, 3))
+    s = make_system(draw(st.sampled_from(sorted(PRESETS))), k=k,
+                    q=draw(st.integers(1, 3)), kstar=draw(st.integers(1, k)),
+                    qstar=draw(st.integers(0, 3)), n_elems=4,
+                    n_slabs=draw(st.sampled_from([1, 2, 3, 5])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return s, rng.standard_normal(s.ndof)
+
+
+@settings(max_examples=40)
+@given(trace_systems())
+def test_property_trace_jumps_is_the_jump_action_on_full_columns(case):
+    s, x = case
+    U = s.slab_view(x)[:, : s.n_primal].T
+    P, Mm, C = (s.jump[key] for key in ("plus", "minus", "cross"))
+    # column n is slab n, so the later slab of each interface is [:, 1:]
+    ref = np.zeros(U.shape)
+    ref[:, 1:] += P @ U[:, 1:] - C @ U[:, :-1]
+    ref[:, :-1] += Mm @ U[:, :-1] - C.T @ U[:, 1:]
+    Y = np.zeros(U.shape)
+    Y[s.trace] = s.trace_jumps(U[s.trace])
+    assert np.linalg.norm(Y - ref) <= 1e-14 * np.linalg.norm(ref)
+    # apply scatters with Yp[trace] +=, which needs distinct trace rows and
+    # misses nothing only if every block vanishes off the trace rows and
+    # columns
+    assert len(np.unique(s.trace)) == len(s.trace)
+    off = np.ones(s.n_primal, dtype=bool)
+    off[s.trace] = False
+    for block in s.jump.values():
+        dense = block.toarray()
+        assert not dense[off].any() and not dense[:, off].any()

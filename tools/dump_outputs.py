@@ -6,10 +6,11 @@ bit for bit.
 
 A dump holds, for a few fixed systems (one of them with dual orders below
 the primal ones), the CSR arrays of every slab block, the right-hand side,
-one operator apply, the apply of each slab-marching preconditioner and,
-for each one that has a defect, its rows, its action and (where the
-package has it) its action after the preconditioner on a vector that lives
-on those rows; the point-evaluation forms (gradient jump, boundary penalty
+one operator apply and, where the package has them, the slab trace rows
+and the jump terms on the traces of the same vector; the apply of each
+slab-marching preconditioner and, for each one that has a defect, its rows,
+its action and (where the package has it) its action after the
+preconditioner on a vector that lives on those rows; the point-evaluation forms (gradient jump, boundary penalty
 and flux, degree embedding) on meshes of 1, 2 and 5 elements; and the
 iterates, residual histories, CSV rows, residual logs, error norms and
 preconditioner apply counts of the benchmark's solves.  Only names present
@@ -81,6 +82,10 @@ def dump_systems(out):
         out[key + "-rhs"] = s.assemble_rhs(PRESETS[preset].u)
         r = np.random.default_rng(2024).standard_normal(s.ndof)
         out[key + "-apply"] = s.apply(r)
+        if hasattr(s, "trace_jumps"):
+            out[key + "-trace"] = s.trace
+            out[key + "-trace_jumps"] = s.trace_jumps(
+                s.slab_view(r)[:, s.trace].T)
         for kind in kinds:
             M = build_preconditioner(s, kind)
             out[f"{key}-{kind}"] = M.apply(r)
