@@ -108,10 +108,18 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
     built = 1  # rows of Q written
     g[0] = beta
 
+    # room for the largest triangle the checks unpack (no larger than Q),
+    # reused by every check: a new (j + 1)^2 array at each check grows the
+    # heap by a hole per check once the allocator serves such sizes there
+    # (62 MB of heap, 50 MB of it free, after six gcc1d k=1 N=16 sweeps of
+    # mf, ml, block and dfb)
+    tri = np.empty(maxiter * maxiter)
+
     def solution(j):
         # back substitution with the rotated triangle of the first j + 1
         # columns: its transpose, read row-major, is their packed entries
-        R = np.zeros((j + 1, j + 1), order="F")
+        # (dtrtrs reads the upper triangle only, so the rest stays unset)
+        R = tri[: (j + 1) ** 2].reshape((j + 1, j + 1), order="F")
         R.T[np.tri(j + 1, dtype=bool)] = H[: (j + 1) * (j + 2) // 2]
         y, info = dtrtrs(R, g[: j + 1])
         if info != 0:

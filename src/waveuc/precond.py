@@ -31,8 +31,8 @@ __all__ = [
     "build_preconditioner",
 ]
 
-# unit columns per multi-right-hand-side solve when a defect builds its
-# trace inverse: a few, because each solve makes three slab-by-chunk
+# columns per multi-right-hand-side solve when a defect builds its trace
+# blocks (_trace_solves): a few, because each solve makes three slab-by-chunk
 # temporaries that the allocator may keep resident once freed (after the
 # build at gcc1d k=2 N=48, 64 columns left 3.6 MiB resident beside the
 # 4.5 MiB inverse, 8 left 0.3 MiB, in the same build time)
@@ -110,6 +110,23 @@ def _march(R, lus, coupling, trans=0):
     return X
 
 
+def _trace_solves(lu, T, rows, B):
+    """Solutions of lu on the trace rows T for the right-hand sides that
+    hold the columns of the sparse B on rows and zeros elsewhere, as
+    (column slice, solutions) pairs of TRACE_SOLVE_CHUNK columns."""
+    B = sp.csc_matrix(B, copy=True)
+    B.sum_duplicates()
+    for c in range(0, B.shape[1], TRACE_SOLVE_CHUNK):
+        stop = min(c + TRACE_SOLVE_CHUNK, B.shape[1])
+        # the entries of the chunk's columns, straight from the CSC arrays
+        ptr = B.indptr[c : stop + 1]
+        at = slice(ptr[0], ptr[-1])
+        rhs = np.zeros((len(lu.perm), stop - c))
+        rhs[rows[B.indices[at]], np.repeat(np.arange(stop - c),
+                                           np.diff(ptr))] = B.data[at]
+        yield slice(c, stop), lu.solve(rhs)[T]
+
+
 class _JumpDefect:
     """The interface jump terms that a preconditioner M leaves out of the
     matrix it inverts: the upper half (tested on the earlier slab of each
@@ -121,7 +138,7 @@ class _JumpDefect:
     with z returns (E z) on them; em(v) returns (E M v) on them for a v that
     lives on them, given by its values there.  On rows, E is A's whole jump
     action (the lower half reaches only start-time rows, which rows omit
-    without lower), so both end in system.trace_jumps.
+    without lower), so a call with z ends in system.trace_jumps.
 
     M solves the slab blocks first (slab 0) and interior (every other
     slab), both _BandLU.  Without lower it is the forward sweep that keeps
@@ -129,10 +146,19 @@ class _JumpDefect:
     cross term of the slab before it.  With lower it is independent slab
     solves.  E reads, and the sweep passes on, only each slab's traces
     (system.trace).  So em needs no sweep (the interface reduction of Saad,
-    Iterative Methods for Sparse Linear Systems, ch. 14): the inverse of
-    interior on the traces, len(trace)^2 doubles built on the first call,
-    acts on the traces of all slabs at once, and without lower a recurrence
-    over the end traces and one band solve on the first slab follow.
+    Iterative Methods for Sparse Linear Systems, ch. 14), only the inverse G
+    of interior on the traces, or blocks made of it, which em builds from
+    solves with interior on its first call.  With lower, em applies G to
+    the traces of all slabs at once and ends in trace_jumps.  Without
+    lower, the jump blocks are folded into G, so that em works on the
+    r = system.n_end end traces alone.  With c the cross block, cT its
+    transpose on the traces and V_n the end traces of v on slab n, the
+    end traces of M v are X_0 from one band solve on the first slab and
+    X_n = G_ee V_n + P X_(n-1) after it, where G_ee is G[:r, :r] and
+    P = G[:r, r:] c carries them from slab to slab; then (E M v) on slab n
+    is D [X_n; V_(n+1)] with D = [minus - cT G[r:, r:] c, -cT G[r:, :r]].
+    G_ee, P and D hold 4 r^2 doubles (trace_bytes), as many as G, which is
+    never formed.
     """
 
     def __init__(self, system, lower, first, interior):
@@ -155,45 +181,68 @@ class _JumpDefect:
         X = sys.slab_view(z)[:, sys.trace].T
         return sys.trace_jumps(X).ravel()[self._trace_at]
 
+    @property
+    def trace_bytes(self):
+        """Bytes of the arrays that em builds on its first call and keeps
+        (none while rows is empty): G, or G_ee, P and D without lower."""
+        r, t = self.system.n_end, len(self.system.trace)
+        return 8 * (t * t if self.lower else 4 * r * r)
+
     @cached_property
     def _traces(self):
-        """The inverse of the interior slab block on the traces, from unit
-        solves in chunks of columns."""
-        lu, T = self._interior, self.system.trace
-        G = np.empty((len(T), len(T)))
-        for c in range(0, len(T), TRACE_SOLVE_CHUNK):
-            cols = T[c : c + TRACE_SOLVE_CHUNK]
-            unit = np.zeros((len(lu.perm), len(cols)))
-            unit[cols, np.arange(len(cols))] = 1.0
-            G[:, c : c + len(cols)] = lu.solve(unit)[T]
-        return G
+        """G with lower, else (G_ee, P, D), from solves with interior in
+        chunks of columns.  Without lower, G is never formed: the end unit
+        columns give G[:, :r], and the columns of cross on the start rows
+        give G[:, r:] c, each written into the blocks chunk by chunk."""
+        lu, sys = self._interior, self.system
+        T, r = sys.trace, sys.n_end
+        if self.lower:
+            G = np.empty((len(T), len(T)))
+            for cols, S in _trace_solves(lu, T, T, sp.identity(len(T))):
+                G[:, cols] = S
+            return G
+        blocks = sys.trace_jump
+        cross_T = blocks["cross_T"]
+        G_ee, P = np.empty((r, r)), np.empty((r, r))
+        D = np.empty((r, 2 * r))
+        D[:, :r] = blocks["minus"].toarray()
+        for cols, S in _trace_solves(lu, T, T[:r], sp.identity(r)):
+            G_ee[:, cols] = S[:r]
+            D[:, r + cols.start : r + cols.stop] = -(cross_T @ S[r:])
+        for cols, S in _trace_solves(lu, T, T[r:], blocks["cross"]):
+            P[:, cols] = S[:r]
+            D[:, cols] -= cross_T @ S[r:]
+        return G_ee, P, D
 
     def em(self, v):
         """(E M v) on rows, for the v given by its values on rows."""
         if len(v) == 0:
             return np.zeros(0)
-        G, sys = self._traces, self.system
+        sys = self.system
         T, r, N = sys.trace, sys.n_end, sys.n_slabs
-        V = np.zeros((len(T), N))
-        V.ravel()[self._trace_at] = v
-        # the traces of M v, one column per slab, end rows first: the
-        # slab-local responses of all slabs at once, then the sweep's
-        # coupling
         if self.lower:
-            X = G @ V
-        else:
-            X = G[:, :r] @ V[:r]
-            # the first slab's block has no plus term: one band solve there
-            rhs = np.zeros(len(self._first.perm))
-            rhs[T[:r]] = V[:r, 0]
-            X[:, 0] = self._first.solve(rhs)[T]
-            # the cross term carries each end trace into the start rows of
-            # the next slab
-            cross = sys.trace_jump["cross"]
-            for n in range(1, N - 1):
-                X[:r, n] += G[:r, r:] @ (cross @ X[:r, n - 1])
-            X[r:, 1:] += G[r:, r:] @ (cross @ X[:r, :-1])
-        return sys.trace_jumps(X).ravel()[self._trace_at]
+            V = np.zeros((len(T), N))
+            V.ravel()[self._trace_at] = v
+            # the traces of M v, one column per slab, end rows first
+            return sys.trace_jumps(self._traces @ V).ravel()[self._trace_at]
+        G_ee, P, D = self._traces
+        # rows are all r end rows of slabs 0..N-2, slab by slab, in trace
+        # order: v is their end traces V, one row per slab
+        V = v.reshape(N - 1, r)
+        # W stacks, row n, the end traces X[n] of M v on slab n beside
+        # those of v on slab n + 1 (zero on the last slab, off rows)
+        W = np.empty((N - 1, 2 * r))
+        W[:-1, r:] = V[1:]
+        W[-1, r:] = 0.0
+        X = W[:, :r]
+        # the first slab's block has no plus term: one band solve there
+        rhs = np.zeros(len(self._first.perm))
+        rhs[T[:r]] = V[0]
+        X[0] = self._first.solve(rhs)[T[:r]]
+        X[1:] = V[1:] @ G_ee.T
+        for n in range(1, N - 1):
+            X[n] += X[n - 1] @ P.T
+        return (W @ D.T).ravel()
 
 
 class BlockJacobi:

@@ -13,7 +13,7 @@ from waveuc.postproc import (
     extract_primal_field,
     lift,
 )
-from waveuc.slab_forms import SlabSpace
+from waveuc.slab_forms import SlabSpace, element_dofs
 
 from conftest import SlabFunction, make_system
 
@@ -263,3 +263,61 @@ def test_eoc_examples():
     assert eoc([0.1, 0.0]) == [math.inf]
     with pytest.raises(ValueError):
         eoc([0.5])
+
+
+def slab_by_slab_error_norms(u, dt_u, sol, region):
+    """The error norms one slab at a time, with the lifted function
+    evaluated at every quadrature point of every element (the reference
+    formula that error_norms batches over all slabs)."""
+    mesh, xb, tb, dt = sol.mesh, sol.xbasis, sol.tbasis, sol.dt
+    samples = gauss_lobatto_nodes(tb.cardinality + 2)
+    rule = gauss_rule(ERROR_QUADRATURE_POINTS)
+    x0, x1 = mesh.vertices[:-1], mesh.vertices[1:]
+    dofs = element_dofs(mesh, xb.degree)
+
+    def squared(f, tau, c, reg):
+        lo, hi = (mesh.a, mesh.b) if reg is None else reg(tau)
+        a, b = np.maximum(x0, lo), np.minimum(x1, hi)
+        length = np.maximum(b - a, 0.0)
+        xq = a[:, None] + length[:, None] * rule.points
+        uh = np.einsum("eqi,ei->eq", xb.eval((xq - x0[:, None]) / mesh.h),
+                       c[dofs])
+        return length @ ((f(tau, xq) - uh) ** 2 @ rule.weights)
+
+    regions = [None] if region is None else [None, region]
+    linf = [0.0] * len(regions)
+    l2 = [0.0] * len(regions)
+    for n, coeffs in enumerate(sol.coeffs):
+        for i, reg in enumerate(regions):
+            for xi in samples:
+                c = tb.eval(np.array(xi)) @ coeffs
+                linf[i] = max(linf[i], squared(u, (n + xi) * dt, c, reg))
+            for w, xi in zip(rule.weights, rule.points):
+                c = tb.eval(np.array(xi), deriv=1) @ coeffs / dt
+                l2[i] += dt * w * squared(dt_u, (n + xi) * dt, c, reg)
+    return [math.sqrt(v) for pair in zip(linf, l2) for v in pair]
+
+
+@pytest.mark.parametrize("restricted", [False, True],
+                         ids=["whole", "restricted"])
+@pytest.mark.parametrize("preset_name", ["gcc1d", "nogcc1d"])
+def test_error_norms_match_slab_by_slab_formula(preset_name, restricted):
+    preset = PRESETS[preset_name]
+    s = make_system(preset=preset_name, n_elems=8, n_slabs=4, k=2, q=2,
+                    kstar=2, qstar=2)
+    space = s.primal
+    # the nodal interpolant of the exact solution: small errors, so the
+    # comparison sees the rounding of the difference u - u_h
+    times = (np.arange(s.n_slabs)[:, None] + space.tbasis.nodes) * s.config.dt
+    nodes = np.linspace(s.mesh.a, s.mesh.b, space.n_x)
+    sol = lift(space, preset.u(times[..., None], nodes))
+    region = preset.restricted_region if restricted else None
+    if restricted:
+        # on gcc1d, a window whose ends cut elements at most sample times
+        region = region or (lambda t: (0.15 + 0.3 * t, 0.7 - 0.2 * t))
+    report = error_norms(preset.u, preset.dt_u, sol, region=region)
+    got = [report.err_LinfL2_u, report.err_L2L2_ut,
+           report.err_LinfL2_u_restricted, report.err_L2L2_ut_restricted]
+    want = slab_by_slab_error_norms(preset.u, preset.dt_u, sol, region)
+    assert got[:len(want)] == pytest.approx(want, rel=1e-12, abs=0)
+    assert got[len(want):] == [None] * (4 - len(want))

@@ -9,6 +9,7 @@ from waveuc.precond import (
     BlockJacobi,
     ForwardBackwardSplit,
     MonolithicForward,
+    _BandLU,
     build_preconditioner,
 )
 
@@ -472,3 +473,46 @@ def test_traces_are_built_on_the_first_em_only(kind):
     traces = vars(defect)["_traces"]
     defect.em(np.ones(len(defect.rows)))
     assert vars(defect)["_traces"] is traces
+
+
+@pytest.mark.parametrize("kind", ["mf", "block"])
+def test_trace_bytes_are_what_the_first_em_keeps(kind):
+    s = make_system(k=2, q=2, kstar=2, qstar=2, n_slabs=3)
+    defect = build_preconditioner(s, kind).defect
+    r, t = s.n_end, len(s.trace)
+    assert defect.trace_bytes == 8 * (4 * r * r if kind == "mf" else t * t)
+    defect.em(np.ones(len(defect.rows)))
+    traces = vars(defect)["_traces"]
+    arrays = [traces] if kind == "block" else list(traces)
+    # the memory the cache keeps alive, views counted by what they view
+    owners = [a if a.base is None else a.base for a in arrays]
+    assert sum(a.nbytes for a in owners) == defect.trace_bytes
+    if kind == "mf":
+        assert all(a.shape != (t, t) for a in arrays)
+
+
+@pytest.mark.parametrize("n_slabs", [2, 5])
+def test_mf_em_makes_one_band_solve_and_no_trace_jumps(n_slabs, monkeypatch):
+    s = make_system(k=2, q=2, kstar=2, qstar=2, n_slabs=n_slabs)
+    M = build_preconditioner(s, "mf")
+
+    def refuse(X):
+        raise AssertionError("em called trace_jumps")
+
+    monkeypatch.setattr(s, "trace_jumps", refuse)
+    solved = []
+    solve = _BandLU.solve
+
+    def counted(lu, b, trans=0):
+        solved.append(lu)
+        return solve(lu, b, trans)
+
+    monkeypatch.setattr(_BandLU, "solve", counted)
+    rng = np.random.default_rng(5)
+    # the first call builds the trace blocks from band solves
+    M.defect.em(rng.standard_normal(len(M.defect.rows)))
+    for _ in range(3):
+        solved.clear()
+        M.defect.em(rng.standard_normal(len(M.defect.rows)))
+        assert len(solved) == 1
+        assert solved[0] is M.lus[0]
