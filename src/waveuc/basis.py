@@ -1,5 +1,7 @@
 """Polynomial bases on the reference interval [0, 1] and Gauss quadrature."""
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = [
@@ -27,12 +29,20 @@ class QuadratureRule:
         return len(self.points)
 
 
+@lru_cache(maxsize=20)
 def gauss_rule(n_points):
-    """Gauss-Legendre rule on [0, 1], exact for polynomials of degree 2n-1."""
+    """Gauss-Legendre rule on [0, 1], exact for polynomials of degree 2n-1.
+
+    Each order is computed once per process and shared by every caller, so
+    its points and weights are read-only.
+    """
     if not 1 <= n_points <= 20:
         raise ValueError(f"unsupported quadrature order: {n_points} (need 1..20)")
     x, w = np.polynomial.legendre.leggauss(n_points)
-    return QuadratureRule(0.5 * (x + 1.0), 0.5 * w)
+    rule = QuadratureRule(0.5 * (x + 1.0), 0.5 * w)
+    rule.points.flags.writeable = False
+    rule.weights.flags.writeable = False
+    return rule
 
 
 def gauss_lobatto_nodes(n_nodes):

@@ -18,6 +18,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .slab_forms import (
     SlabSpace,
+    _tensor_block,
     assemble_A,
     assemble_dfb_extras,
     assemble_dual_stabilizer,
@@ -80,6 +81,12 @@ class _BandLU:
         if info < 0:
             raise RuntimeError(f"dgbtrf: illegal value in argument {-info}")
 
+    @property
+    def band_bytes(self):
+        """Bytes of the LU band, n (2 kl + ku + 1) doubles: fixed by the
+        block's pattern and perm, so known before dgbtrf runs."""
+        return 8 * len(self.perm) * (2 * self.kl + self.ku + 1)
+
     def solve(self, b, trans=0):
         """Solution of the block (trans=0) or its transpose (trans=1)
         against b, one right-hand side per column."""
@@ -90,13 +97,25 @@ class _BandLU:
         return out
 
 
+# the temporal factor that makes an assembled block one tensor term
+_WHOLE = np.ones((1, 1))
+
+
+def _sum_block(*blocks):
+    """The sum of assembled blocks of one shape, left to right."""
+    return _tensor_block(([blocks[0].shape[0]], [blocks[0].shape[1]]),
+                         [(0, 0, 1.0, _WHOLE, b) for b in blocks])
+
+
 def _slab_block(system, A, Sstar, plus=None):
     """The slab-diagonal block [[Sh + Momega (+ plus), A^T], [A, -Sstar]]
     of a sweep whose dual pair is tested by A and Sstar."""
-    diag_pp = system.Sh + system.Momega
-    if plus is not None:
-        diag_pp = diag_pp + plus
-    return sp.bmat([[diag_pp, A.T], [A, -Sstar]])
+    diag = [system.Sh, system.Momega] + ([] if plus is None else [plus])
+    terms = ([(0, 0, 1.0, _WHOLE, b) for b in diag]
+             + [(0, 1, 1.0, _WHOLE, A.T), (1, 0, 1.0, _WHOLE, A),
+                (1, 1, -1.0, _WHOLE, Sstar)])
+    sizes = (system.n_primal, Sstar.shape[0])
+    return _tensor_block((sizes, sizes), terms)
 
 
 def _march(R, lus, coupling, trans=0):
@@ -311,9 +330,10 @@ class MonolithicForward:
             Sstar_sw = assemble_dual_stabilizer(sweep_dual)
             Ex = _spatial_embedding(system.mesh, system.dual.xbasis,
                                     sweep_dual.xbasis)
-            Et = sp.csr_matrix(sweep_dual.tbasis.eval(system.dual.tbasis.nodes))
-            Ef = sp.kron(Et, Ex, format="csr")
-            self.embed = sp.block_diag((Ef, Ef), format="csr")
+            Et = sweep_dual.tbasis.eval(system.dual.tbasis.nodes)
+            self.embed = _tensor_block(
+                ((system.dual.n_field,) * 2, (sweep_dual.n_field,) * 2),
+                [(0, 0, 1.0, Et, Ex), (1, 1, 1.0, Et, Ex)])
             self.embed_T = self.embed.T.tocsr()
             self.sstar_lu = _BandLU(system.Sstar, _node_order(system.dual),
                                     "dual stabilizer")
@@ -366,8 +386,9 @@ class ForwardBackwardSplit:
                 "orders"
             )
         extras = assemble_dfb_extras(system.primal, system.dual, system.data, lam)
-        G0 = system.A_pd + extras["observer"] + extras["nitsche"]
-        Gint = G0 + extras["coupling_diag"]
+        G0 = _sum_block(system.A_pd, extras["observer"], extras["nitsche"])
+        Gint = _sum_block(system.A_pd, extras["observer"], extras["nitsche"],
+                          extras["coupling_diag"])
         self.coupling_sub = extras["coupling_sub"]
         self.coupling_sub_T = self.coupling_sub.T.tocsr()
         # equal orders: the dual-test rows sort like the primal columns

@@ -6,9 +6,10 @@ pair (displacement, velocity) is stored as two stacked field blocks; within
 a field block the coefficient layout is (temporal mode, spatial dof),
 flattened C-style, so a field block has (q+1) * n_x entries.
 
-Every block is a scipy.sparse sum of kron(temporal factor, spatial factor)
-terms over one slab's field-pair coefficients.  A SlabSpace keeps the
-factors it is tested with, so a system builds each distinct factor once.
+Every block is a sum of kron(temporal factor, spatial factor) terms over
+one slab's field-pair coefficients, given as a list of terms that
+_tensor_block turns into one CSR matrix.  A SlabSpace keeps the factors it
+is tested with, so a system builds each distinct factor once.
 Every spatial form is an element integral, one local matrix scattered over
 element_dofs (the global dofs of each element), or a product of point_matrix
 evaluations, with no element loop.  The temporal factors of the blocks that
@@ -33,6 +34,7 @@ __all__ = [
     "gradient_jump_matrix",
     "assemble_A",
     "assemble_primal_stabilizers",
+    "assemble_Sh",
     "assemble_dual_stabilizer",
     "assemble_data_mass",
     "interface_jump_blocks",
@@ -194,11 +196,117 @@ def gradient_jump_matrix(mesh, basis):
     return (mesh.h * (G.T @ G)).tocsr()
 
 
-def _pair_blocks(b11, b12, b21, b22, shape11):
-    """2x2 field-pair block matrix with explicit zero blocks where needed."""
-    blocks = [sp.csr_matrix(shape11) if blk is None else blk
-              for blk in (b11, b12, b21, b22)]
-    return sp.bmat([blocks[:2], blocks[2:]], format="csr")
+def _tensor_block(shape, terms):
+    """One CSR block from a list of tensor-product terms.
+
+    shape holds the sizes of the block's row fields and of its column
+    fields.  A term (i, j, scale, T, S), with T a small dense temporal
+    matrix and S a sparse spatial one of shape (n, m), puts
+    scale * kron(T, S) on row field i and column field j: the entry
+    scale * (T[a, b] * S[r, c]) at (a * n + r, b * m + c) within them.
+    As with kron, a zero of T puts no entries and a stored zero of S is
+    kept.  Several terms on one field pair are summed as a sparse sum
+    would: entry by entry, left to right in the order of terms, with no
+    zero stored.  So the block is bitwise the bmat of the field pairs, each
+    the kron of its one term or the sparse sum of its terms' krons.
+
+    The terms of one field pair share the union of their spatial patterns,
+    so each field pair is a dense temporal array over that pattern, and
+    every entry's place in the CSR arrays follows from row lengths alone.
+    Only spatial patterns are ever sorted: an S with unsorted rows, and the
+    union of a field pair's patterns when the largest does not hold the
+    others.
+    """
+    row_at = np.cumsum((0,) + tuple(shape[0]))
+    col_at = np.cumsum((0,) + tuple(shape[1]))
+    n_rows, n_cols = int(row_at[-1]), int(col_at[-1])
+    groups = {}
+    for i, j, scale, T, S in terms:
+        S = S.tocsr()
+        if not S.has_sorted_indices:
+            S = S.sorted_indices()
+        groups.setdefault((i, j), []).append((scale, np.asarray(T), S))
+    # the entries of block row (i, a, r), zeros to drop included: for each
+    # field pair (i, j) in column order, each temporal column b, the
+    # pattern's spatial row r
+    length = np.zeros(n_rows, dtype=np.intp)
+    pieces = []
+    for i, j in sorted(groups):
+        group = groups[i, j]
+        (n, m), (n_a, n_b) = group[0][2].shape, group[0][1].shape
+        ptr, col, val, keep = _pair_entries(group, n, m)
+        rows = slice(row_at[i], row_at[i] + n_a * n)
+        pieces.append((j, n_a, n_b, n, m, ptr, col, rows, val, keep))
+        length[rows] += n_b * np.tile(np.diff(ptr), n_a)
+    start = np.concatenate(([0], np.cumsum(length)))
+    # scipy's own index type for a matrix of this size
+    index = np.int32 if max(n_cols, start[-1]) < 2**31 else np.int64
+    filled = start[:-1].copy()
+    data = np.empty(start[-1])
+    indices = np.empty(start[-1], dtype=index)
+    kept = np.ones(start[-1], dtype=bool)
+    for j, n_a, n_b, n, m, ptr, col, rows, val, keep in pieces:
+        r_len = np.diff(ptr)
+        # first place of each (a, b, spatial row), minus the row's offset
+        # in the pattern, so that adding the pattern index places each entry
+        base = ((filled[rows] - np.tile(ptr[:-1], n_a)).reshape(n_a, 1, n)
+                + np.arange(n_b)[:, None] * r_len)
+        dest = np.repeat(base, r_len, axis=2) + np.arange(len(col))
+        data[dest] = val.reshape(dest.shape)
+        indices[dest] = (col_at[j] + m * np.arange(n_b, dtype=index)[:, None]
+                         + col)
+        if keep is not None:
+            kept[dest] = keep.reshape(dest.shape)
+        filled[rows] += n_b * np.tile(r_len, n_a)
+    indptr = start
+    if not kept.all():
+        row = np.repeat(np.arange(n_rows), length)[kept]
+        indptr = np.zeros(n_rows + 1, dtype=index)
+        np.cumsum(np.bincount(row, minlength=n_rows), out=indptr[1:])
+        data, indices = data[kept], indices[kept]
+    return sp.csr_matrix((data, indices, indptr.astype(index, copy=False)),
+                         shape=(n_rows, n_cols))
+
+
+def _pair_entries(group, n, m):
+    """The entries of one field pair's terms (scale, T, S) over the union
+    of their spatial patterns (n x m): the pattern's CSR row pointer and
+    columns, the values with one row per temporal pair (a, b), and which of
+    them to keep (None for all).  One term keeps the stored zeros of S;
+    several are summed as a sparse sum would: left to right in the order
+    given, with no zero stored."""
+    values = [scale * (T.ravel()[:, None] * S.data) for scale, T, S in group]
+    if len(group) == 1:
+        w = group[0][1].ravel()
+        keep = None if w.all() else np.broadcast_to(
+            (w != 0)[:, None], values[0].shape)
+        return group[0][2].indptr, group[0][2].indices, values[0], keep
+    # the union of the terms' row-major patterns: that of the largest term,
+    # when it holds the others (as Sh holds the other diagonal terms of a
+    # slab block)
+    keys = [m * np.repeat(np.arange(n), np.diff(S.indptr)) + S.indices
+            for _, _, S in group]
+    big = max(range(len(group)), key=lambda t: len(keys[t]))
+    ptr, col, union = group[big][2].indptr, group[big][2].indices, keys[big]
+    at = [slice(None) if t == big else np.searchsorted(union, k)
+          for t, k in enumerate(keys)]
+    if not all(t == big or np.array_equal(union[u % len(union)], keys[t])
+               for t, u in enumerate(at)):
+        union = np.unique(np.concatenate(keys))
+        at = [np.searchsorted(union, k) for k in keys]
+        ptr, col = np.searchsorted(union, m * np.arange(n + 1)), union % m
+    # summed onto zeros: a sum that is zero is dropped anyway, and a zero
+    # added to a nonzero sum leaves it as it is
+    total = np.zeros((len(values[0]), len(union)))
+    for v, u in zip(values, at):
+        total[:, u] += v
+    keep = total != 0
+    return ptr, col, total, None if keep.all() else keep
+
+
+def _pair_shape(test, trial):
+    """Field sizes of a field-pair block: test's rows, trial's columns."""
+    return (test.n_field,) * 2, (trial.n_field,) * 2
 
 
 def assemble_A(primal, dual):
@@ -213,10 +321,39 @@ def assemble_A(primal, dual):
     Mx = dual.spatial(primal)
     Kx = dual.spatial(primal, 1, 1)
     Fx = boundary_flux_matrix(primal.mesh, dual.xbasis, primal.xbasis)
-    A11 = sp.kron(Mt, Kx - Fx, format="csr")
-    A12 = sp.kron(Ct, Mx, format="csr")
-    A22 = -sp.kron(Mt, Mx, format="csr")
-    return _pair_blocks(A11, A12, A12, A22, A11.shape)
+    return _tensor_block(_pair_shape(dual, primal), [
+        (0, 0, 1.0, Mt, Kx - Fx),
+        (0, 1, 1.0, Ct, Mx),
+        (1, 0, 1.0, Ct, Mx),
+        (1, 1, -1.0, Mt, Mx),
+    ])
+
+
+def _primal_stabilizer_terms(space):
+    """The terms of the four primal stabilizers, by name, in the order
+    their sum Sh adds them."""
+    h = space.mesh.h
+    tmat = lambda a, b: space.temporal(space, a, b)
+    Mx = space.spatial(space)
+    return {
+        "J": [(0, 0, 1.0, tmat(0, 0),
+               gradient_jump_matrix(space.mesh, space.xbasis))],
+        # element-wise residual (dt u2 - Laplace u1) against itself, weight h^2
+        "G": [
+            (0, 0, h**2, tmat(0, 0), space.spatial(space, 2, 2)),
+            (0, 1, -(h**2), tmat(0, 1), space.spatial(space, 2, 0)),
+            (1, 0, -(h**2), tmat(1, 0), space.spatial(space, 0, 2)),
+            (1, 1, h**2, tmat(1, 1), Mx),
+        ],
+        # (u2 - dt u1) against (w2 - dt w1)
+        "I0": [
+            (0, 0, 1.0, tmat(1, 1), Mx),
+            (0, 1, -1.0, tmat(1, 0), Mx),
+            (1, 0, -1.0, tmat(0, 1), Mx),
+            (1, 1, 1.0, tmat(0, 0), Mx),
+        ],
+        "R": [(0, 0, 1.0 / h, tmat(0, 0), space.boundary_penalty(space))],
+    }
 
 
 def assemble_primal_stabilizers(space):
@@ -224,44 +361,22 @@ def assemble_primal_stabilizers(space):
 
     Returns a dict with the gradient-jump penalty "J", the interior
     least-squares term "G", the velocity-compatibility term "I0", the
-    lateral boundary penalty "R" and their sum "Sh".  All are symmetric
-    field-pair matrices; the sum is positive semidefinite.
+    lateral boundary penalty "R" and their sum "Sh" (assemble_Sh).  All are
+    symmetric field-pair matrices; the sum is positive semidefinite.
     """
-    h = space.mesh.h
-    tmat = lambda a, b: space.temporal(space, a, b)
-    Mx = space.spatial(space)
-    Jx = gradient_jump_matrix(space.mesh, space.xbasis)
-    S22 = space.spatial(space, 2, 2)
-    S02 = space.spatial(space, 0, 2)
-    S20 = space.spatial(space, 2, 0)
-    Pb = space.boundary_penalty(space)
-    shape = (space.n_field, space.n_field)
-
-    J = _pair_blocks(sp.kron(tmat(0, 0), Jx), None, None, None, shape)
-
-    # element-wise residual (dt u2 - Laplace u1) against itself, weight h^2
-    G = _pair_blocks(
-        h**2 * sp.kron(tmat(0, 0), S22),
-        -(h**2) * sp.kron(tmat(0, 1), S20),
-        -(h**2) * sp.kron(tmat(1, 0), S02),
-        h**2 * sp.kron(tmat(1, 1), Mx),
-        shape,
-    )
-
-    # (u2 - dt u1) against (w2 - dt w1)
-    I0 = _pair_blocks(
-        sp.kron(tmat(1, 1), Mx),
-        -sp.kron(tmat(1, 0), Mx),
-        -sp.kron(tmat(0, 1), Mx),
-        sp.kron(tmat(0, 0), Mx),
-        shape,
-    )
-
-    R = _pair_blocks((1.0 / h) * sp.kron(tmat(0, 0), Pb), None, None, None, shape)
-
-    parts = {"J": J, "G": G, "I0": I0, "R": R}
-    parts["Sh"] = sum(parts.values()).tocsr()
+    shape = _pair_shape(space, space)
+    parts = {name: _tensor_block(shape, terms)
+             for name, terms in _primal_stabilizer_terms(space).items()}
+    parts["Sh"] = assemble_Sh(space)
     return parts
+
+
+def assemble_Sh(space):
+    """The sum ((J + G) + I0) + R of the primal stabilizers, as one block."""
+    terms = _primal_stabilizer_terms(space)
+    return _tensor_block(_pair_shape(space, space),
+                         [term for name in ("J", "G", "I0", "R")
+                          for term in terms[name]])
 
 
 def assemble_dual_stabilizer(space):
@@ -271,9 +386,10 @@ def assemble_dual_stabilizer(space):
     Mx = space.spatial(space)
     Kx = space.spatial(space, 1, 1)
     Pb = space.boundary_penalty(space)
-    B11 = sp.kron(Mt, Mx + Kx + Pb / space.mesh.h, format="csr")
-    B22 = sp.kron(Mt, Mx, format="csr")
-    return _pair_blocks(B11, None, None, B22, B11.shape)
+    return _tensor_block(_pair_shape(space, space), [
+        (0, 0, 1.0, Mt, Mx + Kx + Pb / space.mesh.h),
+        (1, 1, 1.0, Mt, Mx),
+    ])
 
 
 def assemble_data_mass(test_space, trial_space, data):
@@ -281,8 +397,8 @@ def assemble_data_mass(test_space, trial_space, data):
     only.  Rows run over test_space, columns over trial_space."""
     Mt = test_space.temporal(trial_space)
     Mw = test_space.spatial(trial_space, mask=data.element_mask)
-    B11 = sp.kron(Mt, Mw, format="csr")
-    return _pair_blocks(B11, None, None, None, B11.shape)
+    return _tensor_block(_pair_shape(test_space, trial_space),
+                         [(0, 0, 1.0, Mt, Mw)])
 
 
 def interface_jump_blocks(space):
@@ -298,12 +414,11 @@ def interface_jump_blocks(space):
     Mx = space.spatial(space)
     W1 = Mx / dt + dt * space.spatial(space, 1, 1)
     W2 = Mx / dt
-    shape = (space.n_field, space.n_field)
+    shape = _pair_shape(space, space)
 
     def block(t_test, t_trial):
         T = temporal_trace_matrix(space.tbasis, space.tbasis, t_test, t_trial)
-        return _pair_blocks(sp.kron(T, W1, format="csr"), None, None,
-                            sp.kron(T, W2, format="csr"), shape)
+        return _tensor_block(shape, [(0, 0, 1.0, T, W1), (1, 1, 1.0, T, W2)])
 
     return {"plus": block(0.0, 0.0), "minus": block(1.0, 1.0),
             "cross": block(0.0, 1.0)}
@@ -320,19 +435,16 @@ def assemble_dfb_extras(primal, dual, data, lam):
     """
     if lam <= 0:
         raise ValueError(f"boundary penalty weight must be positive, got {lam}")
-    shape = (dual.n_field, primal.n_field)
-    nitsche = _pair_blocks(
-        (lam / primal.mesh.h)
-        * sp.kron(dual.temporal(primal), dual.boundary_penalty(primal)),
-        None, None, None, shape,
-    )
+    shape = _pair_shape(dual, primal)
+    nitsche = _tensor_block(shape, [
+        (0, 0, lam / primal.mesh.h, dual.temporal(primal),
+         dual.boundary_penalty(primal))])
     Mdp = dual.spatial(primal)
 
     def coupling(t_trial):
         # y2 tests the jump of u1 and y1 that of u2, at the dual slab start
         T = temporal_trace_matrix(dual.tbasis, primal.tbasis, 0.0, t_trial)
-        C = sp.kron(T, Mdp, format="csr")
-        return _pair_blocks(None, C, C, None, shape)
+        return _tensor_block(shape, [(0, 1, 1.0, T, Mdp), (1, 0, 1.0, T, Mdp)])
 
     return {
         "observer": assemble_data_mass(dual, primal, data),
@@ -348,5 +460,6 @@ def assemble_dual_interface_mass(dual):
     one would change the discretization); acceptance criterion 9 checks
     that it is symmetric positive semidefinite."""
     T = temporal_trace_matrix(dual.tbasis, dual.tbasis, 0.0, 0.0)
-    B = sp.kron(T, dual.spatial(dual), format="csr")
-    return dual.dt * _pair_blocks(B, None, None, B, B.shape)
+    Mx = dual.spatial(dual)
+    return _tensor_block(_pair_shape(dual, dual),
+                         [(0, 0, dual.dt, T, Mx), (1, 1, dual.dt, T, Mx)])

@@ -27,7 +27,7 @@ from .slab_forms import (
     assemble_A,
     assemble_data_mass,
     assemble_dual_stabilizer,
-    assemble_primal_stabilizers,
+    assemble_Sh,
     element_dofs,
     interface_jump_blocks,
 )
@@ -66,7 +66,7 @@ class SpaceTimeSystem:
         self.n_slabs = config.n_slabs
 
         self.A_pd = assemble_A(self.primal, self.dual)
-        self.Sh = assemble_primal_stabilizers(self.primal)["Sh"]
+        self.Sh = assemble_Sh(self.primal)
         self.Sstar = assemble_dual_stabilizer(self.dual)
         self.Momega = assemble_data_mass(self.primal, self.primal, self.data)
         self.jump = interface_jump_blocks(self.primal)

@@ -43,6 +43,19 @@ def test_gauss_rule_rejects_bad_order(n):
         gauss_rule(n)
 
 
+@pytest.mark.parametrize("n", [1, 4, 20])
+def test_gauss_rule_is_shared_and_read_only(n):
+    # every caller gets the one rule of each order, so no caller may
+    # change it for the others
+    first, second = gauss_rule(n), gauss_rule(n)
+    for a, b in ((first.points, second.points),
+                 (first.weights, second.weights)):
+        assert np.array_equal(a, b)
+        assert not a.flags.writeable and not b.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
 def test_gauss_lobatto_three_nodes():
     assert gauss_lobatto_nodes(3) == pytest.approx([0.0, 0.5, 1.0])
 

@@ -491,6 +491,20 @@ def test_trace_bytes_are_what_the_first_em_keeps(kind):
         assert all(a.shape != (t, t) for a in arrays)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("kind", ["mf", "ml", "block", "dfb"])
+def test_band_bytes_are_the_factored_band(kind, k):
+    s = make_system(k=k, q=k, kstar=k, qstar=k, n_elems=8, n_slabs=3)
+    M = build_preconditioner(s, kind)
+    lus = {id(lu): lu for lu in getattr(M, "lus", [])}
+    for name in ("lu", "sstar_lu"):
+        if hasattr(M, name):
+            lus[id(getattr(M, name))] = getattr(M, name)
+    assert lus
+    for lu in lus.values():
+        assert lu.band_bytes == lu.lu.nbytes
+
+
 @pytest.mark.parametrize("n_slabs", [2, 5])
 def test_mf_em_makes_one_band_solve_and_no_trace_jumps(n_slabs, monkeypatch):
     s = make_system(k=2, q=2, kstar=2, qstar=2, n_slabs=n_slabs)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from waveuc.basis import SpatialBasis, TemporalBasis, gauss_rule
 from waveuc.mesh import build_interval_mesh, mark_data_domain
 from waveuc.slab_forms import (
     SlabSpace,
+    _tensor_block,
     assemble_A,
     assemble_data_mass,
     assemble_dfb_extras,
@@ -594,3 +597,80 @@ def test_spatial_embedding_interpolates_coarse_functions(fine, coarse, rng):
     c = rng.standard_normal(coarse + 1)
     assert E @ np.polyval(c, x_c) == pytest.approx(np.polyval(c, x_f),
                                                    abs=1e-12)
+
+
+# -- the tensor-product block builder against kron, bmat and sparse sums -----
+
+
+def kron_bmat_block(shape, terms):
+    """The block _tensor_block builds, from scipy's kron, sparse sum and
+    bmat: each field pair is its one term's scale * kron(T, S), or the
+    sparse sum of its terms' in their order, placed with bmat."""
+    pairs = {}
+    for i, j, scale, T, S in terms:
+        block = scale * sp.kron(T, S, format="csr")
+        pairs[i, j] = block if (i, j) not in pairs else pairs[i, j] + block
+    rows, cols = shape
+    return sp.bmat([[pairs.get((i, j), sp.csr_matrix((n, m)))
+                     for j, m in enumerate(cols)]
+                    for i, n in enumerate(rows)], format="csr")
+
+
+# values that cancel exactly in sums, and zeros for T and stored zeros of S
+ENTRIES = st.sampled_from([0.0, 1.0, -1.0, 0.5, -0.25, 0.1, 0.3, -0.7, 3.0])
+
+
+def unsorted_rows(S):
+    """S with the entries of every row stored in reverse column order."""
+    order = np.concatenate([np.arange(stop - 1, start - 1, -1) for start, stop
+                            in zip(S.indptr[:-1], S.indptr[1:])]
+                           ).astype(np.intp)
+    return sp.csr_matrix((S.data[order], S.indices[order], S.indptr),
+                         shape=S.shape)
+
+
+@st.composite
+def tensor_terms(draw):
+    """A field layout and terms on it: rectangular fields of their own
+    temporal and spatial sizes on either side, several terms on one field
+    pair, zeros in T, stored zeros in S, unsorted S rows, and scales of
+    either sign."""
+    sides = []
+    for _ in range(2):
+        n_fields = draw(st.integers(1, 3))
+        sides.append([(draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+                      for _ in range(n_fields)])
+    rows, cols = sides
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(cols) - 1))
+        (t_a, x_a), (t_b, x_b) = rows[i], cols[j]
+        T = np.array(draw(st.lists(ENTRIES, min_size=t_a * t_b,
+                                   max_size=t_a * t_b))).reshape(t_a, t_b)
+        stored = np.array(draw(st.lists(st.booleans(), min_size=x_a * x_b,
+                                        max_size=x_a * x_b)))
+        r, c = np.divmod(np.flatnonzero(stored), x_b)
+        vals = draw(st.lists(ENTRIES, min_size=len(r), max_size=len(r)))
+        S = sp.csr_matrix((vals, (r, c)), shape=(x_a, x_b))
+        if draw(st.booleans()):
+            S = unsorted_rows(S)
+        scale = draw(st.sampled_from([1.0, -1.0, 2.5, -0.3, 1.0 / 3.0]))
+        terms.append((i, j, scale, T, S))
+    shape = tuple([t * x for t, x in side] for side in sides)
+    return shape, terms
+
+
+@given(tensor_terms())
+def test_tensor_block_is_bitwise_kron_bmat_and_sparse_sum(case):
+    shape, terms = case
+    built = _tensor_block(shape, terms)
+    expected = kron_bmat_block(shape, terms)
+    assert built.shape == expected.shape
+    for matrix in (built, expected):
+        matrix.sum_duplicates()
+    assert np.array_equal(built.indptr, expected.indptr)
+    assert np.array_equal(built.indices, expected.indices)
+    # bitwise, so that a sum rounded in another order or a zero of the
+    # other sign fails
+    assert built.data.tobytes() == expected.data.tobytes()

@@ -5,21 +5,27 @@ bit for bit.
     PYTHONPATH=src python3 tools/dump_outputs.py --compare A.npz B.npz
 
 A dump holds, for a few fixed systems (one of them with dual orders below
-the primal ones), the CSR arrays of every slab block, the right-hand side,
-one operator apply and, where the package has them, the slab trace rows
-and the jump terms on the traces of the same vector; the apply of each
+the primal ones), the CSR arrays of every assembled matrix: the slab
+blocks, the four primal stabilizer parts beside their sum, the jump blocks
+and, where the package has them, their restriction to the slab traces, the
+dual interface mass, the forward-backward split's extra blocks, the light
+sweep's reduced wave operator, dual stabilizer and degree embedding, and
+every block a preconditioner factors.  Beside them it holds the right-hand
+side, one operator apply and, where the package has them, the slab trace
+rows and the jump terms on the traces of the same vector; the apply of each
 slab-marching preconditioner and, for each one that has a defect, its rows,
 its action and (where the package has it) its action after the
-preconditioner on a vector that lives on those rows; the point-evaluation forms (gradient jump, boundary penalty
-and flux, degree embedding) on meshes of 1, 2 and 5 elements; and the
-iterates, residual histories, CSV rows, residual logs, error norms and
-preconditioner apply counts of the benchmark's solves.  Only names present
-in every version of the package are used, or their outputs are skipped
-where they are missing, so two trees can be dumped with the same script
-and compared; --compare exits 1 unless both files hold the same outputs
-with the same bytes.  For each numeric array that differs at equal shape
-it also prints max|a - b| / max|a| over the positions finite in both, so
-that an intended rounding change shows its size.
+preconditioner on a vector that lives on those rows; the point-evaluation
+forms (gradient jump, boundary penalty and flux, degree embedding) on
+meshes of 1, 2 and 5 elements; and the iterates, residual histories, CSV
+rows, residual logs, error norms and preconditioner apply counts of the
+benchmark's solves.  Only names present in every version of the package are
+used, or their outputs are skipped where they are missing, so two trees can
+be dumped with the same script and compared; --compare exits 1 unless both
+files hold the same outputs with the same bytes.  For each numeric array
+that differs at equal shape it also prints max|a - b| / max|a| over the
+positions finite in both, so that an intended rounding change shows its
+size.
 The solves take about a minute on a 2-core machine.
 """
 
@@ -31,11 +37,18 @@ import tempfile
 import numpy as np
 
 import waveuc.cli as cli
+import waveuc.precond as precond
 from waveuc.basis import SpatialBasis
 from waveuc.config import PRESETS
 from waveuc.mesh import build_interval_mesh
 from waveuc.precond import _spatial_embedding, build_preconditioner
 from waveuc.slab_forms import (
+    SlabSpace,
+    assemble_A,
+    assemble_dfb_extras,
+    assemble_dual_interface_mass,
+    assemble_dual_stabilizer,
+    assemble_primal_stabilizers,
     boundary_flux_matrix,
     boundary_penalty_matrix,
     gradient_jump_matrix,
@@ -65,6 +78,50 @@ def _put_csr(out, key, matrix):
     out[key + "-indptr"] = matrix.indptr
 
 
+def _build_recording(system, kind):
+    """The preconditioner of kind, and each block it factors, by the label
+    of its factorization."""
+    factored = {}
+    band_lu = precond._BandLU
+
+    class Recording(band_lu):
+        def __init__(self, matrix, perm, label):
+            factored[label] = matrix
+            super().__init__(matrix, perm, label)
+
+    precond._BandLU = Recording
+    try:
+        return build_preconditioner(system, kind), factored
+    finally:
+        precond._BandLU = band_lu
+
+
+def dump_blocks(out, key, s):
+    """The assembled matrices beside the system's own blocks."""
+    # the parts without stored zeros: no block is built from them but their
+    # sum, and versions that summed them from scipy's kron stored the zeros
+    # of its dense-block path, taken for a spatial factor more than half
+    # full (the gradient jump at k = 2 on 4 elements)
+    for name, block in assemble_primal_stabilizers(s.primal).items():
+        block = block.tocsr(copy=True)
+        block.eliminate_zeros()
+        _put_csr(out, f"{key}-stabilizer_{name}", block)
+    for name, block in getattr(s, "trace_jump", {}).items():
+        _put_csr(out, f"{key}-trace_jump_{name}", block)
+    _put_csr(out, f"{key}-dual_interface_mass",
+             assemble_dual_interface_mass(s.dual))
+    cfg = s.config
+    if (cfg.kstar, cfg.qstar) == (cfg.k, cfg.q):
+        extras = assemble_dfb_extras(s.primal, s.dual, s.data,
+                                     cfg.resolved_lambda())
+        for name, block in extras.items():
+            _put_csr(out, f"{key}-dfb_{name}", block)
+    # the light sweep's dual pair
+    light = SlabSpace(s.mesh, 1, 0, cfg.dt)
+    _put_csr(out, f"{key}-ml_A", assemble_A(s.primal, light))
+    _put_csr(out, f"{key}-ml_Sstar", assemble_dual_stabilizer(light))
+
+
 def dump_systems(out):
     for preset, k, kstar, n_slabs in SYSTEMS:
         s = SpaceTimeSystem(_config(preset, k, n_slabs, kstar=kstar,
@@ -79,6 +136,7 @@ def dump_systems(out):
             _put_csr(out, f"{key}-{name}", getattr(s, name))
         for name, block in s.jump.items():
             _put_csr(out, f"{key}-jump_{name}", block)
+        dump_blocks(out, key, s)
         out[key + "-rhs"] = s.assemble_rhs(PRESETS[preset].u)
         r = np.random.default_rng(2024).standard_normal(s.ndof)
         out[key + "-apply"] = s.apply(r)
@@ -87,7 +145,12 @@ def dump_systems(out):
             out[key + "-trace_jumps"] = s.trace_jumps(
                 s.slab_view(r)[:, s.trace].T)
         for kind in kinds:
-            M = build_preconditioner(s, kind)
+            M, factored = _build_recording(s, kind)
+            for label, block in factored.items():
+                tag = label.replace(",", "").replace(" ", "_")
+                _put_csr(out, f"{key}-{kind}-factored_{tag}", block)
+            if getattr(M, "embed", None) is not None:
+                _put_csr(out, f"{key}-{kind}-embed", M.embed)
             out[f"{key}-{kind}"] = M.apply(r)
             defect = getattr(M, "defect", None)
             if defect is not None:

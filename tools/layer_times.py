@@ -1,11 +1,14 @@
-"""Median times of the layers that one GMRes iteration and one solve's
-post-processing run, for each solve configuration of the benchmark.
+"""Median times of a solve's set-up phases and of the layers that one
+GMRes iteration and one solve's post-processing run, for each solve
+configuration of the benchmark.
 
     PYTHONPATH=src python3 tools/layer_times.py [--calls 30] [KEY ...]
 
 For every solve of the workloads in perfbench/bench.py it prints the median
 over --calls calls, in ms, of:
 
+- init, rhs, pc: the set-up phases, SpaceTimeSystem(config),
+  assemble_rhs and build_preconditioner;
 - em: one Arnoldi step on the defect rows, defect.em(v) ("-" without a
   defect); em_first is its first call, which builds the trace blocks;
 - M: one preconditioner apply ("-" for none);
@@ -36,7 +39,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from bench import WORKLOADS  # noqa: E402
 from run import blas_threads  # noqa: E402
 
-COLUMNS = ("key", "ndof", "em_first", "em", "M", "A", "norms")
+COLUMNS = ("key", "ndof", "init", "rhs", "pc", "em_first", "em", "M", "A",
+           "norms")
 
 
 def median_ms(call, arg, calls):
@@ -49,12 +53,16 @@ def median_ms(call, arg, calls):
 
 
 def layer_times(solve, calls):
-    preset = PRESETS[solve.preset]
-    s = SpaceTimeSystem(solve.config())
+    preset, cfg = PRESETS[solve.preset], solve.config()
+    s = SpaceTimeSystem(cfg)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(s.ndof)
     M = build_preconditioner(s, solve.precond)
     row = {"key": solve.key, "ndof": s.ndof,
+           "init": median_ms(SpaceTimeSystem, cfg, calls),
+           "rhs": median_ms(s.assemble_rhs, preset.u, calls),
+           "pc": median_ms(lambda kind: build_preconditioner(s, kind),
+                           solve.precond, calls),
            "em_first": None, "em": None, "M": None}
     defect = getattr(M, "defect", None)
     if defect is not None:
