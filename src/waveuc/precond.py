@@ -101,21 +101,17 @@ class _BandLU:
 _WHOLE = np.ones((1, 1))
 
 
-def _sum_block(*blocks):
-    """The sum of assembled blocks of one shape, left to right."""
-    return _tensor_block(([blocks[0].shape[0]], [blocks[0].shape[1]]),
-                         [(0, 0, 1.0, _WHOLE, b) for b in blocks])
-
-
 def _slab_block(system, A, Sstar, plus=None):
     """The slab-diagonal block [[Sh + Momega (+ plus), A^T], [A, -Sstar]]
-    of a sweep whose dual pair is tested by A and Sstar."""
-    diag = [system.Sh, system.Momega] + ([] if plus is None else [plus])
-    terms = ([(0, 0, 1.0, _WHOLE, b) for b in diag]
-             + [(0, 1, 1.0, _WHOLE, A.T), (1, 0, 1.0, _WHOLE, A),
-                (1, 1, -1.0, _WHOLE, Sstar)])
+    of a sweep whose dual pair is tested by A and Sstar, in COO form, as
+    _BandLU reads it."""
+    diag_pp = system.Sh + system.Momega
+    if plus is not None:
+        diag_pp = diag_pp + plus
     sizes = (system.n_primal, Sstar.shape[0])
-    return _tensor_block((sizes, sizes), terms)
+    return _tensor_block((sizes, sizes), [
+        (0, 0, 1.0, _WHOLE, diag_pp), (0, 1, 1.0, _WHOLE, A.T),
+        (1, 0, 1.0, _WHOLE, A), (1, 1, -1.0, _WHOLE, Sstar)], format="coo")
 
 
 def _march(R, lus, coupling, trans=0):
@@ -386,9 +382,8 @@ class ForwardBackwardSplit:
                 "orders"
             )
         extras = assemble_dfb_extras(system.primal, system.dual, system.data, lam)
-        G0 = _sum_block(system.A_pd, extras["observer"], extras["nitsche"])
-        Gint = _sum_block(system.A_pd, extras["observer"], extras["nitsche"],
-                          extras["coupling_diag"])
+        G0 = system.A_pd + extras["observer"] + extras["nitsche"]
+        Gint = G0 + extras["coupling_diag"]
         self.coupling_sub = extras["coupling_sub"]
         self.coupling_sub_T = self.coupling_sub.T.tocsr()
         # equal orders: the dual-test rows sort like the primal columns

@@ -196,8 +196,9 @@ def gradient_jump_matrix(mesh, basis):
     return (mesh.h * (G.T @ G)).tocsr()
 
 
-def _tensor_block(shape, terms):
-    """One CSR block from a list of tensor-product terms.
+def _tensor_block(shape, terms, format="csr"):
+    """One block, in the given scipy format, from a list of tensor-product
+    terms.
 
     shape holds the sizes of the block's row fields and of its column
     fields.  A term (i, j, scale, T, S), with T a small dense temporal
@@ -208,100 +209,61 @@ def _tensor_block(shape, terms):
     kept.  Several terms on one field pair are summed as a sparse sum
     would: entry by entry, left to right in the order of terms, with no
     zero stored.  So the block is bitwise the bmat of the field pairs, each
-    the kron of its one term or the sparse sum of its terms' krons.
-
-    The terms of one field pair share the union of their spatial patterns,
-    so each field pair is a dense temporal array over that pattern, and
-    every entry's place in the CSR arrays follows from row lengths alone.
-    Only spatial patterns are ever sorted: an S with unsorted rows, and the
-    union of a field pair's patterns when the largest does not hold the
-    others.
+    the kron of its one term or the sparse sum of its terms' krons.  The
+    entries make one COO matrix; no two share a place, so converting it
+    adds nothing, and for spatial factors with sorted rows, whose entries
+    come out in column order within each row, it sorts nothing either.
     """
     row_at = np.cumsum((0,) + tuple(shape[0]))
     col_at = np.cumsum((0,) + tuple(shape[1]))
-    n_rows, n_cols = int(row_at[-1]), int(col_at[-1])
+    # scipy's own index type for a matrix of this size
+    index = np.int32 if max(row_at[-1], col_at[-1]) < 2**31 else np.int64
     groups = {}
     for i, j, scale, T, S in terms:
-        S = S.tocsr()
-        if not S.has_sorted_indices:
-            S = S.sorted_indices()
-        groups.setdefault((i, j), []).append((scale, np.asarray(T), S))
-    # the entries of block row (i, a, r), zeros to drop included: for each
-    # field pair (i, j) in column order, each temporal column b, the
-    # pattern's spatial row r
-    length = np.zeros(n_rows, dtype=np.intp)
-    pieces = []
+        groups.setdefault((i, j), []).append(
+            (scale, np.asarray(T), S.tocsr()))
+    rows, cols, vals = [], [], []
     for i, j in sorted(groups):
         group = groups[i, j]
         (n, m), (n_a, n_b) = group[0][2].shape, group[0][1].shape
-        ptr, col, val, keep = _pair_entries(group, n, m)
-        rows = slice(row_at[i], row_at[i] + n_a * n)
-        pieces.append((j, n_a, n_b, n, m, ptr, col, rows, val, keep))
-        length[rows] += n_b * np.tile(np.diff(ptr), n_a)
-    start = np.concatenate(([0], np.cumsum(length)))
-    # scipy's own index type for a matrix of this size
-    index = np.int32 if max(n_cols, start[-1]) < 2**31 else np.int64
-    filled = start[:-1].copy()
-    data = np.empty(start[-1])
-    indices = np.empty(start[-1], dtype=index)
-    kept = np.ones(start[-1], dtype=bool)
-    for j, n_a, n_b, n, m, ptr, col, rows, val, keep in pieces:
-        r_len = np.diff(ptr)
-        # first place of each (a, b, spatial row), minus the row's offset
-        # in the pattern, so that adding the pattern index places each entry
-        base = ((filled[rows] - np.tile(ptr[:-1], n_a)).reshape(n_a, 1, n)
-                + np.arange(n_b)[:, None] * r_len)
-        dest = np.repeat(base, r_len, axis=2) + np.arange(len(col))
-        data[dest] = val.reshape(dest.shape)
-        indices[dest] = (col_at[j] + m * np.arange(n_b, dtype=index)[:, None]
-                         + col)
-        if keep is not None:
-            kept[dest] = keep.reshape(dest.shape)
-        filled[rows] += n_b * np.tile(r_len, n_a)
-    indptr = start
-    if not kept.all():
-        row = np.repeat(np.arange(n_rows), length)[kept]
-        indptr = np.zeros(n_rows + 1, dtype=index)
-        np.cumsum(np.bincount(row, minlength=n_rows), out=indptr[1:])
-        data, indices = data[kept], indices[kept]
-    return sp.csr_matrix((data, indices, indptr.astype(index, copy=False)),
-                         shape=(n_rows, n_cols))
+        r, c, val, keep = _pair_entries(group, m)
+        a, b = np.divmod(np.arange(n_a * n_b, dtype=index), n_b)
+        row = ((row_at[i] + n * a).astype(index)[:, None]
+               + r.astype(index, copy=False))
+        col = ((col_at[j] + m * b).astype(index)[:, None]
+               + c.astype(index, copy=False))
+        if not keep.all():
+            row, col, val = row[keep], col[keep], val[keep]
+        rows.append(row.ravel())
+        cols.append(col.ravel())
+        vals.append(val.ravel())
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(row_at[-1], col_at[-1])).asformat(format)
 
 
-def _pair_entries(group, n, m):
-    """The entries of one field pair's terms (scale, T, S) over the union
-    of their spatial patterns (n x m): the pattern's CSR row pointer and
-    columns, the values with one row per temporal pair (a, b), and which of
-    them to keep (None for all).  One term keeps the stored zeros of S;
-    several are summed as a sparse sum would: left to right in the order
-    given, with no zero stored."""
+def _pair_entries(group, m):
+    """The entries of one field pair's terms (scale, T, S), S in CSR form
+    with m columns: their spatial rows and columns, the values with one row
+    per temporal pair (a, b), and which of them to keep: a mask over the
+    values or over their rows.  One term keeps the stored zeros of S;
+    several are summed over the union of their patterns as a sparse sum
+    would: left to right in the order given, with no zero stored."""
     values = [scale * (T.ravel()[:, None] * S.data) for scale, T, S in group]
-    if len(group) == 1:
-        w = group[0][1].ravel()
-        keep = None if w.all() else np.broadcast_to(
-            (w != 0)[:, None], values[0].shape)
-        return group[0][2].indptr, group[0][2].indices, values[0], keep
-    # the union of the terms' row-major patterns: that of the largest term,
-    # when it holds the others (as Sh holds the other diagonal terms of a
-    # slab block)
-    keys = [m * np.repeat(np.arange(n), np.diff(S.indptr)) + S.indices
+    rows = [np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
             for _, _, S in group]
-    big = max(range(len(group)), key=lambda t: len(keys[t]))
-    ptr, col, union = group[big][2].indptr, group[big][2].indices, keys[big]
-    at = [slice(None) if t == big else np.searchsorted(union, k)
-          for t, k in enumerate(keys)]
-    if not all(t == big or np.array_equal(union[u % len(union)], keys[t])
-               for t, u in enumerate(at)):
-        union = np.unique(np.concatenate(keys))
-        at = [np.searchsorted(union, k) for k in keys]
-        ptr, col = np.searchsorted(union, m * np.arange(n + 1)), union % m
+    if len(group) == 1:
+        (_, T, S), = group
+        return rows[0], S.indices, values[0], T.ravel() != 0
+    keys = [m * r + S.indices for r, (_, _, S) in zip(rows, group)]
+    union, at = np.unique(np.concatenate(keys), return_inverse=True)
     # summed onto zeros: a sum that is zero is dropped anyway, and a zero
     # added to a nonzero sum leaves it as it is
     total = np.zeros((len(values[0]), len(union)))
-    for v, u in zip(values, at):
+    for v, u in zip(values, np.split(at, np.cumsum([len(k) for k in keys]))):
         total[:, u] += v
-    keep = total != 0
-    return ptr, col, total, None if keep.all() else keep
+    r, c = np.divmod(union, m)
+    return r, c, total, total != 0
 
 
 def _pair_shape(test, trial):
@@ -330,8 +292,7 @@ def assemble_A(primal, dual):
 
 
 def _primal_stabilizer_terms(space):
-    """The terms of the four primal stabilizers, by name, in the order
-    their sum Sh adds them."""
+    """The terms of the four primal stabilizers, by name."""
     h = space.mesh.h
     tmat = lambda a, b: space.temporal(space, a, b)
     Mx = space.spatial(space)
@@ -356,27 +317,32 @@ def _primal_stabilizer_terms(space):
     }
 
 
+def _stabilizer_sum(space, terms):
+    """The sum ((J + G) + I0) + R of the primal stabilizers, as one block,
+    from the terms of the parts."""
+    return _tensor_block(_pair_shape(space, space),
+                         [term for name in ("J", "G", "I0", "R")
+                          for term in terms[name]])
+
+
 def assemble_primal_stabilizers(space):
     """Primal residual-type stabilizers on one slab.
 
     Returns a dict with the gradient-jump penalty "J", the interior
     least-squares term "G", the velocity-compatibility term "I0", the
-    lateral boundary penalty "R" and their sum "Sh" (assemble_Sh).  All are
-    symmetric field-pair matrices; the sum is positive semidefinite.
+    lateral boundary penalty "R" and their sum "Sh".  All are symmetric
+    field-pair matrices; the sum is positive semidefinite.
     """
-    shape = _pair_shape(space, space)
-    parts = {name: _tensor_block(shape, terms)
-             for name, terms in _primal_stabilizer_terms(space).items()}
-    parts["Sh"] = assemble_Sh(space)
+    terms = _primal_stabilizer_terms(space)
+    parts = {name: _tensor_block(_pair_shape(space, space), part)
+             for name, part in terms.items()}
+    parts["Sh"] = _stabilizer_sum(space, terms)
     return parts
 
 
 def assemble_Sh(space):
-    """The sum ((J + G) + I0) + R of the primal stabilizers, as one block."""
-    terms = _primal_stabilizer_terms(space)
-    return _tensor_block(_pair_shape(space, space),
-                         [term for name in ("J", "G", "I0", "R")
-                          for term in terms[name]])
+    """The sum Sh of assemble_primal_stabilizers, built without its parts."""
+    return _stabilizer_sum(space, _primal_stabilizer_terms(space))
 
 
 def assemble_dual_stabilizer(space):
