@@ -137,20 +137,23 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
         h += h2
         hnext = np.linalg.norm(w)
 
-        # apply the previous rotations to the new column, then annihilate
-        # its subdiagonal entry; the column goes into H in one write
-        col = h.tolist() + [hnext]
-        for i in range(j):
-            hi, hj = col[i], col[i + 1]
-            col[i] = cs[i] * hi + sn[i] * hj
-            col[i + 1] = -sn[i] * hi + cs[i] * hj
+        # apply the previous rotations to the new column in one pass,
+        # carrying the entry that rotation i leaves for rotation i + 1,
+        # then annihilate its subdiagonal entry; the column goes into H in
+        # one write
+        h = h.tolist()
+        col = []
+        hi = h[0]
+        for c, s, hj in zip(cs, sn, h[1:]):
+            col.append(c * hi + s * hj)
+            hi = -s * hi + c * hj
         # a NumPy scalar, so that 0/0 (a zero column) gives nan and reaches
         # the breakdown test below instead of raising ZeroDivisionError
-        denom = np.hypot(col[j], col[j + 1])
-        cs.append(float(col[j] / denom))
-        sn.append(float(col[j + 1] / denom))
-        col[j] = denom
-        H[j * (j + 1) // 2 : (j + 1) * (j + 2) // 2] = col[: j + 1]
+        denom = np.hypot(hi, hnext)
+        cs.append(float(hi / denom))
+        sn.append(float(hnext / denom))
+        col.append(denom)
+        H[j * (j + 1) // 2 : (j + 1) * (j + 2) // 2] = col
         g[j + 1] = -sn[j] * g[j]
         g[j] = cs[j] * g[j]
 

@@ -117,12 +117,79 @@ def _slab_block(system, A, Sstar, plus=None):
 def _march(R, lus, coupling, trans=0):
     """Block substitution down the rows of R: row n solves lus[n] (with
     trans) against R[n] plus coupling applied to the row solved just
-    before it.  Every slab-marching sweep is one call of this."""
+    before it, one band solve per slab.
+
+    mf and ml march with this rather than with _Sweep's carry, whose
+    rounding differs: a carry on mf moved the gcc1d k=2 N=24 error norms
+    1.5e-4 relative, past the benchmark's 1e-4 gate on them, which tests
+    rounding there (FOUND in CHANGES.md)."""
     X = np.empty(R.shape)
     for n, lu in enumerate(lus):
         rhs = R[n] if n == 0 else R[n] + coupling @ X[n - 1]
         X[n] = lu.solve(rhs, trans)
     return X
+
+
+class _Sweep:
+    """The block substitution of _march over the whole time domain at once:
+    row n of R (slabs in march order) solves lus[n] (with trans) against
+    R[n] plus coupling applied to the row solved just before it.
+
+    The coupling reads only its nonzero columns c (the carried values) of
+    the row before, so with Y the band solves of R alone, one
+    multi-right-hand-side solve per run of rows that share an LU, row n of
+    the solution is X[n] = Y[n] + K X_c[n - 1].  K = lu^-1 C[:, c] is built
+    once for the LU of each coupled row (every row but the first).  The
+    carried values follow their own recurrence X_c[n] = Y_c[n] +
+    K_c X_c[n - 1], with K_c the rows c of K, one |c|-square product per
+    row; then one product with K per run adds the carry to all its rows.
+    """
+
+    def __init__(self, lus, coupling, trans=0):
+        self.trans = trans
+        # runs of consecutive rows that share one LU, as [lu, start, stop]
+        self._runs = []
+        for n, lu in enumerate(lus):
+            if self._runs and self._runs[-1][0] is lu:
+                self._runs[-1][2] = n + 1
+            else:
+                self._runs.append([lu, n, n + 1])
+        C = sp.csc_matrix(coupling)
+        self.carried = np.flatnonzero(np.diff(C.indptr))
+        self._n = C.shape[0]
+        self._n_coupled = len({id(lu) for lu in lus[1:]})
+        # K and K_c, once for the LU of each coupled row
+        C_c = C[:, self.carried].toarray()
+        self._K = {}
+        for lu in lus[1:]:
+            if id(lu) not in self._K:
+                K = lu.solve(C_c, trans)
+                self._K[id(lu)] = (K, K[self.carried])
+        self._K_c = [self._K[id(lu)][1] for lu in lus[1:]]
+
+    @property
+    def carry_bytes(self):
+        """Bytes of K and K_c for each LU of a coupled row, (n + |c|) |c|
+        doubles: fixed by the block size and the coupling's nonzero
+        columns, so known before the solves that build them."""
+        c = len(self.carried)
+        return 8 * self._n_coupled * (self._n + c) * c
+
+    def __call__(self, R):
+        X = np.empty(R.shape)
+        for lu, start, stop in self._runs:
+            X[start:stop] = lu.solve(R[start:stop].T, self.trans).T
+        if not self._K_c:
+            return X
+        X_c = X.take(self.carried, axis=1)
+        for n, K_c in enumerate(self._K_c, start=1):
+            X_c[n] += K_c @ X_c[n - 1]
+        for lu, start, stop in self._runs:
+            start = max(start, 1)
+            if start < stop:
+                K = self._K[id(lu)][0]
+                X[start:stop] += X_c[start - 1 : stop - 1] @ K.T
+        return X
 
 
 def _trace_solves(lu, T, rows, B):
@@ -370,7 +437,8 @@ class ForwardBackwardSplit:
     Step 1 marches forward in time solving for the primal pair against the
     dual-test rows of the residual.  Step 2 forms the remaining primal-test
     residual and marches backward with the transposed blocks to recover the
-    dual pair.
+    dual pair.  Both sweeps run over the whole time domain at once
+    (_Sweep), and neither applies the system's operator.
     """
 
     def __init__(self, system, lam):
@@ -384,27 +452,30 @@ class ForwardBackwardSplit:
         extras = assemble_dfb_extras(system.primal, system.dual, system.data, lam)
         G0 = system.A_pd + extras["observer"] + extras["nitsche"]
         Gint = G0 + extras["coupling_diag"]
-        self.coupling_sub = extras["coupling_sub"]
-        self.coupling_sub_T = self.coupling_sub.T.tocsr()
+        coupling = extras["coupling_sub"]
         # equal orders: the dual-test rows sort like the primal columns
         perm = _node_order(system.primal)
         lu_interior = _BandLU(Gint, perm, "interior slab, forward sweep")
         self.lus = ([_BandLU(G0, perm, "first slab, forward sweep")]
                     + [lu_interior] * (system.n_slabs - 1))
+        self.forward = _Sweep(self.lus, coupling)
+        # the backward sweep is the transposed march on the reversed slab order
+        self.backward = _Sweep(self.lus[::-1], coupling.T, trans=1)
 
     def apply(self, r):
         sys = self.system
         R = sys.slab_view(r)
         n_p = sys.n_primal
-        x = sys.zero_vector()
+        x = np.empty(sys.ndof)
         X = sys.slab_view(x)
-        X[:, :n_p] = _march(R[:, n_p:], self.lus, self.coupling_sub)
-        # x has no dual part yet, so the primal-test rows of A x hold only
-        # the measurement mass, stabilizer and jump terms of its primal part
-        rest = R[:, :n_p] - sys.slab_view(sys.apply(x))[:, :n_p]
-        # the backward sweep is the same march on the reversed slab order
-        X[:, n_p:] = _march(rest[::-1], self.lus[::-1], self.coupling_sub_T,
-                            trans=1)[::-1]
+        X[:, :n_p] = self.forward(R[:, n_p:])
+        # the primal-test rows of A on (U, 0): the measurement mass,
+        # stabilizer and jump terms of U, as SpaceTimeSystem.apply sums them
+        U = np.ascontiguousarray(X[:, :n_p].T)
+        AU = sys.Momega @ U + sys.Sh @ U
+        AU[sys.trace] += sys.trace_jumps(U[sys.trace])
+        rest = R[:, :n_p] - AU.T
+        X[:, n_p:] = self.backward(rest[::-1])[::-1]
         return x
 
 

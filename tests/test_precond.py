@@ -243,10 +243,11 @@ def check_dfb_sweeps(s, r):
 # k = q = 1 keeps the ids of the slab count alone
 @pytest.mark.parametrize("n_slabs, k", [
     pytest.param(n_slabs, k, id=str(n_slabs) if k == 1 else f"{n_slabs}-k{k}")
-    for k in (1, 2, 3) for n_slabs in (1, 2, 3)
+    for k in (1, 2, 3) for n_slabs in (1, 2, 3, 5)
 ])
 def test_dfb_sweeps_match_dense_triangular_solves(n_slabs, k, rng):
-    # three slabs give a middle slab that both sweeps couple on both sides
+    # three slabs give a middle slab that both sweeps couple on both sides;
+    # five carry the end values across several interior slabs each way
     s = make_system(n_elems=4, n_slabs=n_slabs, k=k, q=k, kstar=k, qstar=k)
     check_dfb_sweeps(s, rng.standard_normal(s.ndof))
 
@@ -530,3 +531,52 @@ def test_mf_em_makes_one_band_solve_and_no_trace_jumps(n_slabs, monkeypatch):
         M.defect.em(rng.standard_normal(len(M.defect.rows)))
         assert len(solved) == 1
         assert solved[0] is M.lus[0]
+
+
+@pytest.mark.parametrize("n_slabs", [1, 2, 5])
+def test_dfb_apply_makes_one_band_solve_per_lu_and_no_operator_apply(
+        n_slabs, monkeypatch):
+    s = make_system(n_elems=4, n_slabs=n_slabs)
+    M = build_preconditioner(s, "dfb")
+    first, interior = M.lus[0], M.lus[-1]
+
+    def refuse(x):
+        raise AssertionError("dfb apply called SpaceTimeSystem.apply")
+
+    monkeypatch.setattr(s, "apply", refuse)
+    solved = []
+    solve = _BandLU.solve
+
+    def counted(lu, b, trans=0):
+        solved.append((lu, trans))
+        return solve(lu, b, trans)
+
+    monkeypatch.setattr(_BandLU, "solve", counted)
+    M.apply(np.random.default_rng(3).standard_normal(s.ndof))
+    # each sweep solves every slab of one LU at once, however many slabs
+    # there are: forward first then interior, backward (transposed) in
+    # the reverse order
+    if n_slabs == 1:
+        assert solved == [(first, 0), (first, 1)]
+    else:
+        assert solved == [(first, 0), (interior, 0), (interior, 1), (first, 1)]
+
+
+@pytest.mark.parametrize("n_slabs", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2])
+def test_carry_bytes_are_what_the_sweep_keeps(k, n_slabs):
+    s = make_system(k=k, q=k, kstar=k, qstar=k, n_elems=8, n_slabs=n_slabs)
+    M = build_preconditioner(s, "dfb")
+    n_p = s.n_primal
+    # the coupling reads the primal end values: n_x per field
+    c = 2 * s.primal.n_x
+    # the forward sweep couples into interior slabs only; the backward one
+    # into interior slabs (with three slabs or more) and the first
+    coupled = {"forward": min(n_slabs - 1, 1),
+               "backward": min(n_slabs - 1, 1) + (n_slabs >= 3)}
+    for name, n_lus in coupled.items():
+        sweep = getattr(M, name)
+        assert len(sweep.carried) == c
+        assert sweep.carry_bytes == 8 * n_lus * (n_p + c) * c
+        kept = [a for K in sweep._K.values() for a in K]
+        assert sum(a.nbytes for a in kept) == sweep.carry_bytes

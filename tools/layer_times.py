@@ -9,8 +9,10 @@ over --calls calls, in ms, of:
 
 - init, rhs, pc: the set-up phases, SpaceTimeSystem(config),
   assemble_rhs and build_preconditioner;
-- em: one Arnoldi step on the defect rows, defect.em(v) ("-" without a
-  defect); em_first is its first call, which builds the trace blocks;
+- step: what one Arnoldi step applies before it orthogonalizes, as gmres
+  runs it: defect.em(v) on the defect rows for mf and block, A(M(v)) on
+  the whole vector for ml, dfb and none; em_first is the first em call,
+  which builds the trace blocks ("-" without a defect);
 - M: one preconditioner apply ("-" for none);
 - A: one operator apply;
 - norms: one error_norms call on the lifted primal part of a random vector,
@@ -39,7 +41,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from bench import WORKLOADS  # noqa: E402
 from run import blas_threads  # noqa: E402
 
-COLUMNS = ("key", "ndof", "init", "rhs", "pc", "em_first", "em", "M", "A",
+COLUMNS = ("key", "ndof", "init", "rhs", "pc", "em_first", "step", "M", "A",
            "norms")
 
 
@@ -63,12 +65,15 @@ def layer_times(solve, calls):
            "rhs": median_ms(s.assemble_rhs, preset.u, calls),
            "pc": median_ms(lambda kind: build_preconditioner(s, kind),
                            solve.precond, calls),
-           "em_first": None, "em": None, "M": None}
+           "em_first": None, "M": None}
     defect = getattr(M, "defect", None)
     if defect is not None:
         v = rng.standard_normal(len(defect.rows))
         row["em_first"] = median_ms(defect.em, v, 1)
-        row["em"] = median_ms(defect.em, v, calls)
+        row["step"] = median_ms(defect.em, v, calls)
+    else:
+        apply_m = (lambda v: v) if M is None else M.apply
+        row["step"] = median_ms(lambda v: s.apply(apply_m(v)), x, calls)
     if M is not None:
         row["M"] = median_ms(M.apply, x, calls)
     row["A"] = median_ms(s.apply, x, calls)
