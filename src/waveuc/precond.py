@@ -196,17 +196,12 @@ def _trace_solves(lu, T, rows, B):
     """Solutions of lu on the trace rows T for the right-hand sides that
     hold the columns of the sparse B on rows and zeros elsewhere, as
     (column slice, solutions) pairs of TRACE_SOLVE_CHUNK columns."""
-    B = sp.csc_matrix(B, copy=True)
-    B.sum_duplicates()
+    B = sp.csc_matrix(B)
     for c in range(0, B.shape[1], TRACE_SOLVE_CHUNK):
-        stop = min(c + TRACE_SOLVE_CHUNK, B.shape[1])
-        # the entries of the chunk's columns, straight from the CSC arrays
-        ptr = B.indptr[c : stop + 1]
-        at = slice(ptr[0], ptr[-1])
-        rhs = np.zeros((len(lu.perm), stop - c))
-        rhs[rows[B.indices[at]], np.repeat(np.arange(stop - c),
-                                           np.diff(ptr))] = B.data[at]
-        yield slice(c, stop), lu.solve(rhs)[T]
+        cols = slice(c, min(c + TRACE_SOLVE_CHUNK, B.shape[1]))
+        rhs = np.zeros((len(lu.perm), cols.stop - c))
+        rhs[rows] = B[:, cols].toarray()
+        yield cols, lu.solve(rhs)[T]
 
 
 class _JumpDefect:
@@ -233,12 +228,13 @@ class _JumpDefect:
     solves with interior on its first call.  With lower, em applies G to
     the traces of all slabs at once and ends in trace_jumps.  Without
     lower, the jump blocks are folded into G, so that em works on the
-    r = system.n_end end traces alone.  With c the cross block, cT its
-    transpose on the traces and V_n the end traces of v on slab n, the
-    end traces of M v are X_0 from one band solve on the first slab and
-    X_n = G_ee V_n + P X_(n-1) after it, where G_ee is G[:r, :r] and
-    P = G[:r, r:] c carries them from slab to slab; then (E M v) on slab n
-    is D [X_n; V_(n+1)] with D = [minus - cT G[r:, r:] c, -cT G[r:, :r]].
+    r = system.n_end end traces alone.  With W the jump block on the traces
+    (system.jump_weight), W^T its transpose and V_n the end traces of v on
+    slab n, the end traces of M v are X_0 from one band solve on the first
+    slab and X_n = G_ee V_n + P X_(n-1) after it, where G_ee is G[:r, :r]
+    and P = G[:r, r:] W carries them from slab to slab; then (E M v) on
+    slab n is D [X_n; V_(n+1)] with D = [W - W^T G[r:, r:] W,
+    -W^T G[r:, :r]].
     G_ee, P and D hold 4 r^2 doubles (trace_bytes), as many as G, which is
     never formed.
     """
@@ -274,8 +270,8 @@ class _JumpDefect:
     def _traces(self):
         """G with lower, else (G_ee, P, D), from solves with interior in
         chunks of columns.  Without lower, G is never formed: the end unit
-        columns give G[:, :r], and the columns of cross on the start rows
-        give G[:, r:] c, each written into the blocks chunk by chunk."""
+        columns give G[:, :r], and the columns of W on the start rows
+        give G[:, r:] W, each written into the blocks chunk by chunk."""
         lu, sys = self._interior, self.system
         T, r = sys.trace, sys.n_end
         if self.lower:
@@ -283,17 +279,16 @@ class _JumpDefect:
             for cols, S in _trace_solves(lu, T, T, sp.identity(len(T))):
                 G[:, cols] = S
             return G
-        blocks = sys.trace_jump
-        cross_T = blocks["cross_T"]
+        W, W_T = sys.jump_weight, sys.jump_weight_T
         G_ee, P = np.empty((r, r)), np.empty((r, r))
         D = np.empty((r, 2 * r))
-        D[:, :r] = blocks["minus"].toarray()
+        D[:, :r] = W.toarray()
         for cols, S in _trace_solves(lu, T, T[:r], sp.identity(r)):
             G_ee[:, cols] = S[:r]
-            D[:, r + cols.start : r + cols.stop] = -(cross_T @ S[r:])
-        for cols, S in _trace_solves(lu, T, T[r:], blocks["cross"]):
+            D[:, r + cols.start : r + cols.stop] = -(W_T @ S[r:])
+        for cols, S in _trace_solves(lu, T, T[r:], W):
             P[:, cols] = S[:r]
-            D[:, cols] -= cross_T @ S[r:]
+            D[:, cols] -= W_T @ S[r:]
         return G_ee, P, D
 
     def em(self, v):
@@ -469,11 +464,8 @@ class ForwardBackwardSplit:
         x = np.empty(sys.ndof)
         X = sys.slab_view(x)
         X[:, :n_p] = self.forward(R[:, n_p:])
-        # the primal-test rows of A on (U, 0): the measurement mass,
-        # stabilizer and jump terms of U, as SpaceTimeSystem.apply sums them
-        U = np.ascontiguousarray(X[:, :n_p].T)
-        AU = sys.Momega @ U + sys.Sh @ U
-        AU[sys.trace] += sys.trace_jumps(U[sys.trace])
+        # the primal-test rows of A on (U, 0)
+        AU = sys.primal_rows(np.ascontiguousarray(X[:, :n_p].T))
         rest = R[:, :n_p] - AU.T
         X[:, n_p:] = self.backward(rest[::-1])[::-1]
         return x

@@ -9,11 +9,14 @@ the sweep preconditioners rely on.
 Every slab carries the same blocks, so the operator, the right-hand side
 and the norms work on the (n_slabs, slab_size) view of a global vector: each
 block is applied once to all slabs as a sparse x dense product on the
-transposed primal or dual columns (one column per slab).  The interface
-jump terms read and reach only the primal traces of each slab (its end- and
-start-time rows), so trace_jumps applies them to the traces alone; they
-couple the column ranges [:, 1:] (later slab) and [:, :-1] (earlier slab).
-dense_matrix keeps an independent per-slab assembly as the oracle.
+transposed primal or dual columns (one column per slab).  primal_rows sums
+the primal-test rows, which the forward-backward split also reads.  The
+interface jump terms read and reach only the primal traces of each slab
+(each field's last and first temporal modes), where every one of them is
+the one spatial block W = jump_weight or its transpose, so trace_jumps
+applies them to the traces alone; they couple the column ranges [:, 1:]
+(later slab) and [:, :-1] (earlier slab).  dense_matrix keeps an
+independent per-slab assembly from the full jump blocks as the oracle.
 """
 
 from dataclasses import dataclass
@@ -72,20 +75,18 @@ class SpaceTimeSystem:
         self.jump = interface_jump_blocks(self.primal)
         # transpose used by every operator application, built once
         self.A_pd_T = self.A_pd.T.tocsr()
-        # the primal rows the jump terms read and reach, trace: the end-time
-        # rows (minus and the transposed cross), then the start-time rows
-        # (plus and cross), disjoint because q >= 1; trace_jump holds the
-        # jump blocks restricted to them
-        jump, cross_T = self.jump, self.jump["cross"].T.tocsr()
-        end = np.union1d(jump["minus"].nonzero()[0], cross_T.nonzero()[0])
-        start = np.union1d(jump["plus"].nonzero()[0], jump["cross"].nonzero()[0])
+        # the primal rows the jump terms read and reach, trace: each field's
+        # last temporal mode (end), then its first (start), disjoint because
+        # q >= 1.  The temporal basis is nodal at both slab ends, so plus,
+        # minus and cross restricted to them are all one spatial block W,
+        # jump_weight; the transposed cross is its transpose, kept apart
+        # because W is symmetric only up to rounding
+        modes = np.arange(self.primal.n_pair).reshape(
+            2, self.primal.n_modes, -1)
+        end, start = modes[:, -1].ravel(), modes[:, 0].ravel()
         self.trace, self.n_end = np.concatenate((end, start)), len(end)
-        self.trace_jump = {
-            "minus": jump["minus"][end][:, end],
-            "plus": jump["plus"][start][:, start],
-            "cross": jump["cross"][start][:, end],
-            "cross_T": cross_T[end][:, start],
-        }
+        self.jump_weight = self.jump["minus"][end][:, end]
+        self.jump_weight_T = self.jump_weight.T.tocsr()
 
         self.n_primal = self.primal.n_pair
         self.n_dual = self.dual.n_pair
@@ -131,28 +132,36 @@ class SpaceTimeSystem:
     def apply(self, x):
         """Action of the full coupled operator.
 
-        Primal-test rows carry the measurement mass, the primal stabilizers,
-        the bidirectional interface jump terms and the adjoint of the wave
-        operator acting on the dual pair; dual-test rows carry the wave
+        Primal-test rows are primal_rows; dual-test rows carry the wave
         operator on the primal pair minus the dual stabilizer.
         """
         U, Z = self._split(x)
-        Yp = self.Momega @ U + self.Sh @ U + self.A_pd_T @ Z
+        return self._join(self.primal_rows(U, Z),
+                          self.A_pd @ U - self.Sstar @ Z)
+
+    def primal_rows(self, U, Z=None):
+        """The primal-test rows of the operator on primal columns U and dual
+        columns Z (one column per slab; Z=None for a zero dual part): the
+        measurement mass, the primal stabilizers, the adjoint of the wave
+        operator on Z and the bidirectional interface jump terms."""
+        Yp = self.Momega @ U + self.Sh @ U
+        if Z is not None:
+            Yp += self.A_pd_T @ Z
         Yp[self.trace] += self.trace_jumps(U[self.trace])
-        return self._join(Yp, self.A_pd @ U - self.Sstar @ Z)
+        return Yp
 
     def trace_jumps(self, X):
         """The interface jump terms of A on the trace rows, from the primal
-        traces X (rows trace, one column per slab): each slab's end-time
-        rows take the minus and transposed cross terms of the interface
-        after it, its start-time rows the plus and cross terms of the one
-        before it."""
-        blocks, r = self.trace_jump, self.n_end
+        traces X (rows trace, one column per slab): each slab's end traces
+        E take W E minus W^T of the next slab's start traces S, its start
+        traces take W S minus W of the end traces of the slab before."""
+        W, r = self.jump_weight, self.n_end
         E, S = X[:r], X[r:]
         Y = np.zeros(X.shape)
         # column n is slab n, so the later slab of each interface is [:, 1:]
-        Y[:r, :-1] = blocks["minus"] @ E[:, :-1] - blocks["cross_T"] @ S[:, 1:]
-        Y[r:, 1:] = blocks["plus"] @ S[:, 1:] - blocks["cross"] @ E[:, :-1]
+        WE = W @ E[:, :-1]
+        Y[:r, :-1] = WE - self.jump_weight_T @ S[:, 1:]
+        Y[r:, 1:] = W @ S[:, 1:] - WE
         return Y
 
     # -- right-hand side -------------------------------------------------
@@ -211,13 +220,11 @@ class SpaceTimeSystem:
     def triple_norm(self, x):
         """Stabilized energy norm split into its four contributions."""
         U, Z = self._split(x)
-        P, Mm, C = self.jump["plus"], self.jump["minus"], self.jump["cross"]
-        later, earlier = U[:, 1:], U[:, :-1]
+        X = U[self.trace]
         sh2 = np.vdot(U, self.Sh @ U)
         om2 = np.vdot(U, self.Momega @ U)
         ds2 = np.vdot(Z, self.Sstar @ Z)
-        jm2 = (np.sum(later * (P @ later)) + np.sum(earlier * (Mm @ earlier))
-               - 2.0 * np.sum(later * (C @ earlier)))
+        jm2 = np.vdot(X, self.trace_jumps(X))
         # quadratic forms can dip below zero by roundoff
         sh2, om2, ds2, jm2 = (max(v, 0.0) for v in (sh2, om2, ds2, jm2))
         total = np.sqrt(sh2 + om2 + ds2 + jm2)

@@ -410,6 +410,32 @@ def test_property_block_keeps_slab_support(case, data):
 
 # -- the defect of the sweeps that invert the system up to jump terms ----------
 
+def same_csr(a, b):
+    """Whether two CSR matrices hold the same data, indices and indptr
+    bytes."""
+    return all(getattr(a, name).tobytes() == getattr(b, name).tobytes()
+               for name in ("data", "indices", "indptr"))
+
+
+@pytest.mark.parametrize("n_slabs", [1, 2, 3])
+@pytest.mark.parametrize("orders", [(1, 1, 1, 1)] + MIXED_ORDERS,
+                         ids=order_id)
+def test_every_jump_block_on_the_traces_is_the_jump_weight(orders, n_slabs):
+    s = make_system(n_elems=4, n_slabs=n_slabs, **orders_kwargs(orders))
+    jump = s.jump
+    cross_T = jump["cross"].T.tocsr()
+    # the traces as the rows the jump blocks read and reach: end rows from
+    # minus and the transposed cross, start rows from plus and cross
+    end = np.union1d(jump["minus"].nonzero()[0], cross_T.nonzero()[0])
+    start = np.union1d(jump["plus"].nonzero()[0], jump["cross"].nonzero()[0])
+    assert np.array_equal(s.trace, np.concatenate((end, start)))
+    assert s.n_end == len(end)
+    for name, rows, cols in (("minus", end, end), ("plus", start, start),
+                             ("cross", start, end)):
+        assert same_csr(jump[name][rows][:, cols], s.jump_weight), name
+    assert same_csr(cross_T[end][:, start], s.jump_weight_T)
+
+
 @settings(max_examples=20)
 @given(st.integers(1, 2), st.integers(1, 2), st.sampled_from([1, 2, 3, 5]),
        st.sampled_from([4, 8]), st.sampled_from(["gcc1d", "nogcc1d"]),

@@ -122,6 +122,25 @@ def test_batched_primal_stabilized_matches_dense_blocks(
 
 
 @pytest.mark.parametrize("k,q,kstar,qstar,n_slabs", BATCH_CASES)
+def test_primal_rows_match_dense_oracle(k, q, kstar, qstar, n_slabs, rng):
+    s = make_system(n_elems=4, n_slabs=n_slabs, k=k, q=q, kstar=kstar,
+                    qstar=qstar)
+    p = primal_mask(s)
+    D = s.dense_matrix()
+    x = rng.standard_normal(s.ndof)
+    X = s.slab_view(x)
+    U, Z = X[:, : s.n_primal].T, X[:, s.n_primal :].T
+    # one column per slab, so the transpose ravels slab-major like the mask
+    yd = (D @ x)[p]
+    y = s.primal_rows(U, Z).T.ravel()
+    assert np.linalg.norm(y - yd) <= 1e-12 * np.linalg.norm(yd)
+    # Z=None: the primal-test rows of x with its dual part zeroed
+    yd = D[p][:, p] @ x[p]
+    y = s.primal_rows(U).T.ravel()
+    assert np.linalg.norm(y - yd) <= 1e-12 * np.linalg.norm(yd)
+
+
+@pytest.mark.parametrize("k,q,kstar,qstar,n_slabs", BATCH_CASES)
 def test_batched_triple_norm_matches_dense_blocks(
         k, q, kstar, qstar, n_slabs, rng):
     s = make_system(n_elems=4, n_slabs=n_slabs, k=k, q=q, kstar=kstar,

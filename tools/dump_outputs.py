@@ -7,8 +7,9 @@ bit for bit.
 A dump holds, for a few fixed systems (one of them with dual orders below
 the primal ones), the CSR arrays of every assembled matrix: the slab
 blocks, the four primal stabilizer parts beside their sum, the jump blocks
-and, where the package has them, their restriction to the slab traces, the
-dual interface mass, the forward-backward split's extra blocks, the light
+and, where the package has them, their restriction to the slab traces
+(the four trace_jump blocks, or jump_weight and its transpose), the dual
+interface mass, the forward-backward split's extra blocks, the light
 sweep's reduced wave operator, dual stabilizer and degree embedding, and
 every block a preconditioner factors.  Beside them it holds the right-hand
 side, one operator apply and, where the package has them, the slab trace
@@ -22,10 +23,11 @@ rows, residual logs, error norms and preconditioner apply counts of the
 benchmark's solves.  Only names present in every version of the package are
 used, or their outputs are skipped where they are missing, so two trees can
 be dumped with the same script and compared; --compare exits 1 unless both
-files hold the same outputs with the same bytes.  For each numeric array
-that differs at equal shape it also prints max|a - b| / max|a| over the
-positions finite in both, so that an intended rounding change shows its
-size.
+files hold the same outputs with the same bytes.  An array whose values
+are equal but whose dtype differs is reported as differing in dtype only;
+for any other numeric array that differs at equal shape it also prints
+max|a - b| / max|a| over the positions finite in both, so that an intended
+rounding change shows its size.
 The solves take about a minute on a 2-core machine.
 """
 
@@ -108,6 +110,9 @@ def dump_blocks(out, key, s):
         _put_csr(out, f"{key}-stabilizer_{name}", block)
     for name, block in getattr(s, "trace_jump", {}).items():
         _put_csr(out, f"{key}-trace_jump_{name}", block)
+    for name in ("jump_weight", "jump_weight_T"):
+        if hasattr(s, name):
+            _put_csr(out, f"{key}-{name}", getattr(s, name))
     _put_csr(out, f"{key}-dual_interface_mass",
              assemble_dual_interface_mass(s.dual))
     cfg = s.config
@@ -258,7 +263,12 @@ def compare(path_a, path_b):
                   or a[key].shape != b[key].shape
                   or a[key].tobytes() != b[key].tobytes()]
         for key in differ:
-            print(f"differs: {key}{_relative_change(a[key], b[key])}")
+            x, y = a[key], b[key]
+            if (x.dtype != y.dtype and x.shape == y.shape
+                    and np.array_equal(x, y)):
+                print(f"differs in dtype only ({x.dtype} -> {y.dtype}): {key}")
+            else:
+                print(f"differs: {key}{_relative_change(x, y)}")
         same = len(keys_a & keys_b) - len(differ)
         print(f"{same} of {len(keys_a | keys_b)} outputs bitwise identical")
         return not differ and keys_a == keys_b
