@@ -108,18 +108,25 @@ class DiscretizationConfig:
 
 @dataclass(frozen=True)
 class ExperimentPreset:
-    """A named experiment: geometry, measurement region and exact solution."""
+    """A named experiment: geometry, measurement region and exact solution.
+
+    u and dt_u take an array of times and an array of points that broadcast
+    together (the RHS and the error norms pass times of shape (times, 1, 1)
+    beside points of shape (..., points)) and return their values there.
+    restricted_region takes an array of times and returns the two ends of
+    the subinterval at each, as arrays or scalars.
+    """
 
     name: str
     a: float
     b: float
     T: float
     omega: tuple
-    u: Callable[[float, np.ndarray], np.ndarray]
-    dt_u: Callable[[float, np.ndarray], np.ndarray]
-    # time -> spatial subinterval on which continuation is theoretically
+    u: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    dt_u: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    # times -> spatial subintervals on which continuation is theoretically
     # reliable; None when the whole domain is covered
-    restricted_region: Optional[Callable[[float], tuple]] = None
+    restricted_region: Optional[Callable[[np.ndarray], tuple]] = None
 
     def make_config(self, **overrides):
         cfg = DiscretizationConfig(a=self.a, b=self.b, T=self.T,
@@ -137,7 +144,7 @@ def _standing_wave_dt(t, x):
 
 def _cone_region(t):
     # grows from the left data block until t = 1/4, then shrinks again
-    return (0.0, min(0.25 + t, 0.75 - t))
+    return (0.0, np.minimum(0.25 + t, 0.75 - t))
 
 
 PRESETS = {

@@ -101,7 +101,11 @@ def _squared_errors(sol, f, times, coeffs, region, rule):
     coefficient rows coeffs, one per time t, over region(t) or the whole
     mesh when region is None, by the quadrature rule on every element.
 
-    All elements at all the times are handled in one array expression;
+    f and region are each called once, on all the times: f with times of
+    shape (times, 1, 1) beside points of shape (times, elems, points), and
+    region with the times array, which returns the arrays (or scalars) of
+    the subintervals' ends.  All elements at all the times are handled in
+    one array expression;
     elements cut by the region boundary get a sub-interval rule, and
     elements outside it a zero length.  Only the cut elements evaluate the
     spatial basis at their own points; every other element takes its
@@ -113,7 +117,8 @@ def _squared_errors(sol, f, times, coeffs, region, rule):
     uh = local @ xb.eval(rule.points).T  # (times, elems, points)
     # the whole mesh is the same at every time, so it is not repeated
     lo, hi = ((mesh.a, mesh.b) if region is None else
-              np.array([region(t) for t in times], dtype=float).T[..., None])
+              (np.asarray(end, dtype=float)[..., None]
+               for end in region(times)))
     a, b = np.maximum(x0, lo), np.minimum(x1, hi)
     width = np.maximum(b - a, 0.0)
     length = np.broadcast_to(width, uh.shape[:2])
@@ -125,8 +130,7 @@ def _squared_errors(sol, f, times, coeffs, region, rule):
         vals = xb.eval((xq[cut] - x0[cut[1], None]) / mesh.h)
         uh[cut] = np.einsum("cqi,ci->cq", vals, local[cut])
     # the squared errors, in place of uh
-    for i, (t, xt) in enumerate(zip(times, xq)):
-        uh[i] -= f(t, xt)
+    uh -= f(times[:, None, None], xq)
     np.square(uh, out=uh)
     return np.einsum("q,te,teq->t", rule.weights, length, uh)
 
@@ -136,8 +140,9 @@ def error_norms(u_exact, dt_u_exact, sol, region=None):
 
     The max-in-time norm is approximated by sampling Gauss-Lobatto points
     per slab (exact for the polynomial part).  The time derivative error is
-    integrated with Gauss quadrature in time.  region, if given, maps a
-    time to the spatial subinterval over which restricted norms are taken.
+    integrated with Gauss quadrature in time.  region, if given, maps an
+    array of times to the spatial subintervals over which restricted norms
+    are taken.
     The times of all slabs are stacked, so each norm takes one
     _squared_errors call per region.
     """

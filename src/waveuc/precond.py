@@ -7,9 +7,12 @@ dofs are sorted by spatial node position (all temporal modes, fields and
 both pairs of one node side by side) it is banded with a bandwidth
 independent of the mesh.  On a uniform mesh every interior slab shares one
 factorization; the first slab differs because no interface jump terms
-reach it.
+reach it.  A sweep assembles the first slab's block alone: its band (_Band)
+is copied and the interior's one extra term added to the copy, so the
+interior block is never assembled.
 """
 
+import copy
 from functools import cached_property
 
 import numpy as np
@@ -33,11 +36,8 @@ __all__ = [
 ]
 
 # columns per multi-right-hand-side solve when a defect builds its trace
-# blocks (_trace_solves): a few, because each solve makes three slab-by-chunk
-# temporaries that the allocator may keep resident once freed (after the
-# build at gcc1d k=2 N=48, 64 columns left 3.6 MiB resident beside the
-# 4.5 MiB inverse, 8 left 0.3 MiB, in the same build time)
-TRACE_SOLVE_CHUNK = 8
+# blocks (_trace_solves), all solved in one reused buffer
+TRACE_SOLVE_CHUNK = 64
 
 
 def _node_order(*spaces):
@@ -53,39 +53,88 @@ def _node_order(*spaces):
     return np.argsort(np.concatenate(keys), kind="stable")
 
 
-class _BandLU:
-    """LU factorization of one slab block, banded after the symmetric
-    permutation perm (rows and columns both reordered by it)."""
+class _BandShape:
+    """The band of a slab block after the symmetric permutation perm (rows
+    and columns both reordered by it), inv its inverse: kl sub- and ku
+    superdiagonals, fixed by the block's pattern."""
 
-    def __init__(self, matrix, perm, label):
-        n = matrix.shape[0]
-        self.perm = perm
-        inv = np.empty(n, dtype=np.intp)
-        inv[perm] = np.arange(n)
-        coo = matrix.tocoo()
-        cols = inv[coo.col]
-        offset = inv[coo.row] - cols
-        self.kl = int(offset.max(initial=0))
-        self.ku = int(-offset.min(initial=0))
-        # LAPACK band storage, Fortran order, with kl extra rows on top
-        # for the fill-in: entry (i, j) at row kl + ku + i - j of column j
-        # (bincount sums duplicate entries)
-        ldab = 2 * self.kl + self.ku + 1
-        ab = np.bincount(cols * ldab + self.kl + self.ku + offset,
-                         weights=coo.data, minlength=n * ldab)
-        self.lu, self.piv, info = dgbtrf(ab.reshape(n, ldab).T, self.kl,
-                                         self.ku, overwrite_ab=True)
-        if info > 0:
-            raise ValueError(f"singular slab system ({label}): zero pivot "
-                             f"in column {info} of {n}")
-        if info < 0:
-            raise RuntimeError(f"dgbtrf: illegal value in argument {-info}")
+    @property
+    def _ldab(self):
+        # LAPACK's band rows, with kl extra rows for the fill-in
+        return 2 * self.kl + self.ku + 1
 
     @property
     def band_bytes(self):
-        """Bytes of the LU band, n (2 kl + ku + 1) doubles: fixed by the
-        block's pattern and perm, so known before dgbtrf runs."""
-        return 8 * len(self.perm) * (2 * self.kl + self.ku + 1)
+        """Bytes of the band, n (2 kl + ku + 1) doubles, as dgbtrf keeps it
+        for the LU."""
+        return 8 * len(self.perm) * self._ldab
+
+
+class _Band(_BandShape):
+    """One slab block in LAPACK band storage, from its pattern (the
+    pattern step: perm, inv, kl, ku and so band_bytes) and its values.
+
+    ab is the band, Fortran order, with kl extra rows on top for the
+    fill-in: entry (i, j) of the permuted block at row kl + ku + i - j of
+    column j.  _BandLU factors ab in place and takes it, so a band is
+    copied (plus) before it is factored.
+    """
+
+    def __init__(self, matrix, perm):
+        n = matrix.shape[0]
+        self.perm = perm
+        self.inv = np.empty(n, dtype=np.intp)
+        self.inv[perm] = np.arange(n)
+        coo = matrix.tocoo()
+        cols, offset = self._offsets(coo)
+        self.kl = int(offset.max(initial=0))
+        self.ku = int(-offset.min(initial=0))
+        # bincount sums duplicate entries
+        self.ab = np.bincount(self._at(cols, offset), weights=coo.data,
+                              minlength=n * self._ldab).reshape(n, -1).T
+
+    def _offsets(self, coo):
+        """The permuted columns of coo's entries and their offsets, row
+        minus column."""
+        cols = self.inv[coo.col]
+        return cols, self.inv[coo.row] - cols
+
+    def _at(self, cols, offset):
+        """Positions in the flat (Fortran-order) band of the entries at
+        permuted columns cols with the given offsets."""
+        return cols * self._ldab + self.kl + self.ku + offset
+
+    def plus(self, term):
+        """A copy of this band with the sparse block term added, which must
+        lie inside the band; entry by entry, each sum is the one the sparse
+        sum of the two blocks would make."""
+        coo = term.tocoo()
+        cols, offset = self._offsets(coo)
+        if offset.max(initial=0) > self.kl or -offset.min(initial=0) > self.ku:
+            raise ValueError("term outside the band")
+        band = copy.copy(self)
+        band.ab = self.ab.copy(order="F")
+        np.add.at(band.ab.reshape(-1, order="F"), self._at(cols, offset),
+                  coo.data)
+        return band
+
+
+class _BandLU(_BandShape):
+    """LU factorization of one slab block from its _Band, whose perm, inv,
+    kl and ku it keeps; label names the block in the error for a zero
+    pivot."""
+
+    def __init__(self, band, label):
+        self.perm, self.inv = band.perm, band.inv
+        self.kl, self.ku = band.kl, band.ku
+        ab, band.ab = band.ab, None
+        self.lu, self.piv, info = dgbtrf(ab, self.kl, self.ku,
+                                         overwrite_ab=True)
+        if info > 0:
+            raise ValueError(f"singular slab system ({label}): zero pivot "
+                             f"in column {info} of {len(self.perm)}")
+        if info < 0:
+            raise RuntimeError(f"dgbtrf: illegal value in argument {-info}")
 
     def solve(self, b, trans=0):
         """Solution of the block (trans=0) or its transpose (trans=1)
@@ -101,17 +150,35 @@ class _BandLU:
 _WHOLE = np.ones((1, 1))
 
 
-def _slab_block(system, A, Sstar, plus=None):
-    """The slab-diagonal block [[Sh + Momega (+ plus), A^T], [A, -Sstar]]
-    of a sweep whose dual pair is tested by A and Sstar, in COO form, as
-    _BandLU reads it."""
+def _slab_block(system, A, Sstar):
+    """The slab-diagonal block [[Sh + Momega, A^T], [A, -Sstar]] of a sweep
+    whose dual pair is tested by A and Sstar, in COO form, as _Band reads
+    it."""
     diag_pp = system.Sh + system.Momega
-    if plus is not None:
-        diag_pp = diag_pp + plus
     sizes = (system.n_primal, Sstar.shape[0])
     return _tensor_block((sizes, sizes), [
         (0, 0, 1.0, _WHOLE, diag_pp), (0, 1, 1.0, _WHOLE, A.T),
         (1, 0, 1.0, _WHOLE, A), (1, 1, -1.0, _WHOLE, Sstar)], format="coo")
+
+
+def _on_traces(system, rows, cols, size):
+    """The jump block W (system.jump_weight) on the given trace rows and
+    columns of a size-square block, in COO form."""
+    W = system.jump_weight.tocoo()
+    return sp.coo_matrix((W.data, (rows[W.row], cols[W.col])),
+                         shape=(size, size))
+
+
+def _sweep_lus(first, term, n_slabs, suffix=""):
+    """The LUs of a sweep's slabs in march order: first, the band of the
+    first slab's block, and for every later slab the interior one, that
+    band plus the sparse block term.  The interior band is factored first,
+    and not at all for one slab; the labels are "first slab" and "interior
+    slab", with suffix."""
+    if n_slabs == 1:
+        return [_BandLU(first, "first slab" + suffix)]
+    interior = _BandLU(first.plus(term), "interior slab" + suffix)
+    return [_BandLU(first, "first slab" + suffix)] + [interior] * (n_slabs - 1)
 
 
 def _march(R, lus, coupling, trans=0):
@@ -193,15 +260,24 @@ class _Sweep:
 
 
 def _trace_solves(lu, T, rows, B):
-    """Solutions of lu on the trace rows T for the right-hand sides that
-    hold the columns of the sparse B on rows and zeros elsewhere, as
-    (column slice, solutions) pairs of TRACE_SOLVE_CHUNK columns."""
+    """Solutions of lu on the rows T for the right-hand sides that hold the
+    columns of the sparse B on rows and zeros elsewhere, as (column slice,
+    solutions) pairs of TRACE_SOLVE_CHUNK columns.
+
+    The chunks are solved in place, one after the other, in one
+    Fortran-order buffer in the band's own order: the right-hand sides
+    are written at lu.inv[rows], and the solutions read at lu.inv[T]."""
     B = sp.csc_matrix(B)
+    at_rows, at_T = lu.inv[rows], lu.inv[T]
+    buffer = np.empty((len(lu.perm), min(TRACE_SOLVE_CHUNK, B.shape[1])),
+                      order="F")
     for c in range(0, B.shape[1], TRACE_SOLVE_CHUNK):
         cols = slice(c, min(c + TRACE_SOLVE_CHUNK, B.shape[1]))
-        rhs = np.zeros((len(lu.perm), cols.stop - c))
-        rhs[rows] = B[:, cols].toarray()
-        yield cols, lu.solve(rhs)[T]
+        rhs = buffer[:, : cols.stop - c]
+        rhs.fill(0.0)
+        rhs[at_rows] = B[:, cols].toarray()
+        x, _ = dgbtrs(lu.lu, lu.kl, lu.ku, rhs, lu.piv, overwrite_b=True)
+        yield cols, x[at_T]
 
 
 class _JumpDefect:
@@ -332,9 +408,10 @@ class BlockJacobi:
 
     def __init__(self, system):
         self.system = system
-        self.lu = _BandLU(_slab_block(system, system.A_pd, system.Sstar),
-                          _node_order(system.primal, system.dual),
-                          "slab-diagonal block")
+        self.lu = _BandLU(
+            _Band(_slab_block(system, system.A_pd, system.Sstar),
+                  _node_order(system.primal, system.dual)),
+            "slab-diagonal block")
         self.defect = _JumpDefect(system, True, self.lu, self.lu)
 
     def apply(self, r):
@@ -393,23 +470,23 @@ class MonolithicForward:
                 ((system.dual.n_field,) * 2, (sweep_dual.n_field,) * 2),
                 [(0, 0, 1.0, Et, Ex), (1, 1, 1.0, Et, Ex)])
             self.embed_T = self.embed.T.tocsr()
-            self.sstar_lu = _BandLU(system.Sstar, _node_order(system.dual),
-                                    "dual stabilizer")
+            self.sstar_lu = _BandLU(
+                _Band(system.Sstar, _node_order(system.dual)),
+                "dual stabilizer")
 
-        perm = _node_order(system.primal, sweep_dual)
-        lu_interior = _BandLU(
-            _slab_block(system, A_sw, Sstar_sw, system.jump["plus"]), perm,
-            "interior slab")
-        self.lus = ([_BandLU(_slab_block(system, A_sw, Sstar_sw), perm,
-                             "first slab")]
-                    + [lu_interior] * (system.n_slabs - 1))
-        # the upstream primal trace couples into the primal-test rows only:
-        # the cross block padded with zeros to the sweep block
+        # the interior block adds the jump term plus, W on the start
+        # traces, and each slab's start traces take W of the end traces of
+        # the slab before (cross): both are W placed on the traces
+        T, r = system.trace, system.n_end
         n_sweep = system.n_primal + sweep_dual.n_pair
-        self.coupling = system.jump["cross"].copy()
-        self.coupling.resize(n_sweep, n_sweep)
+        self.lus = _sweep_lus(
+            _Band(_slab_block(system, A_sw, Sstar_sw),
+                  _node_order(system.primal, sweep_dual)),
+            _on_traces(system, T[r:], T[r:], n_sweep), system.n_slabs)
+        self.coupling = _on_traces(system, T[r:], T[:r], n_sweep).tocsr()
         if self.embed is None:
-            self.defect = _JumpDefect(system, False, self.lus[0], lu_interior)
+            self.defect = _JumpDefect(system, False, self.lus[0],
+                                      self.lus[-1])
 
     def apply(self, r):
         sys = self.system
@@ -446,13 +523,12 @@ class ForwardBackwardSplit:
             )
         extras = assemble_dfb_extras(system.primal, system.dual, system.data, lam)
         G0 = system.A_pd + extras["observer"] + extras["nitsche"]
-        Gint = G0 + extras["coupling_diag"]
         coupling = extras["coupling_sub"]
-        # equal orders: the dual-test rows sort like the primal columns
-        perm = _node_order(system.primal)
-        lu_interior = _BandLU(Gint, perm, "interior slab, forward sweep")
-        self.lus = ([_BandLU(G0, perm, "first slab, forward sweep")]
-                    + [lu_interior] * (system.n_slabs - 1))
+        # equal orders: the dual-test rows sort like the primal columns;
+        # the interior block adds coupling_diag
+        self.lus = _sweep_lus(_Band(G0, _node_order(system.primal)),
+                              extras["coupling_diag"], system.n_slabs,
+                              ", forward sweep")
         self.forward = _Sweep(self.lus, coupling)
         # the backward sweep is the transposed march on the reversed slab order
         self.backward = _Sweep(self.lus[::-1], coupling.T, trans=1)

@@ -38,6 +38,7 @@ __all__ = [
     "assemble_dual_stabilizer",
     "assemble_data_mass",
     "interface_jump_blocks",
+    "interface_jump_weight",
     "assemble_dfb_extras",
     "assemble_dual_interface_mass",
 ]
@@ -367,6 +368,17 @@ def assemble_data_mass(test_space, trial_space, data):
                          [(0, 0, 1.0, Mt, Mw)])
 
 
+def _jump_terms(space, shape, T):
+    """The terms of the time-interface jump stabilizer with temporal factor
+    T: the spatial weights W1 = Mx / dt + dt Kx on the first field and
+    W2 = Mx / dt on the second."""
+    dt = space.dt
+    Mx = space.spatial(space)
+    W1 = Mx / dt + dt * space.spatial(space, 1, 1)
+    W2 = Mx / dt
+    return _tensor_block(shape, [(0, 0, 1.0, T, W1), (1, 1, 1.0, T, W2)])
+
+
 def interface_jump_blocks(space):
     """Coupling blocks of the time-interface jump stabilizer.
 
@@ -376,18 +388,23 @@ def interface_jump_blocks(space):
     ("plus"), a minus-minus block ("minus") and the cross block ("cross",
     rows on the later slab, columns on the earlier one, to be subtracted).
     """
-    dt = space.dt
-    Mx = space.spatial(space)
-    W1 = Mx / dt + dt * space.spatial(space, 1, 1)
-    W2 = Mx / dt
     shape = _pair_shape(space, space)
 
     def block(t_test, t_trial):
         T = temporal_trace_matrix(space.tbasis, space.tbasis, t_test, t_trial)
-        return _tensor_block(shape, [(0, 0, 1.0, T, W1), (1, 1, 1.0, T, W2)])
+        return _jump_terms(space, shape, T)
 
     return {"plus": block(0.0, 0.0), "minus": block(1.0, 1.0),
             "cross": block(0.0, 1.0)}
+
+
+def interface_jump_weight(space):
+    """The minus block of interface_jump_blocks on the last temporal mode of
+    each field, W = blockdiag(W1, W2) over the two fields' spatial dofs.
+    For q >= 1 the temporal basis is nodal at both slab ends, so every
+    jump block restricted to the slab traces is this one block."""
+    T = temporal_trace_matrix(space.tbasis, space.tbasis, 1.0, 1.0)
+    return _jump_terms(space, ((space.n_x,) * 2,) * 2, T[-1:, -1:])
 
 
 def assemble_dfb_extras(primal, dual, data, lam):

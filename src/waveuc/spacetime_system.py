@@ -15,11 +15,14 @@ interface jump terms read and reach only the primal traces of each slab
 (each field's last and first temporal modes), where every one of them is
 the one spatial block W = jump_weight or its transpose, so trace_jumps
 applies them to the traces alone; they couple the column ranges [:, 1:]
-(later slab) and [:, :-1] (earlier slab).  dense_matrix keeps an
-independent per-slab assembly from the full jump blocks as the oracle.
+(later slab) and [:, :-1] (earlier slab).  W is assembled on the traces
+directly.  The full jump blocks (jump) are built only when read, and in
+the package only dense_matrix reads them: it keeps an independent per-slab
+assembly as the oracle.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +36,7 @@ from .slab_forms import (
     assemble_Sh,
     element_dofs,
     interface_jump_blocks,
+    interface_jump_weight,
 )
 
 __all__ = ["SpaceTimeSystem", "NormReport"]
@@ -72,7 +76,6 @@ class SpaceTimeSystem:
         self.Sh = assemble_Sh(self.primal)
         self.Sstar = assemble_dual_stabilizer(self.dual)
         self.Momega = assemble_data_mass(self.primal, self.primal, self.data)
-        self.jump = interface_jump_blocks(self.primal)
         # transpose used by every operator application, built once
         self.A_pd_T = self.A_pd.T.tocsr()
         # the primal rows the jump terms read and reach, trace: each field's
@@ -85,13 +88,19 @@ class SpaceTimeSystem:
             2, self.primal.n_modes, -1)
         end, start = modes[:, -1].ravel(), modes[:, 0].ravel()
         self.trace, self.n_end = np.concatenate((end, start)), len(end)
-        self.jump_weight = self.jump["minus"][end][:, end]
+        self.jump_weight = interface_jump_weight(self.primal)
         self.jump_weight_T = self.jump_weight.T.tocsr()
 
         self.n_primal = self.primal.n_pair
         self.n_dual = self.dual.n_pair
         self.slab_size = self.n_primal + self.n_dual
         self.ndof = self.n_slabs * self.slab_size
+
+    @cached_property
+    def jump(self):
+        """The full jump blocks plus, minus and cross on a slab's primal
+        pair (interface_jump_blocks), for the dense oracle."""
+        return interface_jump_blocks(self.primal)
 
     # -- layout ----------------------------------------------------------
 
@@ -168,15 +177,18 @@ class SpaceTimeSystem:
 
     def assemble_rhs(self, u_omega):
         """Measurement data tested against w1 over the measurement region on
-        every slab, by space-time quadrature."""
+        every slab, by space-time quadrature.  u_omega(t, x) is called once,
+        on the array of quadrature times t (one per row, shape (times, 1, 1))
+        and the array x of spatial quadrature points on the marked elements.
+        """
         rule = gauss_rule(DATA_QUADRATURE_POINTS)
         N, dt, h = self.n_slabs, self.config.dt, self.mesh.h
         space = self.primal
         elems = np.flatnonzero(self.data.element_mask)
         xq = self.mesh.vertices[elems, None] + h * rule.points
-        taus = (np.arange(N) * dt)[:, None] + dt * rule.points
-        f = np.array([np.broadcast_to(u_omega(tau, xq), xq.shape)
-                      for tau in taus.ravel()])
+        taus = ((np.arange(N) * dt)[:, None] + dt * rule.points).ravel()
+        f = np.broadcast_to(u_omega(taus[:, None, None], xq),
+                            taus.shape + xq.shape)
         # (f, phi_i) on each marked element, then summed into the nodal dofs
         local = (rule.weights * h * f) @ space.xbasis.eval(rule.points)
         dofs = element_dofs(self.mesh, space.degree_x)[elems]

@@ -5,14 +5,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waveuc.cli import main
+from waveuc.config import PRESETS
 from waveuc.precond import (
     BlockJacobi,
     ForwardBackwardSplit,
     MonolithicForward,
+    _Band,
     _BandLU,
+    _node_order,
     build_preconditioner,
 )
+from waveuc.slab_forms import (
+    SlabSpace,
+    assemble_A,
+    assemble_dfb_extras,
+    assemble_dual_stabilizer,
+)
 
+import waveuc.precond as precond
+import waveuc.slab_forms as slab_forms
 import waveuc.spacetime_system as spacetime_system
 
 from conftest import make_system
@@ -606,3 +617,138 @@ def test_carry_bytes_are_what_the_sweep_keeps(k, n_slabs):
         assert sweep.carry_bytes == 8 * n_lus * (n_p + c) * c
         kept = [a for K in sweep._K.values() for a in K]
         assert sum(a.nbytes for a in kept) == sweep.carry_bytes
+
+
+# -- set-up: one assembled block per sweep, the jump only on its traces -------
+
+@pytest.mark.parametrize("n_slabs", [1, 2, 3])
+def test_solver_path_never_assembles_the_full_jump_blocks(n_slabs,
+                                                          monkeypatch):
+    def refuse(space):
+        raise AssertionError("interface_jump_blocks called")
+
+    monkeypatch.setattr(slab_forms, "interface_jump_blocks", refuse)
+    monkeypatch.setattr(spacetime_system, "interface_jump_blocks", refuse)
+    s = make_system(n_elems=4, n_slabs=n_slabs)
+    r = np.random.default_rng(11).standard_normal(s.ndof)
+    s.apply(r)
+    s.assemble_rhs(PRESETS["gcc1d"].u)
+    for kind in ("block", "mf", "ml", "dfb"):
+        M = build_preconditioner(s, kind)
+        z = M.apply(r)
+        defect = getattr(M, "defect", None)
+        if defect is not None:
+            defect(z)
+            defect.em(np.ones(len(defect.rows)))
+    # the dense oracle is what reads them
+    with pytest.raises(AssertionError, match="interface_jump_blocks"):
+        s.dense_matrix()
+
+
+def assembled_interior_lu(s, kind):
+    """_BandLU of the interior slab block of kind's sweep, assembled in full:
+    mf and ml add the jump block plus to the primal diagonal, dfb adds
+    coupling_diag to its first slab's block."""
+    if kind == "dfb":
+        extras = assemble_dfb_extras(s.primal, s.dual, s.data,
+                                     s.config.resolved_lambda())
+        block = (s.A_pd + extras["observer"] + extras["nitsche"]
+                 + extras["coupling_diag"])
+        perm = _node_order(s.primal)
+    else:
+        dual = s.dual if kind == "mf" else SlabSpace(s.mesh, 1, 0, s.config.dt)
+        A, Sstar = assemble_A(s.primal, dual), assemble_dual_stabilizer(dual)
+        block = sp.bmat([[(s.Sh + s.Momega) + s.jump["plus"], A.T],
+                         [A, -Sstar]])
+        perm = _node_order(s.primal, dual)
+    return _BandLU(_Band(block, perm), "interior slab")
+
+
+@pytest.mark.parametrize("kind, orders", [
+    pytest.param(kind, orders, id=f"{kind}-{order_id(orders)}")
+    for orders in MIXED_ORDERS for kind in ("mf", "ml", "dfb")
+    if kind != "dfb" or orders[:2] == orders[2:]])
+def test_interior_lu_is_the_lu_of_the_assembled_interior_block(kind, orders):
+    s = make_system(n_elems=4, n_slabs=3, **orders_kwargs(orders))
+    lus = build_preconditioner(s, kind).lus
+    got, want = lus[-1], assembled_interior_lu(s, kind)
+    assert got is lus[1] and got is not lus[0]
+    assert (got.kl, got.ku) == (want.kl, want.ku)
+    assert got.lu.tobytes() == want.lu.tobytes()
+    assert got.piv.tobytes() == want.piv.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["mf", "ml"])
+@pytest.mark.parametrize("orders", MIXED_ORDERS, ids=order_id)
+def test_sweep_coupling_is_the_cross_block_padded(orders, kind):
+    s = make_system(n_elems=4, n_slabs=3, **orders_kwargs(orders))
+    coupling = build_preconditioner(s, kind).coupling
+    cross = s.jump["cross"].copy()
+    cross.resize(*coupling.shape)
+    assert same_csr(coupling, cross)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("kind", ["mf", "ml", "block", "dfb"])
+def test_band_pattern_is_the_factored_band(kind, k, monkeypatch):
+    s = make_system(k=k, q=k, kstar=k, qstar=k, n_elems=8, n_slabs=3)
+    stated, factored = [], []
+    factor = precond.dgbtrf
+
+    def counted(ab, kl, ku, **kwargs):
+        factored.append(ab.shape)
+        return factor(ab, kl, ku, **kwargs)
+
+    monkeypatch.setattr(precond, "dgbtrf", counted)
+    init = _BandLU.__init__
+
+    def checked(lu, band, label):
+        # the pattern step's figures, read before this band's dgbtrf runs
+        stated.append((len(factored), band.kl, band.ku, band.band_bytes,
+                       band.ab.shape, band.ab.nbytes))
+        init(lu, band, label)
+        calls, kl, ku, band_bytes, shape, nbytes = stated[-1]
+        assert len(factored) == calls + 1
+        assert (lu.kl, lu.ku) == (kl, ku)
+        assert lu.lu.shape == shape == (2 * kl + ku + 1, len(lu.perm))
+        assert lu.lu.nbytes == band_bytes == nbytes
+
+    monkeypatch.setattr(_BandLU, "__init__", checked)
+    build_preconditioner(s, kind)
+    assert len(stated) == len(factored) == {"block": 1, "ml": 3}.get(kind, 2)
+
+
+def test_band_pattern_needs_no_factorization(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dgbtrf called")
+
+    monkeypatch.setattr(precond, "dgbtrf", refuse)
+    rng = np.random.default_rng(4)
+    n = 40
+    block = sp.random(n, n, density=0.05, random_state=rng) + sp.identity(n)
+    perm = rng.permutation(n)
+    band = _Band(block, perm)
+    # offsets of the permuted block's entries, row minus column
+    rows, cols = np.nonzero(block.toarray()[perm][:, perm])
+    assert band.kl == (rows - cols).max() and band.ku == (cols - rows).max()
+    assert band.band_bytes == 8 * n * (2 * band.kl + band.ku + 1)
+    assert band.ab.nbytes == band.band_bytes
+
+
+@pytest.mark.parametrize("kind", ["mf", "ml", "dfb"])
+def test_one_slab_factors_no_interior_band(kind, monkeypatch):
+    def refuse(band, term):
+        raise AssertionError("interior band built")
+
+    monkeypatch.setattr(_Band, "plus", refuse)
+    labels = []
+    init = _BandLU.__init__
+
+    def recorded(lu, band, label):
+        labels.append(label)
+        init(lu, band, label)
+
+    monkeypatch.setattr(_BandLU, "__init__", recorded)
+    M = build_preconditioner(make_system(n_elems=4, n_slabs=1), kind)
+    assert len(M.lus) == 1
+    assert not any(label.startswith("interior") for label in labels)

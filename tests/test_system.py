@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waveuc import slab_forms
+from waveuc.basis import gauss_rule
 from waveuc.config import PRESETS
 from waveuc.precond import build_preconditioner
 from waveuc.spacetime_system import (
@@ -329,6 +330,50 @@ def test_rhs_matches_loop_reference(preset, k, q, kstar, qstar):
         assert np.allclose(block[: space.n_field], ref[n].ravel(),
                            rtol=0, atol=1e-14 * np.abs(ref).max())
         assert np.all(block[space.n_field :] == 0)
+
+
+def per_time_rhs(system, u_omega):
+    """The right-hand side with u_omega called once per quadrature time, on
+    the points of the marked elements, and the rest of assemble_rhs's
+    arithmetic in its order."""
+    rule = gauss_rule(DATA_QUADRATURE_POINTS)
+    N, dt, h = system.n_slabs, system.config.dt, system.mesh.h
+    space = system.primal
+    elems = np.flatnonzero(system.data.element_mask)
+    xq = system.mesh.vertices[elems, None] + h * rule.points
+    taus = (np.arange(N) * dt)[:, None] + dt * rule.points
+    f = np.array([np.broadcast_to(u_omega(tau, xq), xq.shape)
+                  for tau in taus.ravel()])
+    local = (rule.weights * h * f) @ space.xbasis.eval(rule.points)
+    loads = np.zeros((f.shape[0], space.n_x))
+    dofs = slab_forms.element_dofs(system.mesh, space.degree_x)[elems]
+    np.add.at(loads, (slice(None), dofs), local)
+    loads = loads.reshape(N, rule.n_points, space.n_x)
+    psi = space.tbasis.eval(rule.points)
+    blocks = np.einsum("q,qm,nqj->nmj", dt * rule.weights, psi, loads)
+    b = system.zero_vector()
+    system.slab_view(b)[:, : space.n_field] = blocks.reshape(N, space.n_field)
+    return b
+
+
+@pytest.mark.parametrize("preset,k,n_slabs", [
+    ("gcc1d", 1, 1), ("gcc1d", 2, 3), ("nogcc1d", 1, 4), ("nogcc1d", 3, 2),
+])
+def test_rhs_calls_the_data_once_and_equals_per_time_evaluation(
+        preset, k, n_slabs):
+    # the benchmark's error gate at gcc1d k = 2 N = 24 rests on these bits
+    s = make_system(preset=preset, n_elems=4 * n_slabs, n_slabs=n_slabs,
+                    k=k, q=k, kstar=k, qstar=k)
+    u = PRESETS[preset].u
+    calls = []
+
+    def counted(t, x):
+        calls.append(np.shape(t))
+        return u(t, x)
+
+    b = s.assemble_rhs(counted)
+    assert len(calls) == 1
+    assert b.tobytes() == per_time_rhs(s, u).tobytes()
 
 
 # -- properties over random orders, meshes and measurement regions -----------

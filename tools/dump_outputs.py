@@ -7,12 +7,15 @@ bit for bit.
 A dump holds, for a few fixed systems (one of them with dual orders below
 the primal ones), the CSR arrays of every assembled matrix: the slab
 blocks, the four primal stabilizer parts beside their sum, the jump blocks
-and, where the package has them, their restriction to the slab traces
-(the four trace_jump blocks, or jump_weight and its transpose), the dual
-interface mass, the forward-backward split's extra blocks, the light
-sweep's reduced wave operator, dual stabilizer and degree embedding, and
-every block a preconditioner factors.  Beside them it holds the right-hand
-side, one operator apply and, where the package has them, the slab trace
+(s.jump, which a package may build only when it is read) and, where the
+package has them, their restriction to the slab traces (the four
+trace_jump blocks, or jump_weight and its transpose), the dual interface
+mass, the forward-backward split's extra blocks, the light sweep's reduced
+wave operator, dual stabilizer and degree embedding, and every block a
+preconditioner assembles to factor.  It holds the lu, piv, kl and ku of
+every factorization a preconditioner keeps (M.lus, M.lu, M.sstar_lu), so
+an LU whose block is never assembled is compared too.  Beside them it
+holds the right-hand side, one operator apply and, where the package has them, the slab trace
 rows and the jump terms on the traces of the same vector; the apply of each
 slab-marching preconditioner and, for each one that has a defect, its rows,
 its action and (where the package has it) its action after the
@@ -81,21 +84,61 @@ def _put_csr(out, key, matrix):
 
 
 def _build_recording(system, kind):
-    """The preconditioner of kind, and each block it factors, by the label
-    of its factorization."""
+    """The preconditioner of kind, and each block it assembles to factor,
+    by the label of its factorization.  Where the package puts a block into
+    a band (_Band) before _BandLU factors it, a band made from another one
+    (an interior slab's) has no assembled block and is not recorded."""
     factored = {}
-    band_lu = precond._BandLU
+    saved = {name: getattr(precond, name) for name in ("_Band", "_BandLU")
+             if hasattr(precond, name)}
+    band_lu = saved["_BandLU"]
+    if "_Band" in saved:
+        # each band made from a block, kept alive so that no later band
+        # takes its id
+        assembled = {}
 
-    class Recording(band_lu):
-        def __init__(self, matrix, perm, label):
-            factored[label] = matrix
-            super().__init__(matrix, perm, label)
+        class Band(saved["_Band"]):
+            def __init__(self, matrix, perm):
+                super().__init__(matrix, perm)
+                assembled[id(self)] = (self, matrix)
+
+        class Recording(band_lu):
+            def __init__(self, band, label):
+                if id(band) in assembled:
+                    factored[label] = assembled[id(band)][1]
+                super().__init__(band, label)
+
+        precond._Band = Band
+    else:
+        class Recording(band_lu):
+            def __init__(self, matrix, perm, label):
+                factored[label] = matrix
+                super().__init__(matrix, perm, label)
 
     precond._BandLU = Recording
     try:
         return build_preconditioner(system, kind), factored
     finally:
-        precond._BandLU = band_lu
+        for name, value in saved.items():
+            setattr(precond, name, value)
+
+
+def dump_factorizations(out, key, M):
+    """lu, piv, kl and ku of every distinct LU that M keeps: M.lus in march
+    order (lus0 the first slab's, lus1 the interior one), M.lu and
+    M.sstar_lu."""
+    kept = {}
+    for i, lu in enumerate({id(lu): lu for lu in getattr(M, "lus", [])}
+                           .values()):
+        kept[f"lus{i}"] = lu
+    for name in ("lu", "sstar_lu"):
+        if hasattr(M, name):
+            kept[name] = getattr(M, name)
+    for name, lu in kept.items():
+        out[f"{key}-{name}-lu"] = lu.lu
+        out[f"{key}-{name}-piv"] = lu.piv
+        out[f"{key}-{name}-kl"] = np.array(lu.kl)
+        out[f"{key}-{name}-ku"] = np.array(lu.ku)
 
 
 def dump_blocks(out, key, s):
@@ -154,6 +197,7 @@ def dump_systems(out):
             for label, block in factored.items():
                 tag = label.replace(",", "").replace(" ", "_")
                 _put_csr(out, f"{key}-{kind}-factored_{tag}", block)
+            dump_factorizations(out, f"{key}-{kind}", M)
             if getattr(M, "embed", None) is not None:
                 _put_csr(out, f"{key}-{kind}-embed", M.embed)
             out[f"{key}-{kind}"] = M.apply(r)

@@ -3,6 +3,8 @@ GMRes iteration and one solve's post-processing run, for each solve
 configuration of the benchmark.
 
     PYTHONPATH=src python3 tools/layer_times.py [--calls 30] [KEY ...]
+    PYTHONPATH=src python3 tools/layer_times.py --base TREE [--rounds 10]
+        [--calls 30] [KEY ...]
 
 For every solve of the workloads in perfbench/bench.py it prints the median
 over --calls calls, in ms, of:
@@ -21,16 +23,33 @@ over --calls calls, in ms, of:
 and, on the first line, the thread count of the OpenBLAS that numpy loaded.
 Every input is drawn from a fixed seed.  KEY arguments keep only the
 configurations whose key (for example gcc1d-k2-N48-mf) contains one of them.
+
+With --base TREE it compares two trees in one process instead, since
+timings from separate processes cannot be compared on a host whose speed
+changes between them.  It loads TREE/src/waveuc under a second module name
+and, for the A/A floor, once more under a third, beside the waveuc on
+PYTHONPATH (the change).  For every configuration it times the set-up
+phases init, rhs and pc of the three in --rounds rounds, each phase of each
+tree a median over --calls calls, and reverses the trees' order from one
+round to the next, so that each goes first as often as the other.  It
+prints for each phase the base tree's median in ms and the median over the
+rounds of the per-round ratios change/base and base again/base (the A/A
+floor), with their quartiles over the rounds in brackets.  A ratio below 1
+is a faster change; one whose quartiles overlap the A/A floor's is not
+told apart from the host.
 """
 
 import argparse
+import importlib.util
 import statistics
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
+import waveuc
 from waveuc.config import PRESETS
 from waveuc.postproc import error_norms, extract_primal_field, lift
 from waveuc.precond import build_preconditioner
@@ -43,6 +62,7 @@ from run import blas_threads  # noqa: E402
 
 COLUMNS = ("key", "ndof", "init", "rhs", "pc", "em_first", "step", "M", "A",
            "norms")
+SETUP_PHASES = ("init", "rhs", "pc")
 
 
 def median_ms(call, arg, calls):
@@ -85,27 +105,93 @@ def layer_times(solve, calls):
     return row
 
 
+def load_tree(tree, name):
+    """The waveuc package of the checkout tree (tree/src/waveuc), loaded as
+    the module name; its submodules, which import each other relatively,
+    load as name.<submodule>."""
+    package = Path(tree).resolve() / "src" / "waveuc"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py",
+        submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def setup_phases(tree, solve):
+    """The set-up phases of solve on the loaded package tree, as phase ->
+    (call, argument), each call as run_solve makes it."""
+    cfg = tree.DiscretizationConfig(**asdict(solve.config()))
+    s = tree.SpaceTimeSystem(cfg)
+    return {"init": (tree.SpaceTimeSystem, cfg),
+            "rhs": (s.assemble_rhs, tree.PRESETS[solve.preset].u),
+            "pc": (lambda kind: tree.build_preconditioner(s, kind),
+                   solve.precond)}
+
+
+def compare_trees(solve, trees, rounds, calls):
+    """Per set-up phase, the median ms of trees[0] and, for each later tree,
+    the quartiles over rounds of its per-round ratio to trees[0]."""
+    phases = [setup_phases(tree, solve) for tree in trees]
+    ms = {phase: [[] for _ in trees] for phase in SETUP_PHASES}
+    for round_ in range(rounds):
+        order = range(len(trees))
+        for phase in SETUP_PHASES:
+            for i in order if round_ % 2 == 0 else reversed(order):
+                call, arg = phases[i][phase]
+                ms[phase][i].append(median_ms(call, arg, calls))
+    return {phase: (statistics.median(times[0]),
+                    [np.percentile(np.divide(other, times[0]), [25, 50, 75])
+                     for other in times[1:]])
+            for phase, times in ms.items()}
+
+
+def print_comparison(solves, base, rounds, calls):
+    trees = [load_tree(base, "waveuc_base"), waveuc,
+             load_tree(base, "waveuc_base_again")]
+    print(f"BLAS threads: {blas_threads(np)}; {rounds} rounds of {calls}-call "
+          f"medians; base {base}; ratio median [quartiles] over rounds")
+    print(f"{'key':<22}{'phase':>6}{'base ms':>10}"
+          f"{'change/base':>27}{'A/A':>27}")
+    for solve in solves:
+        for phase, (base_ms, ratios) in compare_trees(
+                solve, trees, rounds, calls).items():
+            line = f"{solve.key:<22}{phase:>6}{base_ms:>10.3f}"
+            for q1, median, q3 in ratios:
+                line += f"{f'{median:.3f} [{q1:.3f}, {q3:.3f}]':>27}"
+            print(line, flush=True)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("keys", nargs="*",
                         help="keep configurations whose key contains one")
     parser.add_argument("--calls", type=int, default=30,
                         help="calls per median (default 30)")
+    parser.add_argument("--base", metavar="TREE",
+                        help="compare the set-up phases with the checkout "
+                             "TREE in one process")
+    parser.add_argument("--rounds", type=int, default=10,
+                        help="rounds of the --base comparison (default 10)")
     args = parser.parse_args(argv)
-    if args.calls < 1:
-        parser.error("--calls must be at least 1")
+    if args.calls < 1 or args.rounds < 1:
+        parser.error("--calls and --rounds must be at least 1")
+    solves = [solve for workload in WORKLOADS.values()
+              for solve in workload.solves
+              if not args.keys or any(part in solve.key for part in args.keys)]
+    if args.base is not None:
+        print_comparison(solves, args.base, args.rounds, args.calls)
+        return 0
     print(f"BLAS threads: {blas_threads(np)}; median of {args.calls} calls, "
           "ms")
     print("".join(f"{c:>10}" if c != "key" else f"{c:<22}" for c in COLUMNS))
-    for workload in WORKLOADS.values():
-        for solve in workload.solves:
-            if args.keys and not any(part in solve.key for part in args.keys):
-                continue
-            row = layer_times(solve, args.calls)
-            cells = [f"{row['key']:<22}", f"{row['ndof']:>10}"]
-            cells += ["         -" if row[c] is None else f"{row[c]:>10.3f}"
-                      for c in COLUMNS[2:]]
-            print("".join(cells), flush=True)
+    for solve in solves:
+        row = layer_times(solve, args.calls)
+        cells = [f"{row['key']:<22}", f"{row['ndof']:>10}"]
+        cells += ["         -" if row[c] is None else f"{row[c]:>10.3f}"
+                  for c in COLUMNS[2:]]
+        print("".join(cells), flush=True)
     return 0
 
 
