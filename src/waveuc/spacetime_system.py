@@ -17,8 +17,9 @@ the one spatial block W = jump_weight or its transpose, so trace_jumps
 applies them to the traces alone; they couple the column ranges [:, 1:]
 (later slab) and [:, :-1] (earlier slab).  W is assembled on the traces
 directly.  The full jump blocks (jump) are built only when read, and in
-the package only dense_matrix reads them: it keeps an independent per-slab
-assembly as the oracle.
+the package only dense_matrix reads them.  The oracle assembles its own
+temporal trace factors and full per-slab blocks, but it shares the spatial
+weights W1 and W2 with W through slab_forms._jump_terms.
 """
 
 from dataclasses import dataclass

@@ -3,8 +3,8 @@ GMRes iteration and one solve's post-processing run, for each solve
 configuration of the benchmark.
 
     PYTHONPATH=src python3 tools/layer_times.py [--calls 30] [KEY ...]
-    PYTHONPATH=src python3 tools/layer_times.py --base TREE [--rounds 10]
-        [--calls 30] [KEY ...]
+    PYTHONPATH=src python3 tools/layer_times.py --base TREE [--calls 30]
+        [KEY ...]
 
 For every solve of the workloads in perfbench/bench.py it prints the median
 over --calls calls, in ms, of:
@@ -29,7 +29,7 @@ timings from separate processes cannot be compared on a host whose speed
 changes between them.  It loads TREE/src/waveuc under a second module name
 and, for the A/A floor, once more under a third, beside the waveuc on
 PYTHONPATH (the change).  For every configuration it times the set-up
-phases init, rhs and pc of the three in --rounds rounds, each phase of each
+phases init, rhs and pc of the three in ROUNDS = 10 rounds, each phase of each
 tree a median over --calls calls, and reverses the trees' order from one
 round to the next, so that each goes first as often as the other.  It
 prints for each phase the base tree's median in ms and the median over the
@@ -63,6 +63,7 @@ from run import blas_threads  # noqa: E402
 COLUMNS = ("key", "ndof", "init", "rhs", "pc", "em_first", "step", "M", "A",
            "norms")
 SETUP_PHASES = ("init", "rhs", "pc")
+ROUNDS = 10
 
 
 def median_ms(call, arg, calls):
@@ -130,12 +131,12 @@ def setup_phases(tree, solve):
                    solve.precond)}
 
 
-def compare_trees(solve, trees, rounds, calls):
+def compare_trees(solve, trees, calls):
     """Per set-up phase, the median ms of trees[0] and, for each later tree,
     the quartiles over rounds of its per-round ratio to trees[0]."""
     phases = [setup_phases(tree, solve) for tree in trees]
     ms = {phase: [[] for _ in trees] for phase in SETUP_PHASES}
-    for round_ in range(rounds):
+    for round_ in range(ROUNDS):
         order = range(len(trees))
         for phase in SETUP_PHASES:
             for i in order if round_ % 2 == 0 else reversed(order):
@@ -147,16 +148,16 @@ def compare_trees(solve, trees, rounds, calls):
             for phase, times in ms.items()}
 
 
-def print_comparison(solves, base, rounds, calls):
+def print_comparison(solves, base, calls):
     trees = [load_tree(base, "waveuc_base"), waveuc,
              load_tree(base, "waveuc_base_again")]
-    print(f"BLAS threads: {blas_threads(np)}; {rounds} rounds of {calls}-call "
+    print(f"BLAS threads: {blas_threads(np)}; {ROUNDS} rounds of {calls}-call "
           f"medians; base {base}; ratio median [quartiles] over rounds")
     print(f"{'key':<22}{'phase':>6}{'base ms':>10}"
           f"{'change/base':>27}{'A/A':>27}")
     for solve in solves:
         for phase, (base_ms, ratios) in compare_trees(
-                solve, trees, rounds, calls).items():
+                solve, trees, calls).items():
             line = f"{solve.key:<22}{phase:>6}{base_ms:>10.3f}"
             for q1, median, q3 in ratios:
                 line += f"{f'{median:.3f} [{q1:.3f}, {q3:.3f}]':>27}"
@@ -172,16 +173,14 @@ def main(argv=None):
     parser.add_argument("--base", metavar="TREE",
                         help="compare the set-up phases with the checkout "
                              "TREE in one process")
-    parser.add_argument("--rounds", type=int, default=10,
-                        help="rounds of the --base comparison (default 10)")
     args = parser.parse_args(argv)
-    if args.calls < 1 or args.rounds < 1:
-        parser.error("--calls and --rounds must be at least 1")
+    if args.calls < 1:
+        parser.error("--calls must be at least 1")
     solves = [solve for workload in WORKLOADS.values()
               for solve in workload.solves
               if not args.keys or any(part in solve.key for part in args.keys)]
     if args.base is not None:
-        print_comparison(solves, args.base, args.rounds, args.calls)
+        print_comparison(solves, args.base, args.calls)
         return 0
     print(f"BLAS threads: {blas_threads(np)}; median of {args.calls} calls, "
           "ms")
