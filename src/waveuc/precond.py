@@ -10,6 +10,12 @@ factorization; the first slab differs because no interface jump terms
 reach it.  A sweep assembles the first slab's block alone: its band (_Band)
 is copied and the interior's one extra term added to the copy, so the
 interior block is never assembled.
+
+Blocks reach _Band, and couplings _Sweep, as plain index and value arrays
+(slab_forms._Triplets), never as scipy matrices: a slab block is the
+entries of its parts side by side, which the band sums.  A scipy CSR
+matrix is made only for what an apply reads: mf's and ml's coupling and
+ml's embed and embed_T.
 """
 
 import copy
@@ -21,11 +27,13 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .slab_forms import (
     SlabSpace,
+    _concatenated,
+    _dfb_blocks,
+    _dual_stabilizer,
+    _points,
     _tensor_block,
-    assemble_A,
-    assemble_dfb_extras,
-    assemble_dual_stabilizer,
-    point_matrix,
+    _Triplets,
+    _wave_operator,
 )
 
 __all__ = [
@@ -74,30 +82,33 @@ class _Band(_BandShape):
     """One slab block in LAPACK band storage, from its pattern (the
     pattern step: perm, inv, kl, ku and so band_bytes) and its values.
 
+    The block comes as _Triplets; entries at one place are summed in their
+    order, as the sparse sum of the parts they come from would sum them
+    (a sum that cancels to zero, which that sum would drop, still counts
+    for kl and ku).
     ab is the band, Fortran order, with kl extra rows on top for the
     fill-in: entry (i, j) of the permuted block at row kl + ku + i - j of
     column j.  _BandLU factors ab in place and takes it, so a band is
     copied (plus) before it is factored.
     """
 
-    def __init__(self, matrix, perm):
-        n = matrix.shape[0]
+    def __init__(self, block, perm):
+        n = block.shape[0]
         self.perm = perm
         self.inv = np.empty(n, dtype=np.intp)
         self.inv[perm] = np.arange(n)
-        coo = matrix.tocoo()
-        cols, offset = self._offsets(coo)
+        cols, offset = self._offsets(block)
         self.kl = int(offset.max(initial=0))
         self.ku = int(-offset.min(initial=0))
-        # bincount sums duplicate entries
-        self.ab = np.bincount(self._at(cols, offset), weights=coo.data,
+        # bincount sums the entries at one place in their order
+        self.ab = np.bincount(self._at(cols, offset), weights=block.vals,
                               minlength=n * self._ldab).reshape(n, -1).T
 
-    def _offsets(self, coo):
-        """The permuted columns of coo's entries and their offsets, row
-        minus column."""
-        cols = self.inv[coo.col]
-        return cols, self.inv[coo.row] - cols
+    def _offsets(self, block):
+        """The permuted columns of the block's entries and their offsets,
+        row minus column."""
+        cols = self.inv[block.cols]
+        return cols, self.inv[block.rows] - cols
 
     def _at(self, cols, offset):
         """Positions in the flat (Fortran-order) band of the entries at
@@ -105,17 +116,16 @@ class _Band(_BandShape):
         return cols * self._ldab + self.kl + self.ku + offset
 
     def plus(self, term):
-        """A copy of this band with the sparse block term added, which must
-        lie inside the band; entry by entry, each sum is the one the sparse
-        sum of the two blocks would make."""
-        coo = term.tocoo()
-        cols, offset = self._offsets(coo)
+        """A copy of this band with the block term (_Triplets) added, which
+        must lie inside the band; entry by entry, each sum is the one the
+        sparse sum of the two blocks would make."""
+        cols, offset = self._offsets(term)
         if offset.max(initial=0) > self.kl or -offset.min(initial=0) > self.ku:
             raise ValueError("term outside the band")
         band = copy.copy(self)
         band.ab = self.ab.copy(order="F")
         np.add.at(band.ab.reshape(-1, order="F"), self._at(cols, offset),
-                  coo.data)
+                  term.vals)
         return band
 
 
@@ -146,27 +156,26 @@ class _BandLU(_BandShape):
         return out
 
 
-# the temporal factor that makes an assembled block one tensor term
-_WHOLE = np.ones((1, 1))
-
-
 def _slab_block(system, A, Sstar):
     """The slab-diagonal block [[Sh + Momega, A^T], [A, -Sstar]] of a sweep
-    whose dual pair is tested by A and Sstar, in COO form, as _Band reads
-    it."""
-    diag_pp = system.Sh + system.Momega
-    sizes = (system.n_primal, Sstar.shape[0])
-    return _tensor_block((sizes, sizes), [
-        (0, 0, 1.0, _WHOLE, diag_pp), (0, 1, 1.0, _WHOLE, A.T),
-        (1, 0, 1.0, _WHOLE, A), (1, 1, -1.0, _WHOLE, Sstar)], format="coo")
+    whose dual pair is tested by A and Sstar (_Triplets), as the triplets
+    _Band reads: the entries of Sh, then of Momega, which the band sums
+    place by place as their sparse sum would, A's entries with rows and
+    columns swapped, A's, and Sstar's negated."""
+    n_p = system.n_primal
+    n = n_p + Sstar.shape[0]
+    return _concatenated((n, n), [
+        _Triplets.of(system.Sh), _Triplets.of(system.Momega),
+        (A.cols, A.rows + n_p, A.vals), (A.rows + n_p, A.cols, A.vals),
+        (Sstar.rows + n_p, Sstar.cols + n_p, -Sstar.vals)])
 
 
 def _on_traces(system, rows, cols, size):
     """The jump block W (system.jump_weight) on the given trace rows and
-    columns of a size-square block, in COO form."""
-    W = system.jump_weight.tocoo()
-    return sp.coo_matrix((W.data, (rows[W.row], cols[W.col])),
-                         shape=(size, size))
+    columns of a size-square block, as _Triplets; canonical, since rows
+    and cols are ascending."""
+    W = _Triplets.of(system.jump_weight)
+    return _Triplets(rows[W.rows], cols[W.cols], W.vals, (size, size))
 
 
 def _sweep_lus(first, term, n_slabs, suffix=""):
@@ -221,12 +230,14 @@ class _Sweep:
                 self._runs[-1][2] = n + 1
             else:
                 self._runs.append([lu, n, n + 1])
-        C = sp.csc_matrix(coupling)
-        self.carried = np.flatnonzero(np.diff(C.indptr))
+        # the columns where the coupling (_Triplets) stores an entry
+        C = coupling
+        self.carried = np.flatnonzero(np.bincount(C.cols, minlength=C.shape[1]))
         self._n = C.shape[0]
         self._n_coupled = len({id(lu) for lu in lus[1:]})
         # K and K_c, once for the LU of each coupled row
-        C_c = C[:, self.carried].toarray()
+        C_c = np.zeros((C.shape[0], len(self.carried)))
+        C_c[C.rows, np.searchsorted(self.carried, C.cols)] = C.vals
         self._K = {}
         for lu in lus[1:]:
             if id(lu) not in self._K:
@@ -409,7 +420,8 @@ class BlockJacobi:
     def __init__(self, system):
         self.system = system
         self.lu = _BandLU(
-            _Band(_slab_block(system, system.A_pd, system.Sstar),
+            _Band(_slab_block(system, _Triplets.of(system.A_pd),
+                              _Triplets.of(system.Sstar)),
                   _node_order(system.primal, system.dual)),
             "slab-diagonal block")
         self.defect = _JumpDefect(system, True, self.lu, self.lu)
@@ -421,12 +433,13 @@ class BlockJacobi:
 
 def _spatial_embedding(mesh, fine, coarse):
     """Coefficients of coarse spatial functions expressed in the fine nodal
-    basis (same mesh, lower degree): the coarse basis evaluated at the fine
-    nodes, each shared vertex node taken from the element to its right."""
+    basis (same mesh, lower degree), as canonical _Triplets: the coarse
+    basis evaluated at the fine nodes, each shared vertex node taken from
+    the element to its right."""
     kf = fine.degree
     nodes = np.arange(kf * mesh.n_elems + 1)
     elems = np.minimum(nodes // kf, mesh.n_elems - 1)
-    return point_matrix(mesh, coarse, elems, fine.nodes[nodes - kf * elems])
+    return _points(mesh, coarse, elems, fine.nodes[nodes - kf * elems])
 
 
 class MonolithicForward:
@@ -451,7 +464,9 @@ class MonolithicForward:
         system_orders = (cfg.kstar, cfg.qstar)
         orders = system_orders if dual_orders is None else tuple(dual_orders)
         if orders == system_orders:
-            sweep_dual, A_sw, Sstar_sw = system.dual, system.A_pd, system.Sstar
+            sweep_dual = system.dual
+            A_sw, Sstar_sw = (_Triplets.of(system.A_pd),
+                              _Triplets.of(system.Sstar))
             self.embed = None
         else:
             kc, qc = orders
@@ -461,17 +476,17 @@ class MonolithicForward:
                     f"{system_orders}"
                 )
             sweep_dual = SlabSpace(system.mesh, kc, qc, cfg.dt)
-            A_sw = assemble_A(system.primal, sweep_dual)
-            Sstar_sw = assemble_dual_stabilizer(sweep_dual)
+            A_sw = _wave_operator(system.primal, sweep_dual)
+            Sstar_sw = _dual_stabilizer(sweep_dual)
             Ex = _spatial_embedding(system.mesh, system.dual.xbasis,
                                     sweep_dual.xbasis)
             Et = sweep_dual.tbasis.eval(system.dual.tbasis.nodes)
-            self.embed = _tensor_block(
+            E = _tensor_block(
                 ((system.dual.n_field,) * 2, (sweep_dual.n_field,) * 2),
                 [(0, 0, 1.0, Et, Ex), (1, 1, 1.0, Et, Ex)])
-            self.embed_T = self.embed.T.tocsr()
+            self.embed, self.embed_T = E.tocsr(), E.transpose().tocsr()
             self.sstar_lu = _BandLU(
-                _Band(system.Sstar, _node_order(system.dual)),
+                _Band(_Triplets.of(system.Sstar), _node_order(system.dual)),
                 "dual stabilizer")
 
         # the interior block adds the jump term plus, W on the start
@@ -521,8 +536,11 @@ class ForwardBackwardSplit:
                 "the forward-backward split requires equal primal and dual "
                 "orders"
             )
-        extras = assemble_dfb_extras(system.primal, system.dual, system.data, lam)
-        G0 = system.A_pd + extras["observer"] + extras["nitsche"]
+        extras = _dfb_blocks(system.primal, system.dual, system.data, lam)
+        # G0 = (A_pd + observer) + nitsche, which the band sums place by
+        # place as the sparse sum would
+        G0 = _concatenated(system.A_pd.shape, [
+            _Triplets.of(system.A_pd), extras["observer"], extras["nitsche"]])
         coupling = extras["coupling_sub"]
         # equal orders: the dual-test rows sort like the primal columns;
         # the interior block adds coupling_diag
@@ -531,7 +549,7 @@ class ForwardBackwardSplit:
                               ", forward sweep")
         self.forward = _Sweep(self.lus, coupling)
         # the backward sweep is the transposed march on the reversed slab order
-        self.backward = _Sweep(self.lus[::-1], coupling.T, trans=1)
+        self.backward = _Sweep(self.lus[::-1], coupling.transpose(), trans=1)
 
     def apply(self, r):
         sys = self.system

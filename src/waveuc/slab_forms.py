@@ -8,14 +8,25 @@ flattened C-style, so a field block has (q+1) * n_x entries.
 
 Every block is a sum of kron(temporal factor, spatial factor) terms over
 one slab's field-pair coefficients, given as a list of terms that
-_tensor_block turns into one CSR matrix.  A SlabSpace keeps the factors it
-is tested with, so a system builds each distinct factor once.
+_tensor_block turns into one block.  A SlabSpace keeps the factors it is
+tested with, so a system builds each distinct factor once.
 Every spatial form is an element integral, one local matrix scattered over
-element_dofs (the global dofs of each element), or a product of point_matrix
-evaluations, with no element loop.  The temporal factors of the blocks that
-couple neighbouring slabs are products of slab-endpoint values
+element_dofs (the global dofs of each element), or a product of point
+evaluations (_points), with no element loop.  The temporal factors of the
+blocks that couple neighbouring slabs are products of slab-endpoint values
 (temporal_trace_matrix).
+
+Set-up makes no scipy object on the way: the spatial factors, the point
+forms and their products, the sparse sums, the blocks' tensor-product
+entries and the transposes are plain numpy index and value arrays
+(_Triplets), in CSR order.  Each sum and product adds in the order scipy's
+sparse algebra does, so every block is bitwise the one scipy would make.
+One scipy CSR matrix, from its (data, indices, indptr), is made for each
+matrix a caller keeps: the public functions here return one, and a block
+that only feeds a banded LU (precond._Band) never becomes one.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,7 +36,6 @@ from .basis import SpatialBasis, TemporalBasis, gauss_rule
 __all__ = [
     "SlabSpace",
     "element_dofs",
-    "point_matrix",
     "spatial_matrix",
     "temporal_matrix",
     "temporal_trace_matrix",
@@ -38,10 +48,100 @@ __all__ = [
     "assemble_dual_stabilizer",
     "assemble_data_mass",
     "interface_jump_blocks",
-    "interface_jump_weight",
     "assemble_dfb_extras",
     "assemble_dual_interface_mass",
 ]
+
+
+class _Triplets(NamedTuple):
+    """A sparse matrix of the given shape as its entries: vals[e] at row
+    rows[e] and column cols[e].
+
+    Canonical triplets are sorted by row, then by column, with no two
+    entries at one place: the order and pattern of a CSR matrix, which
+    tocsr makes from them in one step.  Every intermediate of set-up is
+    canonical triplets; a block that only feeds a band (precond._Band) may
+    hold several entries at one place, which the band sums in their order.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    shape: tuple
+
+    @classmethod
+    def of(cls, matrix):
+        """The stored entries of the CSR matrix, in its order."""
+        counts = np.diff(matrix.indptr)
+        rows = np.repeat(np.arange(matrix.shape[0], dtype=counts.dtype), counts)
+        return cls(rows, matrix.indices, matrix.data, matrix.shape)
+
+    def scaled(self, factor):
+        """The entries times factor, as scipy scales a sparse matrix (also
+        for its division by s, which multiplies by 1 / s)."""
+        return self._replace(vals=self.vals * factor)
+
+    def transpose(self):
+        """The canonical transpose of canonical triplets: a stable sort by
+        column keeps the rows in order within each, as scipy's conversion
+        of the transpose to CSR does."""
+        cols = self.cols
+        if self.shape[1] <= 2**16:
+            # numpy sorts 16-bit keys stably by radix sort, in linear time
+            cols = cols.astype(np.uint16)
+        order = np.argsort(cols, kind="stable")
+        return _Triplets(self.cols[order], self.rows[order],
+                         self.vals[order], self.shape[::-1])
+
+    def tocsr(self):
+        """The CSR matrix of canonical triplets, with scipy's index type
+        for its size."""
+        index = _index_type(self.shape)
+        # the rows are sorted: row i starts after the entries of rows < i
+        indptr = np.searchsorted(self.rows, np.arange(self.shape[0] + 1))
+        return sp.csr_matrix(
+            (self.vals, self.cols.astype(index, copy=False),
+             indptr.astype(index)), shape=self.shape)
+
+
+def _index_type(shape):
+    """scipy's index type for a sparse matrix of this shape."""
+    return np.int32 if max(shape) < 2**31 else np.int64
+
+
+def _summed(rows, cols, vals, shape, drop_zeros=False):
+    """Canonical triplets of the entries vals at (rows, cols), the entries
+    at one place summed in the order given, from the first one on: -0.0,
+    the exact identity of +, starts each sum, so the sums are bitwise
+    those of scipy's conversion of COO triplets to CSR.  With drop_zeros a
+    sum equal to zero is not kept, as a sparse sum or product drops it."""
+    keys = rows.astype(np.int64) * shape[1] + cols
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    sums = np.full(np.count_nonzero(first), -0.0)
+    np.add.at(sums, np.cumsum(first) - 1, vals[order])
+    keys = keys[first]
+    if drop_zeros:
+        keep = sums != 0
+        keys, sums = keys[keep], sums[keep]
+    index = _index_type(shape)
+    r, c = np.divmod(keys, shape[1])
+    return _Triplets(r.astype(index), c.astype(index), sums, shape)
+
+
+def _concatenated(shape, parts):
+    """Triplets of the given shape holding the entries of all parts, one
+    part after the other."""
+    return _Triplets(*(np.concatenate(x) for x in zip(*(p[:3] for p in parts))),
+                     shape)
+
+
+def _sum(*parts):
+    """The sparse sum of canonical triplets of one shape, left to right,
+    with no zero stored: bitwise scipy's sum of the CSR matrices."""
+    return _summed(*_concatenated(parts[0].shape, parts), drop_zeros=True)
 
 
 class SlabSpace:
@@ -49,7 +149,9 @@ class SlabSpace:
 
     spatial, temporal and boundary_penalty build the factors of the forms
     tested with this space once per trial space's orders, derivative pair
-    and data mask, and hand back the same matrix on every later call.
+    and data mask, and hand back the same factor on every later call: the
+    spatial ones as canonical _Triplets, the temporal ones as small dense
+    arrays.
     """
 
     def __init__(self, mesh, degree_x, degree_t, dt):
@@ -79,9 +181,9 @@ class SlabSpace:
         return self._factors[key]
 
     def spatial(self, trial, d_test=0, d_trial=0, mask=None):
-        """spatial_matrix of this space's basis (test) against trial's."""
+        """_spatial_form of this space's basis (test) against trial's."""
         key = ("x", d_test, d_trial, None if mask is None else mask.tobytes())
-        return self._factor(trial, key, lambda: spatial_matrix(
+        return self._factor(trial, key, lambda: _spatial_form(
             self.mesh, self.xbasis, trial.xbasis, d_test, d_trial, mask=mask))
 
     def temporal(self, trial, d_test=0, d_trial=0):
@@ -91,10 +193,9 @@ class SlabSpace:
                                             d_test, d_trial, self.dt))
 
     def boundary_penalty(self, trial):
-        """boundary_penalty_matrix of this space's basis against trial's."""
-        return self._factor(trial, ("penalty",), lambda:
-                            boundary_penalty_matrix(self.mesh, self.xbasis,
-                                                    trial.xbasis))
+        """_boundary_penalty of this space's basis against trial's."""
+        return self._factor(trial, ("penalty",), lambda: _boundary_penalty(
+            self.mesh, self.xbasis, trial.xbasis))
 
 
 def element_dofs(mesh, degree):
@@ -104,29 +205,49 @@ def element_dofs(mesh, degree):
     return degree * np.arange(mesh.n_elems)[:, None] + np.arange(degree + 1)
 
 
-def point_matrix(mesh, basis, elems, ref, deriv=0):
-    """Point evaluations over the global dofs, as a CSR matrix whose row r
-    holds the values (deriv = 0) or physical derivatives of the basis of
-    element elems[r] at reference point ref[r] (or at ref, if scalar).
+def _points(mesh, basis, elems, ref, deriv=0):
+    """Point evaluations over the global dofs, as canonical triplets whose
+    row r holds the values (deriv = 0) or physical derivatives of the basis
+    of element elems[r] at reference point ref[r] (or at ref, if scalar).
     Basis values that vanish exactly are not stored."""
     cols = element_dofs(mesh, basis.degree)[elems]
-    vals = basis.eval(np.asarray(ref, dtype=float), deriv) / mesh.h**deriv
+    vals = np.broadcast_to(
+        basis.eval(np.asarray(ref, dtype=float), deriv) / mesh.h**deriv,
+        cols.shape).ravel()
     rows = np.repeat(np.arange(len(cols)), basis.degree + 1)
-    out = sp.csr_matrix(
-        (np.broadcast_to(vals, cols.shape).ravel(), (rows, cols.ravel())),
-        shape=(len(cols), basis.degree * mesh.n_elems + 1),
-    )
-    out.eliminate_zeros()
-    return out
+    keep = vals != 0
+    shape = (len(cols), basis.degree * mesh.n_elems + 1)
+    index = _index_type(shape)
+    return _Triplets(rows[keep].astype(index), cols.ravel()[keep].astype(index),
+                     vals[keep], shape)
 
 
-def spatial_matrix(mesh, test, trial, d_test=0, d_trial=0, mask=None):
-    """Element-wise integral of D^a(test_i) * D^b(trial_j) over the mesh.
+def _point_product(P, Q, weights=None):
+    """P^T diag(weights) Q for point evaluations P and Q at the same points
+    (canonical triplets, one row per point), as scipy's sparse product
+    makes it: entry (i, j) sums (w_r P[r, i]) Q[r, j] over the points r in
+    order, and a zero sum is not stored."""
+    q_len = np.bincount(Q.rows, minlength=P.shape[0])
+    q_start = np.cumsum(q_len) - q_len
+    # every pair of a P entry and a Q entry at one point, P's in its order
+    count = q_len[P.rows]
+    p = np.repeat(np.arange(len(P.rows)), count)
+    q = (np.arange(len(p)) - np.repeat(np.cumsum(count) - count, count)
+         + q_start[P.rows[p]])
+    left = P.vals if weights is None else weights[P.rows] * P.vals
+    return _summed(P.cols[p], Q.cols[q], left[p] * Q.vals[q],
+                   (P.shape[1], Q.shape[1]), drop_zeros=True)
+
+
+def _spatial_form(mesh, test, trial, d_test=0, d_trial=0, mask=None):
+    """Element-wise integral of D^a(test_i) * D^b(trial_j) over the mesh,
+    as canonical triplets.
 
     test/trial are SpatialBasis objects; derivatives are physical ones.
     With mask given, only the masked elements contribute.  Second
     derivatives are taken element by element (no distributional part), which
-    is what the interior least-squares terms need.
+    is what the interior least-squares terms need.  The element matrices
+    are summed where elements share a vertex, and zeros are kept.
     """
     rule = gauss_rule(max(test.degree, trial.degree) + 2)
     h = mesh.h
@@ -138,11 +259,14 @@ def spatial_matrix(mesh, test, trial, d_test=0, d_trial=0, mask=None):
         element_dofs(mesh, test.degree)[elems, :, None],
         element_dofs(mesh, trial.degree)[elems, None, :])
     vals = np.broadcast_to(local, rows.shape)
-    return sp.csr_matrix(
-        (vals.ravel(), (rows.ravel(), cols.ravel())),
-        shape=(test.degree * mesh.n_elems + 1,
-               trial.degree * mesh.n_elems + 1),
-    )
+    return _summed(rows.ravel(), cols.ravel(), vals.ravel(),
+                   (test.degree * mesh.n_elems + 1,
+                    trial.degree * mesh.n_elems + 1))
+
+
+def spatial_matrix(mesh, test, trial, d_test=0, d_trial=0, mask=None):
+    """_spatial_form as a CSR matrix."""
+    return _spatial_form(mesh, test, trial, d_test, d_trial, mask).tocsr()
 
 
 def temporal_matrix(test, trial, d_test=0, d_trial=0, dt=1.0):
@@ -165,22 +289,36 @@ def temporal_trace_matrix(test, trial, t_test, t_trial):
     return np.outer(test.eval(t_test), trial.eval(t_trial))
 
 
-def _endpoint_matrix(mesh, basis, deriv=0):
+def _endpoints(mesh, basis, deriv=0):
     """Point evaluations at the two domain endpoints (left row first)."""
-    return point_matrix(mesh, basis, [0, mesh.n_elems - 1], [0.0, 1.0], deriv)
+    return _points(mesh, basis, [0, mesh.n_elems - 1], [0.0, 1.0], deriv)
+
+
+def _boundary_penalty(mesh, test, trial):
+    """Sum over the two domain endpoints of test_i * trial_j, as canonical
+    triplets."""
+    return _point_product(_endpoints(mesh, test), _endpoints(mesh, trial))
 
 
 def boundary_penalty_matrix(mesh, test, trial):
-    """Sum over the two domain endpoints of test_i * trial_j."""
-    return (_endpoint_matrix(mesh, test).T
-            @ _endpoint_matrix(mesh, trial)).tocsr()
+    """_boundary_penalty as a CSR matrix."""
+    return _boundary_penalty(mesh, test, trial).tocsr()
+
+
+# the outward normals at the left and right domain endpoints
+_NORMALS = np.array([-1.0, 1.0])
+
+
+def _boundary_flux(mesh, test, trial):
+    """Sum over the two endpoints of test_i * (normal derivative of
+    trial_j), as canonical triplets."""
+    return _point_product(_endpoints(mesh, test),
+                          _endpoints(mesh, trial, deriv=1), _NORMALS)
 
 
 def boundary_flux_matrix(mesh, test, trial):
-    """Sum over the two endpoints of test_i * (normal derivative of trial_j)."""
-    normals = sp.diags([-1.0, 1.0])
-    return (_endpoint_matrix(mesh, test).T
-            @ normals @ _endpoint_matrix(mesh, trial, deriv=1)).tocsr()
+    """_boundary_flux as a CSR matrix."""
+    return _boundary_flux(mesh, test, trial).tocsr()
 
 
 def gradient_jump_matrix(mesh, basis):
@@ -191,72 +329,94 @@ def gradient_jump_matrix(mesh, basis):
     The penalty is h G^T G, where row i of G is the left minus the right
     derivative at interior vertex i.
     """
+    return _gradient_jump(mesh, basis).tocsr()
+
+
+def _gradient_jump(mesh, basis):
+    """gradient_jump_matrix as canonical triplets."""
     v = mesh.interior_facets
-    G = (point_matrix(mesh, basis, v - 1, 1.0, deriv=1)
-         - point_matrix(mesh, basis, v, 0.0, deriv=1))
-    return (mesh.h * (G.T @ G)).tocsr()
+    G = _sum(_points(mesh, basis, v - 1, 1.0, deriv=1),
+             _points(mesh, basis, v, 0.0, deriv=1).scaled(-1.0))
+    return _point_product(G, G).scaled(mesh.h)
 
 
-def _tensor_block(shape, terms, format="csr"):
-    """One block, in the given scipy format, from a list of tensor-product
+def _tensor_block(shape, terms):
+    """One block, as canonical triplets, from a list of tensor-product
     terms.
 
     shape holds the sizes of the block's row fields and of its column
     fields.  A term (i, j, scale, T, S), with T a small dense temporal
-    matrix and S a sparse spatial one of shape (n, m), puts
-    scale * kron(T, S) on row field i and column field j: the entry
-    scale * (T[a, b] * S[r, c]) at (a * n + r, b * m + c) within them.
-    As with kron, a zero of T puts no entries and a stored zero of S is
-    kept.  Several terms on one field pair are summed as a sparse sum
+    matrix and S a spatial factor of shape (n, m) given as canonical
+    _Triplets, puts scale * kron(T, S) on row field i and column field j:
+    the entry scale * (T[a, b] * S[r, c]) at (a * n + r, b * m + c) within
+    them.  As with kron, a zero of T puts no entries and a stored zero of
+    S is kept.  Several terms on one field pair are summed as a sparse sum
     would: entry by entry, left to right in the order of terms, with no
     zero stored.  So the block is bitwise the bmat of the field pairs, each
-    the kron of its one term or the sparse sum of its terms' krons.  The
-    entries make one COO matrix; no two share a place, so converting it
-    adds nothing, and for spatial factors with sorted rows, whose entries
-    come out in column order within each row, it sorts nothing either.
+    the kron of its one term or the sparse sum of its terms' krons.
+
+    No sort is needed for the CSR order: each field pair's entries are laid
+    out by temporal row, spatial row, temporal column and their place in
+    the spatial row, each spatial row padded to the longest, so that a
+    block row's entries, field pair by field pair, come out in column
+    order, and one mask over the padded layout takes them.
     """
     row_at = np.cumsum((0,) + tuple(shape[0]))
     col_at = np.cumsum((0,) + tuple(shape[1]))
-    # scipy's own index type for a matrix of this size
-    index = np.int32 if max(row_at[-1], col_at[-1]) < 2**31 else np.int64
+    size = (int(row_at[-1]), int(col_at[-1]))
+    index = _index_type(size)
     groups = {}
     for i, j, scale, T, S in terms:
-        groups.setdefault((i, j), []).append(
-            (scale, np.asarray(T), S.tocsr()))
-    rows, cols, vals = [], [], []
-    for i, j in sorted(groups):
-        group = groups[i, j]
-        (n, m), (n_a, n_b) = group[0][2].shape, group[0][1].shape
-        r, c, val, keep = _pair_entries(group, m)
-        a, b = np.divmod(np.arange(n_a * n_b, dtype=index), n_b)
-        row = ((row_at[i] + n * a).astype(index)[:, None]
-               + r.astype(index, copy=False))
-        col = ((col_at[j] + m * b).astype(index)[:, None]
-               + c.astype(index, copy=False))
-        if not keep.all():
-            row, col, val = row[keep], col[keep], val[keep]
-        rows.append(row.ravel())
-        cols.append(col.ravel())
-        vals.append(val.ravel())
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(row_at[-1], col_at[-1])).asformat(format)
+        groups.setdefault((i, j), []).append((scale, np.asarray(T), S))
+    counts, cols, vals = [], [np.zeros(0, dtype=index)], [np.zeros(0)]
+    for i, n_rows in enumerate(shape[0]):
+        pairs = [_padded_pair(groups[i, j], col_at[j], index)
+                 for j in range(len(shape[1])) if (i, j) in groups]
+        if not pairs:
+            counts.append(np.zeros(n_rows, dtype=np.intp))
+            continue
+        V, C, keep = (np.concatenate(x, axis=-1) for x in zip(*pairs))
+        counts.append(keep.sum(axis=-1).ravel())
+        cols.append(np.broadcast_to(C, keep.shape)[keep])
+        vals.append(V[keep])
+    rows = np.repeat(np.arange(size[0], dtype=index), np.concatenate(counts))
+    return _Triplets(rows, np.concatenate(cols), np.concatenate(vals), size)
+
+
+def _padded_pair(group, col0, index):
+    """One field pair's terms (scale, T, S), laid out for _tensor_block:
+    the values and which of them to keep, shape (n_a, n, n_b * w) for
+    temporal row a, spatial row r and, last, temporal column b and the
+    place in the spatial row (w places, the longest row's count), and the
+    block columns of those places, shape (n, n_b * w), from col0 on."""
+    (n, m), (n_a, n_b) = group[0][2].shape, group[0][1].shape
+    r, c, val, keep = _pair_entries(group, m)
+    # each entry's place in its spatial row; r is sorted
+    slot = np.arange(len(r)) - np.searchsorted(r, r)
+    w = int(slot.max(initial=-1)) + 1
+    # [:, r, :, slot] is (entry, a, b): the entries go to (a, r, b, place)
+    V = np.zeros((n_a, n, n_b, w))
+    V[:, r, :, slot] = val.reshape(n_a, n_b, -1).transpose(2, 0, 1)
+    K = np.zeros((n_a, n, n_b, w), dtype=bool)
+    K[:, r, :, slot] = keep.reshape(n_a, n_b, -1).transpose(2, 0, 1)
+    C = np.zeros((n, n_b, w), dtype=index)
+    C[r, :, slot] = col0 + m * np.arange(n_b) + c[:, None]
+    return V.reshape(n_a, n, -1), C.reshape(n, -1), K.reshape(n_a, n, -1)
 
 
 def _pair_entries(group, m):
-    """The entries of one field pair's terms (scale, T, S), S in CSR form
-    with m columns: their spatial rows and columns, the values with one row
-    per temporal pair (a, b), and which of them to keep: a mask over the
-    values or over their rows.  One term keeps the stored zeros of S;
-    several are summed over the union of their patterns as a sparse sum
-    would: left to right in the order given, with no zero stored."""
-    values = [scale * (T.ravel()[:, None] * S.data) for scale, T, S in group]
-    rows = [np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
-            for _, _, S in group]
+    """The entries of one field pair's terms (scale, T, S), S canonical
+    triplets with m columns: their spatial rows and columns (canonical),
+    the values with one row per temporal pair (a, b), and which of them to
+    keep: a mask over the values or over their rows.  One term keeps the
+    stored zeros of S; several are summed over the union of their patterns
+    as a sparse sum would: left to right in the order given, with no zero
+    stored."""
+    values = [scale * (T.ravel()[:, None] * S.vals) for scale, T, S in group]
     if len(group) == 1:
         (_, T, S), = group
-        return rows[0], S.indices, values[0], T.ravel() != 0
-    keys = [m * r + S.indices for r, (_, _, S) in zip(rows, group)]
+        return S.rows, S.cols, values[0], T.ravel() != 0
+    keys = [m * S.rows.astype(np.int64) + S.cols for _, _, S in group]
     union, at = np.unique(np.concatenate(keys), return_inverse=True)
     # summed onto zeros: a sum that is zero is dropped anyway, and a zero
     # added to a nonzero sum leaves it as it is
@@ -272,6 +432,21 @@ def _pair_shape(test, trial):
     return (test.n_field,) * 2, (trial.n_field,) * 2
 
 
+def _wave_operator(primal, dual):
+    """assemble_A as canonical triplets."""
+    Mt = dual.temporal(primal)
+    Ct = dual.temporal(primal, 0, 1)
+    Mx = dual.spatial(primal)
+    Kx = dual.spatial(primal, 1, 1)
+    Fx = _boundary_flux(primal.mesh, dual.xbasis, primal.xbasis)
+    return _tensor_block(_pair_shape(dual, primal), [
+        (0, 0, 1.0, Mt, _sum(Kx, Fx.scaled(-1.0))),
+        (0, 1, 1.0, Ct, Mx),
+        (1, 0, 1.0, Ct, Mx),
+        (1, 1, -1.0, Mt, Mx),
+    ])
+
+
 def assemble_A(primal, dual):
     """Space-time wave operator on one slab, tested against the dual pair.
 
@@ -279,17 +454,7 @@ def assemble_A(primal, dual):
     (u1, u2).  The boundary term is the Nitsche-style consistency flux
     -(du1/dn, y1) over the lateral boundary.
     """
-    Mt = dual.temporal(primal)
-    Ct = dual.temporal(primal, 0, 1)
-    Mx = dual.spatial(primal)
-    Kx = dual.spatial(primal, 1, 1)
-    Fx = boundary_flux_matrix(primal.mesh, dual.xbasis, primal.xbasis)
-    return _tensor_block(_pair_shape(dual, primal), [
-        (0, 0, 1.0, Mt, Kx - Fx),
-        (0, 1, 1.0, Ct, Mx),
-        (1, 0, 1.0, Ct, Mx),
-        (1, 1, -1.0, Mt, Mx),
-    ])
+    return _wave_operator(primal, dual).tocsr()
 
 
 def _primal_stabilizer_terms(space):
@@ -298,8 +463,7 @@ def _primal_stabilizer_terms(space):
     tmat = lambda a, b: space.temporal(space, a, b)
     Mx = space.spatial(space)
     return {
-        "J": [(0, 0, 1.0, tmat(0, 0),
-               gradient_jump_matrix(space.mesh, space.xbasis))],
+        "J": [(0, 0, 1.0, tmat(0, 0), _gradient_jump(space.mesh, space.xbasis))],
         # element-wise residual (dt u2 - Laplace u1) against itself, weight h^2
         "G": [
             (0, 0, h**2, tmat(0, 0), space.spatial(space, 2, 2)),
@@ -319,11 +483,11 @@ def _primal_stabilizer_terms(space):
 
 
 def _stabilizer_sum(space, terms):
-    """The sum ((J + G) + I0) + R of the primal stabilizers, as one block,
-    from the terms of the parts."""
+    """The sum ((J + G) + I0) + R of the primal stabilizers, as one CSR
+    block, from the terms of the parts."""
     return _tensor_block(_pair_shape(space, space),
                          [term for name in ("J", "G", "I0", "R")
-                          for term in terms[name]])
+                          for term in terms[name]]).tocsr()
 
 
 def assemble_primal_stabilizers(space):
@@ -335,7 +499,7 @@ def assemble_primal_stabilizers(space):
     field-pair matrices; the sum is positive semidefinite.
     """
     terms = _primal_stabilizer_terms(space)
-    parts = {name: _tensor_block(_pair_shape(space, space), part)
+    parts = {name: _tensor_block(_pair_shape(space, space), part).tocsr()
              for name, part in terms.items()}
     parts["Sh"] = _stabilizer_sum(space, terms)
     return parts
@@ -346,36 +510,46 @@ def assemble_Sh(space):
     return _stabilizer_sum(space, _primal_stabilizer_terms(space))
 
 
-def assemble_dual_stabilizer(space):
-    """Dual-pair stabilizer: full H1-type mass on z1 (with lateral boundary
-    weight 1/h) and plain mass on z2.  Symmetric positive definite."""
+def _dual_stabilizer(space):
+    """assemble_dual_stabilizer as canonical triplets."""
     Mt = space.temporal(space)
     Mx = space.spatial(space)
     Kx = space.spatial(space, 1, 1)
     Pb = space.boundary_penalty(space)
     return _tensor_block(_pair_shape(space, space), [
-        (0, 0, 1.0, Mt, Mx + Kx + Pb / space.mesh.h),
+        (0, 0, 1.0, Mt, _sum(Mx, Kx, Pb.scaled(1 / space.mesh.h))),
         (1, 1, 1.0, Mt, Mx),
     ])
 
 
-def assemble_data_mass(test_space, trial_space, data):
-    """Mass restricted to the measurement region, acting on the first field
-    only.  Rows run over test_space, columns over trial_space."""
+def assemble_dual_stabilizer(space):
+    """Dual-pair stabilizer: full H1-type mass on z1 (with lateral boundary
+    weight 1/h) and plain mass on z2.  Symmetric positive definite."""
+    return _dual_stabilizer(space).tocsr()
+
+
+def _data_mass(test_space, trial_space, data):
+    """assemble_data_mass as canonical triplets."""
     Mt = test_space.temporal(trial_space)
     Mw = test_space.spatial(trial_space, mask=data.element_mask)
     return _tensor_block(_pair_shape(test_space, trial_space),
                          [(0, 0, 1.0, Mt, Mw)])
 
 
+def assemble_data_mass(test_space, trial_space, data):
+    """Mass restricted to the measurement region, acting on the first field
+    only.  Rows run over test_space, columns over trial_space."""
+    return _data_mass(test_space, trial_space, data).tocsr()
+
+
 def _jump_terms(space, shape, T):
-    """The terms of the time-interface jump stabilizer with temporal factor
-    T: the spatial weights W1 = Mx / dt + dt Kx on the first field and
-    W2 = Mx / dt on the second."""
+    """The time-interface jump stabilizer with temporal factor T, as
+    canonical triplets: the spatial weights W1 = Mx / dt + dt Kx on the
+    first field and W2 = Mx / dt on the second."""
     dt = space.dt
     Mx = space.spatial(space)
-    W1 = Mx / dt + dt * space.spatial(space, 1, 1)
-    W2 = Mx / dt
+    W2 = Mx.scaled(1 / dt)
+    W1 = _sum(W2, space.spatial(space, 1, 1).scaled(dt))
     return _tensor_block(shape, [(0, 0, 1.0, T, W1), (1, 1, 1.0, T, W2)])
 
 
@@ -392,30 +566,24 @@ def interface_jump_blocks(space):
 
     def block(t_test, t_trial):
         T = temporal_trace_matrix(space.tbasis, space.tbasis, t_test, t_trial)
-        return _jump_terms(space, shape, T)
+        return _jump_terms(space, shape, T).tocsr()
 
     return {"plus": block(0.0, 0.0), "minus": block(1.0, 1.0),
             "cross": block(0.0, 1.0)}
 
 
-def interface_jump_weight(space):
+def _jump_weight(space):
     """The minus block of interface_jump_blocks on the last temporal mode of
-    each field, W = blockdiag(W1, W2) over the two fields' spatial dofs.
-    For q >= 1 the temporal basis is nodal at both slab ends, so every
-    jump block restricted to the slab traces is this one block."""
+    each field, W = blockdiag(W1, W2) over the two fields' spatial dofs, as
+    canonical triplets.  For q >= 1 the temporal basis is nodal at both slab
+    ends, so every jump block restricted to the slab traces is this one
+    block."""
     T = temporal_trace_matrix(space.tbasis, space.tbasis, 1.0, 1.0)
     return _jump_terms(space, ((space.n_x,) * 2,) * 2, T[-1:, -1:])
 
 
-def assemble_dfb_extras(primal, dual, data, lam):
-    """Extra terms that make the slab-wise primal operator invertible.
-
-    Returns the measurement-region observer term, the lateral boundary
-    penalty with weight lam / h (both tested against y1), and the upwind
-    jump couplings tested against the incoming dual traces:
-    "coupling_diag" acts on the later slab's coefficients, "coupling_sub"
-    on the earlier slab's (to be subtracted).
-    """
+def _dfb_blocks(primal, dual, data, lam):
+    """assemble_dfb_extras as canonical triplets."""
     if lam <= 0:
         raise ValueError(f"boundary penalty weight must be positive, got {lam}")
     shape = _pair_shape(dual, primal)
@@ -430,11 +598,24 @@ def assemble_dfb_extras(primal, dual, data, lam):
         return _tensor_block(shape, [(0, 1, 1.0, T, Mdp), (1, 0, 1.0, T, Mdp)])
 
     return {
-        "observer": assemble_data_mass(dual, primal, data),
+        "observer": _data_mass(dual, primal, data),
         "nitsche": nitsche,
         "coupling_diag": coupling(0.0),
         "coupling_sub": coupling(1.0),
     }
+
+
+def assemble_dfb_extras(primal, dual, data, lam):
+    """Extra terms that make the slab-wise primal operator invertible.
+
+    Returns the measurement-region observer term, the lateral boundary
+    penalty with weight lam / h (both tested against y1), and the upwind
+    jump couplings tested against the incoming dual traces:
+    "coupling_diag" acts on the later slab's coefficients, "coupling_sub"
+    on the earlier slab's (to be subtracted).
+    """
+    return {name: block.tocsr()
+            for name, block in _dfb_blocks(primal, dual, data, lam).items()}
 
 
 def assemble_dual_interface_mass(dual):
@@ -445,4 +626,5 @@ def assemble_dual_interface_mass(dual):
     T = temporal_trace_matrix(dual.tbasis, dual.tbasis, 0.0, 0.0)
     Mx = dual.spatial(dual)
     return _tensor_block(_pair_shape(dual, dual),
-                         [(0, 0, dual.dt, T, Mx), (1, 1, dual.dt, T, Mx)])
+                         [(0, 0, dual.dt, T, Mx),
+                          (1, 1, dual.dt, T, Mx)]).tocsr()

@@ -31,13 +31,14 @@ from .basis import gauss_rule
 from .mesh import build_interval_mesh, mark_data_domain
 from .slab_forms import (
     SlabSpace,
+    _jump_weight,
+    _Triplets,
     assemble_A,
     assemble_data_mass,
     assemble_dual_stabilizer,
     assemble_Sh,
     element_dofs,
     interface_jump_blocks,
-    interface_jump_weight,
 )
 
 __all__ = ["SpaceTimeSystem", "NormReport"]
@@ -78,7 +79,7 @@ class SpaceTimeSystem:
         self.Sstar = assemble_dual_stabilizer(self.dual)
         self.Momega = assemble_data_mass(self.primal, self.primal, self.data)
         # transpose used by every operator application, built once
-        self.A_pd_T = self.A_pd.T.tocsr()
+        self.A_pd_T = _Triplets.of(self.A_pd).transpose().tocsr()
         # the primal rows the jump terms read and reach, trace: each field's
         # last temporal mode (end), then its first (start), disjoint because
         # q >= 1.  The temporal basis is nodal at both slab ends, so plus,
@@ -89,8 +90,8 @@ class SpaceTimeSystem:
             2, self.primal.n_modes, -1)
         end, start = modes[:, -1].ravel(), modes[:, 0].ravel()
         self.trace, self.n_end = np.concatenate((end, start)), len(end)
-        self.jump_weight = interface_jump_weight(self.primal)
-        self.jump_weight_T = self.jump_weight.T.tocsr()
+        W = _jump_weight(self.primal)
+        self.jump_weight, self.jump_weight_T = W.tocsr(), W.transpose().tocsr()
 
         self.n_primal = self.primal.n_pair
         self.n_dual = self.dual.n_pair

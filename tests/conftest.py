@@ -47,6 +47,13 @@ class SlabFunction:
         return out
 
 
+def same_csr(a, b):
+    """Whether two CSR matrices hold the same data, indices and indptr
+    bytes."""
+    return all(getattr(a, name).tobytes() == getattr(b, name).tobytes()
+               for name in ("data", "indices", "indptr"))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -476,3 +476,31 @@ def test_scaled_operator_takes_the_full_path():
     x2, report = gmres(lambda v: 2 * s.apply(v), b, M, cfg)
     assert report.converged
     assert np.linalg.norm(2 * x2 - x) <= 1e-6 * np.linalg.norm(x)
+
+
+# -- an honest exit on the solver's own systems ---------------------------------
+
+HONEST_TOL = 1e-7
+
+
+@settings(max_examples=25)
+@given(st.sampled_from(["gcc1d", "nogcc1d"]), st.integers(1, 2),
+       st.integers(1, 2), st.integers(1, 4),
+       st.sampled_from(["mf", "ml", "block", "dfb", "none"]), st.data())
+def test_property_converged_means_the_true_residual_meets_tol(
+        preset, k, q, n_slabs, kind, data):
+    # dual orders at most the primal ones; dfb needs them equal
+    if kind == "dfb":
+        kstar, qstar = k, q
+    else:
+        kstar = data.draw(st.integers(1, k), label="kstar")
+        qstar = data.draw(st.integers(0, q), label="qstar")
+    s = make_system(preset, k=k, q=q, kstar=kstar, qstar=qstar,
+                    n_slabs=n_slabs, n_elems=4 * n_slabs)
+    b = s.assemble_rhs(PRESETS[preset].u)
+    x, report = gmres(s.apply, b, build_preconditioner(s, kind),
+                      GmresConfig(tol=HONEST_TOL, maxiter=300))
+    # an unconverged exit claims nothing
+    if report.converged:
+        true = np.linalg.norm(b - s.apply(x)) / np.linalg.norm(b)
+        assert true <= 10 * HONEST_TOL

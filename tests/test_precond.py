@@ -17,6 +17,7 @@ from waveuc.precond import (
 )
 from waveuc.slab_forms import (
     SlabSpace,
+    _Triplets,
     assemble_A,
     assemble_dfb_extras,
     assemble_dual_stabilizer,
@@ -26,7 +27,7 @@ import waveuc.precond as precond
 import waveuc.slab_forms as slab_forms
 import waveuc.spacetime_system as spacetime_system
 
-from conftest import make_system
+from conftest import make_system, same_csr
 
 
 def dense_relaxed_matrix(system):
@@ -315,11 +316,11 @@ def test_singular_slab_block_raises(kind, label):
 
 def test_singular_dfb_block_raises(monkeypatch):
     def no_extras(primal, dual, data, lam):
-        zero = sp.csr_matrix((dual.n_pair, primal.n_pair))
+        zero = _Triplets.of(sp.csr_matrix((dual.n_pair, primal.n_pair)))
         return dict.fromkeys(
             ("observer", "nitsche", "coupling_diag", "coupling_sub"), zero)
 
-    monkeypatch.setattr("waveuc.precond.assemble_dfb_extras", no_extras)
+    monkeypatch.setattr("waveuc.precond._dfb_blocks", no_extras)
     s = make_system(n_elems=4, n_slabs=2)
     s.A_pd = 0.0 * s.A_pd
     with pytest.raises(ValueError, match=r"^singular slab system "
@@ -420,13 +421,6 @@ def test_property_block_keeps_slab_support(case, data):
 
 
 # -- the defect of the sweeps that invert the system up to jump terms ----------
-
-def same_csr(a, b):
-    """Whether two CSR matrices hold the same data, indices and indptr
-    bytes."""
-    return all(getattr(a, name).tobytes() == getattr(b, name).tobytes()
-               for name in ("data", "indices", "indptr"))
-
 
 @pytest.mark.parametrize("n_slabs", [1, 2, 3])
 @pytest.mark.parametrize("orders", [(1, 1, 1, 1)] + MIXED_ORDERS,
@@ -531,9 +525,34 @@ def test_trace_bytes_are_what_the_first_em_keeps(kind):
 
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("kind", ["mf", "ml", "block", "dfb"])
-def test_band_bytes_are_the_factored_band(kind, k):
+def test_band_bytes_are_the_factored_band(kind, k, monkeypatch):
     s = make_system(k=k, q=k, kstar=k, qstar=k, n_elems=8, n_slabs=3)
+    # before dgbtrf: the pattern step's figures of each band, read before
+    # its own factorization runs, are those of the factored band
+    stated, factored = [], []
+    factor = precond.dgbtrf
+
+    def counted(ab, kl, ku, **kwargs):
+        factored.append(ab.shape)
+        return factor(ab, kl, ku, **kwargs)
+
+    monkeypatch.setattr(precond, "dgbtrf", counted)
+    init = _BandLU.__init__
+
+    def checked(lu, band, label):
+        stated.append((len(factored), band.kl, band.ku, band.band_bytes,
+                       band.ab.shape, band.ab.nbytes))
+        init(lu, band, label)
+        calls, kl, ku, band_bytes, shape, nbytes = stated[-1]
+        assert len(factored) == calls + 1
+        assert (lu.kl, lu.ku) == (kl, ku)
+        assert lu.lu.shape == shape == (2 * kl + ku + 1, len(lu.perm))
+        assert lu.lu.nbytes == band_bytes == nbytes
+
+    monkeypatch.setattr(_BandLU, "__init__", checked)
     M = build_preconditioner(s, kind)
+    assert len(stated) == len(factored) == {"block": 1, "ml": 3}.get(kind, 2)
+    # after dgbtrf: every LU that M keeps states the bytes it holds
     lus = {id(lu): lu for lu in getattr(M, "lus", [])}
     for name in ("lu", "sstar_lu"):
         if hasattr(M, name):
@@ -661,7 +680,8 @@ def assembled_interior_lu(s, kind):
         block = sp.bmat([[(s.Sh + s.Momega) + s.jump["plus"], A.T],
                          [A, -Sstar]])
         perm = _node_order(s.primal, dual)
-    return _BandLU(_Band(block, perm), "interior slab")
+    return _BandLU(_Band(_Triplets.of(sp.csr_matrix(block)), perm),
+                   "interior slab")
 
 
 @pytest.mark.parametrize("kind, orders", [
@@ -688,37 +708,6 @@ def test_sweep_coupling_is_the_cross_block_padded(orders, kind):
     assert same_csr(coupling, cross)
 
 
-@pytest.mark.parametrize("kind", ["mf", "ml", "block", "dfb"])
-def test_band_pattern_is_the_factored_band(kind, monkeypatch):
-    # test_band_bytes_are_the_factored_band covers k = 1 and 2 after the
-    # factorization; the order is what this test adds, and it holds at any k
-    s = make_system(k=2, q=2, kstar=2, qstar=2, n_elems=8, n_slabs=3)
-    stated, factored = [], []
-    factor = precond.dgbtrf
-
-    def counted(ab, kl, ku, **kwargs):
-        factored.append(ab.shape)
-        return factor(ab, kl, ku, **kwargs)
-
-    monkeypatch.setattr(precond, "dgbtrf", counted)
-    init = _BandLU.__init__
-
-    def checked(lu, band, label):
-        # the pattern step's figures, read before this band's dgbtrf runs
-        stated.append((len(factored), band.kl, band.ku, band.band_bytes,
-                       band.ab.shape, band.ab.nbytes))
-        init(lu, band, label)
-        calls, kl, ku, band_bytes, shape, nbytes = stated[-1]
-        assert len(factored) == calls + 1
-        assert (lu.kl, lu.ku) == (kl, ku)
-        assert lu.lu.shape == shape == (2 * kl + ku + 1, len(lu.perm))
-        assert lu.lu.nbytes == band_bytes == nbytes
-
-    monkeypatch.setattr(_BandLU, "__init__", checked)
-    build_preconditioner(s, kind)
-    assert len(stated) == len(factored) == {"block": 1, "ml": 3}.get(kind, 2)
-
-
 def test_band_pattern_needs_no_factorization(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dgbtrf called")
@@ -728,7 +717,7 @@ def test_band_pattern_needs_no_factorization(monkeypatch):
     n = 40
     block = sp.random(n, n, density=0.05, random_state=rng) + sp.identity(n)
     perm = rng.permutation(n)
-    band = _Band(block, perm)
+    band = _Band(_Triplets.of(block.tocsr()), perm)
     # offsets of the permuted block's entries, row minus column
     rows, cols = np.nonzero(block.toarray()[perm][:, perm])
     assert band.kl == (rows - cols).max() and band.ku == (cols - rows).max()

@@ -9,6 +9,7 @@ from waveuc.mesh import build_interval_mesh, mark_data_domain
 from waveuc.slab_forms import (
     SlabSpace,
     _tensor_block,
+    _Triplets,
     assemble_A,
     assemble_data_mass,
     assemble_dfb_extras,
@@ -24,9 +25,9 @@ from waveuc.slab_forms import (
     temporal_matrix,
     temporal_trace_matrix,
 )
-from waveuc.precond import _spatial_embedding
+from waveuc.precond import _spatial_embedding, build_preconditioner
 
-from conftest import make_system, pair_coeffs
+from conftest import make_system, pair_coeffs, same_csr
 
 
 def eval_elem(space, coeffs, field, tau, e, ref, dx=0, dtime=0):
@@ -463,7 +464,7 @@ def test_quadrature_order_independence():
 # -- point-evaluation forms against the builders they replaced --------------
 #
 # Test-local copies of the per-element and per-vertex lil_matrix builders
-# that point_matrix replaced.
+# that the point-evaluation builders replaced.
 
 
 def lil_boundary_penalty(mesh, test, trial):
@@ -538,7 +539,7 @@ def point_forms(mesh):
             yield (f"F{tag}", boundary_flux_matrix(mesh, a, b),
                    lil_boundary_flux(mesh, a, b))
             if b.degree <= a.degree:
-                yield (f"E{tag}", _spatial_embedding(mesh, a, b),
+                yield (f"E{tag}", _spatial_embedding(mesh, a, b).tocsr(),
                        lil_spatial_embedding(mesh, a, b))
 
 
@@ -568,10 +569,19 @@ def assert_canonical(name, matrix):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_blocks_are_canonical_without_stored_zeros(k):
     s = make_system(k=k, q=k, kstar=k, qstar=k, n_elems=8, n_slabs=2)
-    for name in ("A_pd", "Sh", "Sstar", "Momega"):
+    for name in ("A_pd", "A_pd_T", "Sh", "Sstar", "Momega", "jump_weight",
+                 "jump_weight_T"):
         assert_canonical(name, getattr(s, name))
+    # A_pd_T is bitwise scipy's transpose of A_pd
+    assert same_csr(s.A_pd_T, s.A_pd.T.tocsr())
     for name, block in s.jump.items():
         assert_canonical(f"jump {name}", block)
+    # every matrix a sweep keeps: mf's and ml's coupling, ml's embedding
+    mf, ml = (build_preconditioner(s, kind) for kind in ("mf", "ml"))
+    for name, block in (("mf coupling", mf.coupling),
+                        ("ml coupling", ml.coupling), ("ml embed", ml.embed),
+                        ("ml embed_T", ml.embed_T)):
+        assert_canonical(name, block)
 
 
 @pytest.mark.parametrize("n_elems", [1, 2, 5])
@@ -589,7 +599,8 @@ def test_element_dofs_share_vertices():
 @pytest.mark.parametrize("fine,coarse", [(2, 1), (3, 1), (3, 2), (3, 3)])
 def test_spatial_embedding_interpolates_coarse_functions(fine, coarse, rng):
     mesh = build_interval_mesh(0, 1, 4)
-    E = _spatial_embedding(mesh, SpatialBasis(fine), SpatialBasis(coarse))
+    E = _spatial_embedding(mesh, SpatialBasis(fine),
+                           SpatialBasis(coarse)).tocsr()
     # a continuous piecewise polynomial of the coarse degree, given by its
     # coarse nodal values, has the fine nodal values of the same function
     x_c = np.linspace(0, 1, coarse * mesh.n_elems + 1)
@@ -664,7 +675,10 @@ def tensor_terms(draw):
 @given(tensor_terms())
 def test_tensor_block_is_bitwise_kron_bmat_and_sparse_sum(case):
     shape, terms = case
-    built = _tensor_block(shape, terms)
+    # the builder takes each S as canonical triplets, its stored zeros kept
+    built = _tensor_block(shape, [
+        (i, j, scale, T, _Triplets.of(S.sorted_indices()))
+        for i, j, scale, T, S in terms]).tocsr()
     expected = kron_bmat_block(shape, terms)
     assert built.shape == expected.shape
     for matrix in (built, expected):

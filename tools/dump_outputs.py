@@ -6,15 +6,21 @@ bit for bit.
 
 A dump holds, for a few fixed systems (one of them with dual orders below
 the primal ones), the CSR arrays of every assembled matrix: the slab
-blocks, the four primal stabilizer parts beside their sum, the jump blocks
-(s.jump, which a package may build only when it is read) and, where the
-package has them, their restriction to the slab traces (the four
-trace_jump blocks, or jump_weight and its transpose), the dual interface
-mass, the forward-backward split's extra blocks, the light sweep's reduced
-wave operator, dual stabilizer and degree embedding, and every block a
-preconditioner assembles to factor.  It holds the lu, piv, kl and ku of
-every factorization a preconditioner keeps (M.lus, M.lu, M.sstar_lu), so
-an LU whose block is never assembled is compared too.  Beside them it
+blocks and the transposed wave operator A_pd_T, the four primal
+stabilizer parts beside their sum, the jump blocks (s.jump, which a
+package may build only when it is read) and, where the package has them,
+their restriction to the slab traces (the four trace_jump blocks, or
+jump_weight and its transpose), the dual interface mass, the
+forward-backward split's extra blocks, the light sweep's reduced wave
+operator, dual stabilizer and degree embedding, every block a
+preconditioner assembles to factor, and every matrix a preconditioner
+keeps: the sweeps' coupling (mf, ml) and ml's embed and embed_T.  A block
+handed to the band step as triplets, whose entries at one place are
+summed in their order, is summed so here too before it is stored as CSR.
+It holds the lu, piv, kl and ku of every factorization a preconditioner
+keeps (M.lus, M.lu, M.sstar_lu), so an LU whose block is never assembled
+is compared too, and the carried columns and carry blocks K of dfb's two
+sweeps.  Beside them it
 holds the right-hand side, one operator apply and, where the package has them, the slab trace
 rows and the jump terms on the traces of the same vector; the apply of each
 slab-marching preconditioner and, for each one that has a defect, its rows,
@@ -40,6 +46,7 @@ import sys
 import tempfile
 
 import numpy as np
+import scipy.sparse as sp
 
 import waveuc.cli as cli
 import waveuc.precond as precond
@@ -76,8 +83,27 @@ def _config(preset, k, n_slabs, **extra):
         "n_elems": 2 * n_slabs, **extra})
 
 
+def _as_csr(matrix):
+    """A scipy sparse matrix as CSR, or triplets (rows, cols, vals, shape)
+    as the CSR matrix that sums the entries at one place in their order,
+    from the first one on, as scipy's COO conversion sums them (-0.0, the
+    exact identity of +, starts each sum)."""
+    if sp.issparse(matrix):
+        return matrix.tocsr()
+    rows, cols, vals, shape = matrix
+    keys = rows.astype(np.int64) * shape[1] + cols
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    sums = np.full(np.count_nonzero(first), -0.0)
+    np.add.at(sums, np.cumsum(first) - 1, vals[order])
+    r, c = np.divmod(keys[first], shape[1])
+    return sp.csr_matrix((sums, (r, c)), shape=shape)
+
+
 def _put_csr(out, key, matrix):
-    matrix = matrix.tocsr()
+    matrix = _as_csr(matrix)
     out[key + "-data"] = matrix.data
     out[key + "-indices"] = matrix.indices
     out[key + "-indptr"] = matrix.indptr
@@ -141,6 +167,26 @@ def dump_factorizations(out, key, M):
         out[f"{key}-{name}-ku"] = np.array(lu.ku)
 
 
+def dump_kept(out, key, M):
+    """The matrices M keeps beside its LUs: the sweep's coupling (mf, ml),
+    ml's embed and embed_T, and for each of dfb's sweeps its carried
+    columns and, for each run of slabs that shares an LU (in march order),
+    the carry block K of that LU where it has one."""
+    if hasattr(M, "coupling"):
+        _put_csr(out, f"{key}-coupling", M.coupling)
+    if getattr(M, "embed", None) is not None:
+        _put_csr(out, f"{key}-embed", M.embed)
+        _put_csr(out, f"{key}-embed_T", M.embed_T)
+    for name in ("forward", "backward"):
+        sweep = getattr(M, name, None)
+        if sweep is None:
+            continue
+        out[f"{key}-{name}-carried"] = sweep.carried
+        for i, (lu, _, _) in enumerate(sweep._runs):
+            if id(lu) in sweep._K:
+                out[f"{key}-{name}-K{i}"] = sweep._K[id(lu)][0]
+
+
 def dump_blocks(out, key, s):
     """The assembled matrices beside the system's own blocks."""
     # the parts without stored zeros: no block is built from them but their
@@ -180,7 +226,7 @@ def dump_systems(out):
             # dfb refuses unequal orders
             key = f"{preset}-k{k}-kstar{kstar}-N{n_slabs}"
             kinds.remove("dfb")
-        for name in ("A_pd", "Sh", "Sstar", "Momega"):
+        for name in ("A_pd", "A_pd_T", "Sh", "Sstar", "Momega"):
             _put_csr(out, f"{key}-{name}", getattr(s, name))
         for name, block in s.jump.items():
             _put_csr(out, f"{key}-jump_{name}", block)
@@ -198,8 +244,7 @@ def dump_systems(out):
                 tag = label.replace(",", "").replace(" ", "_")
                 _put_csr(out, f"{key}-{kind}-factored_{tag}", block)
             dump_factorizations(out, f"{key}-{kind}", M)
-            if getattr(M, "embed", None) is not None:
-                _put_csr(out, f"{key}-{kind}-embed", M.embed)
+            dump_kept(out, f"{key}-{kind}", M)
             out[f"{key}-{kind}"] = M.apply(r)
             defect = getattr(M, "defect", None)
             if defect is not None:

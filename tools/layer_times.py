@@ -4,7 +4,7 @@ configuration of the benchmark.
 
     PYTHONPATH=src python3 tools/layer_times.py [--calls 30] [KEY ...]
     PYTHONPATH=src python3 tools/layer_times.py --base TREE [--calls 30]
-        [KEY ...]
+        [--json BENCH.json] [KEY ...]
 
 For every solve of the workloads in perfbench/bench.py it prints the median
 over --calls calls, in ms, of:
@@ -20,7 +20,8 @@ over --calls calls, in ms, of:
 - norms: one error_norms call on the lifted primal part of a random vector,
   over the preset's restricted region where it has one;
 
-and, on the first line, the thread count of the OpenBLAS that numpy loaded.
+and, on the first line, the thread counts of the OpenBLAS libraries that
+numpy and scipy loaded (each has its own).
 Every input is drawn from a fixed seed.  KEY arguments keep only the
 configurations whose key (for example gcc1d-k2-N48-mf) contains one of them.
 
@@ -36,11 +37,16 @@ prints for each phase the base tree's median in ms and the median over the
 rounds of the per-round ratios change/base and base again/base (the A/A
 floor), with their quartiles over the rounds in brackets.  A ratio below 1
 is a faster change; one whose quartiles overlap the A/A floor's is not
-told apart from the host.
+told apart from the host.  --json PATH also writes that table to PATH, with
+both BLAS thread counts, nproc and the load average before and after the
+rounds (schema in README.md).
 """
 
 import argparse
+import ctypes
 import importlib.util
+import json
+import os
 import statistics
 import sys
 import time
@@ -48,6 +54,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 import waveuc
 from waveuc.config import PRESETS
@@ -55,15 +62,40 @@ from waveuc.postproc import error_norms, extract_primal_field, lift
 from waveuc.precond import build_preconditioner
 from waveuc.spacetime_system import SpaceTimeSystem
 
-# the benchmark's workloads and its OpenBLAS thread-count getter
+# the benchmark's workloads and the OpenBLAS thread-count getters
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from bench import WORKLOADS  # noqa: E402
-from run import blas_threads  # noqa: E402
+from run import BLAS_THREAD_SYMBOLS  # noqa: E402
 
 COLUMNS = ("key", "ndof", "init", "rhs", "pc", "em_first", "step", "M", "A",
            "norms")
 SETUP_PHASES = ("init", "rhs", "pc")
 ROUNDS = 10
+
+
+def blas_threads(module):
+    """Thread count of the OpenBLAS shipped in the <module>.libs directory
+    beside the module's package, or None."""
+    package = Path(module.__file__).resolve().parent
+    for path in sorted(package.parent.glob(f"{package.name}.libs/*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for sym in BLAS_THREAD_SYMBOLS:
+            getter = getattr(lib, sym, None)
+            if getter is not None:
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                return getter()
+    return None
+
+
+def environment():
+    """Both BLAS thread counts and the CPUs this process may run on."""
+    return {"blas_threads_numpy": blas_threads(np),
+            "blas_threads_scipy": blas_threads(scipy),
+            "nproc": len(os.sched_getaffinity(0))}
 
 
 def median_ms(call, arg, calls):
@@ -148,20 +180,37 @@ def compare_trees(solve, trees, calls):
             for phase, times in ms.items()}
 
 
-def print_comparison(solves, base, calls):
+def print_comparison(solves, base, calls, json_path=None):
     trees = [load_tree(base, "waveuc_base"), waveuc,
              load_tree(base, "waveuc_base_again")]
-    print(f"BLAS threads: {blas_threads(np)}; {ROUNDS} rounds of {calls}-call "
+    env = environment()
+    print(f"BLAS threads: numpy {env['blas_threads_numpy']}, scipy "
+          f"{env['blas_threads_scipy']}; {ROUNDS} rounds of {calls}-call "
           f"medians; base {base}; ratio median [quartiles] over rounds")
     print(f"{'key':<22}{'phase':>6}{'base ms':>10}"
           f"{'change/base':>27}{'A/A':>27}")
+    env["load_average_before"] = os.getloadavg()
+    table = []
     for solve in solves:
+        phases = {}
         for phase, (base_ms, ratios) in compare_trees(
                 solve, trees, calls).items():
             line = f"{solve.key:<22}{phase:>6}{base_ms:>10.3f}"
             for q1, median, q3 in ratios:
                 line += f"{f'{median:.3f} [{q1:.3f}, {q3:.3f}]':>27}"
             print(line, flush=True)
+            (change, aa) = ({"median": median, "q1": q1, "q3": q3}
+                            for q1, median, q3 in ratios)
+            phases[phase] = {"base_ms": base_ms, "change_over_base": change,
+                             "aa": aa}
+        table.append({"key": solve.key, "phases": phases})
+    env["load_average_after"] = os.getloadavg()
+    if json_path is not None:
+        with open(json_path, "w") as fh:
+            json.dump({"base": Path(base).resolve().name, "rounds": ROUNDS,
+                       "calls": calls, "environment": env,
+                       "configurations": table}, fh, indent=1)
+            fh.write("\n")
 
 
 def main(argv=None):
@@ -173,17 +222,22 @@ def main(argv=None):
     parser.add_argument("--base", metavar="TREE",
                         help="compare the set-up phases with the checkout "
                              "TREE in one process")
+    parser.add_argument("--json", metavar="PATH",
+                        help="with --base, also write the table to PATH")
     args = parser.parse_args(argv)
     if args.calls < 1:
         parser.error("--calls must be at least 1")
+    if args.json is not None and args.base is None:
+        parser.error("--json needs --base")
     solves = [solve for workload in WORKLOADS.values()
               for solve in workload.solves
               if not args.keys or any(part in solve.key for part in args.keys)]
     if args.base is not None:
-        print_comparison(solves, args.base, args.calls)
+        print_comparison(solves, args.base, args.calls, args.json)
         return 0
-    print(f"BLAS threads: {blas_threads(np)}; median of {args.calls} calls, "
-          "ms")
+    env = environment()
+    print(f"BLAS threads: numpy {env['blas_threads_numpy']}, scipy "
+          f"{env['blas_threads_scipy']}; median of {args.calls} calls, ms")
     print("".join(f"{c:>10}" if c != "key" else f"{c:<22}" for c in COLUMNS))
     for solve in solves:
         row = layer_times(solve, args.calls)
