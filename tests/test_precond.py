@@ -525,34 +525,9 @@ def test_trace_bytes_are_what_the_first_em_keeps(kind):
 
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("kind", ["mf", "ml", "block", "dfb"])
-def test_band_bytes_are_the_factored_band(kind, k, monkeypatch):
+def test_band_bytes_are_the_factored_band(kind, k):
     s = make_system(k=k, q=k, kstar=k, qstar=k, n_elems=8, n_slabs=3)
-    # before dgbtrf: the pattern step's figures of each band, read before
-    # its own factorization runs, are those of the factored band
-    stated, factored = [], []
-    factor = precond.dgbtrf
-
-    def counted(ab, kl, ku, **kwargs):
-        factored.append(ab.shape)
-        return factor(ab, kl, ku, **kwargs)
-
-    monkeypatch.setattr(precond, "dgbtrf", counted)
-    init = _BandLU.__init__
-
-    def checked(lu, band, label):
-        stated.append((len(factored), band.kl, band.ku, band.band_bytes,
-                       band.ab.shape, band.ab.nbytes))
-        init(lu, band, label)
-        calls, kl, ku, band_bytes, shape, nbytes = stated[-1]
-        assert len(factored) == calls + 1
-        assert (lu.kl, lu.ku) == (kl, ku)
-        assert lu.lu.shape == shape == (2 * kl + ku + 1, len(lu.perm))
-        assert lu.lu.nbytes == band_bytes == nbytes
-
-    monkeypatch.setattr(_BandLU, "__init__", checked)
     M = build_preconditioner(s, kind)
-    assert len(stated) == len(factored) == {"block": 1, "ml": 3}.get(kind, 2)
-    # after dgbtrf: every LU that M keeps states the bytes it holds
     lus = {id(lu): lu for lu in getattr(M, "lus", [])}
     for name in ("lu", "sstar_lu"):
         if hasattr(M, name):
@@ -706,6 +681,37 @@ def test_sweep_coupling_is_the_cross_block_padded(orders, kind):
     cross = s.jump["cross"].copy()
     cross.resize(*coupling.shape)
     assert same_csr(coupling, cross)
+
+
+@pytest.mark.parametrize("kind", ["mf", "ml", "block", "dfb"])
+def test_band_pattern_is_the_factored_band(kind, monkeypatch):
+    # test_band_bytes_are_the_factored_band covers k = 1 and 2 after the
+    # factorization; the order is what this test adds, and it holds at any k
+    s = make_system(k=2, q=2, kstar=2, qstar=2, n_elems=8, n_slabs=3)
+    stated, factored = [], []
+    factor = precond.dgbtrf
+
+    def counted(ab, kl, ku, **kwargs):
+        factored.append(ab.shape)
+        return factor(ab, kl, ku, **kwargs)
+
+    monkeypatch.setattr(precond, "dgbtrf", counted)
+    init = _BandLU.__init__
+
+    def checked(lu, band, label):
+        # the pattern step's figures, read before this band's dgbtrf runs
+        stated.append((len(factored), band.kl, band.ku, band.band_bytes,
+                       band.ab.shape, band.ab.nbytes))
+        init(lu, band, label)
+        calls, kl, ku, band_bytes, shape, nbytes = stated[-1]
+        assert len(factored) == calls + 1
+        assert (lu.kl, lu.ku) == (kl, ku)
+        assert lu.lu.shape == shape == (2 * kl + ku + 1, len(lu.perm))
+        assert lu.lu.nbytes == band_bytes == nbytes
+
+    monkeypatch.setattr(_BandLU, "__init__", checked)
+    build_preconditioner(s, kind)
+    assert len(stated) == len(factored) == {"block": 1, "ml": 3}.get(kind, 2)
 
 
 def test_band_pattern_needs_no_factorization(monkeypatch):
