@@ -11,9 +11,13 @@ reach it.  A sweep assembles the first slab's block alone: its band (_Band)
 is copied and the interior's one extra term added to the copy, so the
 interior block is never assembled.
 
-Blocks reach _Band, and couplings _Sweep, as plain index and value arrays
-(slab_forms._Triplets), never as scipy matrices: a slab block is the
-entries of its parts side by side, which the band sums.  A scipy CSR
+The forms a preconditioner needs beside the system's own blocks come
+from slab_forms' public functions as Triplets (numpy index and value
+arrays): ml's wave operator, dual stabilizer and degree embedding on its
+reduced dual pair, and dfb's extra terms; the system's blocks are read
+back from its CSR matrices (Triplets.of).  Blocks reach _Band, and
+couplings _Sweep, as Triplets, never as scipy matrices: a slab block is
+the entries of its parts side by side, which the band sums.  A scipy CSR
 matrix is made only for what an apply reads: mf's and ml's coupling and
 ml's embed and embed_T.
 """
@@ -27,13 +31,11 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .slab_forms import (
     SlabSpace,
-    _concatenated,
-    _dfb_blocks,
-    _dual_stabilizer,
-    _points,
-    _tensor_block,
-    _Triplets,
-    _wave_operator,
+    Triplets,
+    assemble_A,
+    assemble_dfb_extras,
+    assemble_dual_stabilizer,
+    assemble_embedding,
 )
 
 __all__ = [
@@ -82,7 +84,7 @@ class _Band(_BandShape):
     """One slab block in LAPACK band storage, from its pattern (the
     pattern step: perm, inv, kl, ku and so band_bytes) and its values.
 
-    The block comes as _Triplets; entries at one place are summed in their
+    The block comes as Triplets; entries at one place are summed in their
     order, as the sparse sum of the parts they come from would sum them
     (a sum that cancels to zero, which that sum would drop, still counts
     for kl and ku).
@@ -116,7 +118,7 @@ class _Band(_BandShape):
         return cols * self._ldab + self.kl + self.ku + offset
 
     def plus(self, term):
-        """A copy of this band with the block term (_Triplets) added, which
+        """A copy of this band with the block term (Triplets) added, which
         must lie inside the band; entry by entry, each sum is the one the
         sparse sum of the two blocks would make."""
         cols, offset = self._offsets(term)
@@ -158,24 +160,24 @@ class _BandLU(_BandShape):
 
 def _slab_block(system, A, Sstar):
     """The slab-diagonal block [[Sh + Momega, A^T], [A, -Sstar]] of a sweep
-    whose dual pair is tested by A and Sstar (_Triplets), as the triplets
+    whose dual pair is tested by A and Sstar (Triplets), as the triplets
     _Band reads: the entries of Sh, then of Momega, which the band sums
     place by place as their sparse sum would, A's entries with rows and
     columns swapped, A's, and Sstar's negated."""
     n_p = system.n_primal
     n = n_p + Sstar.shape[0]
-    return _concatenated((n, n), [
-        _Triplets.of(system.Sh), _Triplets.of(system.Momega),
+    return Triplets.concatenated((n, n), [
+        Triplets.of(system.Sh), Triplets.of(system.Momega),
         (A.cols, A.rows + n_p, A.vals), (A.rows + n_p, A.cols, A.vals),
         (Sstar.rows + n_p, Sstar.cols + n_p, -Sstar.vals)])
 
 
 def _on_traces(system, rows, cols, size):
     """The jump block W (system.jump_weight) on the given trace rows and
-    columns of a size-square block, as _Triplets; canonical, since rows
+    columns of a size-square block, as Triplets; canonical, since rows
     and cols are ascending."""
-    W = _Triplets.of(system.jump_weight)
-    return _Triplets(rows[W.rows], cols[W.cols], W.vals, (size, size))
+    W = Triplets.of(system.jump_weight)
+    return Triplets(rows[W.rows], cols[W.cols], W.vals, (size, size))
 
 
 def _sweep_lus(first, term, n_slabs, suffix=""):
@@ -230,7 +232,7 @@ class _Sweep:
                 self._runs[-1][2] = n + 1
             else:
                 self._runs.append([lu, n, n + 1])
-        # the columns where the coupling (_Triplets) stores an entry
+        # the columns where the coupling (Triplets) stores an entry
         C = coupling
         self.carried = np.flatnonzero(np.bincount(C.cols, minlength=C.shape[1]))
         self._n = C.shape[0]
@@ -420,8 +422,8 @@ class BlockJacobi:
     def __init__(self, system):
         self.system = system
         self.lu = _BandLU(
-            _Band(_slab_block(system, _Triplets.of(system.A_pd),
-                              _Triplets.of(system.Sstar)),
+            _Band(_slab_block(system, Triplets.of(system.A_pd),
+                              Triplets.of(system.Sstar)),
                   _node_order(system.primal, system.dual)),
             "slab-diagonal block")
         self.defect = _JumpDefect(system, True, self.lu, self.lu)
@@ -429,17 +431,6 @@ class BlockJacobi:
     def apply(self, r):
         # one multi-right-hand-side solve, a column per slab
         return self.lu.solve(self.system.slab_view(r).T).T.ravel()
-
-
-def _spatial_embedding(mesh, fine, coarse):
-    """Coefficients of coarse spatial functions expressed in the fine nodal
-    basis (same mesh, lower degree), as canonical _Triplets: the coarse
-    basis evaluated at the fine nodes, each shared vertex node taken from
-    the element to its right."""
-    kf = fine.degree
-    nodes = np.arange(kf * mesh.n_elems + 1)
-    elems = np.minimum(nodes // kf, mesh.n_elems - 1)
-    return _points(mesh, coarse, elems, fine.nodes[nodes - kf * elems])
 
 
 class MonolithicForward:
@@ -465,8 +456,8 @@ class MonolithicForward:
         orders = system_orders if dual_orders is None else tuple(dual_orders)
         if orders == system_orders:
             sweep_dual = system.dual
-            A_sw, Sstar_sw = (_Triplets.of(system.A_pd),
-                              _Triplets.of(system.Sstar))
+            A_sw, Sstar_sw = (Triplets.of(system.A_pd),
+                              Triplets.of(system.Sstar))
             self.embed = None
         else:
             kc, qc = orders
@@ -476,17 +467,12 @@ class MonolithicForward:
                     f"{system_orders}"
                 )
             sweep_dual = SlabSpace(system.mesh, kc, qc, cfg.dt)
-            A_sw = _wave_operator(system.primal, sweep_dual)
-            Sstar_sw = _dual_stabilizer(sweep_dual)
-            Ex = _spatial_embedding(system.mesh, system.dual.xbasis,
-                                    sweep_dual.xbasis)
-            Et = sweep_dual.tbasis.eval(system.dual.tbasis.nodes)
-            E = _tensor_block(
-                ((system.dual.n_field,) * 2, (sweep_dual.n_field,) * 2),
-                [(0, 0, 1.0, Et, Ex), (1, 1, 1.0, Et, Ex)])
+            A_sw = assemble_A(system.primal, sweep_dual)
+            Sstar_sw = assemble_dual_stabilizer(sweep_dual)
+            E = assemble_embedding(system.dual, sweep_dual)
             self.embed, self.embed_T = E.tocsr(), E.transpose().tocsr()
             self.sstar_lu = _BandLU(
-                _Band(_Triplets.of(system.Sstar), _node_order(system.dual)),
+                _Band(Triplets.of(system.Sstar), _node_order(system.dual)),
                 "dual stabilizer")
 
         # the interior block adds the jump term plus, W on the start
@@ -536,11 +522,12 @@ class ForwardBackwardSplit:
                 "the forward-backward split requires equal primal and dual "
                 "orders"
             )
-        extras = _dfb_blocks(system.primal, system.dual, system.data, lam)
+        extras = assemble_dfb_extras(system.primal, system.dual, system.data,
+                                     lam)
         # G0 = (A_pd + observer) + nitsche, which the band sums place by
         # place as the sparse sum would
-        G0 = _concatenated(system.A_pd.shape, [
-            _Triplets.of(system.A_pd), extras["observer"], extras["nitsche"]])
+        G0 = Triplets.concatenated(system.A_pd.shape, [
+            Triplets.of(system.A_pd), extras["observer"], extras["nitsche"]])
         coupling = extras["coupling_sub"]
         # equal orders: the dual-test rows sort like the primal columns;
         # the interior block adds coupling_diag

@@ -1,4 +1,4 @@
-"""Per-slab bilinear form assembly on tensor-product space-time slabs.
+"""Per-slab bilinear forms on tensor-product space-time slabs.
 
 A slab couples a spatial Lagrange space of degree k on the interval mesh
 with a temporal polynomial space of degree q on one time slab.  Each field
@@ -6,24 +6,22 @@ pair (displacement, velocity) is stored as two stacked field blocks; within
 a field block the coefficient layout is (temporal mode, spatial dof),
 flattened C-style, so a field block has (q+1) * n_x entries.
 
-Every block is a sum of kron(temporal factor, spatial factor) terms over
-one slab's field-pair coefficients, given as a list of terms that
-_tensor_block turns into one block.  A SlabSpace keeps the factors it is
-tested with, so a system builds each distinct factor once.
-Every spatial form is an element integral, one local matrix scattered over
-element_dofs (the global dofs of each element), or a product of point
-evaluations (_points), with no element loop.  The temporal factors of the
-blocks that couple neighbouring slabs are products of slab-endpoint values
-(temporal_trace_matrix).
+Every form here returns its matrix as canonical Triplets: numpy index and
+value arrays in CSR order, which tocsr makes into one scipy CSR matrix.  A
+caller that keeps a matrix makes its CSR once; one that only reads the
+entries, as precond's banded LUs do, takes the triplets as they are.  Each
+sum and product adds in the order scipy's sparse algebra does, so every
+matrix is bitwise the one scipy would make.
 
-Set-up makes no scipy object on the way: the spatial factors, the point
-forms and their products, the sparse sums, the blocks' tensor-product
-entries and the transposes are plain numpy index and value arrays
-(_Triplets), in CSR order.  Each sum and product adds in the order scipy's
-sparse algebra does, so every block is bitwise the one scipy would make.
-One scipy CSR matrix, from its (data, indices, indptr), is made for each
-matrix a caller keeps: the public functions here return one, and a block
-that only feeds a banded LU (precond._Band) never becomes one.
+Every slab block is a sum of kron(temporal factor, spatial factor) terms
+over one slab's field-pair coefficients, given as a list of terms that
+_tensor_block turns into one block.  A SlabSpace keeps the factors it is
+tested with, so a system builds each distinct factor once.  Every spatial
+form is an element integral, one local matrix scattered over element_dofs
+(the global dofs of each element), or a product of point evaluations
+(_points), with no element loop.  The temporal factors of the blocks that
+couple neighbouring slabs are products of slab-endpoint values
+(temporal_trace_matrix).
 """
 
 from typing import NamedTuple
@@ -34,6 +32,7 @@ import scipy.sparse as sp
 from .basis import SpatialBasis, TemporalBasis, gauss_rule
 
 __all__ = [
+    "Triplets",
     "SlabSpace",
     "element_dofs",
     "spatial_matrix",
@@ -48,18 +47,20 @@ __all__ = [
     "assemble_dual_stabilizer",
     "assemble_data_mass",
     "interface_jump_blocks",
+    "jump_weight",
     "assemble_dfb_extras",
     "assemble_dual_interface_mass",
+    "assemble_embedding",
 ]
 
 
-class _Triplets(NamedTuple):
+class Triplets(NamedTuple):
     """A sparse matrix of the given shape as its entries: vals[e] at row
     rows[e] and column cols[e].
 
     Canonical triplets are sorted by row, then by column, with no two
     entries at one place: the order and pattern of a CSR matrix, which
-    tocsr makes from them in one step.  Every intermediate of set-up is
+    tocsr makes from them in one step.  Every form of this module returns
     canonical triplets; a block that only feeds a band (precond._Band) may
     hold several entries at one place, which the band sums in their order.
     """
@@ -76,6 +77,13 @@ class _Triplets(NamedTuple):
         rows = np.repeat(np.arange(matrix.shape[0], dtype=counts.dtype), counts)
         return cls(rows, matrix.indices, matrix.data, matrix.shape)
 
+    @classmethod
+    def concatenated(cls, shape, parts):
+        """Triplets of the given shape holding the entries of all parts
+        (triplets, or their (rows, cols, vals)), one part after the other."""
+        return cls(*(np.concatenate(x) for x in zip(*(p[:3] for p in parts))),
+                   shape)
+
     def scaled(self, factor):
         """The entries times factor, as scipy scales a sparse matrix (also
         for its division by s, which multiplies by 1 / s)."""
@@ -90,8 +98,8 @@ class _Triplets(NamedTuple):
             # numpy sorts 16-bit keys stably by radix sort, in linear time
             cols = cols.astype(np.uint16)
         order = np.argsort(cols, kind="stable")
-        return _Triplets(self.cols[order], self.rows[order],
-                         self.vals[order], self.shape[::-1])
+        return Triplets(self.cols[order], self.rows[order],
+                        self.vals[order], self.shape[::-1])
 
     def tocsr(self):
         """The CSR matrix of canonical triplets, with scipy's index type
@@ -128,20 +136,14 @@ def _summed(rows, cols, vals, shape, drop_zeros=False):
         keys, sums = keys[keep], sums[keep]
     index = _index_type(shape)
     r, c = np.divmod(keys, shape[1])
-    return _Triplets(r.astype(index), c.astype(index), sums, shape)
-
-
-def _concatenated(shape, parts):
-    """Triplets of the given shape holding the entries of all parts, one
-    part after the other."""
-    return _Triplets(*(np.concatenate(x) for x in zip(*(p[:3] for p in parts))),
-                     shape)
+    return Triplets(r.astype(index), c.astype(index), sums, shape)
 
 
 def _sum(*parts):
     """The sparse sum of canonical triplets of one shape, left to right,
     with no zero stored: bitwise scipy's sum of the CSR matrices."""
-    return _summed(*_concatenated(parts[0].shape, parts), drop_zeros=True)
+    return _summed(*Triplets.concatenated(parts[0].shape, parts),
+                   drop_zeros=True)
 
 
 class SlabSpace:
@@ -150,7 +152,7 @@ class SlabSpace:
     spatial, temporal and boundary_penalty build the factors of the forms
     tested with this space once per trial space's orders, derivative pair
     and data mask, and hand back the same factor on every later call: the
-    spatial ones as canonical _Triplets, the temporal ones as small dense
+    spatial ones as canonical Triplets, the temporal ones as small dense
     arrays.
     """
 
@@ -181,9 +183,9 @@ class SlabSpace:
         return self._factors[key]
 
     def spatial(self, trial, d_test=0, d_trial=0, mask=None):
-        """_spatial_form of this space's basis (test) against trial's."""
+        """spatial_matrix of this space's basis (test) against trial's."""
         key = ("x", d_test, d_trial, None if mask is None else mask.tobytes())
-        return self._factor(trial, key, lambda: _spatial_form(
+        return self._factor(trial, key, lambda: spatial_matrix(
             self.mesh, self.xbasis, trial.xbasis, d_test, d_trial, mask=mask))
 
     def temporal(self, trial, d_test=0, d_trial=0):
@@ -193,9 +195,10 @@ class SlabSpace:
                                             d_test, d_trial, self.dt))
 
     def boundary_penalty(self, trial):
-        """_boundary_penalty of this space's basis against trial's."""
-        return self._factor(trial, ("penalty",), lambda: _boundary_penalty(
-            self.mesh, self.xbasis, trial.xbasis))
+        """boundary_penalty_matrix of this space's basis against trial's."""
+        return self._factor(trial, ("penalty",), lambda:
+                            boundary_penalty_matrix(self.mesh, self.xbasis,
+                                                    trial.xbasis))
 
 
 def element_dofs(mesh, degree):
@@ -218,8 +221,8 @@ def _points(mesh, basis, elems, ref, deriv=0):
     keep = vals != 0
     shape = (len(cols), basis.degree * mesh.n_elems + 1)
     index = _index_type(shape)
-    return _Triplets(rows[keep].astype(index), cols.ravel()[keep].astype(index),
-                     vals[keep], shape)
+    return Triplets(rows[keep].astype(index), cols.ravel()[keep].astype(index),
+                    vals[keep], shape)
 
 
 def _point_product(P, Q, weights=None):
@@ -239,9 +242,8 @@ def _point_product(P, Q, weights=None):
                    (P.shape[1], Q.shape[1]), drop_zeros=True)
 
 
-def _spatial_form(mesh, test, trial, d_test=0, d_trial=0, mask=None):
-    """Element-wise integral of D^a(test_i) * D^b(trial_j) over the mesh,
-    as canonical triplets.
+def spatial_matrix(mesh, test, trial, d_test=0, d_trial=0, mask=None):
+    """Element-wise integral of D^a(test_i) * D^b(trial_j) over the mesh.
 
     test/trial are SpatialBasis objects; derivatives are physical ones.
     With mask given, only the masked elements contribute.  Second
@@ -262,11 +264,6 @@ def _spatial_form(mesh, test, trial, d_test=0, d_trial=0, mask=None):
     return _summed(rows.ravel(), cols.ravel(), vals.ravel(),
                    (test.degree * mesh.n_elems + 1,
                     trial.degree * mesh.n_elems + 1))
-
-
-def spatial_matrix(mesh, test, trial, d_test=0, d_trial=0, mask=None):
-    """_spatial_form as a CSR matrix."""
-    return _spatial_form(mesh, test, trial, d_test, d_trial, mask).tocsr()
 
 
 def temporal_matrix(test, trial, d_test=0, d_trial=0, dt=1.0):
@@ -294,31 +291,20 @@ def _endpoints(mesh, basis, deriv=0):
     return _points(mesh, basis, [0, mesh.n_elems - 1], [0.0, 1.0], deriv)
 
 
-def _boundary_penalty(mesh, test, trial):
-    """Sum over the two domain endpoints of test_i * trial_j, as canonical
-    triplets."""
-    return _point_product(_endpoints(mesh, test), _endpoints(mesh, trial))
-
-
 def boundary_penalty_matrix(mesh, test, trial):
-    """_boundary_penalty as a CSR matrix."""
-    return _boundary_penalty(mesh, test, trial).tocsr()
+    """Sum over the two domain endpoints of test_i * trial_j."""
+    return _point_product(_endpoints(mesh, test), _endpoints(mesh, trial))
 
 
 # the outward normals at the left and right domain endpoints
 _NORMALS = np.array([-1.0, 1.0])
 
 
-def _boundary_flux(mesh, test, trial):
+def boundary_flux_matrix(mesh, test, trial):
     """Sum over the two endpoints of test_i * (normal derivative of
-    trial_j), as canonical triplets."""
+    trial_j)."""
     return _point_product(_endpoints(mesh, test),
                           _endpoints(mesh, trial, deriv=1), _NORMALS)
-
-
-def boundary_flux_matrix(mesh, test, trial):
-    """_boundary_flux as a CSR matrix."""
-    return _boundary_flux(mesh, test, trial).tocsr()
 
 
 def gradient_jump_matrix(mesh, basis):
@@ -329,15 +315,20 @@ def gradient_jump_matrix(mesh, basis):
     The penalty is h G^T G, where row i of G is the left minus the right
     derivative at interior vertex i.
     """
-    return _gradient_jump(mesh, basis).tocsr()
-
-
-def _gradient_jump(mesh, basis):
-    """gradient_jump_matrix as canonical triplets."""
     v = mesh.interior_facets
     G = _sum(_points(mesh, basis, v - 1, 1.0, deriv=1),
              _points(mesh, basis, v, 0.0, deriv=1).scaled(-1.0))
     return _point_product(G, G).scaled(mesh.h)
+
+
+def _spatial_embedding(mesh, fine, coarse):
+    """Coefficients of coarse spatial functions expressed in the fine nodal
+    basis (same mesh, lower degree): the coarse basis evaluated at the fine
+    nodes, each shared vertex node taken from the element to its right."""
+    kf = fine.degree
+    nodes = np.arange(kf * mesh.n_elems + 1)
+    elems = np.minimum(nodes // kf, mesh.n_elems - 1)
+    return _points(mesh, coarse, elems, fine.nodes[nodes - kf * elems])
 
 
 def _tensor_block(shape, terms):
@@ -347,75 +338,50 @@ def _tensor_block(shape, terms):
     shape holds the sizes of the block's row fields and of its column
     fields.  A term (i, j, scale, T, S), with T a small dense temporal
     matrix and S a spatial factor of shape (n, m) given as canonical
-    _Triplets, puts scale * kron(T, S) on row field i and column field j:
+    Triplets, puts scale * kron(T, S) on row field i and column field j:
     the entry scale * (T[a, b] * S[r, c]) at (a * n + r, b * m + c) within
     them.  As with kron, a zero of T puts no entries and a stored zero of
     S is kept.  Several terms on one field pair are summed as a sparse sum
     would: entry by entry, left to right in the order of terms, with no
     zero stored.  So the block is bitwise the bmat of the field pairs, each
-    the kron of its one term or the sparse sum of its terms' krons.
-
-    No sort is needed for the CSR order: each field pair's entries are laid
-    out by temporal row, spatial row, temporal column and their place in
-    the spatial row, each spatial row padded to the longest, so that a
-    block row's entries, field pair by field pair, come out in column
-    order, and one mask over the padded layout takes them.
+    the kron of its one term or the sparse sum of its terms' krons.  The
+    field pairs' entries go to their block rows and columns, and one
+    stable sort by row, then column, puts them all in CSR order.
     """
     row_at = np.cumsum((0,) + tuple(shape[0]))
     col_at = np.cumsum((0,) + tuple(shape[1]))
     size = (int(row_at[-1]), int(col_at[-1]))
-    index = _index_type(size)
     groups = {}
     for i, j, scale, T, S in terms:
         groups.setdefault((i, j), []).append((scale, np.asarray(T), S))
-    counts, cols, vals = [], [np.zeros(0, dtype=index)], [np.zeros(0)]
-    for i, n_rows in enumerate(shape[0]):
-        pairs = [_padded_pair(groups[i, j], col_at[j], index)
-                 for j in range(len(shape[1])) if (i, j) in groups]
-        if not pairs:
-            counts.append(np.zeros(n_rows, dtype=np.intp))
-            continue
-        V, C, keep = (np.concatenate(x, axis=-1) for x in zip(*pairs))
-        counts.append(keep.sum(axis=-1).ravel())
-        cols.append(np.broadcast_to(C, keep.shape)[keep])
-        vals.append(V[keep])
-    rows = np.repeat(np.arange(size[0], dtype=index), np.concatenate(counts))
-    return _Triplets(rows, np.concatenate(cols), np.concatenate(vals), size)
-
-
-def _padded_pair(group, col0, index):
-    """One field pair's terms (scale, T, S), laid out for _tensor_block:
-    the values and which of them to keep, shape (n_a, n, n_b * w) for
-    temporal row a, spatial row r and, last, temporal column b and the
-    place in the spatial row (w places, the longest row's count), and the
-    block columns of those places, shape (n, n_b * w), from col0 on."""
-    (n, m), (n_a, n_b) = group[0][2].shape, group[0][1].shape
-    r, c, val, keep = _pair_entries(group, m)
-    # each entry's place in its spatial row; r is sorted
-    slot = np.arange(len(r)) - np.searchsorted(r, r)
-    w = int(slot.max(initial=-1)) + 1
-    # [:, r, :, slot] is (entry, a, b): the entries go to (a, r, b, place)
-    V = np.zeros((n_a, n, n_b, w))
-    V[:, r, :, slot] = val.reshape(n_a, n_b, -1).transpose(2, 0, 1)
-    K = np.zeros((n_a, n, n_b, w), dtype=bool)
-    K[:, r, :, slot] = keep.reshape(n_a, n_b, -1).transpose(2, 0, 1)
-    C = np.zeros((n, n_b, w), dtype=index)
-    C[r, :, slot] = col0 + m * np.arange(n_b) + c[:, None]
-    return V.reshape(n_a, n, -1), C.reshape(n, -1), K.reshape(n_a, n, -1)
+    rows, cols, vals = [], [], []
+    for (i, j), group in groups.items():
+        (n, m), n_b = group[0][2].shape, group[0][1].shape[1]
+        r, c, val, keep = _pair_entries(group, m)
+        # temporal pair (a, b) is row a * n_b + b of the values
+        a, b = np.divmod(np.arange(len(val))[:, None], n_b)
+        rows.append((row_at[i] + n * a + r)[keep])
+        cols.append((col_at[j] + m * b + c)[keep])
+        vals.append(val[keep])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    order = np.argsort(rows * size[1] + cols, kind="stable")
+    index = _index_type(size)
+    return Triplets(rows[order].astype(index), cols[order].astype(index),
+                    np.concatenate(vals)[order], size)
 
 
 def _pair_entries(group, m):
     """The entries of one field pair's terms (scale, T, S), S canonical
     triplets with m columns: their spatial rows and columns (canonical),
-    the values with one row per temporal pair (a, b), and which of them to
-    keep: a mask over the values or over their rows.  One term keeps the
-    stored zeros of S; several are summed over the union of their patterns
-    as a sparse sum would: left to right in the order given, with no zero
-    stored."""
+    the values with one row per temporal pair (a, b), and which of the
+    values to keep.  One term keeps the stored zeros of S; several are
+    summed over the union of their patterns as a sparse sum would: left to
+    right in the order given, with no zero stored."""
     values = [scale * (T.ravel()[:, None] * S.vals) for scale, T, S in group]
     if len(group) == 1:
         (_, T, S), = group
-        return S.rows, S.cols, values[0], T.ravel() != 0
+        keep = np.broadcast_to((T.ravel() != 0)[:, None], values[0].shape)
+        return S.rows, S.cols, values[0], keep
     keys = [m * S.rows.astype(np.int64) + S.cols for _, _, S in group]
     union, at = np.unique(np.concatenate(keys), return_inverse=True)
     # summed onto zeros: a sum that is zero is dropped anyway, and a zero
@@ -432,13 +398,18 @@ def _pair_shape(test, trial):
     return (test.n_field,) * 2, (trial.n_field,) * 2
 
 
-def _wave_operator(primal, dual):
-    """assemble_A as canonical triplets."""
+def assemble_A(primal, dual):
+    """Space-time wave operator on one slab, tested against the dual pair.
+
+    Rows run over the dual field pair (y1, y2), columns over the primal pair
+    (u1, u2).  The boundary term is the Nitsche-style consistency flux
+    -(du1/dn, y1) over the lateral boundary.
+    """
     Mt = dual.temporal(primal)
     Ct = dual.temporal(primal, 0, 1)
     Mx = dual.spatial(primal)
     Kx = dual.spatial(primal, 1, 1)
-    Fx = _boundary_flux(primal.mesh, dual.xbasis, primal.xbasis)
+    Fx = boundary_flux_matrix(primal.mesh, dual.xbasis, primal.xbasis)
     return _tensor_block(_pair_shape(dual, primal), [
         (0, 0, 1.0, Mt, _sum(Kx, Fx.scaled(-1.0))),
         (0, 1, 1.0, Ct, Mx),
@@ -447,23 +418,14 @@ def _wave_operator(primal, dual):
     ])
 
 
-def assemble_A(primal, dual):
-    """Space-time wave operator on one slab, tested against the dual pair.
-
-    Rows run over the dual field pair (y1, y2), columns over the primal pair
-    (u1, u2).  The boundary term is the Nitsche-style consistency flux
-    -(du1/dn, y1) over the lateral boundary.
-    """
-    return _wave_operator(primal, dual).tocsr()
-
-
 def _primal_stabilizer_terms(space):
     """The terms of the four primal stabilizers, by name."""
     h = space.mesh.h
     tmat = lambda a, b: space.temporal(space, a, b)
     Mx = space.spatial(space)
     return {
-        "J": [(0, 0, 1.0, tmat(0, 0), _gradient_jump(space.mesh, space.xbasis))],
+        "J": [(0, 0, 1.0, tmat(0, 0), gradient_jump_matrix(space.mesh,
+                                                           space.xbasis))],
         # element-wise residual (dt u2 - Laplace u1) against itself, weight h^2
         "G": [
             (0, 0, h**2, tmat(0, 0), space.spatial(space, 2, 2)),
@@ -482,14 +444,6 @@ def _primal_stabilizer_terms(space):
     }
 
 
-def _stabilizer_sum(space, terms):
-    """The sum ((J + G) + I0) + R of the primal stabilizers, as one CSR
-    block, from the terms of the parts."""
-    return _tensor_block(_pair_shape(space, space),
-                         [term for name in ("J", "G", "I0", "R")
-                          for term in terms[name]]).tocsr()
-
-
 def assemble_primal_stabilizers(space):
     """Primal residual-type stabilizers on one slab.
 
@@ -498,20 +452,25 @@ def assemble_primal_stabilizers(space):
     lateral boundary penalty "R" and their sum "Sh".  All are symmetric
     field-pair matrices; the sum is positive semidefinite.
     """
-    terms = _primal_stabilizer_terms(space)
-    parts = {name: _tensor_block(_pair_shape(space, space), part).tocsr()
-             for name, part in terms.items()}
-    parts["Sh"] = _stabilizer_sum(space, terms)
+    shape = _pair_shape(space, space)
+    parts = {name: _tensor_block(shape, part)
+             for name, part in _primal_stabilizer_terms(space).items()}
+    parts["Sh"] = assemble_Sh(space)
     return parts
 
 
 def assemble_Sh(space):
-    """The sum Sh of assemble_primal_stabilizers, built without its parts."""
-    return _stabilizer_sum(space, _primal_stabilizer_terms(space))
+    """The sum ((J + G) + I0) + R of assemble_primal_stabilizers, as one
+    block from the terms of the parts, built without the parts."""
+    terms = _primal_stabilizer_terms(space)
+    return _tensor_block(_pair_shape(space, space),
+                         [term for name in ("J", "G", "I0", "R")
+                          for term in terms[name]])
 
 
-def _dual_stabilizer(space):
-    """assemble_dual_stabilizer as canonical triplets."""
+def assemble_dual_stabilizer(space):
+    """Dual-pair stabilizer: full H1-type mass on z1 (with lateral boundary
+    weight 1/h) and plain mass on z2.  Symmetric positive definite."""
     Mt = space.temporal(space)
     Mx = space.spatial(space)
     Kx = space.spatial(space, 1, 1)
@@ -522,24 +481,13 @@ def _dual_stabilizer(space):
     ])
 
 
-def assemble_dual_stabilizer(space):
-    """Dual-pair stabilizer: full H1-type mass on z1 (with lateral boundary
-    weight 1/h) and plain mass on z2.  Symmetric positive definite."""
-    return _dual_stabilizer(space).tocsr()
-
-
-def _data_mass(test_space, trial_space, data):
-    """assemble_data_mass as canonical triplets."""
+def assemble_data_mass(test_space, trial_space, data):
+    """Mass restricted to the measurement region, acting on the first field
+    only.  Rows run over test_space, columns over trial_space."""
     Mt = test_space.temporal(trial_space)
     Mw = test_space.spatial(trial_space, mask=data.element_mask)
     return _tensor_block(_pair_shape(test_space, trial_space),
                          [(0, 0, 1.0, Mt, Mw)])
-
-
-def assemble_data_mass(test_space, trial_space, data):
-    """Mass restricted to the measurement region, acting on the first field
-    only.  Rows run over test_space, columns over trial_space."""
-    return _data_mass(test_space, trial_space, data).tocsr()
 
 
 def _jump_terms(space, shape, T):
@@ -566,24 +514,30 @@ def interface_jump_blocks(space):
 
     def block(t_test, t_trial):
         T = temporal_trace_matrix(space.tbasis, space.tbasis, t_test, t_trial)
-        return _jump_terms(space, shape, T).tocsr()
+        return _jump_terms(space, shape, T)
 
     return {"plus": block(0.0, 0.0), "minus": block(1.0, 1.0),
             "cross": block(0.0, 1.0)}
 
 
-def _jump_weight(space):
+def jump_weight(space):
     """The minus block of interface_jump_blocks on the last temporal mode of
-    each field, W = blockdiag(W1, W2) over the two fields' spatial dofs, as
-    canonical triplets.  For q >= 1 the temporal basis is nodal at both slab
-    ends, so every jump block restricted to the slab traces is this one
-    block."""
+    each field, W = blockdiag(W1, W2) over the two fields' spatial dofs.
+    For q >= 1 the temporal basis is nodal at both slab ends, so every jump
+    block restricted to the slab traces is this one block."""
     T = temporal_trace_matrix(space.tbasis, space.tbasis, 1.0, 1.0)
     return _jump_terms(space, ((space.n_x,) * 2,) * 2, T[-1:, -1:])
 
 
-def _dfb_blocks(primal, dual, data, lam):
-    """assemble_dfb_extras as canonical triplets."""
+def assemble_dfb_extras(primal, dual, data, lam):
+    """Extra terms that make the slab-wise primal operator invertible.
+
+    Returns the measurement-region observer term, the lateral boundary
+    penalty with weight lam / h (both tested against y1), and the upwind
+    jump couplings tested against the incoming dual traces:
+    "coupling_diag" acts on the later slab's coefficients, "coupling_sub"
+    on the earlier slab's (to be subtracted).
+    """
     if lam <= 0:
         raise ValueError(f"boundary penalty weight must be positive, got {lam}")
     shape = _pair_shape(dual, primal)
@@ -598,24 +552,11 @@ def _dfb_blocks(primal, dual, data, lam):
         return _tensor_block(shape, [(0, 1, 1.0, T, Mdp), (1, 0, 1.0, T, Mdp)])
 
     return {
-        "observer": _data_mass(dual, primal, data),
+        "observer": assemble_data_mass(dual, primal, data),
         "nitsche": nitsche,
         "coupling_diag": coupling(0.0),
         "coupling_sub": coupling(1.0),
     }
-
-
-def assemble_dfb_extras(primal, dual, data, lam):
-    """Extra terms that make the slab-wise primal operator invertible.
-
-    Returns the measurement-region observer term, the lateral boundary
-    penalty with weight lam / h (both tested against y1), and the upwind
-    jump couplings tested against the incoming dual traces:
-    "coupling_diag" acts on the later slab's coefficients, "coupling_sub"
-    on the earlier slab's (to be subtracted).
-    """
-    return {name: block.tocsr()
-            for name, block in _dfb_blocks(primal, dual, data, lam).items()}
 
 
 def assemble_dual_interface_mass(dual):
@@ -627,4 +568,16 @@ def assemble_dual_interface_mass(dual):
     Mx = dual.spatial(dual)
     return _tensor_block(_pair_shape(dual, dual),
                          [(0, 0, dual.dt, T, Mx),
-                          (1, 1, dual.dt, T, Mx)]).tocsr()
+                          (1, 1, dual.dt, T, Mx)])
+
+
+def assemble_embedding(fine, coarse):
+    """Coefficients of the coarse slab space's field pairs expressed in the
+    fine one's basis (same mesh and slab, orders no higher): rows run over
+    fine's field pair, columns over coarse's.  Each field takes the coarse
+    temporal basis at the fine temporal nodes times the coarse spatial
+    basis at the fine spatial nodes (_spatial_embedding)."""
+    Et = coarse.tbasis.eval(fine.tbasis.nodes)
+    Ex = _spatial_embedding(fine.mesh, fine.xbasis, coarse.xbasis)
+    return _tensor_block(_pair_shape(fine, coarse),
+                         [(0, 0, 1.0, Et, Ex), (1, 1, 1.0, Et, Ex)])

@@ -31,14 +31,13 @@ from .basis import gauss_rule
 from .mesh import build_interval_mesh, mark_data_domain
 from .slab_forms import (
     SlabSpace,
-    _jump_weight,
-    _Triplets,
     assemble_A,
     assemble_data_mass,
     assemble_dual_stabilizer,
     assemble_Sh,
     element_dofs,
     interface_jump_blocks,
+    jump_weight,
 )
 
 __all__ = ["SpaceTimeSystem", "NormReport"]
@@ -74,12 +73,13 @@ class SpaceTimeSystem:
             self.mesh, config.kstar, config.qstar, config.dt)
         self.n_slabs = config.n_slabs
 
-        self.A_pd = assemble_A(self.primal, self.dual)
-        self.Sh = assemble_Sh(self.primal)
-        self.Sstar = assemble_dual_stabilizer(self.dual)
-        self.Momega = assemble_data_mass(self.primal, self.primal, self.data)
-        # transpose used by every operator application, built once
-        self.A_pd_T = _Triplets.of(self.A_pd).transpose().tocsr()
+        A = assemble_A(self.primal, self.dual)
+        # the transpose is used by every operator application, built once
+        self.A_pd, self.A_pd_T = A.tocsr(), A.transpose().tocsr()
+        self.Sh = assemble_Sh(self.primal).tocsr()
+        self.Sstar = assemble_dual_stabilizer(self.dual).tocsr()
+        self.Momega = assemble_data_mass(self.primal, self.primal,
+                                         self.data).tocsr()
         # the primal rows the jump terms read and reach, trace: each field's
         # last temporal mode (end), then its first (start), disjoint because
         # q >= 1.  The temporal basis is nodal at both slab ends, so plus,
@@ -90,7 +90,7 @@ class SpaceTimeSystem:
             2, self.primal.n_modes, -1)
         end, start = modes[:, -1].ravel(), modes[:, 0].ravel()
         self.trace, self.n_end = np.concatenate((end, start)), len(end)
-        W = _jump_weight(self.primal)
+        W = jump_weight(self.primal)
         self.jump_weight, self.jump_weight_T = W.tocsr(), W.transpose().tocsr()
 
         self.n_primal = self.primal.n_pair
@@ -102,7 +102,8 @@ class SpaceTimeSystem:
     def jump(self):
         """The full jump blocks plus, minus and cross on a slab's primal
         pair (interface_jump_blocks), for the dense oracle."""
-        return interface_jump_blocks(self.primal)
+        return {name: block.tocsr() for name, block
+                in interface_jump_blocks(self.primal).items()}
 
     # -- layout ----------------------------------------------------------
 

@@ -216,17 +216,18 @@ def test_criterion_8_lifting():
 def test_criterion_9_stabilizer_structure():
     mesh = build_interval_mesh(0, 1, 4)
     space = SlabSpace(mesh, 2, 1, dt=0.25)
-    parts = assemble_primal_stabilizers(space)
+    parts = {name: part.tocsr()
+             for name, part in assemble_primal_stabilizers(space).items()}
     for name, mat in parts.items():
         assert abs(mat - mat.T).max() <= 1e-12, name
     min_sh = np.linalg.eigvalsh(parts["Sh"].toarray()).min()
     assert min_sh >= -1e-10
 
-    Sd = assemble_dual_stabilizer(space)
+    Sd = assemble_dual_stabilizer(space).tocsr()
     assert abs(Sd - Sd.T).max() <= 1e-12
     min_sd = np.linalg.eigvalsh(Sd.toarray()).min()
     assert min_sd > 0
-    Ei = assemble_dual_interface_mass(space)
+    Ei = assemble_dual_interface_mass(space).tocsr()
     assert abs(Ei - Ei.T).max() <= 1e-12
     assert np.linalg.eigvalsh(Ei.toarray()).min() >= -1e-12
 

@@ -17,7 +17,7 @@ from waveuc.precond import (
 )
 from waveuc.slab_forms import (
     SlabSpace,
-    _Triplets,
+    Triplets,
     assemble_A,
     assemble_dfb_extras,
     assemble_dual_stabilizer,
@@ -215,7 +215,8 @@ def dense_dfb_forward_matrix(system, lam):
     """Dense slab-triangular matrix of the enriched forward operator."""
     from waveuc.slab_forms import assemble_dfb_extras
 
-    extras = assemble_dfb_extras(system.primal, system.dual, system.data, lam)
+    extras = {name: block.tocsr() for name, block in assemble_dfb_extras(
+        system.primal, system.dual, system.data, lam).items()}
     G0 = (system.A_pd + extras["observer"] + extras["nitsche"]).toarray()
     Gd = G0 + extras["coupling_diag"].toarray()
     Gs = extras["coupling_sub"].toarray()
@@ -316,11 +317,11 @@ def test_singular_slab_block_raises(kind, label):
 
 def test_singular_dfb_block_raises(monkeypatch):
     def no_extras(primal, dual, data, lam):
-        zero = _Triplets.of(sp.csr_matrix((dual.n_pair, primal.n_pair)))
+        zero = Triplets.of(sp.csr_matrix((dual.n_pair, primal.n_pair)))
         return dict.fromkeys(
             ("observer", "nitsche", "coupling_diag", "coupling_sub"), zero)
 
-    monkeypatch.setattr("waveuc.precond._dfb_blocks", no_extras)
+    monkeypatch.setattr("waveuc.precond.assemble_dfb_extras", no_extras)
     s = make_system(n_elems=4, n_slabs=2)
     s.A_pd = 0.0 * s.A_pd
     with pytest.raises(ValueError, match=r"^singular slab system "
@@ -331,10 +332,11 @@ def test_singular_dfb_block_raises(monkeypatch):
 def test_singular_slab_block_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(
         spacetime_system, "assemble_A",
-        lambda primal, dual: sp.csr_matrix((dual.n_pair, primal.n_pair)))
+        lambda primal, dual: Triplets.of(
+            sp.csr_matrix((dual.n_pair, primal.n_pair))))
     monkeypatch.setattr(
         spacetime_system, "assemble_dual_stabilizer",
-        lambda dual: sp.csr_matrix((dual.n_pair, dual.n_pair)))
+        lambda dual: Triplets.of(sp.csr_matrix((dual.n_pair, dual.n_pair))))
     code = main(["solve", "--slabs", "2", "--elems", "4", "--precond", "block"])
     captured = capsys.readouterr()
     assert code == 1
@@ -644,18 +646,19 @@ def assembled_interior_lu(s, kind):
     mf and ml add the jump block plus to the primal diagonal, dfb adds
     coupling_diag to its first slab's block."""
     if kind == "dfb":
-        extras = assemble_dfb_extras(s.primal, s.dual, s.data,
-                                     s.config.resolved_lambda())
+        extras = {name: block.tocsr() for name, block in assemble_dfb_extras(
+            s.primal, s.dual, s.data, s.config.resolved_lambda()).items()}
         block = (s.A_pd + extras["observer"] + extras["nitsche"]
                  + extras["coupling_diag"])
         perm = _node_order(s.primal)
     else:
         dual = s.dual if kind == "mf" else SlabSpace(s.mesh, 1, 0, s.config.dt)
-        A, Sstar = assemble_A(s.primal, dual), assemble_dual_stabilizer(dual)
+        A = assemble_A(s.primal, dual).tocsr()
+        Sstar = assemble_dual_stabilizer(dual).tocsr()
         block = sp.bmat([[(s.Sh + s.Momega) + s.jump["plus"], A.T],
                          [A, -Sstar]])
         perm = _node_order(s.primal, dual)
-    return _BandLU(_Band(_Triplets.of(sp.csr_matrix(block)), perm),
+    return _BandLU(_Band(Triplets.of(sp.csr_matrix(block)), perm),
                    "interior slab")
 
 
@@ -723,7 +726,7 @@ def test_band_pattern_needs_no_factorization(monkeypatch):
     n = 40
     block = sp.random(n, n, density=0.05, random_state=rng) + sp.identity(n)
     perm = rng.permutation(n)
-    band = _Band(_Triplets.of(block.tocsr()), perm)
+    band = _Band(Triplets.of(block.tocsr()), perm)
     # offsets of the permuted block's entries, row minus column
     rows, cols = np.nonzero(block.toarray()[perm][:, perm])
     assert band.kl == (rows - cols).max() and band.ku == (cols - rows).max()

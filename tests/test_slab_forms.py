@@ -8,8 +8,9 @@ from waveuc.basis import SpatialBasis, TemporalBasis, gauss_rule
 from waveuc.mesh import build_interval_mesh, mark_data_domain
 from waveuc.slab_forms import (
     SlabSpace,
+    Triplets,
+    _spatial_embedding,
     _tensor_block,
-    _Triplets,
     assemble_A,
     assemble_data_mass,
     assemble_dfb_extras,
@@ -25,7 +26,7 @@ from waveuc.slab_forms import (
     temporal_matrix,
     temporal_trace_matrix,
 )
-from waveuc.precond import _spatial_embedding, build_preconditioner
+from waveuc.precond import build_preconditioner
 
 from conftest import make_system, pair_coeffs, same_csr
 
@@ -110,7 +111,7 @@ def test_temporal_matrices_q1_analytic():
 def test_spatial_mass_p1_analytic():
     mesh = build_interval_mesh(0, 1, 2)
     b = SpatialBasis(1)
-    M = spatial_matrix(mesh, b, b).toarray()
+    M = spatial_matrix(mesh, b, b).tocsr().toarray()
     h = 0.5
     expected = h / 6 * np.array([[2, 1, 0], [1, 4, 1], [0, 1, 2]])
     assert M == pytest.approx(expected)
@@ -119,7 +120,7 @@ def test_spatial_mass_p1_analytic():
 def test_spatial_stiffness_p1_analytic():
     mesh = build_interval_mesh(0, 1, 2)
     b = SpatialBasis(1)
-    K = spatial_matrix(mesh, b, b, 1, 1).toarray()
+    K = spatial_matrix(mesh, b, b, 1, 1).tocsr().toarray()
     expected = 2.0 * np.array([[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
     assert K == pytest.approx(expected)
 
@@ -128,7 +129,7 @@ def test_masked_spatial_mass():
     mesh = build_interval_mesh(0, 1, 4)
     data = mark_data_domain(mesh, [[0, 0.25]])
     b = SpatialBasis(1)
-    M = spatial_matrix(mesh, b, b, mask=data.element_mask).toarray()
+    M = spatial_matrix(mesh, b, b, mask=data.element_mask).tocsr().toarray()
     assert M[:2, :2] == pytest.approx(0.25 / 6 * np.array([[2, 1], [1, 2]]))
     assert np.all(M[2:] == 0) and np.all(M[:, 2:] == 0)
 
@@ -136,11 +137,11 @@ def test_masked_spatial_mass():
 def test_boundary_matrices():
     mesh = build_interval_mesh(0, 1, 2)
     b = SpatialBasis(1)
-    P = boundary_penalty_matrix(mesh, b, b).toarray()
+    P = boundary_penalty_matrix(mesh, b, b).tocsr().toarray()
     expected = np.zeros((3, 3))
     expected[0, 0] = expected[2, 2] = 1.0
     assert P == pytest.approx(expected)
-    F = boundary_flux_matrix(mesh, b, b).toarray()
+    F = boundary_flux_matrix(mesh, b, b).tocsr().toarray()
     # at x=0 the outward normal is -1 and the hat slope is (-1/h, 1/h)
     assert F[0] == pytest.approx([1 / mesh.h, -1 / mesh.h, 0])
     assert F[2] == pytest.approx([0, -1 / mesh.h, 1 / mesh.h])
@@ -149,7 +150,7 @@ def test_boundary_matrices():
 def test_gradient_jump_p1_analytic():
     mesh = build_interval_mesh(0, 1, 2)
     b = SpatialBasis(1)
-    J = gradient_jump_matrix(mesh, b).toarray()
+    J = gradient_jump_matrix(mesh, b).tocsr().toarray()
     # single interior vertex; jump vector is (1, -2, 1)/h, weight h
     g = np.array([1.0, -2.0, 1.0]) / mesh.h
     assert J == pytest.approx(mesh.h * np.outer(g, g))
@@ -161,7 +162,7 @@ def test_gradient_jump_vanishes_for_affine():
         b = SpatialBasis(k)
         nodes = np.linspace(0, 1, k * mesh.n_elems + 1)
         c = 2.0 * nodes - 0.7
-        J = gradient_jump_matrix(mesh, b)
+        J = gradient_jump_matrix(mesh, b).tocsr()
         assert c @ (J @ c) == pytest.approx(0.0, abs=1e-13)
 
 
@@ -172,7 +173,7 @@ def test_A_closure_on_affine_displacement():
     # u1 = x, u2 = 0: stiffness and boundary flux cancel exactly
     mesh = build_interval_mesh(0, 1, 1)
     space = SlabSpace(mesh, 1, 1, dt=0.5)
-    A = assemble_A(space, space)
+    A = assemble_A(space, space).tocsr()
     U = np.zeros((2, space.n_modes, space.n_x))
     U[0] = np.array([0.0, 1.0])  # nodal values of x, constant in time
     assert np.linalg.norm(A @ U.ravel()) == pytest.approx(0.0, abs=1e-13)
@@ -184,7 +185,7 @@ def test_A_matches_direct_quadrature(orders, rng):
     mesh = build_interval_mesh(0, 1, 3)
     primal = SlabSpace(mesh, k, q, dt=0.25)
     dual = SlabSpace(mesh, kstar, qstar, dt=0.25)
-    A = assemble_A(primal, dual)
+    A = assemble_A(primal, dual).tocsr()
     for _ in range(3):
         U = pair_coeffs(primal, rng)
         Y = pair_coeffs(dual, rng)
@@ -230,7 +231,8 @@ def test_A_vanishes_on_strong_solution():
 def test_primal_stabilizer_matches_direct_quadrature(k, q, rng):
     mesh = build_interval_mesh(0, 1, 3)
     space = SlabSpace(mesh, k, q, dt=0.25)
-    parts = assemble_primal_stabilizers(space)
+    parts = {name: part.tocsr()
+             for name, part in assemble_primal_stabilizers(space).items()}
     V = pair_coeffs(space, rng)
     v = V.ravel()
     direct = quadrature_stabilizer_energy(space, V)
@@ -253,7 +255,8 @@ def test_stabilizers_vanish_on_compatible_affine_data():
     V[0, 1] = 1.0 + nodes + 0.5 * 3.0  # slope 3 in time
     V[1, :] = 3.0
     v = V.ravel()
-    parts = assemble_primal_stabilizers(space)
+    parts = {name: part.tocsr()
+             for name, part in assemble_primal_stabilizers(space).items()}
     for name in ("J", "G", "I0"):
         assert v @ (parts[name] @ v) == pytest.approx(0.0, abs=1e-12)
     assert v @ (parts["R"] @ v) > 0
@@ -262,18 +265,18 @@ def test_stabilizers_vanish_on_compatible_affine_data():
 def test_stabilizer_symmetry():
     mesh = build_interval_mesh(0, 1, 3)
     space = SlabSpace(mesh, 2, 1, dt=0.25)
-    parts = assemble_primal_stabilizers(space)
-    for name, mat in parts.items():
+    for name, part in assemble_primal_stabilizers(space).items():
+        mat = part.tocsr()
         assert abs(mat - mat.T).max() < 1e-12, name
-    Sd = assemble_dual_stabilizer(space)
+    Sd = assemble_dual_stabilizer(space).tocsr()
     assert abs(Sd - Sd.T).max() < 1e-12
 
 
 def test_boundary_penalty_scaling_in_h():
     space_a = SlabSpace(build_interval_mesh(0, 1, 2), 1, 1, dt=0.5)
     space_b = SlabSpace(build_interval_mesh(0, 1, 4), 1, 1, dt=0.5)
-    Ra = assemble_primal_stabilizers(space_a)["R"]
-    Rb = assemble_primal_stabilizers(space_b)["R"]
+    Ra = assemble_primal_stabilizers(space_a)["R"].tocsr()
+    Rb = assemble_primal_stabilizers(space_b)["R"].tocsr()
     # corner entry is Mt[0,0] / h, so halving h doubles it
     assert Rb[0, 0] == pytest.approx(2 * Ra[0, 0])
 
@@ -281,7 +284,7 @@ def test_boundary_penalty_scaling_in_h():
 def test_dual_stabilizer_constant_value():
     mesh = build_interval_mesh(0, 1, 4)
     space = SlabSpace(mesh, 1, 1, dt=0.25)
-    Sd = assemble_dual_stabilizer(space)
+    Sd = assemble_dual_stabilizer(space).tocsr()
     Z = np.zeros((2, 2, space.n_x))
     Z[0] = 1.0  # z1 constant 1, z2 = 0
     z = Z.ravel()
@@ -292,7 +295,7 @@ def test_dual_stabilizer_constant_value():
 def test_dual_stabilizer_positive_definite():
     mesh = build_interval_mesh(0, 1, 3)
     space = SlabSpace(mesh, 1, 1, dt=0.25)
-    Sd = assemble_dual_stabilizer(space).toarray()
+    Sd = assemble_dual_stabilizer(space).tocsr().toarray()
     assert np.linalg.eigvalsh(Sd).min() > 0
 
 
@@ -300,7 +303,7 @@ def test_data_mass_supported_on_marked_elements(rng):
     mesh = build_interval_mesh(0, 1, 4)
     data = mark_data_domain(mesh, [[0, 0.25], [0.75, 1]])
     space = SlabSpace(mesh, 1, 1, dt=0.25)
-    Mw = assemble_data_mass(space, space, data).toarray()
+    Mw = assemble_data_mass(space, space, data).tocsr().toarray()
     # velocity rows and columns are empty
     n_f = space.n_field
     assert np.all(Mw[n_f:] == 0) and np.all(Mw[:, n_f:] == 0)
@@ -348,7 +351,8 @@ def test_traces_q1_select_endpoint_modes(rng):
 def test_interface_jump_form_vanishes_for_continuous(rng):
     mesh = build_interval_mesh(0, 1, 2)
     space = SlabSpace(mesh, 1, 1, dt=0.25)
-    blocks = interface_jump_blocks(space)
+    blocks = {name: block.tocsr()
+              for name, block in interface_jump_blocks(space).items()}
     prev = pair_coeffs(space, rng)
     cur = pair_coeffs(space, rng)
     cur[:, 0] = prev[:, 1]  # continuous traces at the interface
@@ -365,7 +369,8 @@ def test_interface_jump_energy_analytic():
     # discontinuity only in u1, constant in space: energy = |jump|^2 / dt
     mesh = build_interval_mesh(0, 1, 2)
     space = SlabSpace(mesh, 1, 1, dt=0.25)
-    blocks = interface_jump_blocks(space)
+    blocks = {name: block.tocsr()
+              for name, block in interface_jump_blocks(space).items()}
     prev = np.zeros((2, 2, space.n_x))
     cur = np.zeros((2, 2, space.n_x))
     cur[0, 0] = 1.0
@@ -382,7 +387,8 @@ def test_interface_jump_energy_analytic():
 def test_interface_jump_blocks_symmetric_psd():
     mesh = build_interval_mesh(0, 1, 2)
     space = SlabSpace(mesh, 2, 1, dt=0.25)
-    blocks = interface_jump_blocks(space)
+    blocks = {name: block.tocsr()
+              for name, block in interface_jump_blocks(space).items()}
     for key in ("plus", "minus"):
         M = blocks[key]
         assert abs(M - M.T).max() < 1e-12
@@ -404,7 +410,8 @@ def test_dfb_coupling_cancels_for_continuous(rng):
     mesh = build_interval_mesh(0, 1, 4)
     data = mark_data_domain(mesh, [[0, 0.25]])
     space = SlabSpace(mesh, 1, 1, dt=0.25)
-    extras = assemble_dfb_extras(space, space, data, lam=10.0)
+    extras = {name: block.tocsr() for name, block in assemble_dfb_extras(
+        space, space, data, lam=10.0).items()}
     prev = pair_coeffs(space, rng)
     cur = pair_coeffs(space, rng)
     cur[:, 0] = prev[:, 1]
@@ -415,7 +422,7 @@ def test_dfb_coupling_cancels_for_continuous(rng):
 def test_dual_interface_mass_values(rng):
     mesh = build_interval_mesh(0, 1, 4)
     space = SlabSpace(mesh, 1, 1, dt=0.25)
-    E = assemble_dual_interface_mass(space)
+    E = assemble_dual_interface_mass(space).tocsr()
     # zero incoming trace: no contribution
     Z = pair_coeffs(space, rng)
     Z[:, 0] = 0.0
@@ -447,7 +454,7 @@ def test_quadrature_order_independence():
         dofs = list(zip(element_dofs(mesh, test.degree_x),
                         element_dofs(mesh, trial.degree_x)))
         for a, b in ((0, 0), (1, 1), (2, 2), (0, 2), (2, 0)):
-            S = spatial_matrix(mesh, test.xbasis, trial.xbasis, a, b)
+            S = spatial_matrix(mesh, test.xbasis, trial.xbasis, a, b).tocsr()
             local = (reference(test.xbasis, trial.xbasis, a, b)
                      * mesh.h ** (1 - a - b))
             S_ref = np.zeros(S.shape)
@@ -530,13 +537,13 @@ def point_forms(mesh):
     pair up to 3 on mesh."""
     bases = [SpatialBasis(k) for k in (1, 2, 3)]
     for a in bases:
-        yield (f"J{a.degree}", gradient_jump_matrix(mesh, a),
+        yield (f"J{a.degree}", gradient_jump_matrix(mesh, a).tocsr(),
                lil_gradient_jump(mesh, a))
         for b in bases:
             tag = f"{a.degree}{b.degree}"
-            yield (f"P{tag}", boundary_penalty_matrix(mesh, a, b),
+            yield (f"P{tag}", boundary_penalty_matrix(mesh, a, b).tocsr(),
                    lil_boundary_penalty(mesh, a, b))
-            yield (f"F{tag}", boundary_flux_matrix(mesh, a, b),
+            yield (f"F{tag}", boundary_flux_matrix(mesh, a, b).tocsr(),
                    lil_boundary_flux(mesh, a, b))
             if b.degree <= a.degree:
                 yield (f"E{tag}", _spatial_embedding(mesh, a, b).tocsr(),
@@ -588,6 +595,25 @@ def test_blocks_are_canonical_without_stored_zeros(k):
 def test_point_forms_are_canonical_without_stored_zeros(n_elems):
     for name, rebuilt, _ in point_forms(build_interval_mesh(0, 1, n_elems)):
         assert_canonical(name, rebuilt)
+
+
+@pytest.mark.parametrize("n_cols", [2**16, 2**16 + 1])
+def test_transpose_is_scipys_on_either_side_of_16_bit_columns(n_cols):
+    # up to 2**16 columns the transpose sorts 16-bit keys, beyond that the
+    # columns themselves; entries at the first and the last columns, some
+    # shared between rows, show a key that wrapped or a sort that was not
+    # stable
+    cols = [0, n_cols - 3, n_cols - 1, 0, n_cols - 2, n_cols - 1,
+            1, n_cols - 3, n_cols - 2, n_cols - 1]
+    rows = [0, 0, 0, 1, 1, 1, 2, 2, 2, 2]
+    vals = np.arange(1.0, len(cols) + 1)
+    S = sp.csr_matrix((vals, (rows, cols)), shape=(3, n_cols))
+    built = Triplets.of(S).transpose().tocsr()
+    expected = S.T.tocsr()
+    assert built.shape == expected.shape == (n_cols, 3)
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(built, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_element_dofs_share_vertices():
@@ -677,7 +703,7 @@ def test_tensor_block_is_bitwise_kron_bmat_and_sparse_sum(case):
     shape, terms = case
     # the builder takes each S as canonical triplets, its stored zeros kept
     built = _tensor_block(shape, [
-        (i, j, scale, T, _Triplets.of(S.sorted_indices()))
+        (i, j, scale, T, Triplets.of(S.sorted_indices()))
         for i, j, scale, T, S in terms]).tocsr()
     expected = kron_bmat_block(shape, terms)
     assert built.shape == expected.shape

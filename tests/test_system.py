@@ -28,19 +28,19 @@ def test_each_factor_is_built_once(k, monkeypatch):
     # the 6 distinct spatial factors (M, K, the three second-derivative
     # pairs, the data mass) and the 4 distinct temporal ones (derivative
     # pairs 0/0, 0/1, 1/0, 1/1) are each built once per system, and dfb
-    # reuses the system's spatial factors; _spatial_form builds the
-    # spatial ones, and spatial_matrix is its CSR form
+    # reuses the system's spatial factors; spatial_matrix builds the
+    # spatial ones
     calls = {}
-    for name in ("_spatial_form", "temporal_matrix"):
+    for name in ("spatial_matrix", "temporal_matrix"):
         def counted(*args, _build=getattr(slab_forms, name), _name=name,
                     **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _build(*args, **kwargs)
         monkeypatch.setattr(slab_forms, name, counted)
     s = make_system(k=k, q=k, kstar=k, qstar=k, n_elems=8, n_slabs=3)
-    assert calls == {"_spatial_form": 6, "temporal_matrix": 4}
+    assert calls == {"spatial_matrix": 6, "temporal_matrix": 4}
     build_preconditioner(s, "dfb")
-    assert calls["_spatial_form"] == 6
+    assert calls["spatial_matrix"] == 6
 
 
 def test_layout_covers_all_dofs():

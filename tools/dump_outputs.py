@@ -14,9 +14,11 @@ jump_weight and its transpose), the dual interface mass, the
 forward-backward split's extra blocks, the light sweep's reduced wave
 operator, dual stabilizer and degree embedding, every block a
 preconditioner assembles to factor, and every matrix a preconditioner
-keeps: the sweeps' coupling (mf, ml) and ml's embed and embed_T.  A block
-handed to the band step as triplets, whose entries at one place are
-summed in their order, is summed so here too before it is stored as CSR.
+keeps: the sweeps' coupling (mf, ml) and ml's embed and embed_T.  A form
+is stored as the CSR matrix of its tocsr(), which a package's form has
+whether it returns a scipy matrix or triplets.  A block handed to the band
+step as triplets, whose entries at one place are summed in their order,
+is summed so here too before it is stored as CSR.
 It holds the lu, piv, kl and ku of every factorization a preconditioner
 keeps (M.lus, M.lu, M.sstar_lu), so an LU whose block is never assembled
 is compared too, and the carried columns and carry blocks K of dfb's two
@@ -50,10 +52,11 @@ import scipy.sparse as sp
 
 import waveuc.cli as cli
 import waveuc.precond as precond
+import waveuc.slab_forms as slab_forms
 from waveuc.basis import SpatialBasis
 from waveuc.config import PRESETS
 from waveuc.mesh import build_interval_mesh
-from waveuc.precond import _spatial_embedding, build_preconditioner
+from waveuc.precond import build_preconditioner
 from waveuc.slab_forms import (
     SlabSpace,
     assemble_A,
@@ -66,6 +69,10 @@ from waveuc.slab_forms import (
     gradient_jump_matrix,
 )
 from waveuc.spacetime_system import SpaceTimeSystem
+
+# the spatial degree embedding: precond's in older trees, slab_forms' in newer
+_spatial_embedding = getattr(precond, "_spatial_embedding", None) or getattr(
+    slab_forms, "_spatial_embedding")
 
 # (preset, k = q, kstar = qstar, slabs); every system has 2 * slabs elements
 SYSTEMS = [("gcc1d", 1, 1, 16), ("nogcc1d", 1, 1, 32), ("gcc1d", 2, 2, 4),
@@ -194,7 +201,7 @@ def dump_blocks(out, key, s):
     # of its dense-block path, taken for a spatial factor more than half
     # full (the gradient jump at k = 2 on 4 elements)
     for name, block in assemble_primal_stabilizers(s.primal).items():
-        block = block.tocsr(copy=True)
+        block = block.tocsr().copy()
         block.eliminate_zeros()
         _put_csr(out, f"{key}-stabilizer_{name}", block)
     for name, block in getattr(s, "trace_jump", {}).items():
@@ -203,17 +210,17 @@ def dump_blocks(out, key, s):
         if hasattr(s, name):
             _put_csr(out, f"{key}-{name}", getattr(s, name))
     _put_csr(out, f"{key}-dual_interface_mass",
-             assemble_dual_interface_mass(s.dual))
+             assemble_dual_interface_mass(s.dual).tocsr())
     cfg = s.config
     if (cfg.kstar, cfg.qstar) == (cfg.k, cfg.q):
         extras = assemble_dfb_extras(s.primal, s.dual, s.data,
                                      cfg.resolved_lambda())
         for name, block in extras.items():
-            _put_csr(out, f"{key}-dfb_{name}", block)
+            _put_csr(out, f"{key}-dfb_{name}", block.tocsr())
     # the light sweep's dual pair
     light = SlabSpace(s.mesh, 1, 0, cfg.dt)
-    _put_csr(out, f"{key}-ml_A", assemble_A(s.primal, light))
-    _put_csr(out, f"{key}-ml_Sstar", assemble_dual_stabilizer(light))
+    _put_csr(out, f"{key}-ml_A", assemble_A(s.primal, light).tocsr())
+    _put_csr(out, f"{key}-ml_Sstar", assemble_dual_stabilizer(light).tocsr())
 
 
 def dump_systems(out):
@@ -263,17 +270,17 @@ def dump_forms(out):
         for k in degrees:
             fine = SpatialBasis(k)
             _put_csr(out, f"J-n{n_elems}-k{k}",
-                     gradient_jump_matrix(mesh, fine))
+                     gradient_jump_matrix(mesh, fine).tocsr())
             for kc in degrees:
                 coarse = SpatialBasis(kc)
                 tag = f"n{n_elems}-k{k}-{kc}"
                 _put_csr(out, f"P-{tag}",
-                         boundary_penalty_matrix(mesh, fine, coarse))
+                         boundary_penalty_matrix(mesh, fine, coarse).tocsr())
                 _put_csr(out, f"F-{tag}",
-                         boundary_flux_matrix(mesh, fine, coarse))
+                         boundary_flux_matrix(mesh, fine, coarse).tocsr())
                 if kc <= k:
                     _put_csr(out, f"E-{tag}",
-                             _spatial_embedding(mesh, fine, coarse))
+                             _spatial_embedding(mesh, fine, coarse).tocsr())
 
 
 def dump_solves(out):

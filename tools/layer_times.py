@@ -23,7 +23,9 @@ over --calls calls, in ms, of:
 and, on the first line, the thread counts of the OpenBLAS libraries that
 numpy and scipy loaded (each has its own).
 Every input is drawn from a fixed seed.  KEY arguments keep only the
-configurations whose key (for example gcc1d-k2-N48-mf) contains one of them.
+configurations whose key (for example gcc1d-k2-N48-mf) contains one of them
+as whole dash-separated fields: N48 keeps every N = 48 solve, and a full
+key keeps only itself (gcc1d-k1-N16-mf, not nogcc1d-k1-N16-mf).
 
 With --base TREE it compares two trees in one process instead, since
 timings from separate processes cannot be compared on a host whose speed
@@ -216,7 +218,8 @@ def print_comparison(solves, base, calls, json_path=None):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("keys", nargs="*",
-                        help="keep configurations whose key contains one")
+                        help="keep configurations whose key contains one "
+                             "as whole dash-separated fields")
     parser.add_argument("--calls", type=int, default=30,
                         help="calls per median (default 30)")
     parser.add_argument("--base", metavar="TREE",
@@ -231,7 +234,8 @@ def main(argv=None):
         parser.error("--json needs --base")
     solves = [solve for workload in WORKLOADS.values()
               for solve in workload.solves
-              if not args.keys or any(part in solve.key for part in args.keys)]
+              if not args.keys
+              or any(f"-{part}-" in f"-{solve.key}-" for part in args.keys)]
     if args.base is not None:
         print_comparison(solves, args.base, args.calls, args.json)
         return 0
