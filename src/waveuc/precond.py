@@ -26,7 +26,6 @@ import copy
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .slab_forms import (
@@ -192,10 +191,10 @@ def _sweep_lus(first, term, n_slabs, suffix=""):
     return [_BandLU(first, "first slab" + suffix)] + [interior] * (n_slabs - 1)
 
 
-def _march(R, lus, coupling, trans=0):
-    """Block substitution down the rows of R: row n solves lus[n] (with
-    trans) against R[n] plus coupling applied to the row solved just
-    before it, one band solve per slab.
+def _march(R, lus, coupling):
+    """Block substitution down the rows of R: row n solves lus[n] against
+    R[n] plus coupling applied to the row solved just before it, one band
+    solve per slab.
 
     mf and ml march with this rather than with _Sweep's carry, whose
     rounding differs: a carry on mf moved the gcc1d k=2 N=24 error norms
@@ -204,7 +203,7 @@ def _march(R, lus, coupling, trans=0):
     X = np.empty(R.shape)
     for n, lu in enumerate(lus):
         rhs = R[n] if n == 0 else R[n] + coupling @ X[n - 1]
-        X[n] = lu.solve(rhs, trans)
+        X[n] = lu.solve(rhs)
     return X
 
 
@@ -274,13 +273,12 @@ class _Sweep:
 
 def _trace_solves(lu, T, rows, B):
     """Solutions of lu on the rows T for the right-hand sides that hold the
-    columns of the sparse B on rows and zeros elsewhere, as (column slice,
+    columns of the dense B on rows and zeros elsewhere, as (column slice,
     solutions) pairs of TRACE_SOLVE_CHUNK columns.
 
     The chunks are solved in place, one after the other, in one
     Fortran-order buffer in the band's own order: the right-hand sides
     are written at lu.inv[rows], and the solutions read at lu.inv[T]."""
-    B = sp.csc_matrix(B)
     at_rows, at_T = lu.inv[rows], lu.inv[T]
     buffer = np.empty((len(lu.perm), min(TRACE_SOLVE_CHUNK, B.shape[1])),
                       order="F")
@@ -288,7 +286,7 @@ def _trace_solves(lu, T, rows, B):
         cols = slice(c, min(c + TRACE_SOLVE_CHUNK, B.shape[1]))
         rhs = buffer[:, : cols.stop - c]
         rhs.fill(0.0)
-        rhs[at_rows] = B[:, cols].toarray()
+        rhs[at_rows] = B[:, cols]
         x, _ = dgbtrs(lu.lu, lu.kl, lu.ku, rhs, lu.piv, overwrite_b=True)
         yield cols, x[at_T]
 
@@ -365,17 +363,20 @@ class _JumpDefect:
         T, r = sys.trace, sys.n_end
         if self.lower:
             G = np.empty((len(T), len(T)))
-            for cols, S in _trace_solves(lu, T, T, sp.identity(len(T))):
+            for cols, S in _trace_solves(lu, T, T, np.eye(len(T))):
                 G[:, cols] = S
             return G
         W, W_T = sys.jump_weight, sys.jump_weight_T
         G_ee, P = np.empty((r, r)), np.empty((r, r))
         D = np.empty((r, 2 * r))
-        D[:, :r] = W.toarray()
-        for cols, S in _trace_solves(lu, T, T[:r], sp.identity(r)):
+        # the loop below updates D[:, :r], so the start rows' right-hand
+        # sides are a copy of W
+        W_dense = W.toarray()
+        D[:, :r] = W_dense
+        for cols, S in _trace_solves(lu, T, T[:r], np.eye(r)):
             G_ee[:, cols] = S[:r]
             D[:, r + cols.start : r + cols.stop] = -(W_T @ S[r:])
-        for cols, S in _trace_solves(lu, T, T[r:], W):
+        for cols, S in _trace_solves(lu, T, T[r:], W_dense):
             P[:, cols] = S[:r]
             D[:, cols] -= W_T @ S[r:]
         return G_ee, P, D

@@ -1,10 +1,13 @@
 """The measurement tools under tools/, run as their users run them."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,3 +35,27 @@ def test_layer_times_base_json_holds_the_selected_configuration(tmp_path):
         assert set(phase) == {"base_ms", "change_over_base", "aa"}
         for ratio in (phase["change_over_base"], phase["aa"]):
             assert set(ratio) == {"median", "q1", "q3"}
+
+
+def test_dump_outputs_round_trip(tmp_path, monkeypatch, capsys):
+    # one tiny system and one tiny solve; a dump compares equal to itself,
+    # and a change to one array's bytes is found and named
+    spec = importlib.util.spec_from_file_location(
+        "dump_outputs", ROOT / "tools" / "dump_outputs.py")
+    dump = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(dump)
+    monkeypatch.setattr(dump, "SYSTEMS", [("gcc1d", 1, 1, 2)])
+    monkeypatch.setattr(dump, "SOLVES", [("gcc1d", 1, 2, "mf")])
+    a, b = tmp_path / "a.npz", tmp_path / "b.npz"
+    assert dump.main([str(a)]) == 0
+    assert dump.main(["--compare", str(a), str(a)]) == 0
+    with np.load(a) as arrays:
+        out = dict(arrays)
+    key = "gcc1d-k1-N2-mf-solve-x"
+    out[key].view(np.uint64)[0] ^= 1
+    np.savez(b, **out)
+    capsys.readouterr()
+    assert dump.main(["--compare", str(a), str(b)]) == 1
+    differs = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("differs")]
+    assert len(differs) == 1 and differs[0].startswith(f"differs: {key} ")
