@@ -241,21 +241,20 @@ def dump_solves(out):
         cli.gmres = solve
 
 
-def _relative_change(a, b):
+def relative_change(a, b):
     """max|a - b| / max|a| over the positions where both of two numeric
     arrays of one shape are finite (the unset restricted error norms are
-    NaN in both), as a suffix for the report line; empty for any other
-    pair."""
+    NaN in both); None for any other pair."""
     if (a.shape != b.shape
             or not all(np.issubdtype(x.dtype, np.number) for x in (a, b))):
-        return ""
+        return None
     a, b = a.astype(float), b.astype(float)
     finite = np.isfinite(a) & np.isfinite(b)
     if not finite.any():
-        return ""
+        return None
     scale = np.abs(a[finite]).max()
     diff = np.abs(a[finite] - b[finite]).max()
-    return f" (max|a - b| / max|a| = {diff / scale if scale else np.inf:.3e})"
+    return diff / scale if scale else np.inf
 
 
 def compare(path_a, path_b):
@@ -274,7 +273,9 @@ def compare(path_a, path_b):
                     and np.array_equal(x, y)):
                 print(f"differs in dtype only ({x.dtype} -> {y.dtype}): {key}")
             else:
-                print(f"differs: {key}{_relative_change(x, y)}")
+                change = relative_change(x, y)
+                print(f"differs: {key}" + ("" if change is None else
+                      f" (max|a - b| / max|a| = {change:.3e})"))
         same = len(keys_a & keys_b) - len(differ)
         print(f"{same} of {len(keys_a | keys_b)} outputs bitwise identical")
         return not differ and keys_a == keys_b

@@ -1,47 +1,52 @@
-"""Median times of a solve's set-up phases and of the layers that one
-GMRes iteration and one solve's post-processing run, for each solve
-configuration of the benchmark.
+"""Median times of every layer of a solve, for each solve configuration of
+the benchmark: of one tree, or of a base tree against this one in one
+process.
 
-    PYTHONPATH=src python3 tools/layer_times.py [--calls 30] [KEY ...]
+    PYTHONPATH=src python3 tools/layer_times.py [--calls 30]
+        [--json BENCH.json] [KEY ...]
     PYTHONPATH=src python3 tools/layer_times.py --base TREE [--calls 30]
         [--json BENCH.json] [KEY ...]
 
-For every solve of the workloads in perfbench/bench.py it prints the median
-over --calls calls, in ms, of:
+The layers, each timed as the median over --calls calls, in ms:
 
 - init, rhs, pc: the set-up phases, SpaceTimeSystem(config),
   assemble_rhs and build_preconditioner;
+- em_first: the first defect.em call of a freshly built preconditioner,
+  which builds the trace blocks (mf and block only; the build is not
+  timed);
 - step: what one Arnoldi step applies before it orthogonalizes, as gmres
   runs it: defect.em(v) on the defect rows for mf and block, A(M(v)) on
-  the whole vector for ml, dfb and none; em_first is the first em call,
-  which builds the trace blocks ("-" without a defect);
-- M: one preconditioner apply ("-" for none);
+  the whole vector for ml, dfb and none;
+- M: one preconditioner apply (not for none);
 - A: one operator apply;
 - norms: one error_norms call on the lifted primal part of a random vector,
-  over the preset's restricted region where it has one;
+  over the preset's restricted region where it has one.
 
-and, on the first line, the thread counts of the OpenBLAS libraries that
-numpy and scipy loaded (each has its own).
 Every input is drawn from a fixed seed.  KEY arguments keep only the
 configurations whose key (for example gcc1d-k2-N48-mf) contains one of them
 as whole dash-separated fields: N48 keeps every N = 48 solve, and a full
 key keeps only itself (gcc1d-k1-N16-mf, not nogcc1d-k1-N16-mf).
 
-With --base TREE it compares two trees in one process instead, since
-timings from separate processes cannot be compared on a host whose speed
-changes between them.  It loads TREE/src/waveuc under a second module name
-and, for the A/A floor, once more under a third, beside the waveuc on
-PYTHONPATH (the change).  For every configuration it times the set-up
-phases init, rhs and pc of the three in ROUNDS = 10 rounds, each phase of each
-tree a median over --calls calls, and reverses the trees' order from one
-round to the next, so that each goes first as often as the other.  It
-prints for each phase the base tree's median in ms and the median over the
-rounds of the per-round ratios change/base and base again/base (the A/A
-floor), with their quartiles over the rounds in brackets.  A ratio below 1
-is a faster change; one whose quartiles overlap the A/A floor's is not
-told apart from the host.  --json PATH also writes that table to PATH, with
-both BLAS thread counts, nproc and the load average before and after the
-rounds (schema in README.md).
+Without --base it times the waveuc on PYTHONPATH once.  With --base TREE it
+compares two trees in one process, since timings from separate processes
+cannot be compared on a host whose speed changes between them.  It loads
+TREE/src/waveuc under a second module name and, for the A/A floor, once
+more under a third, beside the waveuc on PYTHONPATH (the change), and times
+every layer of the three in ROUNDS = 10 rounds, reversing the trees' order
+from one round to the next, so that each goes first as often as the other.
+For each layer it prints the base tree's median over the rounds in ms, the
+median over the rounds of the per-round ratios change/base and base
+again/base (the A/A floor) with their quartiles in brackets, and, for the
+layers with an output (rhs, step, M, A, norms), "bitwise" if the change's
+output on the same inputs holds the base's bytes, else max|a - b| / max|a|
+as dump_outputs.py --compare reports it.  A ratio below 1 is a faster
+change; one whose quartiles overlap the A/A floor's is not told apart from
+the host.
+
+The first line gives the thread counts of the OpenBLAS libraries that numpy
+and scipy loaded (each has its own).  --json PATH also writes the table to
+PATH, with both BLAS thread counts, nproc and the load average before and
+after the timing (schema in README.md).
 """
 
 import argparse
@@ -52,27 +57,24 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, astuple, is_dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy
 
 import waveuc
-from waveuc.config import PRESETS
-from waveuc.postproc import error_norms, extract_primal_field, lift
-from waveuc.precond import build_preconditioner
-from waveuc.spacetime_system import SpaceTimeSystem
 
-# the benchmark's workloads and the OpenBLAS thread-count getters
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+# the benchmark's workloads, the OpenBLAS thread-count getters and the
+# bitwise dump's size of a difference
+TOOLS = Path(__file__).resolve().parent
+sys.path[:0] = [str(TOOLS), str(TOOLS.parent / "perfbench")]
 from bench import WORKLOADS  # noqa: E402
+from dump_outputs import relative_change  # noqa: E402
 from run import BLAS_THREAD_SYMBOLS  # noqa: E402
 
-COLUMNS = ("key", "ndof", "init", "rhs", "pc", "em_first", "step", "M", "A",
-           "norms")
-SETUP_PHASES = ("init", "rhs", "pc")
 ROUNDS = 10
+OUTPUTS = ("rhs", "step", "M", "A", "norms")
 
 
 def blas_threads(module):
@@ -93,53 +95,6 @@ def blas_threads(module):
     return None
 
 
-def environment():
-    """Both BLAS thread counts and the CPUs this process may run on."""
-    return {"blas_threads_numpy": blas_threads(np),
-            "blas_threads_scipy": blas_threads(scipy),
-            "nproc": len(os.sched_getaffinity(0))}
-
-
-def median_ms(call, arg, calls):
-    times = []
-    for _ in range(calls):
-        t0 = time.perf_counter()
-        call(arg)
-        times.append(time.perf_counter() - t0)
-    return 1e3 * statistics.median(times)
-
-
-def layer_times(solve, calls):
-    preset, cfg = PRESETS[solve.preset], solve.config()
-    s = SpaceTimeSystem(cfg)
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(s.ndof)
-    M = build_preconditioner(s, solve.precond)
-    row = {"key": solve.key, "ndof": s.ndof,
-           "init": median_ms(SpaceTimeSystem, cfg, calls),
-           "rhs": median_ms(s.assemble_rhs, preset.u, calls),
-           "pc": median_ms(lambda kind: build_preconditioner(s, kind),
-                           solve.precond, calls),
-           "em_first": None, "M": None}
-    defect = getattr(M, "defect", None)
-    if defect is not None:
-        v = rng.standard_normal(len(defect.rows))
-        row["em_first"] = median_ms(defect.em, v, 1)
-        row["step"] = median_ms(defect.em, v, calls)
-    else:
-        apply_m = (lambda v: v) if M is None else M.apply
-        row["step"] = median_ms(lambda v: s.apply(apply_m(v)), x, calls)
-    if M is not None:
-        row["M"] = median_ms(M.apply, x, calls)
-    row["A"] = median_ms(s.apply, x, calls)
-    sol = lift(s.primal, extract_primal_field(s, x))
-    row["norms"] = median_ms(
-        lambda sol: error_norms(preset.u, preset.dt_u, sol,
-                                region=preset.restricted_region),
-        sol, calls)
-    return row
-
-
 def load_tree(tree, name):
     """The waveuc package of the checkout tree (tree/src/waveuc), loaded as
     the module name; its submodules, which import each other relatively,
@@ -154,64 +109,126 @@ def load_tree(tree, name):
     return module
 
 
-def setup_phases(tree, solve):
-    """The set-up phases of solve on the loaded package tree, as phase ->
-    (call, argument), each call as run_solve makes it."""
+def layers(tree, solve):
+    """The ndof of solve and its layers on the loaded package tree, in
+    order, as name -> (prepare, call): call(prepare()) runs the layer once,
+    and only call is timed.  Every tree draws the same inputs."""
+    preset = tree.PRESETS[solve.preset]
     cfg = tree.DiscretizationConfig(**asdict(solve.config()))
     s = tree.SpaceTimeSystem(cfg)
-    return {"init": (tree.SpaceTimeSystem, cfg),
-            "rhs": (s.assemble_rhs, tree.PRESETS[solve.preset].u),
-            "pc": (lambda kind: tree.build_preconditioner(s, kind),
-                   solve.precond)}
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(s.ndof)
+
+    def build(kind=solve.precond):
+        return tree.build_preconditioner(s, kind)
+
+    M = build()
+    out = {"init": (lambda: cfg, tree.SpaceTimeSystem),
+           "rhs": (lambda: preset.u, s.assemble_rhs),
+           "pc": (lambda: solve.precond, build)}
+    defect = getattr(M, "defect", None)
+    if defect is not None:
+        v = rng.standard_normal(len(defect.rows))
+        out["em_first"] = (lambda: build().defect.em, lambda em: em(v))
+        defect.em(v)  # the trace blocks, so that step times later calls
+        out["step"] = (lambda: v, defect.em)
+    else:
+        apply_m = (lambda v: v) if M is None else M.apply
+        out["step"] = (lambda: x, lambda v: s.apply(apply_m(v)))
+    if M is not None:
+        out["M"] = (lambda: x, M.apply)
+    out["A"] = (lambda: x, s.apply)
+    sol = tree.lift(s.primal, tree.postproc.extract_primal_field(s, x))
+    out["norms"] = (lambda: sol, lambda sol: tree.error_norms(
+        preset.u, preset.dt_u, sol, region=preset.restricted_region))
+    return s.ndof, out
 
 
-def compare_trees(solve, trees, calls):
-    """Per set-up phase, the median ms of trees[0] and, for each later tree,
-    the quartiles over rounds of its per-round ratio to trees[0]."""
-    phases = [setup_phases(tree, solve) for tree in trees]
-    ms = {phase: [[] for _ in trees] for phase in SETUP_PHASES}
-    for round_ in range(ROUNDS):
-        order = range(len(trees))
-        for phase in SETUP_PHASES:
+def median_ms(prepare, call, calls):
+    times = []
+    for _ in range(calls):
+        arg = prepare()
+        t0 = time.perf_counter()
+        call(arg)
+        times.append(time.perf_counter() - t0)
+    return 1e3 * statistics.median(times)
+
+
+def agreement(base, change):
+    """True if one run of the layer base and one of change, each as
+    (prepare, call), give outputs with the same bytes; else max|a - b| /
+    max|a| of the two (an error report's unset norms NaN in both)."""
+    a, b = (call(prepare()) for prepare, call in (base, change))
+    if is_dataclass(a):
+        a, b = (np.array(astuple(out), dtype=float) for out in (a, b))
+    if a.dtype == b.dtype and a.shape == b.shape and (
+            a.tobytes() == b.tobytes()):
+        return True
+    return relative_change(a, b)
+
+
+def time_layers(solve, trees, calls):
+    """The ndof of solve and, per layer, trees[0]'s median ms over the
+    rounds and, with more trees, the quartiles over the rounds of each later
+    tree's per-round ratio to trees[0] and trees[1]'s agreement with it."""
+    built = [layers(tree, solve) for tree in trees]
+    runs = [layers_ for _, layers_ in built]
+    ms = {name: [[] for _ in trees] for name in runs[0]}
+    order = range(len(trees))
+    for round_ in range(ROUNDS if len(trees) > 1 else 1):
+        for name, times in ms.items():
             for i in order if round_ % 2 == 0 else reversed(order):
-                call, arg = phases[i][phase]
-                ms[phase][i].append(median_ms(call, arg, calls))
-    return {phase: (statistics.median(times[0]),
-                    [np.percentile(np.divide(other, times[0]), [25, 50, 75])
-                     for other in times[1:]])
-            for phase, times in ms.items()}
+                times[i].append(median_ms(*runs[i][name], calls))
+    table = {}
+    for name, (base_ms, *other_ms) in ms.items():
+        row = table[name] = {"base_ms": statistics.median(base_ms)}
+        for field, times in zip(("change_over_base", "aa"), other_ms):
+            q1, median, q3 = np.percentile(np.divide(times, base_ms),
+                                           [25, 50, 75])
+            row[field] = {"median": median, "q1": q1, "q3": q3}
+        if len(trees) > 1:
+            row["bitwise"] = (agreement(runs[0][name], runs[1][name])
+                              if name in OUTPUTS else None)
+    return built[0][0], table
 
 
-def print_comparison(solves, base, calls, json_path=None):
-    trees = [load_tree(base, "waveuc_base"), waveuc,
-             load_tree(base, "waveuc_base_again")]
-    env = environment()
+def report(solves, trees, base, calls, json_path):
+    """Time every layer of each solve, print the table and write it as
+    JSON to json_path unless that is None."""
+    env = {"blas_threads_numpy": blas_threads(np),
+           "blas_threads_scipy": blas_threads(scipy),
+           "nproc": len(os.sched_getaffinity(0))}
     print(f"BLAS threads: numpy {env['blas_threads_numpy']}, scipy "
-          f"{env['blas_threads_scipy']}; {ROUNDS} rounds of {calls}-call "
-          f"medians; base {base}; ratio median [quartiles] over rounds")
-    print(f"{'key':<22}{'phase':>6}{'base ms':>10}"
-          f"{'change/base':>27}{'A/A':>27}")
+          f"{env['blas_threads_scipy']}; " + (
+              f"{ROUNDS} rounds of {calls}-call medians; base {base}; ratio "
+              f"median [quartiles] over rounds" if base else
+              f"median of {calls} calls, ms"))
+    print(f"{'key':<22}{'layer':>9}{'base ms' if base else 'ms':>10}" + (
+        f"{'change/base':>27}{'A/A':>27}{'bitwise':>11}" if base else ""))
     env["load_average_before"] = os.getloadavg()
-    table = []
+    configurations = []
     for solve in solves:
-        phases = {}
-        for phase, (base_ms, ratios) in compare_trees(
-                solve, trees, calls).items():
-            line = f"{solve.key:<22}{phase:>6}{base_ms:>10.3f}"
-            for q1, median, q3 in ratios:
-                line += f"{f'{median:.3f} [{q1:.3f}, {q3:.3f}]':>27}"
+        ndof, table = time_layers(solve, trees, calls)
+        for name, row in table.items():
+            line = f"{solve.key:<22}{name:>9}{row['base_ms']:>10.3f}"
+            if base:
+                for r in (row["change_over_base"], row["aa"]):
+                    line += (f"{r['median']:>11.3f} [{r['q1']:.3f}, "
+                             f"{r['q3']:.3f}]")
+                same = row["bitwise"]
+                same = ("-" if same is None else "bitwise" if same is True
+                        else f"{same:.3e}")
+                line += f"{same:>11}"
             print(line, flush=True)
-            (change, aa) = ({"median": median, "q1": q1, "q3": q3}
-                            for q1, median, q3 in ratios)
-            phases[phase] = {"base_ms": base_ms, "change_over_base": change,
-                             "aa": aa}
-        table.append({"key": solve.key, "phases": phases})
+        configurations.append({"key": solve.key, "ndof": ndof,
+                               "phases": table})
     env["load_average_after"] = os.getloadavg()
     if json_path is not None:
         with open(json_path, "w") as fh:
-            json.dump({"base": Path(base).resolve().name, "rounds": ROUNDS,
-                       "calls": calls, "environment": env,
-                       "configurations": table}, fh, indent=1)
+            json.dump({"base": base and Path(base).resolve().name,
+                       "rounds": ROUNDS if base else 1, "calls": calls,
+                       "environment": env,
+                       "configurations": configurations}, fh, indent=1)
             fh.write("\n")
 
 
@@ -223,32 +240,21 @@ def main(argv=None):
     parser.add_argument("--calls", type=int, default=30,
                         help="calls per median (default 30)")
     parser.add_argument("--base", metavar="TREE",
-                        help="compare the set-up phases with the checkout "
-                             "TREE in one process")
+                        help="compare every layer with the checkout TREE "
+                             "in one process")
     parser.add_argument("--json", metavar="PATH",
-                        help="with --base, also write the table to PATH")
+                        help="also write the table to PATH")
     args = parser.parse_args(argv)
     if args.calls < 1:
         parser.error("--calls must be at least 1")
-    if args.json is not None and args.base is None:
-        parser.error("--json needs --base")
     solves = [solve for workload in WORKLOADS.values()
               for solve in workload.solves
               if not args.keys
               or any(f"-{part}-" in f"-{solve.key}-" for part in args.keys)]
-    if args.base is not None:
-        print_comparison(solves, args.base, args.calls, args.json)
-        return 0
-    env = environment()
-    print(f"BLAS threads: numpy {env['blas_threads_numpy']}, scipy "
-          f"{env['blas_threads_scipy']}; median of {args.calls} calls, ms")
-    print("".join(f"{c:>10}" if c != "key" else f"{c:<22}" for c in COLUMNS))
-    for solve in solves:
-        row = layer_times(solve, args.calls)
-        cells = [f"{row['key']:<22}", f"{row['ndof']:>10}"]
-        cells += ["         -" if row[c] is None else f"{row[c]:>10.3f}"
-                  for c in COLUMNS[2:]]
-        print("".join(cells), flush=True)
+    trees = [waveuc] if args.base is None else [
+        load_tree(args.base, "waveuc_base"), waveuc,
+        load_tree(args.base, "waveuc_base_again")]
+    report(solves, trees, args.base, args.calls, args.json)
     return 0
 
 
