@@ -11,19 +11,36 @@ reach it.  A sweep assembles the first slab's block alone: its band (_Band)
 is copied and the interior's one extra term added to the copy, so the
 interior block is never assembled.
 
+Each kind is one class with one algorithm:
+
+- block (BlockJacobi) solves every slab at once against its slab-diagonal
+  block; its defect (_BlockDefect) is all four jump terms.
+- mf (MonolithicForward) marches forward slab by slab (_march), one band
+  solve per slab, at the system's own dual orders; its defect
+  (_SweepDefect) is the upper jump terms the march relaxes.
+- ml (LightForward) sweeps at the light dual orders LIGHT_ORDERS over the
+  whole time domain at once (_Sweep) and recovers the dual part from the
+  slab-local dual-test rows.
+- dfb (ForwardBackwardSplit) runs two _Sweeps, forward and backward.
+
+mf keeps _march because _Sweep's carry rounds differently, and the
+benchmark's gcc-k2-mf N=24 error gate tests that rounding (ROADMAP items 4
+and 7).
+
 The forms a preconditioner needs beside the system's own blocks come
 from slab_forms' public functions as Triplets (numpy index and value
 arrays): ml's wave operator, dual stabilizer and degree embedding on its
-reduced dual pair, and dfb's extra terms; the system's blocks are read
+light dual pair, and dfb's extra terms; the system's blocks are read
 back from its CSR matrices (Triplets.of).  Blocks reach _Band, and
 couplings _Sweep, as Triplets, never as scipy matrices: a slab block is
 the entries of its parts side by side, which the band sums.  A scipy CSR
-matrix is made only for what an apply reads: mf's and ml's coupling and
-ml's embed and embed_T.
+matrix is made only for what an apply reads: mf's coupling and ml's
+embed_T.
 """
 
 import copy
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -40,12 +57,15 @@ from .slab_forms import (
 __all__ = [
     "BlockJacobi",
     "MonolithicForward",
+    "LightForward",
     "ForwardBackwardSplit",
     "build_preconditioner",
 ]
 
+# the dual orders (kstar, qstar) of ml's sweep, the minimal ones
+LIGHT_ORDERS = (1, 0)
 # columns per multi-right-hand-side solve when a defect builds its trace
-# blocks (_trace_solves), all solved in one reused buffer
+# blocks (_BandLU.trace_solves), all solved in one reused buffer
 TRACE_SOLVE_CHUNK = 64
 
 
@@ -62,26 +82,10 @@ def _node_order(*spaces):
     return np.argsort(np.concatenate(keys), kind="stable")
 
 
-class _BandShape:
-    """The band of a slab block after the symmetric permutation perm (rows
-    and columns both reordered by it), inv its inverse: kl sub- and ku
-    superdiagonals, fixed by the block's pattern."""
-
-    @property
-    def _ldab(self):
-        # LAPACK's band rows, with kl extra rows for the fill-in
-        return 2 * self.kl + self.ku + 1
-
-    @property
-    def band_bytes(self):
-        """Bytes of the band, n (2 kl + ku + 1) doubles, as dgbtrf keeps it
-        for the LU."""
-        return 8 * len(self.perm) * self._ldab
-
-
-class _Band(_BandShape):
+class _Band:
     """One slab block in LAPACK band storage, from its pattern (the
-    pattern step: perm, inv, kl, ku and so band_bytes) and its values.
+    pattern step: perm, its inverse inv, kl sub- and ku superdiagonals and
+    so band_bytes) and its values; perm reorders rows and columns both.
 
     The block comes as Triplets; entries at one place are summed in their
     order, as the sparse sum of the parts they come from would sum them
@@ -104,6 +108,17 @@ class _Band(_BandShape):
         # bincount sums the entries at one place in their order
         self.ab = np.bincount(self._at(cols, offset), weights=block.vals,
                               minlength=n * self._ldab).reshape(n, -1).T
+
+    @property
+    def _ldab(self):
+        # LAPACK's band rows, with kl extra rows for the fill-in
+        return 2 * self.kl + self.ku + 1
+
+    @property
+    def band_bytes(self):
+        """Bytes of the band, n (2 kl + ku + 1) doubles, as dgbtrf keeps it
+        for the LU."""
+        return 8 * len(self.perm) * self._ldab
 
     def _offsets(self, block):
         """The permuted columns of the block's entries and their offsets,
@@ -130,14 +145,14 @@ class _Band(_BandShape):
         return band
 
 
-class _BandLU(_BandShape):
+class _BandLU:
     """LU factorization of one slab block from its _Band, whose perm, inv,
-    kl and ku it keeps; label names the block in the error for a zero
-    pivot."""
+    kl, ku and band_bytes it keeps; label names the block in the error for
+    a zero pivot."""
 
     def __init__(self, band, label):
         self.perm, self.inv = band.perm, band.inv
-        self.kl, self.ku = band.kl, band.ku
+        self.kl, self.ku, self.band_bytes = band.kl, band.ku, band.band_bytes
         ab, band.ab = band.ab, None
         self.lu, self.piv, info = dgbtrf(ab, self.kl, self.ku,
                                          overwrite_ab=True)
@@ -156,27 +171,40 @@ class _BandLU(_BandShape):
         out[self.perm] = x
         return out
 
+    def trace_solves(self, T, rows, B):
+        """Solutions on the rows T for the right-hand sides that hold the
+        columns of the dense B on rows and zeros elsewhere, as (column
+        slice, solutions) pairs of TRACE_SOLVE_CHUNK columns.
 
-def _slab_block(system, A, Sstar):
+        The chunks are solved in place, one after the other, in one
+        Fortran-order buffer in the band's own order: the right-hand sides
+        are written at inv[rows], and the solutions read at inv[T]."""
+        at_rows, at_T = self.inv[rows], self.inv[T]
+        buffer = np.empty((len(self.perm), min(TRACE_SOLVE_CHUNK, B.shape[1])),
+                          order="F")
+        for c in range(0, B.shape[1], TRACE_SOLVE_CHUNK):
+            cols = slice(c, min(c + TRACE_SOLVE_CHUNK, B.shape[1]))
+            rhs = buffer[:, : cols.stop - c]
+            rhs.fill(0.0)
+            rhs[at_rows] = B[:, cols]
+            x, _ = dgbtrs(self.lu, self.kl, self.ku, rhs, self.piv,
+                          overwrite_b=True)
+            yield cols, x[at_T]
+
+
+def _slab_block(system, dual, A, Sstar):
     """The slab-diagonal block [[Sh + Momega, A^T], [A, -Sstar]] of a sweep
-    whose dual pair is tested by A and Sstar (Triplets), as the triplets
-    _Band reads: the entries of Sh, then of Momega, which the band sums
-    place by place as their sparse sum would, A's entries with rows and
-    columns swapped, A's, and Sstar's negated."""
+    whose dual pair dual is tested by A and Sstar (Triplets), as a _Band:
+    the entries of Sh, then of Momega, which the band sums place by place
+    as their sparse sum would, A's entries with rows and columns swapped,
+    A's, and Sstar's negated."""
     n_p = system.n_primal
     n = n_p + Sstar.shape[0]
-    return Triplets.concatenated((n, n), [
+    return _Band(Triplets.concatenated((n, n), [
         Triplets.of(system.Sh), Triplets.of(system.Momega),
         (A.cols, A.rows + n_p, A.vals), (A.rows + n_p, A.cols, A.vals),
-        (Sstar.rows + n_p, Sstar.cols + n_p, -Sstar.vals)])
-
-
-def _on_traces(system, rows, cols, size):
-    """The jump block W (system.jump_weight) on the given trace rows and
-    columns of a size-square block, as Triplets; canonical, since rows
-    and cols are ascending."""
-    W = Triplets.of(system.jump_weight)
-    return Triplets(rows[W.rows], cols[W.cols], W.vals, (size, size))
+        (Sstar.rows + n_p, Sstar.cols + n_p, -Sstar.vals)]),
+        _node_order(system.primal, dual))
 
 
 def _sweep_lus(first, term, n_slabs, suffix=""):
@@ -191,19 +219,37 @@ def _sweep_lus(first, term, n_slabs, suffix=""):
     return [_BandLU(first, "first slab" + suffix)] + [interior] * (n_slabs - 1)
 
 
+def _forward_sweep(system, dual, A, Sstar):
+    """The LUs (_sweep_lus) and the coupling (Triplets) of the forward
+    sweep whose dual pair dual is tested by A and Sstar (Triplets).
+
+    The interior block adds the jump term plus, the jump block W
+    (system.jump_weight) on the start traces, and each slab's start traces
+    take W of the end traces of the slab before (cross, the coupling):
+    both are W placed on trace rows and columns, canonical since those are
+    ascending."""
+    T, r = system.trace, system.n_end
+    n = system.n_primal + dual.n_pair
+    W = Triplets.of(system.jump_weight)
+    plus = Triplets(T[r:][W.rows], T[r:][W.cols], W.vals, (n, n))
+    cross = Triplets(T[r:][W.rows], T[:r][W.cols], W.vals, (n, n))
+    return _sweep_lus(_slab_block(system, dual, A, Sstar), plus,
+                      system.n_slabs), cross
+
+
 def _march(R, lus, coupling):
     """Block substitution down the rows of R: row n solves lus[n] against
     R[n] plus coupling applied to the row solved just before it, one band
     solve per slab.
 
-    mf and ml march with this rather than with _Sweep's carry, whose
+    Only mf marches with this rather than with _Sweep's carry, whose
     rounding differs: a carry on mf moved the gcc1d k=2 N=24 error norms
-    1.5e-4 relative, past the benchmark's 1e-4 gate on them, which tests
-    rounding there (FOUND in CHANGES.md)."""
+    1.4e-4 relative, past the benchmark's 1e-4 gate on them, which tests
+    rounding there (CHANGES.md).  It goes when ROADMAP item 4 restates
+    that gate."""
     X = np.empty(R.shape)
     for n, lu in enumerate(lus):
-        rhs = R[n] if n == 0 else R[n] + coupling @ X[n - 1]
-        X[n] = lu.solve(rhs)
+        X[n] = lu.solve(R[n] if n == 0 else R[n] + coupling @ X[n - 1])
     return X
 
 
@@ -216,156 +262,131 @@ class _Sweep:
     the row before, so with Y the band solves of R alone, one
     multi-right-hand-side solve per run of rows that share an LU, row n of
     the solution is X[n] = Y[n] + K X_c[n - 1].  K = lu^-1 C[:, c] is built
-    once for the LU of each coupled row (every row but the first).  The
-    carried values follow their own recurrence X_c[n] = Y_c[n] +
+    once for each run that holds a coupled row (every row but the first).
+    The carried values follow their own recurrence X_c[n] = Y_c[n] +
     K_c X_c[n - 1], with K_c the rows c of K, one |c|-square product per
     row; then one product with K per run adds the carry to all its rows.
     """
 
     def __init__(self, lus, coupling, trans=0):
         self.trans = trans
-        # runs of consecutive rows that share one LU, as [lu, start, stop]
-        self._runs = []
-        for n, lu in enumerate(lus):
-            if self._runs and self._runs[-1][0] is lu:
-                self._runs[-1][2] = n + 1
-            else:
-                self._runs.append([lu, n, n + 1])
         # the columns where the coupling (Triplets) stores an entry
         C = coupling
         self.carried = np.flatnonzero(np.bincount(C.cols, minlength=C.shape[1]))
         self._n = C.shape[0]
-        self._n_coupled = len({id(lu) for lu in lus[1:]})
-        # K and K_c, once for the LU of each coupled row
         C_c = np.zeros((C.shape[0], len(self.carried)))
         C_c[C.rows, np.searchsorted(self.carried, C.cols)] = C.vals
-        self._K = {}
-        for lu in lus[1:]:
-            if id(lu) not in self._K:
-                K = lu.solve(C_c, trans)
-                self._K[id(lu)] = (K, K[self.carried])
-        self._K_c = [self._K[id(lu)][1] for lu in lus[1:]]
+        # runs of consecutive rows that share one LU, each with its K and
+        # K_c, or None for the first row's alone
+        self._runs, start = [], 0
+        for lu, run in groupby(lus):
+            stop = start + len(list(run))
+            K = lu.solve(C_c, trans) if stop > 1 else None
+            self._runs.append((lu, start, stop, K,
+                               None if K is None else K[self.carried]))
+            start = stop
 
     @property
     def carry_bytes(self):
-        """Bytes of K and K_c for each LU of a coupled row, (n + |c|) |c|
-        doubles: fixed by the block size and the coupling's nonzero
-        columns, so known before the solves that build them."""
+        """Bytes of K and K_c for each run that holds a coupled row,
+        (n + |c|) |c| doubles: fixed by the block size and the coupling's
+        nonzero columns, so known before the solves that build them."""
         c = len(self.carried)
-        return 8 * self._n_coupled * (self._n + c) * c
+        coupled = sum(K is not None for _, _, _, K, _ in self._runs)
+        return 8 * coupled * (self._n + c) * c
 
     def __call__(self, R):
         X = np.empty(R.shape)
-        for lu, start, stop in self._runs:
+        for lu, start, stop, _, _ in self._runs:
             X[start:stop] = lu.solve(R[start:stop].T, self.trans).T
-        if not self._K_c:
-            return X
         X_c = X.take(self.carried, axis=1)
-        for n, K_c in enumerate(self._K_c, start=1):
-            X_c[n] += K_c @ X_c[n - 1]
-        for lu, start, stop in self._runs:
+        for _, start, stop, K, K_c in self._runs:
+            if K is None:
+                continue
             start = max(start, 1)
-            if start < stop:
-                K = self._K[id(lu)][0]
-                X[start:stop] += X_c[start - 1 : stop - 1] @ K.T
+            for n in range(start, stop):
+                X_c[n] += K_c @ X_c[n - 1]
+            X[start:stop] += X_c[start - 1 : stop - 1] @ K.T
         return X
 
 
-def _trace_solves(lu, T, rows, B):
-    """Solutions of lu on the rows T for the right-hand sides that hold the
-    columns of the dense B on rows and zeros elsewhere, as (column slice,
-    solutions) pairs of TRACE_SOLVE_CHUNK columns.
-
-    The chunks are solved in place, one after the other, in one
-    Fortran-order buffer in the band's own order: the right-hand sides
-    are written at lu.inv[rows], and the solutions read at lu.inv[T]."""
-    at_rows, at_T = lu.inv[rows], lu.inv[T]
-    buffer = np.empty((len(lu.perm), min(TRACE_SOLVE_CHUNK, B.shape[1])),
-                      order="F")
-    for c in range(0, B.shape[1], TRACE_SOLVE_CHUNK):
-        cols = slice(c, min(c + TRACE_SOLVE_CHUNK, B.shape[1]))
-        rhs = buffer[:, : cols.stop - c]
-        rhs.fill(0.0)
-        rhs[at_rows] = B[:, cols]
-        x, _ = dgbtrs(lu.lu, lu.kl, lu.ku, rhs, lu.piv, overwrite_b=True)
-        yield cols, x[at_T]
-
-
-class _JumpDefect:
+class _Defect:
     """The interface jump terms that a preconditioner M leaves out of the
-    matrix it inverts: the upper half (tested on the earlier slab of each
-    interface) and, with lower, the lower half too.  They are the whole
-    defect E = A - M^-1, so A M = I + E M, and E is nonzero only on the
-    primal-test rows these terms reach.
+    matrix it inverts.  They are the whole defect E = A - M^-1, so
+    A M = I + E M, and E is nonzero only on the primal-test rows these
+    terms reach (_reach).
 
     rows holds the global indices of those rows, in ascending order.  A call
-    with z returns (E z) on them; em(v) returns (E M v) on them for a v that
-    lives on them, given by its values there.  On rows, E is A's whole jump
-    action (the lower half reaches only start-time rows, which rows omit
-    without lower), so a call with z ends in system.trace_jumps.
-
-    M solves the slab blocks first (slab 0) and interior (every other
-    slab), both _BandLU.  Without lower it is the forward sweep that keeps
-    the lower half: interior holds the plus term, and each slab takes the
-    cross term of the slab before it.  With lower it is independent slab
-    solves.  E reads, and the sweep passes on, only each slab's traces
-    (system.trace).  So em needs no sweep (the interface reduction of Saad,
-    Iterative Methods for Sparse Linear Systems, ch. 14), only the inverse G
-    of interior on the traces, or blocks made of it, which em builds from
-    solves with interior on its first call.  With lower, em applies G to
-    the traces of all slabs at once and ends in trace_jumps.  Without
-    lower, the jump blocks are folded into G, so that em works on the
-    r = system.n_end end traces alone.  With W the jump block on the traces
-    (system.jump_weight), W^T its transpose and V_n the end traces of v on
-    slab n, the end traces of M v are X_0 from one band solve on the first
-    slab and X_n = G_ee V_n + P X_(n-1) after it, where G_ee is G[:r, :r]
-    and P = G[:r, r:] W carries them from slab to slab; then (E M v) on
-    slab n is D [X_n; V_(n+1)] with D = [W - W^T G[r:, r:] W,
-    -W^T G[r:, :r]].
-    G_ee, P and D hold 4 r^2 doubles (trace_bytes), as many as G, which is
-    never formed.
+    with z returns (E z) on them; on rows, E is A's whole jump action, so
+    it ends in system.trace_jumps.  A subclass's em(v) returns (E M v) on
+    them for a v that lives on them, given by its values there: E reads,
+    and M passes on, only each slab's traces (system.trace), so em needs
+    no sweep (the interface reduction of Saad, Iterative Methods for
+    Sparse Linear Systems, ch. 14), only blocks of the inverse G on the
+    traces of the slab block that lu factors (mf's interior one), which em
+    builds from solves with lu on its first call (_traces).
     """
 
-    def __init__(self, system, lower, first, interior):
-        self.system, self.lower = system, lower
-        self._first, self._interior = first, interior
-        T, r = system.trace, system.n_end
-        reach = np.zeros((system.n_slabs, system.n_primal), dtype=bool)
-        reach[:-1, T[:r]] = True
-        if lower:
-            reach[1:, T[r:]] = True
-        slab, row = np.nonzero(reach)
+    def __init__(self, system, lu):
+        self.system, self._lu = system, lu
+        slab, row = np.nonzero(self._reach())
         self.rows = slab * system.slab_size + row
         # the same rows in the (len(trace), n_slabs) array of traces
         at_trace = np.empty(system.n_primal, dtype=np.intp)
-        at_trace[T] = np.arange(len(T))
+        at_trace[system.trace] = np.arange(len(system.trace))
         self._trace_at = at_trace[row] * system.n_slabs + slab
+
+    def _reach(self):
+        """The rows the upper half of the jump terms (tested on the earlier
+        slab of each interface) reaches: the end-time rows of every slab
+        but the last, as an (n_slabs, n_primal) mask."""
+        sys = self.system
+        reach = np.zeros((sys.n_slabs, sys.n_primal), dtype=bool)
+        reach[:-1, sys.trace[: sys.n_end]] = True
+        return reach
 
     def __call__(self, z):
         sys = self.system
         X = sys.slab_view(z)[:, sys.trace].T
         return sys.trace_jumps(X).ravel()[self._trace_at]
 
+
+class _SweepDefect(_Defect):
+    """The defect of mf's forward sweep, which keeps the lower half of the
+    jump terms and leaves out the upper half: interior, the LU of every
+    slab but the first, holds the plus term, and each slab takes the cross
+    term of the slab before it.
+
+    The jump blocks are folded into G, so that em works on the
+    r = system.n_end end traces alone.  With W the jump block on the traces
+    (system.jump_weight), W^T its transpose and V_n the end traces of v on
+    slab n, the end traces of M v are X_0 from one band solve on the first
+    slab (with LU first) and X_n = G_ee V_n + P X_(n-1) after it, where
+    G_ee is G[:r, :r] and P = G[:r, r:] W carries them from slab to slab;
+    then (E M v) on slab n is D [X_n; V_(n+1)] with D = [W - W^T G[r:, r:] W,
+    -W^T G[r:, :r]].
+    G_ee, P and D hold 4 r^2 doubles (trace_bytes), as many as G, which is
+    never formed.
+    """
+
+    def __init__(self, system, first, interior):
+        super().__init__(system, interior)
+        self._first = first
+
     @property
     def trace_bytes(self):
-        """Bytes of the arrays that em builds on its first call and keeps
-        (none while rows is empty): G, or G_ee, P and D without lower."""
-        r, t = self.system.n_end, len(self.system.trace)
-        return 8 * (t * t if self.lower else 4 * r * r)
+        """Bytes of G_ee, P and D, which em builds on its first call and
+        keeps (none while rows is empty)."""
+        return 8 * 4 * self.system.n_end ** 2
 
     @cached_property
     def _traces(self):
-        """G with lower, else (G_ee, P, D), from solves with interior in
-        chunks of columns.  Without lower, G is never formed: the end unit
-        columns give G[:, :r], and the columns of W on the start rows
-        give G[:, r:] W, each written into the blocks chunk by chunk."""
-        lu, sys = self._interior, self.system
+        """(G_ee, P, D), from solves with interior in chunks of columns.  G
+        is never formed: the end unit columns give G[:, :r], and the
+        columns of W on the start rows give G[:, r:] W, each written into
+        the blocks chunk by chunk."""
+        lu, sys = self._lu, self.system
         T, r = sys.trace, sys.n_end
-        if self.lower:
-            G = np.empty((len(T), len(T)))
-            for cols, S in _trace_solves(lu, T, T, np.eye(len(T))):
-                G[:, cols] = S
-            return G
         W, W_T = sys.jump_weight, sys.jump_weight_T
         G_ee, P = np.empty((r, r)), np.empty((r, r))
         D = np.empty((r, 2 * r))
@@ -373,10 +394,10 @@ class _JumpDefect:
         # sides are a copy of W
         W_dense = W.toarray()
         D[:, :r] = W_dense
-        for cols, S in _trace_solves(lu, T, T[:r], np.eye(r)):
+        for cols, S in lu.trace_solves(T, T[:r], np.eye(r)):
             G_ee[:, cols] = S[:r]
             D[:, r + cols.start : r + cols.stop] = -(W_T @ S[r:])
-        for cols, S in _trace_solves(lu, T, T[r:], W_dense):
+        for cols, S in lu.trace_solves(T, T[r:], W_dense):
             P[:, cols] = S[:r]
             D[:, cols] -= W_T @ S[r:]
         return G_ee, P, D
@@ -385,22 +406,16 @@ class _JumpDefect:
         """(E M v) on rows, for the v given by its values on rows."""
         if len(v) == 0:
             return np.zeros(0)
+        G_ee, P, D = self._traces
         sys = self.system
         T, r, N = sys.trace, sys.n_end, sys.n_slabs
-        if self.lower:
-            V = np.zeros((len(T), N))
-            V.ravel()[self._trace_at] = v
-            # the traces of M v, one column per slab, end rows first
-            return sys.trace_jumps(self._traces @ V).ravel()[self._trace_at]
-        G_ee, P, D = self._traces
         # rows are all r end rows of slabs 0..N-2, slab by slab, in trace
         # order: v is their end traces V, one row per slab
         V = v.reshape(N - 1, r)
         # W stacks, row n, the end traces X[n] of M v on slab n beside
         # those of v on slab n + 1 (zero on the last slab, off rows)
-        W = np.empty((N - 1, 2 * r))
+        W = np.zeros((N - 1, 2 * r))
         W[:-1, r:] = V[1:]
-        W[-1, r:] = 0.0
         X = W[:, :r]
         # the first slab's block has no plus term: one band solve there
         rhs = np.zeros(len(self._first.perm))
@@ -410,6 +425,44 @@ class _JumpDefect:
         for n in range(1, N - 1):
             X[n] += X[n - 1] @ P.T
         return (W @ D.T).ravel()
+
+
+class _BlockDefect(_Defect):
+    """The defect of block's independent slab solves with the LU lu: all
+    four jump terms, the lower half too, which reaches the start-time rows
+    of every slab but the first.  em applies G, the inverse of the block
+    on the traces, to the traces of all slabs at once and ends in
+    trace_jumps."""
+
+    def _reach(self):
+        reach = super()._reach()
+        reach[1:, self.system.trace[self.system.n_end :]] = True
+        return reach
+
+    @property
+    def trace_bytes(self):
+        """Bytes of G, which em builds on its first call and keeps (none
+        while rows is empty)."""
+        return 8 * len(self.system.trace) ** 2
+
+    @cached_property
+    def _traces(self):
+        """G, from solves with lu in chunks of columns."""
+        T = self.system.trace
+        G = np.empty((len(T), len(T)))
+        for cols, S in self._lu.trace_solves(T, T, np.eye(len(T))):
+            G[:, cols] = S
+        return G
+
+    def em(self, v):
+        """(E M v) on rows, for the v given by its values on rows."""
+        if len(v) == 0:
+            return np.zeros(0)
+        sys = self.system
+        V = np.zeros((len(sys.trace), sys.n_slabs))
+        V.ravel()[self._trace_at] = v
+        # the traces of M v, one column per slab, end rows first
+        return sys.trace_jumps(self._traces @ V).ravel()[self._trace_at]
 
 
 class BlockJacobi:
@@ -423,11 +476,10 @@ class BlockJacobi:
     def __init__(self, system):
         self.system = system
         self.lu = _BandLU(
-            _Band(_slab_block(system, Triplets.of(system.A_pd),
-                              Triplets.of(system.Sstar)),
-                  _node_order(system.primal, system.dual)),
+            _slab_block(system, system.dual, Triplets.of(system.A_pd),
+                        Triplets.of(system.Sstar)),
             "slab-diagonal block")
-        self.defect = _JumpDefect(system, True, self.lu, self.lu)
+        self.defect = _BlockDefect(system, self.lu)
 
     def apply(self, r):
         # one multi-right-hand-side solve, a column per slab
@@ -436,69 +488,57 @@ class BlockJacobi:
 
 class MonolithicForward:
     """Forward slab sweep on the system with the interface jumps relaxed to
-    their upstream-tested half.
+    their upstream-tested half, at the system's own dual orders.
 
     The relaxed system is block-lower-triangular over slabs, so one forward
-    substitution with per-slab monolithic (primal + dual) solves inverts it.
-    The sweep may use a reduced dual order internally (the "light" variant
-    uses the minimal orders (1, 0)); the dual part of the output is then
-    recovered exactly from the dual-test rows, which are slab-local, so the
-    map stays invertible and all variants precondition the same system.
-
-    At the system's own dual orders the sweep inverts the system up to the
-    upper jump terms it relaxed: defect.rows are the rows they reach, and
-    defect(z) is their action on z there.  A reduced sweep has no defect.
+    substitution with per-slab monolithic (primal + dual) solves inverts it,
+    marched slab by slab (_march).  It inverts the system up to the upper
+    jump terms it relaxed: defect.rows are the rows they reach, and
+    defect(z) is their action on z there.
     """
 
-    def __init__(self, system, dual_orders=None):
+    def __init__(self, system):
         self.system = system
-        cfg = system.config
-        system_orders = (cfg.kstar, cfg.qstar)
-        orders = system_orders if dual_orders is None else tuple(dual_orders)
-        if orders == system_orders:
-            sweep_dual = system.dual
-            A_sw, Sstar_sw = (Triplets.of(system.A_pd),
-                              Triplets.of(system.Sstar))
-            self.embed = None
-        else:
-            kc, qc = orders
-            if kc > cfg.kstar or qc > cfg.qstar:
-                raise ValueError(
-                    f"sweep dual orders {orders} exceed the system's "
-                    f"{system_orders}"
-                )
-            sweep_dual = SlabSpace(system.mesh, kc, qc, cfg.dt)
-            A_sw = assemble_A(system.primal, sweep_dual)
-            Sstar_sw = assemble_dual_stabilizer(sweep_dual)
-            E = assemble_embedding(system.dual, sweep_dual)
-            self.embed, self.embed_T = E.tocsr(), E.transpose().tocsr()
-            self.sstar_lu = _BandLU(
-                _Band(Triplets.of(system.Sstar), _node_order(system.dual)),
-                "dual stabilizer")
+        self.lus, coupling = _forward_sweep(
+            system, system.dual, Triplets.of(system.A_pd),
+            Triplets.of(system.Sstar))
+        self.coupling = coupling.tocsr()
+        self.defect = _SweepDefect(system, self.lus[0], self.lus[-1])
 
-        # the interior block adds the jump term plus, W on the start
-        # traces, and each slab's start traces take W of the end traces of
-        # the slab before (cross): both are W placed on the traces
-        T, r = system.trace, system.n_end
-        n_sweep = system.n_primal + sweep_dual.n_pair
-        self.lus = _sweep_lus(
-            _Band(_slab_block(system, A_sw, Sstar_sw),
-                  _node_order(system.primal, sweep_dual)),
-            _on_traces(system, T[r:], T[r:], n_sweep), system.n_slabs)
-        self.coupling = _on_traces(system, T[r:], T[:r], n_sweep).tocsr()
-        if self.embed is None:
-            self.defect = _JumpDefect(system, False, self.lus[0],
-                                      self.lus[-1])
+    def apply(self, r):
+        return _march(self.system.slab_view(r), self.lus, self.coupling).ravel()
+
+
+class LightForward:
+    """The forward slab sweep of MonolithicForward at the light dual orders
+    LIGHT_ORDERS, over the whole time domain at once (sweep, a _Sweep).
+
+    The residual's dual part enters the sweep through the degree embedding
+    (embed_T); the dual part of the output is then recovered exactly from
+    the dual-test rows, which are slab-local (sstar_lu), so the map stays
+    invertible and preconditions the same system as mf.  It has no defect.
+    """
+
+    def __init__(self, system):
+        self.system = system
+        light = SlabSpace(system.mesh, *LIGHT_ORDERS, system.config.dt)
+        E = assemble_embedding(system.dual, light)
+        self.embed_T = E.transpose().tocsr()
+        self.sstar_lu = _BandLU(
+            _Band(Triplets.of(system.Sstar), _node_order(system.dual)),
+            "dual stabilizer")
+        self.lus, coupling = _forward_sweep(
+            system, light, assemble_A(system.primal, light),
+            assemble_dual_stabilizer(light))
+        self.sweep = _Sweep(self.lus, coupling)
 
     def apply(self, r):
         sys = self.system
         R = sys.slab_view(r)
         n_p = sys.n_primal
-        if self.embed is None:
-            return _march(R, self.lus, self.coupling).ravel()
         R_y = R[:, n_p:]
         R_sweep = np.hstack((R[:, :n_p], (self.embed_T @ R_y.T).T))
-        U = _march(R_sweep, self.lus, self.coupling)[:, :n_p]
+        U = self.sweep(R_sweep)[:, :n_p]
         # exact dual part from the slab-local dual-test rows, all slabs at once
         Z = self.sstar_lu.solve(sys.A_pd @ U.T - R_y.T)
         return np.hstack((U, Z.T)).ravel()
@@ -519,10 +559,8 @@ class ForwardBackwardSplit:
         self.system = system
         cfg = system.config
         if (cfg.kstar, cfg.qstar) != (cfg.k, cfg.q):
-            raise ValueError(
-                "the forward-backward split requires equal primal and dual "
-                "orders"
-            )
+            raise ValueError("the forward-backward split requires equal "
+                             "primal and dual orders")
         extras = assemble_dfb_extras(system.primal, system.dual, system.data,
                                      lam)
         # G0 = (A_pd + observer) + nitsche, which the band sums place by
@@ -559,10 +597,12 @@ def build_preconditioner(system, kind):
         return None
     if kind == "block":
         return BlockJacobi(system)
-    if kind == "mf":
+    if kind == "ml" and (system.config.kstar,
+                         system.config.qstar) != LIGHT_ORDERS:
+        return LightForward(system)
+    if kind in ("mf", "ml"):
+        # at the light orders already, ml's sweep is mf's
         return MonolithicForward(system)
-    if kind == "ml":
-        return MonolithicForward(system, dual_orders=(1, 0))
     if kind == "dfb":
         return ForwardBackwardSplit(system, system.config.resolved_lambda())
     raise ValueError(f"unknown preconditioner kind: {kind!r}")

@@ -9,6 +9,7 @@ from waveuc.config import PRESETS
 from waveuc.precond import (
     BlockJacobi,
     ForwardBackwardSplit,
+    LightForward,
     MonolithicForward,
     _Band,
     _BandLU,
@@ -168,7 +169,7 @@ def test_block_jacobi_preserves_slab_support(rng):
 
 def test_reduced_dual_sweep_is_invertible_linear(rng):
     s = make_system(n_elems=4, n_slabs=3)
-    M = MonolithicForward(s, dual_orders=(1, 0))
+    M = LightForward(s)
     x = rng.standard_normal(s.ndof)
     y = rng.standard_normal(s.ndof)
     lhs = M.apply(0.3 * x - 1.7 * y)
@@ -181,7 +182,7 @@ def test_reduced_dual_sweep_is_invertible_linear(rng):
 def test_reduced_dual_sweep_equals_full_when_orders_match(rng):
     s = make_system(n_elems=4, n_slabs=2, k=1, q=1, kstar=1, qstar=0)
     M_full = MonolithicForward(s)
-    M_red = MonolithicForward(s, dual_orders=(1, 0))
+    M_red = LightForward(s)
     r = rng.standard_normal(s.ndof)
     a, b = M_full.apply(r), M_red.apply(r)
     assert np.linalg.norm(a - b) <= 1e-11 * np.linalg.norm(a)
@@ -197,18 +198,12 @@ def test_reduced_dual_sweep_solves_dual_rows(n_slabs, k, rng):
     # the dual output is recovered from the slab-local dual-test rows, so
     # those rows of the system hold exactly on every slab
     s = make_system(n_elems=4, n_slabs=n_slabs, k=k, q=k, kstar=k, qstar=k)
-    M = MonolithicForward(s, dual_orders=(1, 0))
+    M = LightForward(s)
     r = rng.standard_normal(s.ndof)
     y = s.apply(M.apply(r))
     for n in range(s.n_slabs):
         d = s.dual_slice(n)
         assert np.linalg.norm(y[d] - r[d]) <= 1e-10 * np.linalg.norm(r[d])
-
-
-def test_reduced_dual_orders_must_embed():
-    s = make_system(n_elems=4, n_slabs=2)
-    with pytest.raises(ValueError):
-        MonolithicForward(s, dual_orders=(2, 0))
 
 
 def dense_dfb_forward_matrix(system, lam):
@@ -391,12 +386,10 @@ def test_property_dfb_matches_dense_triangular_solves(case):
 
 
 @settings(max_examples=15)
-@given(small_systems(elems=(4,), max_slabs=2), st.data())
-def test_property_ml_is_linear_and_injective(case, data):
+@given(small_systems(elems=(4,), max_slabs=2))
+def test_property_ml_is_linear_and_injective(case):
     s, rng = case
-    kc = data.draw(st.integers(1, s.config.kstar), label="kc")
-    qc = data.draw(st.integers(0, s.config.qstar), label="qc")
-    M = MonolithicForward(s, dual_orders=(kc, qc))
+    M = LightForward(s)
     x = rng.standard_normal(s.ndof)
     y = rng.standard_normal(s.ndof)
     lhs = M.apply(0.3 * x - 1.7 * y)
@@ -595,6 +588,25 @@ def test_dfb_apply_makes_one_band_solve_per_lu_and_no_operator_apply(
         assert solved == [(first, 0), (interior, 0), (interior, 1), (first, 1)]
 
 
+@pytest.mark.parametrize("n_slabs", [1, 2, 5])
+def test_ml_apply_makes_one_band_solve_per_lu_and_one_dual_solve(
+        n_slabs, monkeypatch):
+    s = make_system(n_elems=4, n_slabs=n_slabs)
+    M = build_preconditioner(s, "ml")
+    solved = []
+    solve = _BandLU.solve
+
+    def counted(lu, b, trans=0):
+        solved.append(lu)
+        return solve(lu, b, trans)
+
+    monkeypatch.setattr(_BandLU, "solve", counted)
+    M.apply(np.random.default_rng(3).standard_normal(s.ndof))
+    # the sweep solves every slab of one LU at once, however many slabs
+    # there are, then the dual stabilizer recovers the dual part of all
+    assert solved == M.lus[:2] + [M.sstar_lu]
+
+
 @pytest.mark.parametrize("n_slabs", [1, 2, 3])
 @pytest.mark.parametrize("k", [1, 2])
 def test_carry_bytes_are_what_the_sweep_keeps(k, n_slabs):
@@ -611,7 +623,8 @@ def test_carry_bytes_are_what_the_sweep_keeps(k, n_slabs):
         sweep = getattr(M, name)
         assert len(sweep.carried) == c
         assert sweep.carry_bytes == 8 * n_lus * (n_p + c) * c
-        kept = [a for K in sweep._K.values() for a in K]
+        kept = [a for _, _, _, K, K_c in sweep._runs if K is not None
+                for a in (K, K_c)]
         assert sum(a.nbytes for a in kept) == sweep.carry_bytes
 
 
@@ -680,10 +693,19 @@ def test_interior_lu_is_the_lu_of_the_assembled_interior_block(kind, orders):
 @pytest.mark.parametrize("orders", MIXED_ORDERS, ids=order_id)
 def test_sweep_coupling_is_the_cross_block_padded(orders, kind):
     s = make_system(n_elems=4, n_slabs=3, **orders_kwargs(orders))
-    coupling = build_preconditioner(s, kind).coupling
+    M = build_preconditioner(s, kind)
+    n = len(M.lus[0].perm)
     cross = s.jump["cross"].copy()
-    cross.resize(*coupling.shape)
-    assert same_csr(coupling, cross)
+    cross.resize(n, n)
+    if isinstance(M, MonolithicForward):
+        assert same_csr(M.coupling, cross)
+        return
+    # the light sweep keeps only the coupling's nonzero columns, solved
+    # against the interior LU
+    carried = np.flatnonzero(cross.getnnz(axis=0))
+    assert np.array_equal(M.sweep.carried, carried)
+    _, _, _, K, _ = M.sweep._runs[1]
+    assert np.array_equal(K, M.lus[1].solve(cross[:, carried].toarray()))
 
 
 @pytest.mark.parametrize("kind", ["mf", "ml", "block", "dfb"])

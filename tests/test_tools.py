@@ -97,9 +97,31 @@ def test_ab_compare_names_each_difference():
 def test_ab_exits_1_when_an_output_differs(tmp_path, monkeypatch, capsys):
     # a KEY that selects no configuration times nothing, and outputs that
     # differ by one value are named in the bitwise section
-    monkeypatch.setattr(ab, "outputs", lambda tree: {
-        "x": np.array([1.0, 2.0 if tree is ab.waveuc else 4.0])})
+    monkeypatch.setattr(ab, "outputs", lambda tree: {"x": np.array(
+        [1.0, 2.0 if tree.__name__ == "waveuc_change" else 4.0])})
     code, table = ab_json(tmp_path, "--base", str(ROOT), "no-such-key")
     assert code == 1 and table["configurations"] == []
     assert table["bitwise"] == {"outputs": 1, "differ": {"x": 0.5}}
     assert "0 of 1 outputs bitwise identical" in capsys.readouterr().out
+
+
+def test_ab_base_loads_base_change_and_base_again_alike(tmp_path, monkeypatch):
+    # all three trees come from load_tree, the change from this checkout,
+    # so the waveuc on PYTHONPATH is neither timed nor compared
+    loaded = []
+    load_tree = ab.load_tree
+
+    def recorded(tree, name):
+        loaded.append((Path(tree).resolve(), name))
+        return load_tree(ROOT, name)
+
+    monkeypatch.setattr(ab, "load_tree", recorded)
+    compared = []
+    monkeypatch.setattr(ab, "outputs", lambda tree: compared.append(
+        tree.__name__) or {})
+    base = tmp_path / "base"
+    code, _ = ab_json(tmp_path, "--base", str(base), "no-such-key")
+    assert code == 0
+    assert loaded == [(base, "waveuc_base"), (ROOT, "waveuc_change"),
+                      (base, "waveuc_base_again")]
+    assert compared == ["waveuc_base", "waveuc_change"]

@@ -30,10 +30,13 @@ key keeps only itself (gcc1d-k1-N16-mf, not nogcc1d-k1-N16-mf).  KEY
 selects the timed configurations only; the outputs are always all of them.
 
 Without --base it times the waveuc on PYTHONPATH once.  With --base TREE it
-loads TREE/src/waveuc under a second module name and, for the A/A floor,
-once more under a third, beside the waveuc on PYTHONPATH (the change),
-since timings from separate processes cannot be compared on a host whose
-speed changes between them.  It times every layer of the three in
+loads TREE/src/waveuc under one module name, the change (this checkout's
+src/waveuc) under a second and, for the A/A floor, TREE once more under a
+third, all three the same way, so that the A/A floor also covers how a
+tree is loaded; timings from separate processes cannot be compared on a
+host whose speed changes between them.  The waveuc on PYTHONPATH, which
+the benchmark's workload list imports, is then neither timed nor
+compared.  It times every layer of the three in
 ROUNDS = 10 rounds, reversing the trees' order from one round to the next,
 so that each goes first as often as the other, and prints for each layer
 the base tree's median over the rounds in ms and the median over the rounds
@@ -52,8 +55,9 @@ and their restriction to the slab traces (jump_weight and its transpose),
 the dual interface mass, the forward-backward split's extra blocks and the
 light sweep's reduced wave operator and dual stabilizer.  For each
 preconditioner it holds the lu, piv, kl and ku of every LU it keeps
-(M.lus, M.lu, M.sstar_lu), the matrices it keeps beside them (the sweeps'
-coupling, ml's embed and embed_T, dfb's carried columns), its apply and,
+(M.lus, M.lu, M.sstar_lu), the matrices it keeps beside them (mf's
+coupling, ml's embed_T, the carried columns of ml's and dfb's sweeps), its
+apply and,
 where it has a defect, the defect's rows, its action and its action after
 the preconditioner (em).  So a change in what a block is factored from
 shows in an LU, an apply or a solve.  Beside them it holds each system's
@@ -92,8 +96,10 @@ import scipy
 
 import waveuc
 
+# this checkout, whose src/waveuc is the change against a base tree
+CHECKOUT = Path(__file__).resolve().parent.parent
 # the benchmark's workloads and the OpenBLAS thread-count getters
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+sys.path.insert(0, str(CHECKOUT / "perfbench"))
 from bench import WORKLOADS, Solve  # noqa: E402
 from run import BLAS_THREAD_SYMBOLS  # noqa: E402
 
@@ -261,12 +267,12 @@ def put_factorizations(out, key, M):
 
 
 def put_kept(out, key, M):
-    """The matrices M keeps beside its LUs: the sweep's coupling (mf, ml),
-    ml's embed and embed_T, and the carried columns of dfb's two sweeps."""
-    for name in ("coupling", "embed", "embed_T"):
-        if getattr(M, name, None) is not None:
+    """The matrices M keeps beside its LUs: mf's coupling, ml's embed_T,
+    and the carried columns of ml's sweep and of dfb's two sweeps."""
+    for name in ("coupling", "embed_T"):
+        if hasattr(M, name):
             put_csr(out, f"{key}-{name}", getattr(M, name))
-    for name in ("forward", "backward"):
+    for name in ("sweep", "forward", "backward"):
         if hasattr(M, name):
             out[f"{key}-{name}-carried"] = getattr(M, name).carried
 
@@ -480,14 +486,15 @@ def main(argv=None):
               if not args.keys
               or any(f"-{part}-" in f"-{solve.key}-" for part in args.keys)]
     trees = [waveuc] if args.base is None else [
-        load_tree(args.base, "waveuc_base"), waveuc,
+        load_tree(args.base, "waveuc_base"),
+        load_tree(CHECKOUT, "waveuc_change"),
         load_tree(args.base, "waveuc_base_again")]
     env, configurations = time_solves(solves, trees, args.base, args.calls)
     table = {"base": args.base and Path(args.base).resolve().name,
              "rounds": ROUNDS if args.base else 1, "calls": args.calls,
              "environment": env, "configurations": configurations}
     if args.base:
-        table["bitwise"] = compare_trees(trees[0], waveuc)
+        table["bitwise"] = compare_trees(*trees[:2])
     if args.json is not None:
         with open(args.json, "w") as fh:
             json.dump(table, fh, indent=1)
