@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.blas import dtpsv
 
 __all__ = ["GmresConfig", "SolveReport", "GmresBreakdown", "gmres"]
 
@@ -56,7 +56,8 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
     work.  The rotations of each new Hessenberg column run on Python floats,
     which is the same IEEE arithmetic in the same order as on NumPy scalars
     at a fraction of the interpreter cost.  The iterate's coefficients come
-    from a back substitution with the rotated triangle (LAPACK ``trtrs``).
+    from a back substitution with the rotated triangle, in the packed form
+    it is kept in (BLAS ``tpsv``).
 
     Arnoldi breaks down when the orthogonalized vector is tiny relative to
     ``A M q_j`` itself, so the test does not depend on the operator's scale;
@@ -108,22 +109,10 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
     built = 1  # rows of Q written
     g[0] = beta
 
-    # room for the largest triangle the checks unpack (no larger than Q),
-    # reused by every check: a new (j + 1)^2 array at each check grows the
-    # heap by a hole per check once the allocator serves such sizes there
-    # (62 MB of heap, 50 MB of it free, after six gcc1d k=1 N=16 sweeps of
-    # mf, ml, block and dfb)
-    tri = np.empty(maxiter * maxiter)
-
     def solution(j):
         # back substitution with the rotated triangle of the first j + 1
-        # columns: its transpose, read row-major, is their packed entries
-        # (dtrtrs reads the upper triangle only, so the rest stays unset)
-        R = tri[: (j + 1) ** 2].reshape((j + 1, j + 1), order="F")
-        R.T[np.tri(j + 1, dtype=bool)] = H[: (j + 1) * (j + 2) // 2]
-        y, info = dtrtrs(R, g[: j + 1])
-        if info != 0:
-            raise ValueError(f"trtrs failed with info={info}")
+        # columns, which are its packed upper entries column by column
+        y = dtpsv(j + 1, H[: (j + 1) * (j + 2) // 2], g[: j + 1])
         return apply_m(expand(Q[: j + 1].T @ y))
 
     for j in range(maxiter):

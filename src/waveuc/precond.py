@@ -597,12 +597,10 @@ def build_preconditioner(system, kind):
         return None
     if kind == "block":
         return BlockJacobi(system)
-    if kind == "ml" and (system.config.kstar,
-                         system.config.qstar) != LIGHT_ORDERS:
-        return LightForward(system)
-    if kind in ("mf", "ml"):
-        # at the light orders already, ml's sweep is mf's
+    if kind == "mf":
         return MonolithicForward(system)
+    if kind == "ml":
+        return LightForward(system)
     if kind == "dfb":
         return ForwardBackwardSplit(system, system.config.resolved_lambda())
     raise ValueError(f"unknown preconditioner kind: {kind!r}")

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import dtpsv
 
 from waveuc.config import PRESETS
 from waveuc.krylov import GmresBreakdown, GmresConfig, SolveReport, gmres
@@ -175,6 +178,42 @@ def test_non_finite_operator_breaks_down_at_once(bad, rng):
         assert len(lines) == 1
 
 
+def test_breakdown_on_a_check_iteration_raises_breakdown(rng):
+    # a zero column on a true-residual check iteration: the check's back
+    # substitution divides by the zero diagonal, and the solve breaks down
+    # as it does on any other iteration
+    calls = []
+
+    def op(v):
+        calls.append(1)
+        return 0.0 * v if len(calls) >= 10 else 2 * v + np.roll(v, 1)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(GmresBreakdown, match="at iteration 10 "):
+            gmres(op, rng.standard_normal(40), cfg=GmresConfig(maxiter=40))
+
+
+def test_solve_reserves_only_the_basis_and_the_packed_triangle(rng):
+    # maxiter < n, so the basis is not the whole space; every iteration
+    # runs, and every row of the basis and column of the triangle is
+    # written, so the peak is the whole reservation
+    n, maxiter = 600, 400
+    A = rng.standard_normal((n, n)) / np.sqrt(n) + 2.0 * np.eye(n)
+    b = rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        _, report = gmres(MatrixOp(A), b,
+                          cfg=GmresConfig(tol=1e-300, maxiter=maxiter))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.iterations == maxiter
+    reserved = 8 * ((maxiter + 1) * n + maxiter * (maxiter + 1) // 2)
+    # besides: a few n-vectors, and the Python floats of each iteration
+    # (its rotation, its estimate and the list of one column)
+    assert peak <= reserved + 8 * 8 * n + 256 * maxiter
+
+
 def test_exhausted_space_returns_the_iterate_unconverged(rng):
     # after n iterations the Krylov space is the whole space, so the next
     # basis vector is rounding noise: no tolerance is met, nothing breaks
@@ -194,8 +233,10 @@ def test_exhausted_space_returns_the_iterate_unconverged(rng):
 def _dense_bookkeeping_gmres(apply_op, b, precond, cfg, log=None,
                              keep_basis=False):
     """gmres with the least-squares bookkeeping done the direct way: Givens
-    rotations indexed element by element on NumPy arrays, and every iterate
-    from a dense solve with the triangle.  Arnoldi is the same CGS2."""
+    rotations indexed element by element on NumPy arrays of the dense
+    Hessenberg, and every iterate from its triangle, packed column by column
+    and solved with the same BLAS tpsv (and checked against a dense solve).
+    Arnoldi is the same CGS2."""
     apply_m = (lambda v: v) if precond is None else precond.apply
     report = SolveReport()
     n = len(b)
@@ -210,7 +251,12 @@ def _dense_bookkeeping_gmres(apply_op, b, precond, cfg, log=None,
     g[0] = beta
 
     def solution(j):
-        y = np.linalg.solve(np.triu(H[: j + 1, : j + 1]), g[: j + 1])
+        # the transpose's lower triangle, read row-major, is the upper
+        # triangle packed column by column
+        packed = H[: j + 1, : j + 1].T[np.tri(j + 1, dtype=bool)]
+        y = dtpsv(j + 1, packed, g[: j + 1])
+        dense = np.linalg.solve(np.triu(H[: j + 1, : j + 1]), g[: j + 1])
+        assert np.linalg.norm(y - dense) <= 1e-10 * np.linalg.norm(dense)
         return apply_m(Q[: j + 1].T @ y)
 
     for j in range(maxiter):

@@ -188,6 +188,13 @@ def test_reduced_dual_sweep_equals_full_when_orders_match(rng):
     assert np.linalg.norm(a - b) <= 1e-11 * np.linalg.norm(a)
 
 
+def test_ml_is_the_light_sweep_at_the_light_orders_too():
+    s = make_system(n_elems=4, n_slabs=2, k=1, q=1, kstar=1, qstar=0)
+    M = build_preconditioner(s, "ml")
+    assert type(M) is LightForward
+    assert getattr(M, "defect", None) is None
+
+
 @pytest.mark.parametrize("n_slabs, k", [
     pytest.param(1, 2, id="1"),
     pytest.param(3, 2, id="3"),
