@@ -65,7 +65,7 @@ __all__ = [
 # the dual orders (kstar, qstar) of ml's sweep, the minimal ones
 LIGHT_ORDERS = (1, 0)
 # columns per multi-right-hand-side solve when a defect builds its trace
-# blocks (_BandLU.trace_solves), all solved in one reused buffer
+# blocks (_BandLU.trace_solve), all solved in one reused buffer
 TRACE_SOLVE_CHUNK = 64
 
 
@@ -171,25 +171,29 @@ class _BandLU:
         out[self.perm] = x
         return out
 
-    def trace_solves(self, T, rows, B):
+    def trace_solve(self, T, rows, B):
         """Solutions on the rows T for the right-hand sides that hold the
-        columns of the dense B on rows and zeros elsewhere, as (column
-        slice, solutions) pairs of TRACE_SOLVE_CHUNK columns.
+        columns of the dense B on rows and zeros elsewhere, as a
+        (len(T), B.shape[1]) array.
 
-        The chunks are solved in place, one after the other, in one
-        Fortran-order buffer in the band's own order: the right-hand sides
-        are written at inv[rows], and the solutions read at inv[T]."""
+        The columns are solved TRACE_SOLVE_CHUNK at a time, one chunk after
+        the other, in place in one Fortran-order buffer in the band's own
+        order: the right-hand sides are written at inv[rows], and the
+        solutions read at inv[T]."""
         at_rows, at_T = self.inv[rows], self.inv[T]
-        buffer = np.empty((len(self.perm), min(TRACE_SOLVE_CHUNK, B.shape[1])),
+        m = B.shape[1]
+        out = np.empty((len(T), m))
+        buffer = np.empty((len(self.perm), min(TRACE_SOLVE_CHUNK, m)),
                           order="F")
-        for c in range(0, B.shape[1], TRACE_SOLVE_CHUNK):
-            cols = slice(c, min(c + TRACE_SOLVE_CHUNK, B.shape[1]))
+        for c in range(0, m, TRACE_SOLVE_CHUNK):
+            cols = slice(c, min(c + TRACE_SOLVE_CHUNK, m))
             rhs = buffer[:, : cols.stop - c]
             rhs.fill(0.0)
             rhs[at_rows] = B[:, cols]
             x, _ = dgbtrs(self.lu, self.kl, self.ku, rhs, self.piv,
                           overwrite_b=True)
-            yield cols, x[at_T]
+            out[:, cols] = x[at_T]
+        return out
 
 
 def _slab_block(system, dual, A, Sstar):
@@ -381,26 +385,17 @@ class _SweepDefect(_Defect):
 
     @cached_property
     def _traces(self):
-        """(G_ee, P, D), from solves with interior in chunks of columns.  G
-        is never formed: the end unit columns give G[:, :r], and the
-        columns of W on the start rows give G[:, r:] W, each written into
-        the blocks chunk by chunk."""
+        """(G_ee, P, D), from solves with interior.  G is never formed: the
+        end unit columns give S = G[:, :r], and the columns of W on the
+        start rows give SW = G[:, r:] W; G_ee and P are copies of their
+        end rows, so only the 4 r^2 doubles stay alive."""
         lu, sys = self._lu, self.system
         T, r = sys.trace, sys.n_end
-        W, W_T = sys.jump_weight, sys.jump_weight_T
-        G_ee, P = np.empty((r, r)), np.empty((r, r))
-        D = np.empty((r, 2 * r))
-        # the loop below updates D[:, :r], so the start rows' right-hand
-        # sides are a copy of W
-        W_dense = W.toarray()
-        D[:, :r] = W_dense
-        for cols, S in lu.trace_solves(T, T[:r], np.eye(r)):
-            G_ee[:, cols] = S[:r]
-            D[:, r + cols.start : r + cols.stop] = -(W_T @ S[r:])
-        for cols, S in lu.trace_solves(T, T[r:], W_dense):
-            P[:, cols] = S[:r]
-            D[:, cols] -= W_T @ S[r:]
-        return G_ee, P, D
+        W, W_T = sys.jump_weight.toarray(), sys.jump_weight_T
+        S = lu.trace_solve(T, T[:r], np.eye(r))
+        SW = lu.trace_solve(T, T[r:], W)
+        D = np.hstack((W - W_T @ SW[r:], -(W_T @ S[r:])))
+        return S[:r].copy(), SW[:r].copy(), D
 
     def em(self, v):
         """(E M v) on rows, for the v given by its values on rows."""
@@ -447,12 +442,9 @@ class _BlockDefect(_Defect):
 
     @cached_property
     def _traces(self):
-        """G, from solves with lu in chunks of columns."""
+        """G, from solves with lu."""
         T = self.system.trace
-        G = np.empty((len(T), len(T)))
-        for cols, S in self._lu.trace_solves(T, T, np.eye(len(T))):
-            G[:, cols] = S
-        return G
+        return self._lu.trace_solve(T, T, np.eye(len(T)))
 
     def em(self, v):
         """(E M v) on rows, for the v given by its values on rows."""

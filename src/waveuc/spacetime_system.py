@@ -1,5 +1,6 @@
 """Global space-time system: dof layout, matrix-free operator, right-hand
-side, dense debug oracle and the associated norms.
+side, the global matrix with its dense debug view, and the associated
+norms.
 
 The global coefficient vector is slab-major.  Each slab stores the primal
 field pair (u1, u2) first and the dual pair (z1, z2) second; that ordering
@@ -17,15 +18,18 @@ the one spatial block W = jump_weight or its transpose, so trace_jumps
 applies them to the traces alone; they couple the column ranges [:, 1:]
 (later slab) and [:, :-1] (earlier slab).  W is assembled on the traces
 directly.  The full jump blocks (jump) are built only when read, and in
-the package only dense_matrix reads them.  The oracle assembles its own
-temporal trace factors and full per-slab blocks, but it shares the spatial
-weights W1 and W2 with W through slab_forms._jump_terms.
+the package only global_matrix reads them: it places them and the slab
+blocks over the whole time domain as one sparse matrix, and dense_matrix,
+the debug oracle, is its dense view.  The oracle assembles its own temporal
+trace factors and full jump blocks, but it shares the spatial weights W1
+and W2 with W through slab_forms._jump_terms.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
+import scipy.sparse as sp
 
 from .basis import gauss_rule
 from .mesh import build_interval_mesh, mark_data_domain
@@ -204,33 +208,40 @@ class SpaceTimeSystem:
         self.slab_view(b)[:, : space.n_field] = blocks.reshape(N, space.n_field)
         return b
 
-    # -- dense oracle and norms ------------------------------------------
+    # -- global matrix, dense oracle and norms ---------------------------
+
+    def global_matrix(self):
+        """The global matrix as one CSR matrix, placed over the whole time
+        domain at once: the slab block on every slab, the full jump blocks
+        plus on every slab but the first and minus on every slab but the
+        last, -cross below the diagonal (rows on the later slab of each
+        interface) and -cross^T above it, each jump block padded with zeros
+        on the dual pair.  The terms are summed in that order."""
+        N = self.n_slabs
+        slab = sp.bmat([[self.Momega + self.Sh, self.A_pd_T],
+                        [self.A_pd, -self.Sstar]])
+        zero = sp.csr_matrix((self.n_dual, self.n_dual))
+        P, Mm, C = (sp.block_diag((self.jump[name], zero))
+                    for name in ("plus", "minus", "cross"))
+        # 0/1 diagonals, not products of shifted identities: scipy refuses
+        # the empty dia product of those at N = 1
+        slabs = np.arange(N)
+        after_first = sp.diags((slabs >= 1).astype(float))
+        before_last = sp.diags((slabs <= N - 2).astype(float))
+        kron = partial(sp.kron, format="csr")
+        return (kron(sp.eye(N), slab) + kron(after_first, P)
+                + kron(before_last, Mm) - kron(sp.eye(N, k=-1), C)
+                - kron(sp.eye(N, k=1), C.T))
 
     def dense_matrix(self):
-        """Explicit global matrix; debug oracle for small instances only."""
+        """global_matrix as a dense array; debug oracle for small instances
+        only."""
         if self.ndof > DENSE_DOF_LIMIT:
             raise ValueError(
                 f"dense assembly refused for {self.ndof} dofs "
                 f"(limit {DENSE_DOF_LIMIT})"
             )
-        D = np.zeros((self.ndof, self.ndof))
-        diag_pp = (self.Momega + self.Sh).toarray()
-        A = self.A_pd.toarray()
-        Sstar = self.Sstar.toarray()
-        for n in range(self.n_slabs):
-            ps, ds = self.primal_slice(n), self.dual_slice(n)
-            D[ps, ps] += diag_pp
-            D[ps, ds] += A.T
-            D[ds, ps] += A
-            D[ds, ds] -= Sstar
-        P, Mm, C = (self.jump[k].toarray() for k in ("plus", "minus", "cross"))
-        for n in range(1, self.n_slabs):
-            ps_prev, ps = self.primal_slice(n - 1), self.primal_slice(n)
-            D[ps, ps] += P
-            D[ps_prev, ps_prev] += Mm
-            D[ps, ps_prev] -= C
-            D[ps_prev, ps] -= C.T
-        return D
+        return self.global_matrix().toarray()
 
     def triple_norm(self, x):
         """Stabilized energy norm split into its four contributions."""

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 from waveuc import slab_forms
 from waveuc.basis import gauss_rule
@@ -179,6 +180,38 @@ def test_dense_assembly_size_guard():
     assert s.ndof > 5000
     with pytest.raises(ValueError, match="dense"):
         s.dense_matrix()
+
+
+def test_global_matrix_matches_apply_above_the_dense_guard(rng):
+    # gcc1d k=2 N=48 with h=dt: 111,168 dofs
+    s = make_system(k=2, q=2, kstar=2, qstar=2, n_elems=96, n_slabs=48)
+    assert s.ndof > DENSE_DOF_LIMIT
+    G = s.global_matrix()
+    assert G.shape == (s.ndof, s.ndof)
+    x = rng.standard_normal(s.ndof)
+    y = s.apply(x)
+    assert np.linalg.norm(G @ x - y) <= 1e-12 * np.linalg.norm(y)
+
+
+def test_sparse_direct_solve_above_the_dense_guard():
+    # gcc1d k=2 N=12 with h=dt: 7,056 dofs; SuperLU with its default
+    # (COLAMD) ordering, then one refinement step against apply
+    s = make_system(k=2, q=2, kstar=2, qstar=2, n_elems=24, n_slabs=12)
+    assert s.ndof > DENSE_DOF_LIMIT
+    b = s.assemble_rhs(PRESETS["gcc1d"].u)
+    lu = splu(s.global_matrix().tocsc())
+    x = lu.solve(b)
+    x += lu.solve(b - s.apply(x))
+    assert np.linalg.norm(b - s.apply(x)) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_global_matrix_of_one_slab_is_the_slab_block():
+    s = make_system(k=2, q=2, kstar=2, qstar=1, n_slabs=1)
+    blk = np.block(
+        [[(s.Sh + s.Momega).toarray(), s.A_pd.T.toarray()],
+         [s.A_pd.toarray(), -s.Sstar.toarray()]]
+    )
+    assert np.array_equal(s.global_matrix().toarray(), blk)
 
 
 def test_jump_subblock_symmetric():
