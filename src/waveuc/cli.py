@@ -153,14 +153,12 @@ def build_config(args):
         flag = getattr(args, _KEY_TO_FIELD.get(key, key), None)
         if flag is not None:
             values[_KEY_TO_FIELD.get(key, key)] = flag
-    cfg = preset.make_config(**values)
     # degrees default pairwise: the dual orders follow the primal ones
     # unless set explicitly
-    if "kstar" not in values and "k" in values:
-        cfg = replace(cfg, kstar=values["k"])
-    if "qstar" not in values and "q" in values:
-        cfg = replace(cfg, qstar=values["q"])
-    return cfg, preset
+    for dual, primal in (("kstar", "k"), ("qstar", "q")):
+        if dual not in values and primal in values:
+            values[dual] = values[primal]
+    return preset.make_config(**values), preset
 
 
 def _add_common_flags(p):
@@ -187,21 +185,23 @@ def _elems_for_slabs(config):
     return n
 
 
-def _sweep(args, preconds, slab_counts):
+def _sweep(args, slab_counts, preconds=None):
     """Solve every (preconditioner, N) pair with h = dt and write the rows.
 
-    Each configuration is built from a copy of args with the element count
-    set from h = dt (any --elems or file elems is ignored), and all of them
-    are validated before the first solve.  Returns the error reports and
-    whether every solve converged.
+    The configuration of args is built once; each run replaces its
+    preconditioner (by default the configuration's own) and slab count and
+    sets the element count from h = dt (any --elems or file elems is
+    ignored), and all runs are validated before the first solve.  Returns
+    the error reports and whether every solve converged.
     """
+    base, preset = build_config(args)
     runs = []
-    for precond, n_slabs in itertools.product(preconds, slab_counts):
-        config, preset = build_config(argparse.Namespace(
-            **{**vars(args), "precond": precond, "n_slabs": n_slabs}))
+    for precond, n_slabs in itertools.product(preconds or [base.precond],
+                                              slab_counts):
+        config = replace(base, precond=precond, n_slabs=n_slabs)
         config = replace(config, n_elems=_elems_for_slabs(config))
-        runs.append((config.validate(), preset))
-    results = [run_solve(config, preset) for config, preset in runs]
+        runs.append(config.validate())
+    results = [run_solve(config, preset) for config in runs]
     _write_rows([row for row, _, _ in results], args.out)
     return ([errors for _, _, errors in results],
             all(report.converged for _, report, _ in results))
@@ -216,7 +216,7 @@ def cmd_solve(args):
 
 
 def cmd_convergence(args):
-    errors, all_converged = _sweep(args, [args.precond], args.levels)
+    errors, all_converged = _sweep(args, args.levels)
     if len(errors) >= 2:
         columns = [("err_LinfL2_u", [e.err_LinfL2_u for e in errors]),
                    ("err_L2L2_ut", [e.err_L2L2_ut for e in errors]),
@@ -230,7 +230,7 @@ def cmd_convergence(args):
 
 
 def cmd_iters(args):
-    _, all_converged = _sweep(args, args.precond_list, args.slab_list)
+    _, all_converged = _sweep(args, args.slab_list, args.precond_list)
     return EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
 
 

@@ -46,10 +46,6 @@ class DataDomain:
     intervals: tuple
     element_mask: np.ndarray
 
-    @property
-    def n_marked(self):
-        return int(self.element_mask.sum())
-
 
 def mark_data_domain(mesh, intervals):
     """Mark the elements covered by a union of subintervals of [a, b].

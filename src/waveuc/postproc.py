@@ -4,7 +4,9 @@ The discrete displacement is discontinuous across slab interfaces.  The
 lifting subtracts, on every slab after the first, the interface jump times
 the decaying linear blending weight theta_n(t) = (t_{n+1} - t) / dt, which
 yields a time-continuous function without touching the first slab.  Error
-norms are evaluated against the lifted displacement.
+norms are evaluated against the lifted displacement, whose spatial
+coefficients (or those of its time derivative) at given reference times
+LiftedSolution.coeffs_at returns on all slabs at once.
 """
 
 import math
@@ -42,13 +44,14 @@ class LiftedSolution:
     def n_slabs(self):
         return self.coeffs.shape[0]
 
-    def spatial_coeffs_at(self, n, xi):
-        """Spatial coefficient vector of the lifted function at reference
-        time xi within slab n."""
-        return self.tbasis.eval(np.array(float(xi))) @ self.coeffs[n]
-
-    def spatial_dt_coeffs_at(self, n, xi):
-        return self.tbasis.eval(np.array(float(xi)), deriv=1) @ self.coeffs[n] / self.dt
+    def coeffs_at(self, xi, deriv=0):
+        """Spatial coefficients of the lifted function (deriv = 0) or of its
+        time derivative (deriv = 1) at the reference times xi of every
+        slab, shape (n_slabs,) + shape(xi) + (n_x,)."""
+        xi = np.asarray(xi, dtype=float)
+        values = self.tbasis.eval(xi.ravel(), deriv) @ self.coeffs
+        return (values / self.dt**deriv).reshape(
+            (self.n_slabs,) + xi.shape + (-1,))
 
 
 def extract_primal_field(system, x, field=0):
@@ -146,17 +149,16 @@ def error_norms(u_exact, dt_u_exact, sol, region=None):
     The times of all slabs are stacked, so each norm takes one
     _squared_errors call per region.
     """
-    dt, tb = sol.dt, sol.tbasis
-    samples = gauss_lobatto_nodes(tb.cardinality + 2)
+    dt = sol.dt
+    samples = gauss_lobatto_nodes(sol.tbasis.cardinality + 2)
     # one Gauss rule serves in time and, per element, in space
     rule = gauss_rule(ERROR_QUADRATURE_POINTS)
     start = dt * np.arange(sol.n_slabs)[:, None]
     t_val = (start + dt * samples).ravel()
     t_dt = (start + dt * rule.points).ravel()
     # rows slab-major, like the times: (slabs, points, n_x) flattened
-    c = (tb.eval(samples) @ sol.coeffs).reshape(len(t_val), -1)
-    dc = (tb.eval(rule.points, deriv=1) @ sol.coeffs / dt).reshape(
-        len(t_dt), -1)
+    c = sol.coeffs_at(samples).reshape(len(t_val), -1)
+    dc = sol.coeffs_at(rule.points, deriv=1).reshape(len(t_dt), -1)
     norms = []
     for reg in [None] if region is None else [None, region]:
         e = _squared_errors(sol, u_exact, t_val, c, reg, rule)

@@ -111,17 +111,6 @@ class SpaceTimeSystem:
 
     # -- layout ----------------------------------------------------------
 
-    def primal_slice(self, n):
-        off = n * self.slab_size
-        return slice(off, off + self.n_primal)
-
-    def dual_slice(self, n):
-        off = n * self.slab_size + self.n_primal
-        return slice(off, off + self.n_dual)
-
-    def zero_vector(self):
-        return np.zeros(self.ndof)
-
     def slab_view(self, x):
         """x as an (n_slabs, slab_size) view; row n holds slab n."""
         if x.shape != (self.ndof,):
@@ -204,7 +193,7 @@ class SpaceTimeSystem:
         loads = loads.reshape(N, rule.n_points, space.n_x)
         psi = space.tbasis.eval(rule.points)
         blocks = np.einsum("q,qm,nqj->nmj", dt * rule.weights, psi, loads)
-        b = self.zero_vector()
+        b = np.zeros(self.ndof)
         self.slab_view(b)[:, : space.n_field] = blocks.reshape(N, space.n_field)
         return b
 

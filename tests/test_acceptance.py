@@ -73,8 +73,7 @@ def test_criterion_2_norm_identity():
     for _ in range(10):
         x = rng.standard_normal(s.ndof)
         xn = x.copy()
-        for n in range(s.n_slabs):
-            xn[s.dual_slice(n)] *= -1
+        s.slab_view(xn)[:, s.n_primal :] *= -1
         lhs = s.apply(xn) @ x
         total_sq = s.triple_norm(x).total ** 2
         worst = max(worst, abs(lhs - total_sq) / total_sq)
@@ -183,11 +182,9 @@ def test_criterion_8_lifting():
         space = SlabSpace(mesh, 2, q, dt=0.125)
         u = rng.standard_normal((4, space.n_modes, space.n_x))
         sol = lift(space, u)
-        for n in range(1, 4):
-            gap = np.abs(
-                sol.spatial_coeffs_at(n - 1, 1.0) - sol.spatial_coeffs_at(n, 0.0)
-            ).max()
-            worst = max(worst, gap)
+        # each slab's end against the next slab's start
+        gap = np.abs(sol.coeffs_at(1.0)[:-1] - sol.coeffs_at(0.0)[1:]).max()
+        worst = max(worst, gap)
     assert worst <= 1e-12
 
     # blending weight norms via quadrature on a unit downward jump
@@ -199,10 +196,11 @@ def test_criterion_8_lifting():
     from waveuc.basis import gauss_rule
 
     rule = gauss_rule(4)
-    sq = dsq = 0.0
-    for w, xi in zip(rule.weights, rule.points):
-        sq += dt * w * float(sol.spatial_coeffs_at(1, xi)[0]) ** 2
-        dsq += dt * w * float(sol.spatial_dt_coeffs_at(1, xi)[0]) ** 2
+    # the lift on slab 1 at the first spatial node, and its time derivative
+    theta, dtheta = (sol.coeffs_at(rule.points, deriv)[1, :, 0]
+                     for deriv in (0, 1))
+    sq = dt * rule.weights @ theta**2
+    dsq = dt * rule.weights @ dtheta**2
     err_theta = abs(math.sqrt(sq) - math.sqrt(dt / 3))
     err_dtheta = abs(math.sqrt(dsq) - dt**-0.5)
     assert err_theta <= 1e-13 and err_dtheta <= 1e-13
@@ -236,15 +234,15 @@ def test_criterion_9_stabilizer_structure():
     D = s.dense_matrix()
     Mm = s.jump["minus"].toarray()
     C = s.jump["cross"].toarray()
+    # D's slab blocks, as views: blocks[i, :, j] couples slab i to slab j
+    blocks = D.reshape(s.n_slabs, s.slab_size, s.n_slabs, s.slab_size)
+    p = slice(s.n_primal)
     for n in range(1, s.n_slabs):
-        pp, pc = s.primal_slice(n), s.primal_slice(n - 1)
-        D[pc, pc] -= Mm
-        D[pc, pp] += C.T
+        blocks[n - 1, p, n - 1, p] -= Mm
+        blocks[n - 1, p, n, p] += C.T
     for i in range(s.n_slabs):
         for j in range(i + 1, s.n_slabs):
-            blk = D[i * s.slab_size : (i + 1) * s.slab_size,
-                    j * s.slab_size : (j + 1) * s.slab_size]
-            assert np.all(blk == 0)
+            assert np.all(blocks[i, :, j] == 0)
     announce(
         "9 stabilizer structure",
         f"all stabilizer blocks symmetric, min eig(Sh)={min_sh:.2e} >= -1e-10, "

@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from waveuc.cli import CSV_HEADER, main
+from waveuc import cli
+from waveuc.cli import CSV_HEADER, build_config, main, make_parser
 from waveuc.config import PRESETS, DiscretizationConfig, default_lambda
 from waveuc.krylov import GmresConfig, SolveReport
 from waveuc.postproc import ErrorReport
@@ -308,6 +309,45 @@ def test_sweep_ignores_elems_from_config_file(tmp_path, solved):
     assert code == 0
     assert [(c.n_slabs, c.n_elems) for c in solved] == [(4, 8), (64, 128)]
     assert [r["h"] == r["dt"] for r in read_rows(out)] == [True, True]
+
+
+def test_sweep_reads_its_config_file_once(tmp_path, solved, monkeypatch):
+    # the file is parsed into one base configuration, and every run is
+    # derived from it
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("tol = 1e-6\n")
+    reads = []
+    read = cli._read_config_file
+    monkeypatch.setattr(cli, "_read_config_file",
+                        lambda path: reads.append(path) or read(path))
+    code = main(["iters", "--config", str(cfg_file), "--precond-list",
+                 "mf,block", "--slab-list", "4,8",
+                 "--out", str(tmp_path / "iters.csv")])
+    assert code == 0
+    assert reads == [str(cfg_file)]
+    assert [(c.precond, c.n_slabs, c.n_elems, c.tol) for c in solved] == [
+        ("mf", 4, 8, 1e-6), ("mf", 8, 16, 1e-6),
+        ("block", 4, 8, 1e-6), ("block", 8, 16, 1e-6)]
+
+
+def test_convergence_sweeps_the_configured_preconditioner(tmp_path, solved):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("precond = block\n")
+    code = main(["convergence", "--config", str(cfg_file), "--levels", "4,8",
+                 "--out", str(tmp_path / "conv.csv")])
+    assert code == 0
+    assert [(c.precond, c.n_slabs) for c in solved] == [("block", 4),
+                                                          ("block", 8)]
+
+
+@pytest.mark.parametrize("flags,dual", [
+    ([], (1, 1)),
+    (["--k", "2", "--q", "3"], (2, 3)),
+    (["--k", "2", "--q", "3", "--kstar", "1", "--qstar", "0"], (1, 0)),
+])
+def test_dual_orders_follow_the_primal_ones_unless_set(flags, dual):
+    cfg, _ = build_config(make_parser().parse_args(["solve", *flags]))
+    assert (cfg.kstar, cfg.qstar) == dual
 
 
 def test_iters_rejects_bad_precond_before_any_solve(tmp_path, solved, capsys):

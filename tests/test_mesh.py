@@ -36,7 +36,6 @@ def test_two_sided_data_domain():
     mesh = build_interval_mesh(0, 1, 4)
     data = mark_data_domain(mesh, [[0, 0.25], [0.75, 1]])
     assert list(data.element_mask) == [True, False, False, True]
-    assert data.n_marked == 2
 
 
 def test_one_sided_data_domain():

@@ -39,10 +39,9 @@ def test_lifted_continuity_random(rng):
         space = SlabSpace(mesh, 2, q, dt=0.25)
         u = random_displacement(space, 4, rng)
         sol = lift(space, u)
-        for n in range(1, 4):
-            left = sol.spatial_coeffs_at(n - 1, 1.0)
-            right = sol.spatial_coeffs_at(n, 0.0)
-            assert np.abs(left - right).max() <= 1e-12
+        # each slab's end against the next slab's start
+        left, right = sol.coeffs_at(1.0)[:-1], sol.coeffs_at(0.0)[1:]
+        assert np.abs(left - right).max() <= 1e-12
 
 
 def test_first_slab_untouched(rng):
@@ -50,9 +49,9 @@ def test_first_slab_untouched(rng):
     space = SlabSpace(mesh, 1, 2, dt=0.25)
     u = random_displacement(space, 3, rng)
     sol = lift(space, u)
-    for xi in np.linspace(0, 1, 7):
-        orig = space.tbasis.eval(np.array(xi)) @ u[0]
-        assert np.allclose(sol.spatial_coeffs_at(0, xi), orig, atol=1e-13)
+    xi = np.linspace(0, 1, 7)
+    orig = space.tbasis.eval(xi) @ u[0]
+    assert np.allclose(sol.coeffs_at(xi)[0], orig, atol=1e-13)
 
 
 def test_piecewise_constant_unit_jump():
@@ -64,9 +63,10 @@ def test_piecewise_constant_unit_jump():
     u[1] = 1.0
     sol = lift(space, u)
     assert np.allclose(sol.jumps[1], 1.0)
-    assert np.allclose(sol.spatial_coeffs_at(1, 0.0), 0.0, atol=1e-13)
-    assert np.allclose(sol.spatial_coeffs_at(1, 0.5), 0.5, atol=1e-13)
-    assert np.allclose(sol.spatial_coeffs_at(1, 1.0), 1.0, atol=1e-13)
+    start, middle, end = sol.coeffs_at([0.0, 0.5, 1.0])[1]
+    assert np.allclose(start, 0.0, atol=1e-13)
+    assert np.allclose(middle, 0.5, atol=1e-13)
+    assert np.allclose(end, 1.0, atol=1e-13)
 
 
 def test_q0_input_lifts_to_affine(rng):
@@ -75,10 +75,24 @@ def test_q0_input_lifts_to_affine(rng):
     u = random_displacement(space, 3, rng)
     sol = lift(space, u)
     assert sol.tbasis.degree == 1
-    for n in range(1, 3):
-        left = sol.spatial_coeffs_at(n - 1, 1.0)
-        right = sol.spatial_coeffs_at(n, 0.0)
-        assert np.abs(left - right).max() <= 1e-12
+    left, right = sol.coeffs_at(1.0)[:-1], sol.coeffs_at(0.0)[1:]
+    assert np.abs(left - right).max() <= 1e-12
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_coeffs_at_is_the_per_slab_evaluation(q, rng):
+    mesh = build_interval_mesh(0, 1, 4)
+    space = SlabSpace(mesh, 2, q, dt=0.25)
+    sol = lift(space, random_displacement(space, 3, rng))
+    for xi in (0.3, np.linspace(0, 1, 5), np.array([[0.1, 0.9], [0.5, 1.0]])):
+        for deriv in (0, 1):
+            got = sol.coeffs_at(xi, deriv)
+            assert got.shape == (3,) + np.shape(xi) + (space.n_x,)
+            for n in range(3):
+                want = (sol.tbasis.eval(xi, deriv) @ sol.coeffs[n]
+                        / sol.dt**deriv)
+                assert (np.abs(got[n] - want).max()
+                        <= 1e-14 * np.abs(want).max())
 
 
 def test_lift_is_projection(rng):
@@ -101,13 +115,11 @@ def test_theta_norm_values():
     u[0] = 1.0  # unit jump downward at the interface
     sol = lift(space, u)
     rule = gauss_rule(4)
-    sq = dsq = 0.0
-    for w, xi in zip(rule.weights, rule.points):
-        # on slab 1 the lifted function equals -theta at every node
-        theta = -float(sol.spatial_coeffs_at(1, xi)[0])
-        dtheta = -float(sol.spatial_dt_coeffs_at(1, xi)[0])
-        sq += dt * w * theta**2
-        dsq += dt * w * dtheta**2
+    # on slab 1 the lifted function equals -theta at every node
+    theta, dtheta = (-sol.coeffs_at(rule.points, deriv)[1, :, 0]
+                     for deriv in (0, 1))
+    sq = dt * rule.weights @ theta**2
+    dsq = dt * rule.weights @ dtheta**2
     assert abs(math.sqrt(sq) - math.sqrt(dt / 3)) <= 1e-13
     assert abs(math.sqrt(dsq) - dt**-0.5) <= 1e-13
 
@@ -250,10 +262,9 @@ def test_extract_primal_field(rng):
     u1 = extract_primal_field(s, x, field=0)
     u2 = extract_primal_field(s, x, field=1)
     n_f = s.primal.n_field
-    for n in range(s.n_slabs):
-        ps = s.primal_slice(n)
-        assert np.array_equal(u1[n].ravel(), x[ps][:n_f])
-        assert np.array_equal(u2[n].ravel(), x[ps][n_f:])
+    P = s.slab_view(x)[:, : s.n_primal]
+    assert np.array_equal(u1.reshape(s.n_slabs, -1), P[:, :n_f])
+    assert np.array_equal(u2.reshape(s.n_slabs, -1), P[:, n_f:])
 
 
 def test_eoc_examples():

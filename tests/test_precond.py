@@ -37,10 +37,13 @@ def dense_relaxed_matrix(system):
     D = system.dense_matrix()
     Mm = system.jump["minus"].toarray()
     C = system.jump["cross"].toarray()
-    for n in range(1, system.n_slabs):
-        pp, pc = system.primal_slice(n), system.primal_slice(n - 1)
-        D[pc, pc] -= Mm
-        D[pc, pp] += C.T
+    # D's slab blocks, as views: blocks[i, :, j] couples slab i to slab j
+    N, size = system.n_slabs, system.slab_size
+    blocks = D.reshape(N, size, N, size)
+    p = slice(system.n_primal)
+    for n in range(1, N):
+        blocks[n - 1, p, n - 1, p] -= Mm
+        blocks[n - 1, p, n, p] += C.T
     return D
 
 
@@ -50,7 +53,7 @@ def test_zero_maps_to_zero():
     assert build_preconditioner(s, "none") is None
     for kind in ("block", "mf", "ml", "dfb"):
         M = build_preconditioner(s, kind)
-        assert np.all(M.apply(s.zero_vector()) == 0)
+        assert np.all(M.apply(np.zeros(s.ndof)) == 0)
 
 
 # (k, q, kstar, qstar): equal orders of each degree and two mixes whose
@@ -207,10 +210,11 @@ def test_reduced_dual_sweep_solves_dual_rows(n_slabs, k, rng):
     s = make_system(n_elems=4, n_slabs=n_slabs, k=k, q=k, kstar=k, qstar=k)
     M = LightForward(s)
     r = rng.standard_normal(s.ndof)
-    y = s.apply(M.apply(r))
+    Y, R = s.slab_view(s.apply(M.apply(r))), s.slab_view(r)
+    d = slice(s.n_primal, None)
     for n in range(s.n_slabs):
-        d = s.dual_slice(n)
-        assert np.linalg.norm(y[d] - r[d]) <= 1e-10 * np.linalg.norm(r[d])
+        assert (np.linalg.norm(Y[n, d] - R[n, d])
+                <= 1e-10 * np.linalg.norm(R[n, d]))
 
 
 def dense_dfb_forward_matrix(system, lam):
@@ -236,22 +240,19 @@ def check_dfb_sweeps(s, r):
     x = ForwardBackwardSplit(s, lam).apply(r)
 
     G = dense_dfb_forward_matrix(s, lam)
-    r_dual = np.concatenate([r[s.dual_slice(n)] for n in range(s.n_slabs)])
-    U = np.linalg.solve(G, r_dual)
-    got_U = np.concatenate([x[s.primal_slice(n)] for n in range(s.n_slabs)])
+    # the primal and dual parts of every slab, slab-major
+    R, X = s.slab_view(r), s.slab_view(x)
+    p, d = slice(s.n_primal), slice(s.n_primal, None)
+    U = np.linalg.solve(G, R[:, d].ravel())
+    got_U = X[:, p].ravel()
     assert np.linalg.norm(got_U - U) <= 1e-10 * np.linalg.norm(U)
 
-    xu = s.zero_vector()
-    for n in range(s.n_slabs):
-        m = s.n_primal
-        xu[s.primal_slice(n)] = U[n * m : (n + 1) * m]
+    xu = np.zeros(s.ndof)
+    s.slab_view(xu)[:, p] = U.reshape(s.n_slabs, s.n_primal)
     # the primal-test rows of A on a primal-only vector
-    stab = s.apply(xu)
-    rhs2 = np.concatenate(
-        [r[s.primal_slice(n)] - stab[s.primal_slice(n)] for n in range(s.n_slabs)]
-    )
-    Z = np.linalg.solve(G.T, rhs2)
-    got_Z = np.concatenate([x[s.dual_slice(n)] for n in range(s.n_slabs)])
+    stab = s.slab_view(s.apply(xu))
+    Z = np.linalg.solve(G.T, (R[:, p] - stab[:, p]).ravel())
+    got_Z = X[:, d].ravel()
     assert np.linalg.norm(got_Z - Z) <= 1e-10 * np.linalg.norm(Z)
 
 
@@ -489,7 +490,7 @@ def test_property_em_is_the_defect_of_the_preconditioned_vector(
     M = build_preconditioner(s, kind)
     rows = M.defect.rows
     v = np.random.default_rng(seed).standard_normal(len(rows))
-    on_rows = s.zero_vector()
+    on_rows = np.zeros(s.ndof)
     on_rows[rows] = v
     # (E M v) on the rows, from the slab traces alone and from a full sweep
     em = M.defect.em(v)

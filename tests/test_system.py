@@ -19,8 +19,7 @@ from conftest import make_system
 
 def negate_dual(system, x):
     y = x.copy()
-    for n in range(system.n_slabs):
-        y[system.dual_slice(n)] *= -1
+    system.slab_view(y)[:, system.n_primal :] *= -1
     return y
 
 
@@ -47,16 +46,16 @@ def test_each_factor_is_built_once(k, monkeypatch):
 def test_layout_covers_all_dofs():
     s = make_system(n_elems=4, n_slabs=3)
     covered = np.zeros(s.ndof, dtype=int)
-    for n in range(s.n_slabs):
-        covered[s.primal_slice(n)] += 1
-        covered[s.dual_slice(n)] += 1
+    C = s.slab_view(covered)
+    C[:, : s.n_primal] += 1
+    C[:, s.n_primal :] += 1
     assert np.all(covered == 1)
     assert s.ndof == s.n_slabs * (s.n_primal + s.n_dual)
 
 
 def test_apply_zero_and_layout_mismatch():
     s = make_system()
-    assert np.all(s.apply(s.zero_vector()) == 0)
+    assert np.all(s.apply(np.zeros(s.ndof)) == 0)
     with pytest.raises(ValueError):
         s.apply(np.zeros(s.ndof + 1))
 
@@ -94,8 +93,7 @@ BATCH_CASES = [
 
 def primal_mask(system):
     mask = np.zeros(system.ndof, dtype=bool)
-    for n in range(system.n_slabs):
-        mask[system.primal_slice(n)] = True
+    system.slab_view(mask)[:, : system.n_primal] = True
     return mask
 
 
@@ -152,9 +150,10 @@ def test_batched_triple_norm_matches_dense_blocks(
     D = s.dense_matrix()
     Sh, Mo, Ss = (m.toarray() for m in (s.Sh, s.Momega, s.Sstar))
     x = rng.standard_normal(s.ndof)
+    X = s.slab_view(x)
     sh2 = om2 = ds2 = 0.0
     for n in range(s.n_slabs):
-        xp, xd = x[s.primal_slice(n)], x[s.dual_slice(n)]
+        xp, xd = X[n, : s.n_primal], X[n, s.n_primal :]
         sh2 += xp @ Sh @ xp
         om2 += xp @ Mo @ xp
         ds2 += xd @ Ss @ xd
@@ -233,22 +232,21 @@ def test_time_continuous_primal_has_no_jump_contribution(rng):
     s = make_system(n_elems=4, n_slabs=3)
     x = rng.standard_normal(s.ndof)
     # make the primal traces match across interfaces and zero the dual part
-    space = s.primal
-    for n in range(s.n_slabs):
-        x[s.dual_slice(n)] = 0.0
+    space, X = s.primal, s.slab_view(x)
+    X[:, s.n_primal :] = 0.0
+    # each slab's primal part, as a view of x, by field and temporal mode
+    fields = X[:, : s.n_primal].reshape(s.n_slabs, 2, space.n_modes,
+                                        space.n_x)
     for n in range(1, s.n_slabs):
-        prev = x[s.primal_slice(n - 1)].reshape(2, space.n_modes, space.n_x)
-        cur = x[s.primal_slice(n)].reshape(2, space.n_modes, space.n_x)
-        cur[:, 0] = prev[:, -1]
-        x[s.primal_slice(n)] = cur.ravel()
+        fields[n, :, 0] = fields[n - 1, :, -1]
     y = s.apply(x)
     # against the uncoupled block action
     expected = np.zeros_like(x)
+    E = s.slab_view(expected)
     for n in range(s.n_slabs):
-        ps = s.primal_slice(n)
-        xp = x[ps]
-        expected[ps] = s.Momega @ xp + s.Sh @ xp
-        expected[s.dual_slice(n)] = s.A_pd @ xp
+        xp = X[n, : s.n_primal]
+        E[n, : s.n_primal] = s.Momega @ xp + s.Sh @ xp
+        E[n, s.n_primal :] = s.A_pd @ xp
     assert np.linalg.norm(y - expected) <= 1e-11 * np.linalg.norm(expected)
     assert s.triple_norm(x).jump == pytest.approx(0.0, abs=1e-10)
 
@@ -283,7 +281,7 @@ def test_norm_identity(rng):
 
 def test_triple_norm_zero():
     s = make_system()
-    report = s.triple_norm(s.zero_vector())
+    report = s.triple_norm(np.zeros(s.ndof))
     assert (report.sh, report.omega, report.sstar, report.jump, report.total) == (
         0, 0, 0, 0, 0,
     )
@@ -303,16 +301,16 @@ def test_rhs_constant_data_full_domain():
     s = SpaceTimeSystem(cfg)
     b = s.assemble_rhs(lambda t, x: np.ones_like(x))
     dt, h = cfg.dt, cfg.h
-    space = s.primal
+    space, B = s.primal, s.slab_view(b)
     for n in range(s.n_slabs):
-        block = b[s.primal_slice(n)].reshape(2, space.n_modes, space.n_x)
+        block = B[n, : s.n_primal].reshape(2, space.n_modes, space.n_x)
         # each temporal hat integrates to dt/2; hats integrate to h (h/2 at
         # the boundary)
         spatial = np.full(space.n_x, h)
         spatial[[0, -1]] = h / 2
         assert np.allclose(block[0], dt / 2 * spatial, atol=1e-12)
         assert np.all(block[1] == 0)
-        assert np.all(b[s.dual_slice(n)] == 0)
+        assert np.all(B[n, s.n_primal :] == 0)
 
 
 def test_rhs_supported_on_masked_elements():
@@ -320,7 +318,8 @@ def test_rhs_supported_on_masked_elements():
     b = s.assemble_rhs(lambda t, x: np.ones_like(x))
     space = s.primal
     for n in range(s.n_slabs):
-        block = b[s.primal_slice(n)].reshape(2, space.n_modes, space.n_x)
+        block = s.slab_view(b)[n, : s.n_primal].reshape(2, space.n_modes,
+                                                        space.n_x)
         # nodes x = 0.5 (index 2) see no data element
         assert np.all(block[0][:, 2] == 0)
         assert np.any(block[0][:, 0] != 0)
@@ -360,7 +359,7 @@ def test_rhs_matches_loop_reference(preset, k, q, kstar, qstar):
     b, space = s.assemble_rhs(u), s.primal
     ref = loop_data_functional(s, space, u)
     for n in range(s.n_slabs):
-        block = b[s.primal_slice(n)]
+        block = s.slab_view(b)[n, : s.n_primal]
         assert np.allclose(block[: space.n_field], ref[n].ravel(),
                            rtol=0, atol=1e-14 * np.abs(ref).max())
         assert np.all(block[space.n_field :] == 0)
@@ -385,7 +384,7 @@ def per_time_rhs(system, u_omega):
     loads = loads.reshape(N, rule.n_points, space.n_x)
     psi = space.tbasis.eval(rule.points)
     blocks = np.einsum("q,qm,nqj->nmj", dt * rule.weights, psi, loads)
-    b = system.zero_vector()
+    b = np.zeros(system.ndof)
     system.slab_view(b)[:, : space.n_field] = blocks.reshape(N, space.n_field)
     return b
 

@@ -94,6 +94,32 @@ def test_ab_compare_names_each_difference():
     assert ab.compare(change, base)[dropped] == "change only"
 
 
+class Contract:
+    """A preconditioner seen only through what gmres reads of it."""
+
+    __slots__ = ("apply", "defect")
+
+    def __init__(self, M):
+        self.apply = M.apply
+        if hasattr(M, "defect"):
+            self.defect = M.defect
+
+
+def test_ab_reads_preconditioners_only_through_apply_and_defect(monkeypatch):
+    # outputs that read a preconditioner's LUs or kept matrices would go
+    # missing here
+    real = ab.outputs(ab.waveuc)
+    build = ab.waveuc.build_preconditioner
+
+    def proxied(system, kind):
+        M = build(system, kind)
+        return None if M is None else Contract(M)
+
+    monkeypatch.setattr(ab.waveuc, "build_preconditioner", proxied)
+    monkeypatch.setattr("waveuc.cli.build_preconditioner", proxied)
+    assert ab.compare(real, ab.outputs(ab.waveuc)) == {}
+
+
 def test_ab_exits_1_when_an_output_differs(tmp_path, monkeypatch, capsys):
     # a KEY that selects no configuration times nothing, and outputs that
     # differ by one value are named in the bitwise section

@@ -44,33 +44,31 @@ of the per-round ratios change/base and base again/base (the A/A floor)
 with their quartiles in brackets.  A ratio below 1 is a faster change; one
 whose quartiles overlap the A/A floor's is not told apart from the host.
 
-After the timing it builds the outputs of base and change, each as one
-dict of arrays, and compares them.  It reads waveuc through its public
-names only, so a change to the preconditioners' internals needs no change
-here.  For a few fixed systems (one of them with dual orders below the
-primal ones) the dict holds the CSR arrays of every form a preconditioner's
-blocks are summed from: the system's blocks (A_pd, A_pd_T, Sh, Sstar,
-Momega), the four primal stabilizer parts beside their sum, the jump blocks
-and their restriction to the slab traces (jump_weight and its transpose),
-the dual interface mass, the forward-backward split's extra blocks and the
-light sweep's reduced wave operator and dual stabilizer.  For each
-preconditioner it holds the lu, piv, kl and ku of every LU it keeps
-(M.lus, M.lu, M.sstar_lu), the matrices it keeps beside them (mf's
-coupling, ml's embed_T, the carried columns of ml's and dfb's sweeps), its
-apply and,
-where it has a defect, the defect's rows, its action and its action after
-the preconditioner (em).  So a change in what a block is factored from
-shows in an LU, an apply or a solve.  Beside them it holds each system's
-right-hand side, one operator apply, its slab trace rows and the jump terms
-on the traces of the same vector; the point-evaluation forms (gradient
-jump, boundary penalty and flux) and the slab degree embedding on meshes of
-1, 2 and 5 elements; and the iterates, residual histories, CSV rows,
-residual logs, error norms and preconditioner apply counts of SOLVES, the
-benchmark's solves and one unpreconditioned one.  Each output that differs
-is printed as present in one tree only, as differing in dtype only (equal
-values), or with max|a - b| / max|a| over the positions finite in both, so
-that an intended rounding change shows its size.  The two output dicts take
-most of a --base run: about a minute on a 2-core machine.
+After the timing it builds the outputs of base and change, each as one dict
+of arrays, and compares them.  It reads waveuc through its public names
+only, so a change to the preconditioners' internals needs no change here.
+For a few fixed systems (one of them with dual orders below the primal
+ones) the dict holds the CSR arrays of every form a preconditioner's blocks
+are summed from: the system's blocks (A_pd, A_pd_T, Sh, Sstar, Momega), the
+four primal stabilizer parts beside their sum, the jump blocks and their
+restriction to the slab traces (jump_weight and its transpose), the dual
+interface mass, the forward-backward split's extra blocks and the light
+sweep's reduced wave operator and dual stabilizer.  Each preconditioner is
+read through what gmres reads of it, and nothing else: its apply and, where
+it has a defect, the defect's rows, its action and its action after the
+preconditioner (em).  Every LU and kept matrix feeds one of those or a
+solve, so a change in what a block is factored from shows there, and a
+change that moves none of them is no difference.  Beside them it holds
+each system's right-hand side, one operator apply, its slab trace rows and
+the jump terms on the traces of the same vector; the point-evaluation forms
+(gradient jump, boundary penalty and flux) and the slab degree embedding
+on meshes of 1, 2 and 5 elements; and the iterates, residual histories, CSV
+rows, residual logs, error norms and preconditioner apply counts of SOLVES,
+the benchmark's solves and one unpreconditioned one.  Each output that
+differs is printed as present in one tree only, as differing in dtype only
+(equal values), or with max|a - b| / max|a| over the positions finite in
+both, so that an intended rounding change shows its size.  The two output
+dicts take most of a --base run: about a minute on a 2-core machine.
 
 The first line gives the thread counts of the OpenBLAS libraries that numpy
 and scipy loaded (each has its own).  --json PATH also writes the table to
@@ -251,32 +249,6 @@ def put_csr(out, key, form):
         out[f"{key}-{name}"] = getattr(matrix, name)
 
 
-def put_factorizations(out, key, M):
-    """lu, piv, kl and ku of every distinct LU that M keeps: M.lus in march
-    order (lus0 the first slab's, lus1 the interior one), M.lu and
-    M.sstar_lu."""
-    kept = {f"lus{i}": lu for i, lu in enumerate(
-        {id(lu): lu for lu in getattr(M, "lus", [])}.values())}
-    kept.update((name, getattr(M, name)) for name in ("lu", "sstar_lu")
-                if hasattr(M, name))
-    for name, lu in kept.items():
-        out[f"{key}-{name}-lu"] = lu.lu
-        out[f"{key}-{name}-piv"] = lu.piv
-        out[f"{key}-{name}-kl"] = np.array(lu.kl)
-        out[f"{key}-{name}-ku"] = np.array(lu.ku)
-
-
-def put_kept(out, key, M):
-    """The matrices M keeps beside its LUs: mf's coupling, ml's embed_T,
-    and the carried columns of ml's sweep and of dfb's two sweeps."""
-    for name in ("coupling", "embed_T"):
-        if hasattr(M, name):
-            put_csr(out, f"{key}-{name}", getattr(M, name))
-    for name in ("sweep", "forward", "backward"):
-        if hasattr(M, name):
-            out[f"{key}-{name}-carried"] = getattr(M, name).carried
-
-
 def put_blocks(tree, out, key, s):
     """The forms the preconditioners sum their blocks from, beside the
     system's own blocks."""
@@ -325,8 +297,6 @@ def put_systems(tree, out):
         out[key + "-trace_jumps"] = s.trace_jumps(s.slab_view(r)[:, s.trace].T)
         for kind in kinds:
             M = tree.build_preconditioner(s, kind)
-            put_factorizations(out, f"{key}-{kind}", M)
-            put_kept(out, f"{key}-{kind}", M)
             out[f"{key}-{kind}"] = M.apply(r)
             defect = getattr(M, "defect", None)
             if defect is not None:
