@@ -11,21 +11,25 @@ reach it.  A sweep assembles the first slab's block alone: its band (_Band)
 is copied and the interior's one extra term added to the copy, so the
 interior block is never assembled.
 
-Each kind is one class with one algorithm:
+Each kind is one class with one algorithm, built from the system alone
+(Cls(system)) through the table KINDS, and every one has apply(r):
 
+- none (Identity) is no preconditioning: apply returns its argument.
 - block (BlockJacobi) solves every slab at once against its slab-diagonal
   block; its defect (_BlockDefect) is all four jump terms.
-- mf (MonolithicForward) marches forward slab by slab (_march), one band
-  solve per slab, at the system's own dual orders; its defect
-  (_SweepDefect) is the upper jump terms the march relaxes.
+- mf (MonolithicForward) marches forward slab by slab, one band solve per
+  slab, at the system's own dual orders: each slab's start traces take W
+  (system.jump_weight) of the end traces solved on the slab before; its
+  defect (_SweepDefect) is the upper jump terms the march relaxes.
 - ml (LightForward) sweeps at the light dual orders LIGHT_ORDERS over the
   whole time domain at once (_Sweep) and recovers the dual part from the
   slab-local dual-test rows.
-- dfb (ForwardBackwardSplit) runs two _Sweeps, forward and backward.
+- dfb (ForwardBackwardSplit) runs two _Sweeps, forward and backward, with
+  the system's resolved lambda.
 
-mf keeps _march because _Sweep's carry rounds differently, and the
-benchmark's gcc-k2-mf N=24 error gate tests that rounding (ROADMAP items 4
-and 7).
+mf marches on the traces rather than on _Sweep because _Sweep's carry
+rounds differently, and the benchmark's gcc-k2-mf N=24 error gate tests
+that rounding (ROADMAP items 4 and 7).
 
 The forms a preconditioner needs beside the system's own blocks come
 from slab_forms' public functions as Triplets (numpy index and value
@@ -34,8 +38,7 @@ light dual pair, and dfb's extra terms; the system's blocks are read
 back from its CSR matrices (Triplets.of).  Blocks reach _Band, and
 couplings _Sweep, as Triplets, never as scipy matrices: a slab block is
 the entries of its parts side by side, which the band sums.  A scipy CSR
-matrix is made only for what an apply reads: mf's coupling and ml's
-embed_T.
+matrix is made only for what an apply reads: ml's embed_T.
 """
 
 import copy
@@ -55,6 +58,8 @@ from .slab_forms import (
 )
 
 __all__ = [
+    "KINDS",
+    "Identity",
     "BlockJacobi",
     "MonolithicForward",
     "LightForward",
@@ -229,8 +234,9 @@ def _forward_sweep(system, dual, A, Sstar):
 
     The interior block adds the jump term plus, the jump block W
     (system.jump_weight) on the start traces, and each slab's start traces
-    take W of the end traces of the slab before (cross, the coupling):
-    both are W placed on trace rows and columns, canonical since those are
+    take W of the end traces of the slab before (cross, the coupling that
+    ml's _Sweep carries; mf applies W on the traces itself): both are W
+    placed on trace rows and columns, canonical since those are
     ascending."""
     T, r = system.trace, system.n_end
     n = system.n_primal + dual.n_pair
@@ -241,26 +247,10 @@ def _forward_sweep(system, dual, A, Sstar):
                       system.n_slabs), cross
 
 
-def _march(R, lus, coupling):
-    """Block substitution down the rows of R: row n solves lus[n] against
-    R[n] plus coupling applied to the row solved just before it, one band
-    solve per slab.
-
-    Only mf marches with this rather than with _Sweep's carry, whose
-    rounding differs: a carry on mf moved the gcc1d k=2 N=24 error norms
-    1.4e-4 relative, past the benchmark's 1e-4 gate on them, which tests
-    rounding there (CHANGES.md).  It goes when ROADMAP item 4 restates
-    that gate."""
-    X = np.empty(R.shape)
-    for n, lu in enumerate(lus):
-        X[n] = lu.solve(R[n] if n == 0 else R[n] + coupling @ X[n - 1])
-    return X
-
-
 class _Sweep:
-    """The block substitution of _march over the whole time domain at once:
-    row n of R (slabs in march order) solves lus[n] (with trans) against
-    R[n] plus coupling applied to the row solved just before it.
+    """Block substitution over the whole time domain at once: row n of R
+    (slabs in march order) solves lus[n] (with trans) against R[n] plus
+    coupling applied to the row solved just before it.
 
     The coupling reads only its nonzero columns c (the carried values) of
     the row before, so with Y the band solves of R alone, one
@@ -413,9 +403,7 @@ class _SweepDefect(_Defect):
         W[:-1, r:] = V[1:]
         X = W[:, :r]
         # the first slab's block has no plus term: one band solve there
-        rhs = np.zeros(len(self._first.perm))
-        rhs[T[:r]] = V[0]
-        X[0] = self._first.solve(rhs)[T[:r]]
+        X[0] = self._first.trace_solve(T[:r], T[:r], V[:1].T)[:, 0]
         X[1:] = V[1:] @ G_ee.T
         for n in range(1, N - 1):
             X[n] += X[n - 1] @ P.T
@@ -457,6 +445,16 @@ class _BlockDefect(_Defect):
         return sys.trace_jumps(self._traces @ V).ravel()[self._trace_at]
 
 
+class Identity:
+    """No preconditioning, M = I: apply returns its argument."""
+
+    def __init__(self, system):
+        self.system = system
+
+    def apply(self, r):
+        return r
+
+
 class BlockJacobi:
     """Independent per-slab solves of the slab-diagonal block, with the
     interface jump terms dropped entirely.
@@ -484,21 +482,36 @@ class MonolithicForward:
 
     The relaxed system is block-lower-triangular over slabs, so one forward
     substitution with per-slab monolithic (primal + dual) solves inverts it,
-    marched slab by slab (_march).  It inverts the system up to the upper
-    jump terms it relaxed: defect.rows are the rows they reach, and
-    defect(z) is their action on z there.
+    marched slab by slab: before its band solve, each slab's start traces
+    take W (system.jump_weight) of the end traces solved on the slab
+    before.  It inverts the system up to the upper jump terms it relaxed:
+    defect.rows are the rows they reach, and defect(z) is their action on z
+    there.
+
+    It marches rather than running _Sweep's carry, whose rounding differs:
+    a carry on mf moved the gcc1d k=2 N=24 error norms 1.4e-4 relative,
+    past the benchmark's 1e-4 gate on them, which tests rounding there
+    (CHANGES.md).  It moves onto _Sweep when ROADMAP item 4 restates that
+    gate.
     """
 
     def __init__(self, system):
         self.system = system
-        self.lus, coupling = _forward_sweep(
+        self.lus, _ = _forward_sweep(
             system, system.dual, Triplets.of(system.A_pd),
             Triplets.of(system.Sstar))
-        self.coupling = coupling.tocsr()
         self.defect = _SweepDefect(system, self.lus[0], self.lus[-1])
 
     def apply(self, r):
-        return _march(self.system.slab_view(r), self.lus, self.coupling).ravel()
+        sys = self.system
+        end, start = sys.trace[: sys.n_end], sys.trace[sys.n_end :]
+        # row n holds slab n's right-hand side until its solve replaces it
+        X = sys.slab_view(r).copy()
+        for n, lu in enumerate(self.lus):
+            if n:
+                X[n][start] += sys.jump_weight @ X[n - 1][end]
+            X[n] = lu.solve(X[n])
+        return X.ravel()
 
 
 class LightForward:
@@ -544,17 +557,18 @@ class ForwardBackwardSplit:
     dual-test rows of the residual.  Step 2 forms the remaining primal-test
     residual and marches backward with the transposed blocks to recover the
     dual pair.  Both sweeps run over the whole time domain at once
-    (_Sweep), and neither applies the system's operator.
+    (_Sweep), and neither applies the system's operator.  The extra terms
+    take lambda from the system's configuration (resolved_lambda).
     """
 
-    def __init__(self, system, lam):
+    def __init__(self, system):
         self.system = system
         cfg = system.config
         if (cfg.kstar, cfg.qstar) != (cfg.k, cfg.q):
             raise ValueError("the forward-backward split requires equal "
                              "primal and dual orders")
         extras = assemble_dfb_extras(system.primal, system.dual, system.data,
-                                     lam)
+                                     cfg.resolved_lambda())
         # G0 = (A_pd + observer) + nitsche, which the band sums place by
         # place as the sparse sum would
         G0 = Triplets.concatenated(system.A_pd.shape, [
@@ -583,16 +597,12 @@ class ForwardBackwardSplit:
         return x
 
 
+KINDS = {"none": Identity, "block": BlockJacobi, "mf": MonolithicForward,
+         "ml": LightForward, "dfb": ForwardBackwardSplit}
+
+
 def build_preconditioner(system, kind):
-    """The preconditioner of the given kind, or None for "none"."""
-    if kind == "none":
-        return None
-    if kind == "block":
-        return BlockJacobi(system)
-    if kind == "mf":
-        return MonolithicForward(system)
-    if kind == "ml":
-        return LightForward(system)
-    if kind == "dfb":
-        return ForwardBackwardSplit(system, system.config.resolved_lambda())
-    raise ValueError(f"unknown preconditioner kind: {kind!r}")
+    """The preconditioner of the given kind, KINDS[kind](system)."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown preconditioner kind: {kind!r}")
+    return KINDS[kind](system)

@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waveuc.cli import main
-from waveuc.config import PRESETS
+from waveuc.config import PRECONDITIONERS, PRESETS
+from waveuc.krylov import GmresConfig, gmres
 from waveuc.precond import (
+    KINDS,
     BlockJacobi,
     ForwardBackwardSplit,
     LightForward,
@@ -49,9 +51,7 @@ def dense_relaxed_matrix(system):
 
 def test_zero_maps_to_zero():
     s = make_system(n_elems=4, n_slabs=2)
-    # "none" builds no preconditioner; gmres then applies the identity
-    assert build_preconditioner(s, "none") is None
-    for kind in ("block", "mf", "ml", "dfb"):
+    for kind in ("none", "block", "mf", "ml", "dfb"):
         M = build_preconditioner(s, kind)
         assert np.all(M.apply(np.zeros(s.ndof)) == 0)
 
@@ -237,7 +237,7 @@ def dense_dfb_forward_matrix(system, lam):
 
 def check_dfb_sweeps(s, r):
     lam = s.config.resolved_lambda()
-    x = ForwardBackwardSplit(s, lam).apply(r)
+    x = ForwardBackwardSplit(s).apply(r)
 
     G = dense_dfb_forward_matrix(s, lam)
     # the primal and dual parts of every slab, slab-major
@@ -269,9 +269,10 @@ def test_dfb_sweeps_match_dense_triangular_solves(n_slabs, k, rng):
 
 
 def test_dfb_rejects_order_mismatch():
-    s = make_system(n_elems=4, n_slabs=2, k=2, q=1, kstar=1, qstar=1)
+    s = make_system(n_elems=4, n_slabs=2, k=2, q=1, kstar=1, qstar=1,
+                    lam=10.0)
     with pytest.raises(ValueError, match="orders"):
-        ForwardBackwardSplit(s, 10.0)
+        ForwardBackwardSplit(s)
 
 
 @pytest.mark.parametrize("kind", ["block", "mf", "ml", "dfb"])
@@ -296,8 +297,41 @@ def test_preconditioner_determinism(kind, rng):
 
 def test_unknown_kind_rejected():
     s = make_system()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^unknown preconditioner kind: 'ilu'$"):
         build_preconditioner(s, "ilu")
+
+
+def test_every_configurable_kind_is_one_class_of_the_table():
+    assert tuple(KINDS) == PRECONDITIONERS
+    s = make_system()
+    for kind, cls in KINDS.items():
+        M = build_preconditioner(s, kind)
+        assert type(M) is cls and M.system is s
+
+
+def test_identity_apply_returns_its_argument():
+    s = make_system()
+    r = np.random.default_rng(4).standard_normal(s.ndof)
+    assert build_preconditioner(s, "none").apply(r) is r
+
+
+class ApplyOnly:
+    """A preconditioner seen through apply alone, as a tracing wrapper
+    sees it."""
+
+    def __init__(self, precond):
+        self.apply = precond.apply
+
+
+@pytest.mark.parametrize("kind", PRECONDITIONERS)
+def test_every_kind_solves_through_its_apply_alone(kind):
+    s = make_system(n_elems=8, n_slabs=4)
+    b = s.assemble_rhs(PRESETS["gcc1d"].u)
+    x, report = gmres(s.apply, b, ApplyOnly(build_preconditioner(s, kind)),
+                      GmresConfig(tol=1e-8, maxiter=s.ndof))
+    assert report.converged
+    assert np.linalg.norm(b - s.apply(x)) <= 1e-7 * np.linalg.norm(b)
 
 
 # -- singular slab blocks ------------------------------------------------------
@@ -325,11 +359,11 @@ def test_singular_dfb_block_raises(monkeypatch):
             ("observer", "nitsche", "coupling_diag", "coupling_sub"), zero)
 
     monkeypatch.setattr("waveuc.precond.assemble_dfb_extras", no_extras)
-    s = make_system(n_elems=4, n_slabs=2)
+    s = make_system(n_elems=4, n_slabs=2, lam=10.0)
     s.A_pd = 0.0 * s.A_pd
     with pytest.raises(ValueError, match=r"^singular slab system "
                        r"\(interior slab, forward sweep\): zero pivot"):
-        ForwardBackwardSplit(s, 10.0)
+        ForwardBackwardSplit(s)
 
 
 def test_singular_slab_block_exits_1(monkeypatch, capsys):
@@ -549,22 +583,30 @@ def test_mf_em_makes_one_band_solve_and_no_trace_jumps(n_slabs, monkeypatch):
         raise AssertionError("em called trace_jumps")
 
     monkeypatch.setattr(s, "trace_jumps", refuse)
+    # band solves of either entry point, each with the columns it solves
     solved = []
-    solve = _BandLU.solve
+    solve, trace_solve = _BandLU.solve, _BandLU.trace_solve
 
     def counted(lu, b, trans=0):
-        solved.append(lu)
+        solved.append((lu, b.shape[1:]))
         return solve(lu, b, trans)
 
+    def counted_traces(lu, T, rows, B):
+        solved.append((lu, B.shape[1:]))
+        return trace_solve(lu, T, rows, B)
+
     monkeypatch.setattr(_BandLU, "solve", counted)
+    monkeypatch.setattr(_BandLU, "trace_solve", counted_traces)
     rng = np.random.default_rng(5)
     # the first call builds the trace blocks from band solves
     M.defect.em(rng.standard_normal(len(M.defect.rows)))
     for _ in range(3):
         solved.clear()
         M.defect.em(rng.standard_normal(len(M.defect.rows)))
+        # one right-hand side, on the first slab
         assert len(solved) == 1
-        assert solved[0] is M.lus[0]
+        lu, columns = solved[0]
+        assert lu is M.lus[0] and columns in ((), (1,))
 
 
 @pytest.mark.parametrize("n_slabs", [1, 2, 5])
@@ -706,7 +748,13 @@ def test_sweep_coupling_is_the_cross_block_padded(orders, kind):
     cross = s.jump["cross"].copy()
     cross.resize(n, n)
     if isinstance(M, MonolithicForward):
-        assert same_csr(M.coupling, cross)
+        # mf applies W on the traces; slab by slab that is the padded cross
+        # block applied to the slab solved before, to the last bit
+        r = np.random.default_rng(5).standard_normal(s.ndof)
+        R, X = s.slab_view(r), s.slab_view(M.apply(r))
+        for n in (1, 2):
+            want = M.lus[n].solve(R[n] + cross @ X[n - 1])
+            assert X[n].tobytes() == want.tobytes()
         return
     # the light sweep keeps only the coupling's nonzero columns, solved
     # against the interior LU

@@ -18,7 +18,7 @@ timed as the median over --calls calls, in ms:
 - step: what one Arnoldi step applies before it orthogonalizes, as gmres
   runs it: defect.em(v) on the defect rows for mf and block, A(M(v)) on
   the whole vector for ml, dfb and none;
-- M: one preconditioner apply (not for none);
+- M: one preconditioner apply (every kind);
 - A: one operator apply;
 - norms: one error_norms call on the lifted primal part of a random vector,
   over the preset's restricted region where it has one.
@@ -172,10 +172,8 @@ def layers(tree, solve):
         defect.em(v)  # the trace blocks, so that step times later calls
         out["step"] = (lambda: v, defect.em)
     else:
-        apply_m = (lambda v: v) if M is None else M.apply
-        out["step"] = (lambda: x, lambda v: s.apply(apply_m(v)))
-    if M is not None:
-        out["M"] = (lambda: x, M.apply)
+        out["step"] = (lambda: x, lambda v: s.apply(M.apply(v)))
+    out["M"] = (lambda: x, M.apply)
     out["A"] = (lambda: x, s.apply)
     sol = tree.lift(s.primal, tree.postproc.extract_primal_field(s, x))
     out["norms"] = (lambda: sol, lambda sol: tree.error_norms(
@@ -336,9 +334,10 @@ def put_solves(tree, out):
     last = {}
 
     def capture(apply_op, b, precond, *args, **kwargs):
-        # count the preconditioner applies of the solve
+        # count the preconditioner applies of the solve; a base tree whose
+        # build_preconditioner still returns None for "none" counts 0
         last["applies"] = 0
-        if precond is not None:
+        if hasattr(precond, "apply"):
             apply = precond.apply
 
             def counted(r):
