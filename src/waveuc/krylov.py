@@ -7,7 +7,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy.linalg.blas import dtpsv
 
-__all__ = ["GmresConfig", "SolveReport", "GmresBreakdown", "gmres"]
+__all__ = ["GmresConfig", "SolveReport", "GmresBreakdown", "Identity", "gmres"]
 
 # Arnoldi breaks down when ||w|| after orthogonalization falls to this
 # fraction of ||A M q_j|| before it
@@ -17,6 +17,17 @@ TRUE_RESIDUAL_EVERY = 10
 
 class GmresBreakdown(RuntimeError):
     """Arnoldi produced a (numerically) zero vector before convergence."""
+
+
+class Identity:
+    """No preconditioning, M = I: apply returns its argument.  It takes a
+    system, like every preconditioner kind, and ignores it."""
+
+    def __init__(self, system=None):
+        pass
+
+    def apply(self, r):
+        return r
 
 
 @dataclass
@@ -40,7 +51,7 @@ class SolveReport:
     basis: Optional[np.ndarray] = None
 
 
-def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
+def gmres(apply_op, b, precond=Identity(), cfg: Optional[GmresConfig] = None,
           log=None, keep_basis=False):
     """Right-preconditioned GMRes for apply_op(x) = b, zero initial guess.
 
@@ -66,8 +77,8 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
     breaks down at once, and a right-hand side with a non-finite norm is
     refused before the basis is reserved.
 
-    precond is None (no preconditioner) or has ``apply(r)``, the action of
-    M.  If it also has a ``defect``, with ``defect.system.apply`` being
+    precond has ``apply(r)``, the action of M; it is the identity by
+    default.  If it also has a ``defect``, with ``defect.system.apply`` being
     apply_op, it inverts apply_op up to terms on the rows ``defect.rows``
     (see ``_coordinates``): the basis is then stored and orthogonalized on
     span{b} plus those rows only, and the Arnoldi step applies neither
@@ -78,7 +89,6 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
     true_residual_or_None) once per iteration.
     """
     cfg = (cfg or GmresConfig()).validate()
-    apply_m = (lambda v: v) if precond is None else precond.apply
 
     report = SolveReport()
     n = len(b)
@@ -89,7 +99,7 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
         report.converged = True
         return np.zeros(n), report
 
-    m, expand, step, q0 = _coordinates(apply_op, apply_m, precond, b, beta)
+    m, expand, step, q0 = _coordinates(apply_op, precond, b, beta)
     maxiter = min(cfg.maxiter, m)
     # the whole basis is reserved at once: the operating system commits its
     # rows to memory only when they are first written, so a run that
@@ -113,7 +123,7 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
         # back substitution with the rotated triangle of the first j + 1
         # columns, which are its packed upper entries column by column
         y = dtpsv(j + 1, H[: (j + 1) * (j + 2) // 2], g[: j + 1])
-        return apply_m(expand(Q[: j + 1].T @ y))
+        return precond.apply(expand(Q[: j + 1].T @ y))
 
     for j in range(maxiter):
         w = step(Q[j])
@@ -178,7 +188,7 @@ def gmres(apply_op, b, precond=None, cfg: Optional[GmresConfig] = None,
     return solution(j) if x is None else x, report
 
 
-def _coordinates(apply_op, apply_m, precond, b, beta):
+def _coordinates(apply_op, precond, b, beta):
     """The space the Arnoldi basis lives in: (m, expand, step, q0).
 
     The basis vectors have m coordinates; expand maps coordinates to a
@@ -204,7 +214,7 @@ def _coordinates(apply_op, apply_m, precond, b, beta):
         def step(q):
             # copy: the operator may hand back (a view of) its input, which
             # must not be clobbered by the orthogonalization
-            return np.array(apply_op(apply_m(q)), dtype=float)
+            return np.array(apply_op(precond.apply(q)), dtype=float)
 
         return len(b), (lambda q: q), step, b / beta
 
@@ -220,7 +230,7 @@ def _coordinates(apply_op, apply_m, precond, b, beta):
         v[rows] = q[lead:]
         return v
 
-    em_e = defect(apply_m(e)) if lead else None
+    em_e = defect(precond.apply(e)) if lead else None
 
     def step(q):
         w = q.copy()

@@ -14,7 +14,8 @@ interior block is never assembled.
 Each kind is one class with one algorithm, built from the system alone
 (Cls(system)) through the table KINDS, and every one has apply(r):
 
-- none (Identity) is no preconditioning: apply returns its argument.
+- none (krylov.Identity) is no preconditioning: apply returns its
+  argument.
 - block (BlockJacobi) solves every slab at once against its slab-diagonal
   block; its defect (_BlockDefect) is all four jump terms.
 - mf (MonolithicForward) marches forward slab by slab, one band solve per
@@ -48,6 +49,7 @@ from itertools import groupby
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
+from .krylov import Identity
 from .slab_forms import (
     SlabSpace,
     Triplets,
@@ -59,7 +61,6 @@ from .slab_forms import (
 
 __all__ = [
     "KINDS",
-    "Identity",
     "BlockJacobi",
     "MonolithicForward",
     "LightForward",
@@ -228,23 +229,24 @@ def _sweep_lus(first, term, n_slabs, suffix=""):
     return [_BandLU(first, "first slab" + suffix)] + [interior] * (n_slabs - 1)
 
 
-def _forward_sweep(system, dual, A, Sstar):
-    """The LUs (_sweep_lus) and the coupling (Triplets) of the forward
-    sweep whose dual pair dual is tested by A and Sstar (Triplets).
+def _jump_weight_on(system, dual, cols):
+    """The jump block W (system.jump_weight) on the start-trace rows and
+    the trace columns cols of a slab whose dual pair is dual, as Triplets,
+    canonical since both are ascending."""
+    W, n = Triplets.of(system.jump_weight), system.n_primal + dual.n_pair
+    return Triplets(system.trace[system.n_end:][W.rows], cols[W.cols],
+                    W.vals, (n, n))
 
-    The interior block adds the jump term plus, the jump block W
-    (system.jump_weight) on the start traces, and each slab's start traces
-    take W of the end traces of the slab before (cross, the coupling that
-    ml's _Sweep carries; mf applies W on the traces itself): both are W
-    placed on trace rows and columns, canonical since those are
-    ascending."""
-    T, r = system.trace, system.n_end
-    n = system.n_primal + dual.n_pair
-    W = Triplets.of(system.jump_weight)
-    plus = Triplets(T[r:][W.rows], T[r:][W.cols], W.vals, (n, n))
-    cross = Triplets(T[r:][W.rows], T[:r][W.cols], W.vals, (n, n))
-    return _sweep_lus(_slab_block(system, dual, A, Sstar), plus,
-                      system.n_slabs), cross
+
+def _forward_sweep(system, dual, A, Sstar):
+    """The LUs (_sweep_lus) of the forward sweep whose dual pair dual is
+    tested by A and Sstar (Triplets): the interior block adds W on the
+    start traces.  Each slab's start traces then take W of the end traces
+    of the slab before, which ml's _Sweep carries and mf applies on the
+    traces itself."""
+    start = system.trace[system.n_end:]
+    return _sweep_lus(_slab_block(system, dual, A, Sstar),
+                      _jump_weight_on(system, dual, start), system.n_slabs)
 
 
 class _Sweep:
@@ -445,16 +447,6 @@ class _BlockDefect(_Defect):
         return sys.trace_jumps(self._traces @ V).ravel()[self._trace_at]
 
 
-class Identity:
-    """No preconditioning, M = I: apply returns its argument."""
-
-    def __init__(self, system):
-        self.system = system
-
-    def apply(self, r):
-        return r
-
-
 class BlockJacobi:
     """Independent per-slab solves of the slab-diagonal block, with the
     interface jump terms dropped entirely.
@@ -497,7 +489,7 @@ class MonolithicForward:
 
     def __init__(self, system):
         self.system = system
-        self.lus, _ = _forward_sweep(
+        self.lus = _forward_sweep(
             system, system.dual, Triplets.of(system.A_pd),
             Triplets.of(system.Sstar))
         self.defect = _SweepDefect(system, self.lus[0], self.lus[-1])
@@ -532,10 +524,11 @@ class LightForward:
         self.sstar_lu = _BandLU(
             _Band(Triplets.of(system.Sstar), _node_order(system.dual)),
             "dual stabilizer")
-        self.lus, coupling = _forward_sweep(
+        self.lus = _forward_sweep(
             system, light, assemble_A(system.primal, light),
             assemble_dual_stabilizer(light))
-        self.sweep = _Sweep(self.lus, coupling)
+        self.sweep = _Sweep(self.lus, _jump_weight_on(
+            system, light, system.trace[: system.n_end]))
 
     def apply(self, r):
         sys = self.system

@@ -19,6 +19,14 @@ def make_system(preset="gcc1d", **overrides):
     return SpaceTimeSystem(cfg)
 
 
+class ApplyOnly:
+    """A preconditioner seen through apply alone, as a tracing wrapper sees
+    it: gmres must take the full path with it."""
+
+    def __init__(self, precond):
+        self.apply = precond.apply
+
+
 class SlabFunction:
     """Pointwise evaluator of one slab's field pair, independent of the
     kron-based assembly path (used as a quadrature oracle in tests)."""

@@ -10,7 +10,7 @@ from waveuc.config import PRESETS
 from waveuc.krylov import GmresBreakdown, GmresConfig, SolveReport, gmres
 from waveuc.precond import MonolithicForward, build_preconditioner
 
-from conftest import make_system
+from conftest import ApplyOnly, make_system
 
 
 class MatrixOp:
@@ -237,7 +237,7 @@ def _dense_bookkeeping_gmres(apply_op, b, precond, cfg, log=None,
     Hessenberg, and every iterate from its triangle, packed column by column
     and solved with the same BLAS tpsv (and checked against a dense solve).
     Arnoldi is the same CGS2."""
-    apply_m = (lambda v: v) if precond is None else precond.apply
+    apply_m = precond.apply
     report = SolveReport()
     n = len(b)
     beta = np.linalg.norm(b)
@@ -394,17 +394,6 @@ def test_property_iteration_count_is_scale_invariant(system, log10_c):
 
 
 # -- the defect-row basis of mf and block ---------------------------------------
-
-class ApplyOnly:
-    """The same preconditioner with nothing but apply: gmres must take the
-    full path with it."""
-
-    def __init__(self, precond):
-        self.precond = precond
-
-    def apply(self, r):
-        return self.precond.apply(r)
-
 
 def solve_system(preset, k, n_slabs):
     s = make_system(preset, k=k, q=k, kstar=k, qstar=k, n_slabs=n_slabs,

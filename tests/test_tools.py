@@ -112,8 +112,7 @@ def test_ab_reads_preconditioners_only_through_apply_and_defect(monkeypatch):
     build = ab.waveuc.build_preconditioner
 
     def proxied(system, kind):
-        M = build(system, kind)
-        return None if M is None else Contract(M)
+        return Contract(build(system, kind))
 
     monkeypatch.setattr(ab.waveuc, "build_preconditioner", proxied)
     monkeypatch.setattr("waveuc.cli.build_preconditioner", proxied)

@@ -334,10 +334,9 @@ def put_solves(tree, out):
     last = {}
 
     def capture(apply_op, b, precond, *args, **kwargs):
-        # count the preconditioner applies of the solve; a base tree whose
-        # build_preconditioner still returns None for "none" counts 0
+        # count the preconditioner applies of the solve
         last["applies"] = 0
-        if hasattr(precond, "apply"):
+        if precond is not None:
             apply = precond.apply
 
             def counted(r):
