@@ -202,6 +202,14 @@ class _BandLU:
         return out
 
 
+def _carry(X, K):
+    """Add K @ X[n - 1] to X[n] in place, for n = 1, 2, ... in row order:
+    the slab-to-slab recurrence that _Sweep runs on its carried values and
+    _SweepDefect.em on its end traces."""
+    for n in range(1, len(X)):
+        X[n] += K @ X[n - 1]
+
+
 def _slab_block(system, dual, A, Sstar):
     """The slab-diagonal block [[Sh + Momega, A^T], [A, -Sstar]] of a sweep
     whose dual pair dual is tested by A and Sstar (Triplets), as a _Band:
@@ -260,8 +268,9 @@ class _Sweep:
     the solution is X[n] = Y[n] + K X_c[n - 1].  K = lu^-1 C[:, c] is built
     once for each run that holds a coupled row (every row but the first).
     The carried values follow their own recurrence X_c[n] = Y_c[n] +
-    K_c X_c[n - 1], with K_c the rows c of K, one |c|-square product per
-    row; then one product with K per run adds the carry to all its rows.
+    K_c X_c[n - 1] (_carry), with K_c the rows c of K, one |c|-square
+    product per row; then one product with K per run adds the carry to all
+    its rows.
     """
 
     def __init__(self, lus, coupling, trans=0):
@@ -300,8 +309,7 @@ class _Sweep:
             if K is None:
                 continue
             start = max(start, 1)
-            for n in range(start, stop):
-                X_c[n] += K_c @ X_c[n - 1]
+            _carry(X_c[start - 1 : stop], K_c)
             X[start:stop] += X_c[start - 1 : stop - 1] @ K.T
         return X
 
@@ -357,8 +365,8 @@ class _SweepDefect(_Defect):
     r = system.n_end end traces alone.  With W the jump block on the traces
     (system.jump_weight), W^T its transpose and V_n the end traces of v on
     slab n, the end traces of M v are X_0 from one band solve on the first
-    slab (with LU first) and X_n = G_ee V_n + P X_(n-1) after it, where
-    G_ee is G[:r, :r] and P = G[:r, r:] W carries them from slab to slab;
+    slab (with LU first) and X_n = G_ee V_n + P X_(n-1) after it (_carry),
+    where G_ee is G[:r, :r] and P = G[:r, r:] W carries them from slab to slab;
     then (E M v) on slab n is D [X_n; V_(n+1)] with D = [W - W^T G[r:, r:] W,
     -W^T G[r:, :r]].
     G_ee, P and D hold 4 r^2 doubles (trace_bytes), as many as G, which is
@@ -407,8 +415,7 @@ class _SweepDefect(_Defect):
         # the first slab's block has no plus term: one band solve there
         X[0] = self._first.trace_solve(T[:r], T[:r], V[:1].T)[:, 0]
         X[1:] = V[1:] @ G_ee.T
-        for n in range(1, N - 1):
-            X[n] += X[n - 1] @ P.T
+        _carry(X, P)
         return (W @ D.T).ravel()
 
 

@@ -6,8 +6,10 @@ pair (displacement, velocity) is stored as two stacked field blocks; within
 a field block the coefficient layout is (temporal mode, spatial dof),
 flattened C-style, so a field block has (q+1) * n_x entries.
 
-Every form here returns its matrix as canonical Triplets: numpy index and
-value arrays in CSR order, which tocsr makes into one scipy CSR matrix.  A
+Every form here returns its matrix as canonical Triplets: int32 index and
+float value arrays in CSR order, which tocsr makes into one scipy CSR
+matrix.  int32 is scipy's index type for every block this package can
+build: an int64 one would need 2^31 rows, 16 GiB per slab vector.  A
 caller that keeps a matrix makes its CSR once; one that only reads the
 entries, as precond's banded LUs do, takes the triplets as they are.  Each
 sum and product adds in the order scipy's sparse algebra does, so every
@@ -102,19 +104,12 @@ class Triplets(NamedTuple):
                         self.vals[order], self.shape[::-1])
 
     def tocsr(self):
-        """The CSR matrix of canonical triplets, with scipy's index type
-        for its size."""
-        index = _index_type(self.shape)
+        """The CSR matrix of canonical triplets, with int32 indices."""
         # the rows are sorted: row i starts after the entries of rows < i
         indptr = np.searchsorted(self.rows, np.arange(self.shape[0] + 1))
         return sp.csr_matrix(
-            (self.vals, self.cols.astype(index, copy=False),
-             indptr.astype(index)), shape=self.shape)
-
-
-def _index_type(shape):
-    """scipy's index type for a sparse matrix of this shape."""
-    return np.int32 if max(shape) < 2**31 else np.int64
+            (self.vals, self.cols.astype(np.int32, copy=False),
+             indptr.astype(np.int32)), shape=self.shape)
 
 
 def _summed(rows, cols, vals, shape, drop_zeros=False):
@@ -134,9 +129,8 @@ def _summed(rows, cols, vals, shape, drop_zeros=False):
     if drop_zeros:
         keep = sums != 0
         keys, sums = keys[keep], sums[keep]
-    index = _index_type(shape)
     r, c = np.divmod(keys, shape[1])
-    return Triplets(r.astype(index), c.astype(index), sums, shape)
+    return Triplets(r.astype(np.int32), c.astype(np.int32), sums, shape)
 
 
 def _sum(*parts):
@@ -220,9 +214,8 @@ def _points(mesh, basis, elems, ref, deriv=0):
     rows = np.repeat(np.arange(len(cols)), basis.degree + 1)
     keep = vals != 0
     shape = (len(cols), basis.degree * mesh.n_elems + 1)
-    index = _index_type(shape)
-    return Triplets(rows[keep].astype(index), cols.ravel()[keep].astype(index),
-                    vals[keep], shape)
+    return Triplets(rows[keep].astype(np.int32),
+                    cols.ravel()[keep].astype(np.int32), vals[keep], shape)
 
 
 def _point_product(P, Q, weights=None):
@@ -365,8 +358,8 @@ def _tensor_block(shape, terms):
         vals.append(val[keep])
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     order = np.argsort(rows * size[1] + cols, kind="stable")
-    index = _index_type(size)
-    return Triplets(rows[order].astype(index), cols[order].astype(index),
+    return Triplets(rows[order].astype(np.int32),
+                    cols[order].astype(np.int32),
                     np.concatenate(vals)[order], size)
 
 

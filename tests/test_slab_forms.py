@@ -16,12 +16,15 @@ from waveuc.slab_forms import (
     assemble_dfb_extras,
     assemble_dual_interface_mass,
     assemble_dual_stabilizer,
+    assemble_embedding,
     assemble_primal_stabilizers,
+    assemble_Sh,
     boundary_flux_matrix,
     boundary_penalty_matrix,
     element_dofs,
     gradient_jump_matrix,
     interface_jump_blocks,
+    jump_weight,
     spatial_matrix,
     temporal_matrix,
     temporal_trace_matrix,
@@ -591,6 +594,53 @@ def test_blocks_are_canonical_without_stored_zeros(k):
 def test_point_forms_are_canonical_without_stored_zeros(n_elems):
     for name, rebuilt, _ in point_forms(build_interval_mesh(0, 1, n_elems)):
         assert_canonical(name, rebuilt)
+
+
+def slab_form_triplets(s):
+    """Every Triplets the public slab forms return on the spaces of the
+    system s and on ml's light dual pair, by name."""
+    P, D, mesh = s.primal, s.dual, s.mesh
+    light = SlabSpace(mesh, 1, 0, P.dt)
+    forms = {
+        "spatial": spatial_matrix(mesh, D.xbasis, P.xbasis, 1, 1),
+        "boundary_penalty": boundary_penalty_matrix(mesh, D.xbasis, P.xbasis),
+        "boundary_flux": boundary_flux_matrix(mesh, D.xbasis, P.xbasis),
+        "gradient_jump": gradient_jump_matrix(mesh, P.xbasis),
+        "A": assemble_A(P, D),
+        "A light": assemble_A(P, light),
+        "A transposed": assemble_A(P, D).transpose(),
+        "Sh": assemble_Sh(P),
+        "Sstar": assemble_dual_stabilizer(D),
+        "Sstar light": assemble_dual_stabilizer(light),
+        "data_mass": assemble_data_mass(P, P, s.data),
+        "jump_weight": jump_weight(P),
+        "dual_interface_mass": assemble_dual_interface_mass(D),
+        "embedding": assemble_embedding(D, light),
+    }
+    for name, block in assemble_primal_stabilizers(P).items():
+        forms[f"stabilizer {name}"] = block
+    for name, block in interface_jump_blocks(P).items():
+        forms[f"jump {name}"] = block
+    if D is P:
+        for name, block in assemble_dfb_extras(
+                P, D, s.data, s.config.resolved_lambda()).items():
+            forms[f"dfb {name}"] = block
+    return forms
+
+
+@pytest.mark.parametrize("preset", ["gcc1d", "nogcc1d"])
+@pytest.mark.parametrize("k,kstar", [(1, 1), (2, 2), (3, 3), (2, 1)])
+def test_slab_form_indices_are_int32(preset, k, kstar):
+    # int32 is scipy's own index type for every block waveuc can build;
+    # tools/ab.py compares the index arrays' dtypes across trees
+    s = make_system(preset, k=k, q=k, kstar=kstar, qstar=kstar, n_elems=4)
+    forms = slab_form_triplets(s)
+    assert ("dfb observer" in forms) == (kstar == k)
+    for name, form in forms.items():
+        assert isinstance(form, Triplets), name
+        assert form.rows.dtype == form.cols.dtype == np.int32, name
+        csr = form.tocsr()
+        assert csr.indices.dtype == csr.indptr.dtype == np.int32, name
 
 
 @pytest.mark.parametrize("n_cols", [2**16, 2**16 + 1])

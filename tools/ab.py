@@ -336,14 +336,13 @@ def put_solves(tree, out):
     def capture(apply_op, b, precond, *args, **kwargs):
         # count the preconditioner applies of the solve
         last["applies"] = 0
-        if precond is not None:
-            apply = precond.apply
+        apply = precond.apply
 
-            def counted(r):
-                last["applies"] += 1
-                return apply(r)
+        def counted(r):
+            last["applies"] += 1
+            return apply(r)
 
-            precond.apply = counted
+        precond.apply = counted
         result = solve(apply_op, b, precond, *args, **kwargs)
         last["x"] = result[0]
         return result
