@@ -49,8 +49,6 @@ def gauss_lobatto_nodes(n_nodes):
     """Gauss-Lobatto points on [0, 1] (both endpoints included), n_nodes >= 2."""
     if n_nodes < 2:
         raise ValueError("Gauss-Lobatto needs at least 2 nodes")
-    if n_nodes == 2:
-        return np.array([0.0, 1.0])
     # interior nodes are the roots of P'_{n-1} on [-1, 1]
     legendre = np.polynomial.legendre.Legendre.basis(n_nodes - 1)
     interior = legendre.deriv().roots()

@@ -6,6 +6,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .basis import MAX_SPATIAL_DEGREE, MAX_TEMPORAL_DEGREE
 from .mesh import build_interval_mesh, mark_data_domain
 
 __all__ = [
@@ -75,8 +76,12 @@ class DiscretizationConfig:
             raise ValueError("degrees k, q and kstar must all be at least 1")
         if self.qstar < 0:
             raise ValueError("dual temporal degree must be nonnegative")
-        if max(self.k, self.kstar) > 3 or max(self.q, self.qstar) > 3:
-            raise ValueError("degrees above 3 are not supported")
+        if max(self.k, self.kstar) > MAX_SPATIAL_DEGREE:
+            raise ValueError(
+                f"degrees above {MAX_SPATIAL_DEGREE} are not supported")
+        if max(self.q, self.qstar) > MAX_TEMPORAL_DEGREE:
+            raise ValueError(
+                f"degrees above {MAX_TEMPORAL_DEGREE} are not supported")
         if self.n_elems < 1 or self.n_slabs < 1:
             raise ValueError("need at least one element and one slab")
         if self.T <= 0:

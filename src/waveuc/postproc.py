@@ -54,11 +54,11 @@ class LiftedSolution:
             (self.n_slabs,) + xi.shape + (-1,))
 
 
-def extract_primal_field(system, x, field=0):
-    """Field coefficients from a global vector, shape (N, q + 1, n_x)."""
+def extract_primal_field(system, x):
+    """Displacement (first primal field) coefficients from a global vector,
+    shape (N, q + 1, n_x)."""
     space = system.primal
-    cols = slice(field * space.n_field, (field + 1) * space.n_field)
-    return system.slab_view(x)[:, cols].reshape(
+    return system.slab_view(x)[:, : space.n_field].reshape(
         system.n_slabs, space.n_modes, space.n_x).copy()
 
 

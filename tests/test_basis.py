@@ -60,6 +60,13 @@ def test_gauss_lobatto_three_nodes():
     assert gauss_lobatto_nodes(3) == pytest.approx([0.0, 0.5, 1.0])
 
 
+def test_gauss_lobatto_two_nodes_are_bitwise_the_endpoints():
+    # every q = 1 form reads these nodes
+    nodes = gauss_lobatto_nodes(2)
+    assert nodes.dtype == np.float64
+    assert nodes.tobytes() == np.array([0.0, 1.0]).tobytes()
+
+
 def test_gauss_lobatto_endpoints_and_symmetry():
     for n in (2, 3, 4, 5):
         nodes = gauss_lobatto_nodes(n)

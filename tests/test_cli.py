@@ -61,6 +61,12 @@ def test_config_validation_errors():
         DiscretizationConfig(n_elems=10, n_slabs=5).validate()
 
 
+@pytest.mark.parametrize("degree", ["k", "q", "kstar", "qstar"])
+def test_config_rejects_degrees_above_the_basis_caps(degree):
+    with pytest.raises(ValueError, match="degrees above 3 are not supported"):
+        DiscretizationConfig(**{degree: 4}).validate()
+
+
 NAN, INF = float("nan"), float("inf")
 
 

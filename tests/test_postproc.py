@@ -259,12 +259,10 @@ def test_error_norms_match_pointwise_oracle(k, region, rng):
 def test_extract_primal_field(rng):
     s = make_system(n_elems=4, n_slabs=2)
     x = rng.standard_normal(s.ndof)
-    u1 = extract_primal_field(s, x, field=0)
-    u2 = extract_primal_field(s, x, field=1)
+    u1 = extract_primal_field(s, x)
     n_f = s.primal.n_field
     P = s.slab_view(x)[:, : s.n_primal]
     assert np.array_equal(u1.reshape(s.n_slabs, -1), P[:, :n_f])
-    assert np.array_equal(u2.reshape(s.n_slabs, -1), P[:, n_f:])
 
 
 def test_eoc_examples():

@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -81,15 +83,15 @@ def test_ab_compare_names_each_difference():
     assert ab.compare(base, change) == {}
     flipped = "gcc1d-k1-N2-mf-solve-x"
     change[flipped].view(np.uint64)[0] ^= 1
-    widened = "gcc1d-k1-N2-A_pd-indices"
-    assert change[widened].dtype == np.int32
-    change[widened] = change[widened].astype(np.int64)
+    narrowed = "gcc1d-k1-N2-mf-defect_rows"
+    assert change[narrowed].dtype == np.intp
+    change[narrowed] = change[narrowed].astype(np.int32)
     dropped = "gcc1d-k1-N2-rhs"
     del change[dropped]
     differ = ab.compare(base, change)
-    assert set(differ) == {flipped, widened, dropped}
+    assert set(differ) == {flipped, narrowed, dropped}
     assert 0 < differ[flipped] < 1e-15
-    assert differ[widened] == "dtype only (int32 -> int64)"
+    assert differ[narrowed] == f"dtype only ({np.dtype(np.intp)} -> int32)"
     assert differ[dropped] == "base only"
     assert ab.compare(change, base)[dropped] == "change only"
 
@@ -116,6 +118,31 @@ def test_ab_reads_preconditioners_only_through_apply_and_defect(monkeypatch):
 
     monkeypatch.setattr(ab.waveuc, "build_preconditioner", proxied)
     monkeypatch.setattr("waveuc.cli.build_preconditioner", proxied)
+    assert ab.compare(real, ab.outputs(ab.waveuc)) == {}
+
+
+class Unread(types.ModuleType):
+    """A stand-in for a waveuc module that fails every read of a name."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"tools/ab.py read {self.__name__}.{name}")
+
+
+def unread_jump(system):
+    raise AssertionError("tools/ab.py read SpaceTimeSystem.jump")
+
+
+def test_ab_reads_no_slab_form_basis_mesh_or_oracle_jump(monkeypatch):
+    # the package binds what it uses of these modules at import, so only
+    # a read through the package, as the tool's own, reaches a stand-in;
+    # only the dense oracle reads the full jump blocks
+    real = ab.outputs(ab.waveuc)
+    for name in ("slab_forms", "basis", "mesh"):
+        stand_in = Unread(f"waveuc.{name}")
+        monkeypatch.setattr(ab.waveuc, name, stand_in)
+        monkeypatch.setitem(sys.modules, f"waveuc.{name}", stand_in)
+    monkeypatch.setattr(ab.waveuc.SpaceTimeSystem, "jump",
+                        property(unread_jump))
     assert ab.compare(real, ab.outputs(ab.waveuc)) == {}
 
 

@@ -1,6 +1,6 @@
 """Time every layer of the benchmark's solves and, against a base tree,
-compare every assembled and solved output of the two trees bit for bit, in
-one process.
+compare every output of the two trees' solve pipelines bit for bit, in one
+process.
 
     PYTHONPATH=src python3 tools/ab.py [--calls 30] [--json BENCH.json]
         [KEY ...]
@@ -45,30 +45,23 @@ with their quartiles in brackets.  A ratio below 1 is a faster change; one
 whose quartiles overlap the A/A floor's is not told apart from the host.
 
 After the timing it builds the outputs of base and change, each as one dict
-of arrays, and compares them.  It reads waveuc through its public names
-only, so a change to the preconditioners' internals needs no change here.
-For a few fixed systems (one of them with dual orders below the primal
-ones) the dict holds the CSR arrays of every form a preconditioner's blocks
-are summed from: the system's blocks (A_pd, A_pd_T, Sh, Sstar, Momega), the
-four primal stabilizer parts beside their sum, the jump blocks and their
-restriction to the slab traces (jump_weight and its transpose), the dual
-interface mass, the forward-backward split's extra blocks and the light
-sweep's reduced wave operator and dual stabilizer.  Each preconditioner is
-read through what gmres reads of it, and nothing else: its apply and, where
-it has a defect, the defect's rows, its action and its action after the
-preconditioner (em).  Every LU and kept matrix feeds one of those or a
-solve, so a change in what a block is factored from shows there, and a
-change that moves none of them is no difference.  Beside them it holds
-each system's right-hand side, one operator apply, its slab trace rows and
-the jump terms on the traces of the same vector; the point-evaluation forms
-(gradient jump, boundary penalty and flux) and the slab degree embedding
-on meshes of 1, 2 and 5 elements; and the iterates, residual histories, CSV
-rows, residual logs, error norms and preconditioner apply counts of SOLVES,
-the benchmark's solves and one unpreconditioned one.  Each output that
-differs is printed as present in one tree only, as differing in dtype only
-(equal values), or with max|a - b| / max|a| over the positions finite in
-both, so that an intended rounding change shows its size.  The two output
-dicts take most of a --base run: about a minute on a 2-core machine.
+of arrays, and compares them.  It reads waveuc only through what the solve
+pipeline reads and returns, so a change to a slab form or to the
+preconditioners' internals needs no change here.  For a few fixed systems
+(one of them with dual orders below the primal ones) the dict holds the
+right-hand side, one operator apply, the slab trace rows and the jump terms
+on the traces of the same vector, and each preconditioner as gmres reads
+it: its apply and, where it has a defect, the defect's rows, its action and
+its action after the preconditioner (em).  For SOLVES, the benchmark's
+solves and one unpreconditioned one, it holds the iterates, both residual
+histories, the CSV rows, the residual logs, the error norms and the
+preconditioner apply counts: 174 outputs.  Every form, LU and kept matrix
+feeds one of these, so a change in what a block is summed or factored from
+shows there, and a change that moves none of them is no difference.  Each
+output that differs is printed as present in one tree only, as differing in
+dtype only (equal values), or with max|a - b| / max|a| over the positions
+finite in both, so that an intended rounding change shows its size.  The
+two output dicts take about 40 s of a --base run on a 2-core machine.
 
 The first line gives the thread counts of the OpenBLAS libraries that numpy
 and scipy loaded (each has its own).  --json PATH also writes the table to
@@ -240,38 +233,6 @@ def time_solves(solves, trees, base, calls):
     return env, configurations
 
 
-def put_csr(out, key, form):
-    """The CSR arrays of form, a scipy matrix or waveuc's Triplets."""
-    matrix = form.tocsr()
-    for name in ("data", "indices", "indptr"):
-        out[f"{key}-{name}"] = getattr(matrix, name)
-
-
-def put_blocks(tree, out, key, s):
-    """The forms the preconditioners sum their blocks from, beside the
-    system's own blocks."""
-    forms = tree.slab_forms
-    # the parts without stored zeros: no block is built from them but their
-    # sum, which drops them, and G keeps those of its second-derivative
-    # spatial factors (all zero at k = 1)
-    for name, block in forms.assemble_primal_stabilizers(s.primal).items():
-        block = block.tocsr().copy()
-        block.eliminate_zeros()
-        put_csr(out, f"{key}-stabilizer_{name}", block)
-    put_csr(out, f"{key}-dual_interface_mass",
-            forms.assemble_dual_interface_mass(s.dual))
-    cfg = s.config
-    if (cfg.kstar, cfg.qstar) == (cfg.k, cfg.q):
-        extras = forms.assemble_dfb_extras(s.primal, s.dual, s.data,
-                                           cfg.resolved_lambda())
-        for name, block in extras.items():
-            put_csr(out, f"{key}-dfb_{name}", block)
-    # the light sweep's dual pair
-    light = forms.SlabSpace(s.mesh, 1, 0, cfg.dt)
-    put_csr(out, f"{key}-ml_A", forms.assemble_A(s.primal, light))
-    put_csr(out, f"{key}-ml_Sstar", forms.assemble_dual_stabilizer(light))
-
-
 def put_systems(tree, out):
     for preset, k, kstar, n_slabs in SYSTEMS:
         s = tree.SpaceTimeSystem(config(tree, Solve(preset, k, n_slabs, "mf"),
@@ -282,12 +243,6 @@ def put_systems(tree, out):
             # dfb refuses unequal orders
             key = f"{preset}-k{k}-kstar{kstar}-N{n_slabs}"
             kinds.remove("dfb")
-        for name in ("A_pd", "A_pd_T", "Sh", "Sstar", "Momega",
-                     "jump_weight", "jump_weight_T"):
-            put_csr(out, f"{key}-{name}", getattr(s, name))
-        for name, block in s.jump.items():
-            put_csr(out, f"{key}-jump_{name}", block)
-        put_blocks(tree, out, key, s)
         out[key + "-rhs"] = s.assemble_rhs(tree.PRESETS[preset].u)
         r = np.random.default_rng(2024).standard_normal(s.ndof)
         out[key + "-apply"] = s.apply(r)
@@ -302,30 +257,6 @@ def put_systems(tree, out):
                 out[f"{key}-{kind}-defect"] = defect(r)
                 v = np.random.default_rng(7).standard_normal(len(defect.rows))
                 out[f"{key}-{kind}-defect_em"] = defect.em(v)
-
-
-def put_forms(tree, out):
-    forms = tree.slab_forms
-    degrees = (1, 2, 3)
-    for n_elems in (1, 2, 5):
-        mesh = tree.mesh.build_interval_mesh(0.0, 1.0, n_elems)
-        for k in degrees:
-            fine = tree.basis.SpatialBasis(k)
-            put_csr(out, f"J-n{n_elems}-k{k}",
-                    forms.gradient_jump_matrix(mesh, fine))
-            for kc in degrees:
-                coarse = tree.basis.SpatialBasis(kc)
-                tag = f"n{n_elems}-k{k}-{kc}"
-                put_csr(out, f"P-{tag}",
-                        forms.boundary_penalty_matrix(mesh, fine, coarse))
-                put_csr(out, f"F-{tag}",
-                        forms.boundary_flux_matrix(mesh, fine, coarse))
-                if kc <= k:
-                    # spatial degrees k over kc, temporal k over kc - 1
-                    # (ml's sweep embeds orders (1, 0))
-                    put_csr(out, f"embedding-{tag}", forms.assemble_embedding(
-                        forms.SlabSpace(mesh, k, k, 1.0 / n_elems),
-                        forms.SlabSpace(mesh, kc, kc - 1, 1.0 / n_elems)))
 
 
 def put_solves(tree, out):
@@ -378,7 +309,6 @@ def outputs(tree):
     """Every output of the loaded package tree, as key -> array."""
     out = {}
     put_systems(tree, out)
-    put_forms(tree, out)
     put_solves(tree, out)
     return out
 
