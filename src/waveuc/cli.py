@@ -2,6 +2,7 @@
 preconditioner iteration tables, all emitting one fixed CSV schema."""
 
 import argparse
+import contextlib
 import csv
 import itertools
 import math
@@ -36,13 +37,10 @@ def run_solve(config, preset, residual_log=None):
     Returns (csv row dict, SolveReport, ErrorReport).
     """
     t0 = time.perf_counter()
-    system = SpaceTimeSystem(config)
-    b = system.assemble_rhs(preset.u)
-    precond = build_preconditioner(system, config.precond)
-
     log = None
     sink = None
     if residual_log is not None:
+        # opened before assembly, so that an unwritable path fails at once
         sink = open(residual_log, "w")
 
         def log(it, est, true_res):
@@ -52,6 +50,9 @@ def run_solve(config, preset, residual_log=None):
             sink.write(line + "\n")
 
     try:
+        system = SpaceTimeSystem(config)
+        b = system.assemble_rhs(preset.u)
+        precond = build_preconditioner(system, config.precond)
         x, report = gmres(system.apply, b, precond,
                           GmresConfig(config.tol, config.maxiter), log=log)
     finally:
@@ -84,15 +85,17 @@ def run_solve(config, preset, residual_log=None):
     return row, report, errors
 
 
-def _write_rows(rows, out):
-    sink = open(out, "w", newline="") if out else sys.stdout
-    try:
-        writer = csv.DictWriter(sink, fieldnames=CSV_HEADER)
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if out:
-            sink.close()
+def _open_out(out):
+    """The CSV sink: the file out, or stdout when out is empty.  Callers open
+    it before any assembly, so that an unwritable path fails at once."""
+    return (open(out, "w", newline="") if out
+            else contextlib.nullcontext(sys.stdout))
+
+
+def _write_rows(rows, sink):
+    writer = csv.DictWriter(sink, fieldnames=CSV_HEADER)
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 def _parse_omega(text):
@@ -201,17 +204,20 @@ def _sweep(args, slab_counts, preconds=None):
         config = replace(base, precond=precond, n_slabs=n_slabs)
         config = replace(config, n_elems=_elems_for_slabs(config))
         runs.append(config.validate())
-    results = [run_solve(config, preset) for config in runs]
-    _write_rows([row for row, _, _ in results], args.out)
+    with _open_out(args.out) as sink:
+        results = [run_solve(config, preset) for config in runs]
+        _write_rows([row for row, _, _ in results], sink)
     return ([errors for _, _, errors in results],
             all(report.converged for _, report, _ in results))
 
 
 def cmd_solve(args):
     config, preset = build_config(args)
-    row, report, _ = run_solve(config.validate(), preset,
-                               residual_log=args.residual_log)
-    _write_rows([row], args.out)
+    config.validate()
+    with _open_out(args.out) as sink:
+        row, report, _ = run_solve(config, preset,
+                                   residual_log=args.residual_log)
+        _write_rows([row], sink)
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 

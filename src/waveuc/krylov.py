@@ -1,6 +1,7 @@
 """Non-restarted GMRes with right preconditioning and residual logging."""
 
 import math
+import mmap
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -75,7 +76,9 @@ def gmres(apply_op, b, precond=Identity(), cfg: Optional[GmresConfig] = None,
     on the last iteration the space allows, which needs no further basis
     vector, the solve then ends unconverged instead.  A non-finite vector
     breaks down at once, and a right-hand side with a non-finite norm is
-    refused before the basis is reserved.
+    refused before the basis is reserved.  A reservation the system
+    refuses raises MemoryError, naming its bytes, before the first
+    iteration.
 
     precond has ``apply(r)``, the action of M; it is the identity by
     default.  If it also has a ``defect``, with ``defect.system.apply`` being
@@ -101,15 +104,26 @@ def gmres(apply_op, b, precond=Identity(), cfg: Optional[GmresConfig] = None,
 
     m, expand, step, q0 = _coordinates(apply_op, precond, b, beta)
     maxiter = min(cfg.maxiter, m)
-    # the whole basis is reserved at once: the operating system commits its
-    # rows to memory only when they are first written, so a run that
-    # converges early costs only the rows it built, and a basis larger than
-    # the system will reserve fails here, before the solve starts
-    Q = np.empty((maxiter + 1, m))
+    # the basis and the triangle are reserved at once, as one private
+    # anonymous mapping: the operating system commits its pages only when
+    # they are first written, so a run that converges early costs only the
+    # rows it built; a reservation larger than the system will commit fails
+    # here, before the solve starts; and the whole mapping goes back to the
+    # operating system when the last view of it dies, never leaving a hole
+    # in the heap that later allocations must fit around
+    nq = (maxiter + 1) * m
+    nbytes = 8 * (nq + maxiter * (maxiter + 1) // 2)
+    try:
+        reserved = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+    except OSError as exc:
+        raise MemoryError(f"cannot reserve {nbytes} bytes for the GMRes "
+                          f"basis and triangle: {exc}") from None
+    work = np.frombuffer(reserved)
+    Q = work[:nq].reshape(maxiter + 1, m)
     # the rotated Hessenberg columns, packed: column j holds its j + 1
     # entries above the (zeroed) subdiagonal at offset j (j + 1) / 2, so
     # the entries written lie side by side, like Q's rows
-    H = np.empty(maxiter * (maxiter + 1) // 2)
+    H = work[nq:]
     g = np.zeros(maxiter + 1)
     # rotation cosines and sines as Python floats
     cs = []

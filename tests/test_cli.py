@@ -417,3 +417,23 @@ def test_memory_error_exits_1(monkeypatch, capsys):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line == "error: Unable to allocate 147. GiB for an array"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--out", "{missing}/run.csv"],
+    ["solve", "--residual-log", "{missing}/resid.log"],
+    ["convergence", "--levels", "4,8", "--out", "{missing}/conv.csv"],
+], ids=["solve-out", "solve-residual-log", "convergence-out"])
+def test_unwritable_sink_exits_1_before_any_assembly(argv, tmp_path,
+                                                     monkeypatch, capsys):
+    def no_assembly(config):
+        raise AssertionError("assembled before opening the output")
+
+    monkeypatch.setattr("waveuc.cli.SpaceTimeSystem", no_assembly)
+    missing = tmp_path / "missing"
+    assert main([a.format(missing=missing) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error:") and str(missing) in line
+    assert not missing.exists()

@@ -1,4 +1,8 @@
+import errno
+import mmap
+import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -193,7 +197,23 @@ def test_breakdown_on_a_check_iteration_raises_breakdown(rng):
             gmres(op, rng.standard_normal(40), cfg=GmresConfig(maxiter=40))
 
 
-def test_solve_reserves_only_the_basis_and_the_packed_triangle(rng):
+@pytest.fixture
+def mappings(monkeypatch):
+    """The anonymous mappings made while the test runs, as (size, weakref)
+    pairs that do not keep them alive."""
+    made = []
+    real = mmap.mmap
+
+    def record(*args, **kwargs):
+        mapping = real(*args, **kwargs)
+        made.append((len(mapping), weakref.ref(mapping)))
+        return mapping
+
+    monkeypatch.setattr(mmap, "mmap", record)
+    return made
+
+
+def test_solve_reserves_only_the_basis_and_the_packed_triangle(rng, mappings):
     # maxiter < n, so the basis is not the whole space; every iteration
     # runs, and every row of the basis and column of the triangle is
     # written, so the peak is the whole reservation
@@ -208,10 +228,57 @@ def test_solve_reserves_only_the_basis_and_the_packed_triangle(rng):
     finally:
         tracemalloc.stop()
     assert report.iterations == maxiter
+    # the basis and the triangle: one mapping of exactly their size
     reserved = 8 * ((maxiter + 1) * n + maxiter * (maxiter + 1) // 2)
-    # besides: a few n-vectors, and the Python floats of each iteration
+    assert [size for size, _ in mappings] == [reserved]
+    # on the heap: a few n-vectors, and the Python floats of each iteration
     # (its rotation, its estimate and the list of one column)
-    assert peak <= reserved + 8 * 8 * n + 256 * maxiter
+    assert peak <= 8 * 8 * n + 256 * maxiter
+
+
+@pytest.mark.parametrize("path,keep_basis", [
+    ("full", False), ("full", True), ("defect", True)])
+def test_the_reservation_is_released_when_gmres_returns(
+        path, keep_basis, rng, mappings):
+    # neither the iterate nor the kept basis is a view of the mapping, so
+    # it is unmapped on return, while both are still alive
+    if path == "full":
+        n = 60
+        A = rng.standard_normal((n, n)) / np.sqrt(n) + 2.0 * np.eye(n)
+        x, report = gmres(MatrixOp(A), rng.standard_normal(n),
+                          keep_basis=keep_basis)
+    else:
+        s, b = solve_system("gcc1d", 1, 4)
+        x, report = gmres(s.apply, b, build_preconditioner(s, "mf"),
+                          keep_basis=keep_basis)
+    assert report.converged and (report.basis is not None) == keep_basis
+    ((_, mapping),) = mappings
+    assert mapping() is None
+
+
+def test_a_refused_reservation_raises_memory_error_before_the_solve(
+        rng, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    calls = []
+
+    class Counted:
+        def apply(self, r):
+            calls.append("M")
+            return r
+
+    def op(v):
+        calls.append("A")
+        return 2 * v
+
+    n, maxiter = 40, 30
+    reserved = 8 * ((maxiter + 1) * n + maxiter * (maxiter + 1) // 2)
+    with pytest.raises(MemoryError, match=f"cannot reserve {reserved} bytes"):
+        gmres(op, rng.standard_normal(n), Counted(),
+              GmresConfig(maxiter=maxiter))
+    assert calls == []
 
 
 def test_exhausted_space_returns_the_iterate_unconverged(rng):

@@ -387,6 +387,28 @@ def test_interface_jump_energy_analytic():
     assert energy == pytest.approx(1.0 / space.dt, rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_jump_weights_with_a_jump_varying_in_space(k):
+    # the jump j(x) = x on [0, 1], exact in the spatial space, on one field
+    # at a time: the plus block and the trace weight W both give its
+    # energy, |j|^2 / dt + dt |j'|^2 integrated on the first field (W1 =
+    # Mx / dt + dt Kx) and |j|^2 / dt on the second (W2 = Mx / dt)
+    dt = 0.25
+    space = SlabSpace(build_interval_mesh(0, 1, 3), k, 1, dt=dt)
+    plus = interface_jump_blocks(space)["plus"].tocsr()
+    W = jump_weight(space).tocsr()
+    j = np.linspace(0.0, 1.0, space.n_x)
+    for field, energy in ((0, 1 / (3 * dt) + dt), (1, 1 / (3 * dt))):
+        # j on every temporal mode: the field is j at all times
+        u = np.zeros((2, space.n_modes, space.n_x))
+        u[field] = j
+        v = np.zeros((2, space.n_x))
+        v[field] = j
+        u, v = u.ravel(), v.ravel()
+        assert u @ (plus @ u) == pytest.approx(energy, rel=1e-14)
+        assert v @ (W @ v) == pytest.approx(energy, rel=1e-14)
+
+
 def test_interface_jump_blocks_symmetric_psd():
     mesh = build_interval_mesh(0, 1, 2)
     space = SlabSpace(mesh, 2, 1, dt=0.25)
