@@ -172,7 +172,6 @@ def _add_common_flags(p):
                        dest=_KEY_TO_FIELD.get(key, key),
                        choices=PRECONDITIONERS if key == "precond" else None)
     p.add_argument("--out", help="CSV output path (default: stdout)")
-    p.add_argument("--residual-log", help="per-iteration residual log path")
 
 
 def _elems_for_slabs(config):
@@ -254,6 +253,9 @@ def make_parser():
 
     p_solve = sub.add_parser("solve", help="run one configuration")
     _add_common_flags(p_solve)
+    # the sweeps write no residual log, so they refuse the flag
+    p_solve.add_argument("--residual-log",
+                         help="per-iteration residual log path")
     p_solve.set_defaults(func=cmd_solve)
 
     p_conv = sub.add_parser("convergence",

@@ -39,7 +39,10 @@ light dual pair, and dfb's extra terms; the system's blocks are read
 back from its CSR matrices (Triplets.of).  Blocks reach _Band, and
 couplings _Sweep, as Triplets, never as scipy matrices: a slab block is
 the entries of its parts side by side, which the band sums.  A scipy CSR
-matrix is made only for what an apply reads: ml's embed_T.
+matrix is made only for what an apply reads: ml's degree embedding, which
+the apply reads transposed through its .T view (embed_T).  No transpose
+is stored apart: the backward sweep reads its coupling with rows and
+columns swapped, and mf's defect reads the system's jump_weight_T view.
 """
 
 import copy
@@ -259,8 +262,8 @@ def _forward_sweep(system, dual, A, Sstar):
 
 class _Sweep:
     """Block substitution over the whole time domain at once: row n of R
-    (slabs in march order) solves lus[n] (with trans) against R[n] plus
-    coupling applied to the row solved just before it.
+    (slabs in march order) solves lus[n] against R[n] plus the coupling
+    applied to the row solved just before it, both transposed with trans=1.
 
     The coupling reads only its nonzero columns c (the carried values) of
     the row before, so with Y the band solves of R alone, one
@@ -275,12 +278,16 @@ class _Sweep:
 
     def __init__(self, lus, coupling, trans=0):
         self.trans = trans
-        # the columns where the coupling (Triplets) stores an entry
-        C = coupling
-        self.carried = np.flatnonzero(np.bincount(C.cols, minlength=C.shape[1]))
-        self._n = C.shape[0]
-        C_c = np.zeros((C.shape[0], len(self.carried)))
-        C_c[C.rows, np.searchsorted(self.carried, C.cols)] = C.vals
+        # the coupling's entries (Triplets, read in any order), with rows
+        # and columns swapped for its transpose
+        rows, cols, shape = coupling.rows, coupling.cols, coupling.shape
+        if trans:
+            rows, cols, shape = cols, rows, shape[::-1]
+        # the columns where it stores an entry
+        self.carried = np.flatnonzero(np.bincount(cols, minlength=shape[1]))
+        self._n = shape[0]
+        C_c = np.zeros((self._n, len(self.carried)))
+        C_c[rows, np.searchsorted(self.carried, cols)] = coupling.vals
         # runs of consecutive rows that share one LU, each with its K and
         # K_c, or None for the first row's alone
         self._runs, start = [], 0
@@ -526,8 +533,7 @@ class LightForward:
     def __init__(self, system):
         self.system = system
         light = SlabSpace(system.mesh, *LIGHT_ORDERS, system.config.dt)
-        E = assemble_embedding(system.dual, light)
-        self.embed_T = E.transpose().tocsr()
+        self.embed_T = assemble_embedding(system.dual, light).tocsr().T
         self.sstar_lu = _BandLU(
             _Band(Triplets.of(system.Sstar), _node_order(system.dual)),
             "dual stabilizer")
@@ -580,8 +586,9 @@ class ForwardBackwardSplit:
                               extras["coupling_diag"], system.n_slabs,
                               ", forward sweep")
         self.forward = _Sweep(self.lus, coupling)
-        # the backward sweep is the transposed march on the reversed slab order
-        self.backward = _Sweep(self.lus[::-1], coupling.transpose(), trans=1)
+        # the backward sweep is the transposed march on the reversed slab
+        # order: it reads the LUs and the coupling transposed
+        self.backward = _Sweep(self.lus[::-1], coupling, trans=1)
 
     def apply(self, r):
         sys = self.system

@@ -65,6 +65,8 @@ class Triplets(NamedTuple):
     tocsr makes from them in one step.  Every form of this module returns
     canonical triplets; a block that only feeds a band (precond._Band) may
     hold several entries at one place, which the band sums in their order.
+    A transpose is the .T view of the one CSR matrix (scipy's CSC over the
+    same arrays), never a second, re-sorted set of triplets.
     """
 
     rows: np.ndarray
@@ -90,18 +92,6 @@ class Triplets(NamedTuple):
         """The entries times factor, as scipy scales a sparse matrix (also
         for its division by s, which multiplies by 1 / s)."""
         return self._replace(vals=self.vals * factor)
-
-    def transpose(self):
-        """The canonical transpose of canonical triplets: a stable sort by
-        column keeps the rows in order within each, as scipy's conversion
-        of the transpose to CSR does."""
-        cols = self.cols
-        if self.shape[1] <= 2**16:
-            # numpy sorts 16-bit keys stably by radix sort, in linear time
-            cols = cols.astype(np.uint16)
-        order = np.argsort(cols, kind="stable")
-        return Triplets(self.cols[order], self.rows[order],
-                        self.vals[order], self.shape[::-1])
 
     def tocsr(self):
         """The CSR matrix of canonical triplets, with int32 indices."""

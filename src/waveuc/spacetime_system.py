@@ -10,7 +10,10 @@ the sweep preconditioners rely on.
 Every slab carries the same blocks, so the operator, the right-hand side
 and the norms work on the (n_slabs, slab_size) view of a global vector: each
 block is applied once to all slabs as a sparse x dense product on the
-transposed primal or dual columns (one column per slab).  primal_rows sums
+transposed primal or dual columns (one column per slab).  Each block is
+stored once, as a CSR matrix; its transpose (A_pd_T, jump_weight_T) is
+scipy's CSC view over the same arrays, which adds each output entry's
+terms in the ascending order a sorted copy would.  primal_rows sums
 the primal-test rows, which the forward-backward split also reads.  The
 interface jump terms read and reach only the primal traces of each slab
 (each field's last and first temporal modes), where every one of them is
@@ -62,7 +65,9 @@ class NormReport:
 
 
 class SpaceTimeSystem:
-    """Assembled slab blocks plus the matrix-free global operator."""
+    """Assembled slab blocks plus the matrix-free global operator.  Each
+    block is kept once, as a CSR matrix; A_pd_T and jump_weight_T are the
+    .T views of A_pd and jump_weight."""
 
     def __init__(self, config):
         config.validate()
@@ -77,9 +82,10 @@ class SpaceTimeSystem:
             self.mesh, config.kstar, config.qstar, config.dt)
         self.n_slabs = config.n_slabs
 
-        A = assemble_A(self.primal, self.dual)
-        # the transpose is used by every operator application, built once
-        self.A_pd, self.A_pd_T = A.tocsr(), A.transpose().tocsr()
+        # every operator application reads A and its transpose, a view kept
+        # because a fresh .T per product costs more than the product
+        self.A_pd = assemble_A(self.primal, self.dual).tocsr()
+        self.A_pd_T = self.A_pd.T
         self.Sh = assemble_Sh(self.primal).tocsr()
         self.Sstar = assemble_dual_stabilizer(self.dual).tocsr()
         self.Momega = assemble_data_mass(self.primal, self.primal,
@@ -88,14 +94,15 @@ class SpaceTimeSystem:
         # last temporal mode (end), then its first (start), disjoint because
         # q >= 1.  The temporal basis is nodal at both slab ends, so plus,
         # minus and cross restricted to them are all one spatial block W,
-        # jump_weight; the transposed cross is its transpose, kept apart
-        # because W is symmetric only up to rounding
+        # jump_weight; the transposed cross is W's transpose, the view
+        # jump_weight_T, not W itself, because W is symmetric only up to
+        # rounding
         modes = np.arange(self.primal.n_pair).reshape(
             2, self.primal.n_modes, -1)
         end, start = modes[:, -1].ravel(), modes[:, 0].ravel()
         self.trace, self.n_end = np.concatenate((end, start)), len(end)
-        W = jump_weight(self.primal)
-        self.jump_weight, self.jump_weight_T = W.tocsr(), W.transpose().tocsr()
+        self.jump_weight = jump_weight(self.primal).tocsr()
+        self.jump_weight_T = self.jump_weight.T
 
         self.n_primal = self.primal.n_pair
         self.n_dual = self.dual.n_pair

@@ -381,6 +381,20 @@ def test_sweep_rejects_off_vertex_data_before_any_solve(tmp_path, solved,
                     "mesh vertex")
 
 
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--levels", "4,8"],
+    ["iters", "--slab-list", "4"],
+])
+def test_sweeps_refuse_a_residual_log(argv, tmp_path, solved, capsys):
+    # only solve writes a residual log; a sweep that took the flag would
+    # exit 0 and write nothing
+    log = tmp_path / "resid.log"
+    assert main(argv + ["--residual-log", str(log)]) == 1
+    assert solved == []
+    assert not log.exists()
+    assert "--residual-log" in capsys.readouterr().err
+
+
 def test_unknown_preset_in_config_file_exits_1(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("preset = bogus\n")

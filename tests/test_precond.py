@@ -467,7 +467,7 @@ def test_every_jump_block_on_the_traces_is_the_jump_weight(orders, n_slabs):
     for name, rows, cols in (("minus", end, end), ("plus", start, start),
                              ("cross", start, end)):
         assert same_csr(jump[name][rows][:, cols], s.jump_weight), name
-    assert same_csr(cross_T[end][:, start], s.jump_weight_T)
+    assert same_csr(cross_T[end][:, start], s.jump_weight_T.tocsr())
 
 
 @settings(max_examples=20)

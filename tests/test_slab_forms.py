@@ -601,15 +601,33 @@ def assert_canonical(name, matrix):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_blocks_are_canonical_without_stored_zeros(k):
     s = make_system(k=k, q=k, kstar=k, qstar=k, n_elems=8, n_slabs=2)
-    for name in ("A_pd", "A_pd_T", "Sh", "Sstar", "Momega", "jump_weight",
-                 "jump_weight_T"):
+    for name in ("A_pd", "Sh", "Sstar", "Momega", "jump_weight"):
         assert_canonical(name, getattr(s, name))
-    # A_pd_T is bitwise scipy's transpose of A_pd
-    assert same_csr(s.A_pd_T, s.A_pd.T.tocsr())
     for name, block in s.jump.items():
         assert_canonical(f"jump {name}", block)
-    # the one matrix a sweep keeps: ml's transposed embedding
-    assert_canonical("ml embed_T", build_preconditioner(s, "ml").embed_T)
+    # the one matrix a sweep keeps: ml's embedding, read through embed_T
+    assert_canonical("ml embedding", build_preconditioner(s, "ml").embed_T.T)
+
+
+@pytest.mark.parametrize("preset", ["gcc1d", "nogcc1d"])
+@pytest.mark.parametrize("k,kstar", [(1, 1), (2, 2), (3, 3), (2, 1)])
+def test_transposes_are_views_with_scipys_products(preset, k, kstar, rng):
+    # a transpose is the CSC view over its CSR's arrays, no second copy, and
+    # its products add in the order of the sorted transposed copy
+    s = make_system(preset, k=k, q=k, kstar=kstar, qstar=kstar, n_elems=4)
+    embed_T = build_preconditioner(s, "ml").embed_T
+    light = SlabSpace(s.mesh, 1, 0, s.primal.dt)
+    assert same_csr(embed_T.T, assemble_embedding(s.dual, light).tocsr())
+    for name, view, csr in (("A_pd_T", s.A_pd_T, s.A_pd),
+                            ("jump_weight_T", s.jump_weight_T, s.jump_weight),
+                            ("embed_T", embed_T, embed_T.T)):
+        assert view.format == "csc" and view.shape == csr.shape[::-1], name
+        for part in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(view, part),
+                                    getattr(csr, part)), (name, part)
+        X = rng.standard_normal((view.shape[1], 5))
+        expected = csr.T.tocsr() @ X
+        assert (view @ X).tobytes() == expected.tobytes(), name
 
 
 @pytest.mark.parametrize("n_elems", [1, 2, 5])
@@ -630,7 +648,6 @@ def slab_form_triplets(s):
         "gradient_jump": gradient_jump_matrix(mesh, P.xbasis),
         "A": assemble_A(P, D),
         "A light": assemble_A(P, light),
-        "A transposed": assemble_A(P, D).transpose(),
         "Sh": assemble_Sh(P),
         "Sstar": assemble_dual_stabilizer(D),
         "Sstar light": assemble_dual_stabilizer(light),
@@ -663,25 +680,6 @@ def test_slab_form_indices_are_int32(preset, k, kstar):
         assert form.rows.dtype == form.cols.dtype == np.int32, name
         csr = form.tocsr()
         assert csr.indices.dtype == csr.indptr.dtype == np.int32, name
-
-
-@pytest.mark.parametrize("n_cols", [2**16, 2**16 + 1])
-def test_transpose_is_scipys_on_either_side_of_16_bit_columns(n_cols):
-    # up to 2**16 columns the transpose sorts 16-bit keys, beyond that the
-    # columns themselves; entries at the first and the last columns, some
-    # shared between rows, show a key that wrapped or a sort that was not
-    # stable
-    cols = [0, n_cols - 3, n_cols - 1, 0, n_cols - 2, n_cols - 1,
-            1, n_cols - 3, n_cols - 2, n_cols - 1]
-    rows = [0, 0, 0, 1, 1, 1, 2, 2, 2, 2]
-    vals = np.arange(1.0, len(cols) + 1)
-    S = sp.csr_matrix((vals, (rows, cols)), shape=(3, n_cols))
-    built = Triplets.of(S).transpose().tocsr()
-    expected = S.T.tocsr()
-    assert built.shape == expected.shape == (n_cols, 3)
-    for name in ("data", "indices", "indptr"):
-        a, b = getattr(built, name), getattr(expected, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_element_dofs_share_vertices():
