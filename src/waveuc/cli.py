@@ -10,10 +10,10 @@ import sys
 import time
 from dataclasses import replace
 
-from .config import PRECONDITIONERS, PRESETS
+from .config import PRESETS
 from .krylov import GmresBreakdown, GmresConfig, gmres
 from .postproc import eoc, error_norms, extract_primal_field, lift
-from .precond import build_preconditioner
+from .precond import KINDS, build_preconditioner
 from .spacetime_system import SpaceTimeSystem
 
 CSV_HEADER = [
@@ -170,7 +170,7 @@ def _add_common_flags(p):
     for key, parse in _CONFIG_KEYS.items():
         p.add_argument(f"--{key}", type=parse,
                        dest=_KEY_TO_FIELD.get(key, key),
-                       choices=PRECONDITIONERS if key == "precond" else None)
+                       choices=KINDS if key == "precond" else None)
     p.add_argument("--out", help="CSV output path (default: stdout)")
 
 

@@ -8,16 +8,14 @@ import numpy as np
 
 from .basis import MAX_SPATIAL_DEGREE, MAX_TEMPORAL_DEGREE
 from .mesh import build_interval_mesh, mark_data_domain
+from .precond import KINDS
 
 __all__ = [
     "DiscretizationConfig",
     "ExperimentPreset",
     "PRESETS",
-    "PRECONDITIONERS",
     "default_lambda",
 ]
-
-PRECONDITIONERS = ("none", "block", "mf", "ml", "dfb")
 
 # slab-length to mesh-width ratio outside of which the fixed interior
 # least-squares weight h^2 is no longer appropriate
@@ -94,7 +92,7 @@ class DiscretizationConfig:
                 f"slab length / mesh width ratio {ratio:.3g} outside "
                 f"[{MIN_DT_OVER_H}, {MAX_DT_OVER_H}]"
             )
-        if self.precond not in PRECONDITIONERS:
+        if self.precond not in KINDS:
             raise ValueError(f"unknown preconditioner: {self.precond!r}")
         if self.precond == "dfb" and (self.kstar, self.qstar) != (self.k, self.q):
             raise ValueError(

@@ -44,16 +44,19 @@ class GmresConfig:
 
 @dataclass
 class SolveReport:
+    """What a solve did: its iterations, whether the Arnoldi estimate met
+    tol, that estimate at every iteration and the true residual at every
+    check, as (iteration, residual) pairs.  The basis is not part of it:
+    gmres keeps the basis only while it runs (see gmres)."""
+
     iterations: int = 0
     converged: bool = False
     residual_history: List[float] = field(default_factory=list)
     true_residuals: List[Tuple[int, float]] = field(default_factory=list)
-    # built Arnoldi basis, rows = basis vectors; only kept on request
-    basis: Optional[np.ndarray] = None
 
 
 def gmres(apply_op, b, precond=Identity(), cfg: Optional[GmresConfig] = None,
-          log=None, keep_basis=False):
+          log=None):
     """Right-preconditioned GMRes for apply_op(x) = b, zero initial guess.
 
     Because the preconditioner sits on the right, the minimized residual is
@@ -87,6 +90,14 @@ def gmres(apply_op, b, precond=Identity(), cfg: Optional[GmresConfig] = None,
     span{b} plus those rows only, and the Arnoldi step applies neither
     apply_op nor M.  The true-residual checks and the returned iterate
     still apply M and apply_op in full.
+
+    The basis and the packed triangle are reserved as one private anonymous
+    mapping.  With m coordinates per basis vector (len(b) on the full path;
+    the defect rows, plus one along b's part off them, on the other) and
+    maxiter = min(cfg.maxiter, m), its first (maxiter + 1) m doubles are the
+    basis rows in those coordinates.  Neither the iterate nor the report
+    views it, so the mapping is released when gmres returns and the basis
+    is not returned.
 
     log, if given, is called with (iteration, arnoldi_residual,
     true_residual_or_None) once per iteration.
@@ -130,7 +141,6 @@ def gmres(apply_op, b, precond=Identity(), cfg: Optional[GmresConfig] = None,
     sn = []
 
     Q[0] = q0
-    built = 1  # rows of Q written
     g[0] = beta
 
     def solution(j):
@@ -193,11 +203,8 @@ def gmres(apply_op, b, precond=Identity(), cfg: Optional[GmresConfig] = None,
                 f"estimate {est:.3e}"
             )
         Q[j + 1] = w / hnext
-        built += 1
 
     report.iterations = j + 1
-    if keep_basis:
-        report.basis = _expand_rows(expand, Q[:built])
     # a check iteration has computed the iterate already
     return solution(j) if x is None else x, report
 
@@ -255,8 +262,3 @@ def _coordinates(apply_op, precond, b, beta):
 
     q0 = np.concatenate(([off_norm] if lead else [], b[rows])) / beta
     return len(q0), expand, step, q0
-
-
-def _expand_rows(expand, Q):
-    """The basis rows of Q expanded to vectors of the system."""
-    return np.array([expand(q) for q in Q])

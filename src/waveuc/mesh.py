@@ -1,10 +1,15 @@
-"""Uniform 1D interval meshes and measurement-domain marking."""
+"""Uniform 1D interval meshes and measurement-domain marking.
+
+The measurement domain is resolved element-wise: mark_data_domain returns
+a boolean mask over the mesh's elements, the form every reader of the
+domain takes.
+"""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["IntervalMesh", "DataDomain", "build_interval_mesh", "mark_data_domain"]
+__all__ = ["IntervalMesh", "build_interval_mesh", "mark_data_domain"]
 
 
 @dataclass(frozen=True)
@@ -36,26 +41,17 @@ def build_interval_mesh(a, b, n_elems):
     )
 
 
-@dataclass(frozen=True)
-class DataDomain:
-    """Union of closed subintervals of the mesh, resolved element-wise.
-
-    element_mask[e] is True iff element e lies inside one of the intervals.
-    """
-
-    intervals: tuple
-    element_mask: np.ndarray
-
-
 def mark_data_domain(mesh, intervals):
-    """Mark the elements covered by a union of subintervals of [a, b].
+    """The elements covered by a union of subintervals of [a, b], as a
+    boolean mask: mask[e] is True iff element e lies inside one of them.
 
     Every interval endpoint must coincide with a mesh vertex (up to
     1e-12 * h), so that the marked region is exactly a union of elements.
     Marking is idempotent and independent of interval order.
     """
     tol = 1e-12 * mesh.h
-    cleaned = []
+    mask = np.zeros(mesh.n_elems, dtype=bool)
+    midpoints = 0.5 * (mesh.vertices[:-1] + mesh.vertices[1:])
     for lo, hi in intervals:
         if not hi > lo:
             raise ValueError(f"empty data interval: [{lo}, {hi}]")
@@ -66,11 +62,7 @@ def mark_data_domain(mesh, intervals):
                 raise ValueError(
                     f"data interval endpoint {p} does not lie on a mesh vertex"
                 )
-        cleaned.append((float(lo), float(hi)))
-    mask = np.zeros(mesh.n_elems, dtype=bool)
-    midpoints = 0.5 * (mesh.vertices[:-1] + mesh.vertices[1:])
-    for lo, hi in cleaned:
         mask |= (midpoints > lo) & (midpoints < hi)
     if not mask.any():
         raise ValueError("data domain does not cover any element")
-    return DataDomain(intervals=tuple(sorted(cleaned)), element_mask=mask)
+    return mask

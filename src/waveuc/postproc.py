@@ -29,8 +29,7 @@ class LiftedSolution:
     """Per-slab coefficients of the lifted displacement.
 
     coeffs has shape (n_slabs, degree_t + 1, n_x) in the nodal temporal
-    basis of degree max(q, 1); jumps[n] holds the spatial coefficients of
-    the interface jump at the start of slab n (row 0 is zero).
+    basis of degree max(q, 1).
     """
 
     mesh: object
@@ -38,7 +37,6 @@ class LiftedSolution:
     tbasis: TemporalBasis
     dt: float
     coeffs: np.ndarray
-    jumps: np.ndarray
 
     @property
     def n_slabs(self):
@@ -70,7 +68,6 @@ def lift(space, u1):
     returned unchanged (merely re-expressed in the richer basis).
     """
     u1 = np.asarray(u1, dtype=float)
-    n_slabs = u1.shape[0]
     lift_basis = TemporalBasis(max(space.degree_t, 1))
     embed = space.tbasis.eval(lift_basis.nodes)  # (modes_out, modes_in)
     trace_plus = space.tbasis.eval(np.array(0.0))
@@ -78,16 +75,15 @@ def lift(space, u1):
     theta = 1.0 - lift_basis.nodes
 
     coeffs = np.einsum("mi,niJ->nmJ", embed, u1)
-    jumps = np.zeros((n_slabs, space.n_x))
-    jumps[1:] = trace_plus @ u1[1:] - trace_minus @ u1[:-1]
-    coeffs[1:] -= theta[:, None] * jumps[1:, None, :]
+    # the jump at the start of every slab but the first
+    jumps = trace_plus @ u1[1:] - trace_minus @ u1[:-1]
+    coeffs[1:] -= theta[:, None] * jumps[:, None, :]
     return LiftedSolution(
         mesh=space.mesh,
         xbasis=space.xbasis,
         tbasis=lift_basis,
         dt=space.dt,
         coeffs=coeffs,
-        jumps=jumps,
     )
 
 

@@ -356,6 +356,13 @@ class _Defect:
         reach[:-1, sys.trace[: sys.n_end]] = True
         return reach
 
+    @property
+    def trace_bytes(self):
+        """Bytes of the blocks em builds on its first call and keeps (none
+        while rows is empty): block's G on the traces and mf's G_ee, P and
+        D are len(system.trace)^2 = 4 r^2 doubles either way."""
+        return 8 * len(self.system.trace) ** 2
+
     def __call__(self, z):
         sys = self.system
         X = sys.slab_view(z)[:, sys.trace].T
@@ -383,12 +390,6 @@ class _SweepDefect(_Defect):
     def __init__(self, system, first, interior):
         super().__init__(system, interior)
         self._first = first
-
-    @property
-    def trace_bytes(self):
-        """Bytes of G_ee, P and D, which em builds on its first call and
-        keeps (none while rows is empty)."""
-        return 8 * 4 * self.system.n_end ** 2
 
     @cached_property
     def _traces(self):
@@ -437,12 +438,6 @@ class _BlockDefect(_Defect):
         reach = super()._reach()
         reach[1:, self.system.trace[self.system.n_end :]] = True
         return reach
-
-    @property
-    def trace_bytes(self):
-        """Bytes of G, which em builds on its first call and keeps (none
-        while rows is empty)."""
-        return 8 * len(self.system.trace) ** 2
 
     @cached_property
     def _traces(self):

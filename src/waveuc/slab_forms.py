@@ -465,10 +465,11 @@ def assemble_dual_stabilizer(space):
 
 
 def assemble_data_mass(test_space, trial_space, data):
-    """Mass restricted to the measurement region, acting on the first field
-    only.  Rows run over test_space, columns over trial_space."""
+    """Mass restricted to the measurement region, the element mask data,
+    acting on the first field only.  Rows run over test_space, columns over
+    trial_space."""
     Mt = test_space.temporal(trial_space)
-    Mw = test_space.spatial(trial_space, mask=data.element_mask)
+    Mw = test_space.spatial(trial_space, mask=data)
     return _tensor_block(_pair_shape(test_space, trial_space),
                          [(0, 0, 1.0, Mt, Mw)])
 

@@ -73,6 +73,7 @@ class SpaceTimeSystem:
         config.validate()
         self.config = config
         self.mesh = build_interval_mesh(config.a, config.b, config.n_elems)
+        # the measurement region, as a mask over the mesh's elements
         self.data = mark_data_domain(self.mesh, config.omega)
         self.primal = SlabSpace(self.mesh, config.k, config.q, config.dt)
         # at equal orders the dual space is the primal one, so all blocks
@@ -187,7 +188,7 @@ class SpaceTimeSystem:
         rule = gauss_rule(DATA_QUADRATURE_POINTS)
         N, dt, h = self.n_slabs, self.config.dt, self.mesh.h
         space = self.primal
-        elems = np.flatnonzero(self.data.element_mask)
+        elems = np.flatnonzero(self.data)
         xq = self.mesh.vertices[elems, None] + h * rule.points
         taus = ((np.arange(N) * dt)[:, None] + dt * rule.points).ravel()
         f = np.broadcast_to(u_omega(taus[:, None, None], xq),

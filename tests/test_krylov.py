@@ -1,8 +1,10 @@
+import contextlib
 import errno
 import mmap
 import os
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -80,12 +82,13 @@ def test_maxiter_returns_best_iterate(rng):
     assert np.linalg.norm(b - A @ x) < np.linalg.norm(b)
 
 
-def test_arnoldi_orthogonality(rng):
+def test_arnoldi_orthogonality(rng, kept):
     A = rng.standard_normal((60, 60)) + 4 * np.eye(60)
     b = rng.standard_normal(60)
-    _, report = gmres(MatrixOp(A), b, cfg=GmresConfig(tol=1e-12, maxiter=60),
-                      keep_basis=True)
-    Q = report.basis
+    _, report = gmres(MatrixOp(A), b, cfg=GmresConfig(tol=1e-12, maxiter=60))
+    assert report.converged
+    (mapping,) = kept
+    Q = basis_rows(mapping, 60, 60)[: report.iterations]
     gram = Q @ Q.T
     assert np.abs(gram - np.eye(len(gram))).max() <= 1e-8
 
@@ -213,6 +216,38 @@ def mappings(monkeypatch):
     return made
 
 
+@contextlib.contextmanager
+def kept_mappings():
+    """The anonymous mappings made inside the block, kept alive after gmres
+    drops its views of them, so that the basis it wrote can be read back
+    (basis_rows)."""
+    made = []
+    real = mmap.mmap
+
+    def keep(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    with mock.patch.object(mmap, "mmap", keep):
+        yield made
+
+
+@pytest.fixture
+def kept():
+    """kept_mappings over the whole test."""
+    with kept_mappings() as made:
+        yield made
+
+
+def basis_rows(mapping, maxiter, m):
+    """The basis gmres wrote into its reservation for maxiter iterations of
+    m Arnoldi coordinates: maxiter + 1 rows, those it never reached zero.
+    The mapping must have exactly that reservation's size."""
+    nq = (maxiter + 1) * m
+    assert len(mapping) == 8 * (nq + maxiter * (maxiter + 1) // 2)
+    return np.frombuffer(mapping)[:nq].reshape(maxiter + 1, m)
+
+
 def test_solve_reserves_only_the_basis_and_the_packed_triangle(rng, mappings):
     # maxiter < n, so the basis is not the whole space; every iteration
     # runs, and every row of the basis and column of the triangle is
@@ -236,22 +271,18 @@ def test_solve_reserves_only_the_basis_and_the_packed_triangle(rng, mappings):
     assert peak <= 8 * 8 * n + 256 * maxiter
 
 
-@pytest.mark.parametrize("path,keep_basis", [
-    ("full", False), ("full", True), ("defect", True)])
-def test_the_reservation_is_released_when_gmres_returns(
-        path, keep_basis, rng, mappings):
-    # neither the iterate nor the kept basis is a view of the mapping, so
-    # it is unmapped on return, while both are still alive
+@pytest.mark.parametrize("path", ["full", "defect"])
+def test_the_reservation_is_released_when_gmres_returns(path, rng, mappings):
+    # the iterate is no view of the mapping, so the mapping is unmapped on
+    # return while the iterate is still alive
     if path == "full":
         n = 60
         A = rng.standard_normal((n, n)) / np.sqrt(n) + 2.0 * np.eye(n)
-        x, report = gmres(MatrixOp(A), rng.standard_normal(n),
-                          keep_basis=keep_basis)
+        x, report = gmres(MatrixOp(A), rng.standard_normal(n))
     else:
         s, b = solve_system("gcc1d", 1, 4)
-        x, report = gmres(s.apply, b, build_preconditioner(s, "mf"),
-                          keep_basis=keep_basis)
-    assert report.converged and (report.basis is not None) == keep_basis
+        x, report = gmres(s.apply, b, build_preconditioner(s, "mf"))
+    assert report.converged
     ((_, mapping),) = mappings
     assert mapping() is None
 
@@ -281,35 +312,37 @@ def test_a_refused_reservation_raises_memory_error_before_the_solve(
     assert calls == []
 
 
-def test_exhausted_space_returns_the_iterate_unconverged(rng):
+def test_exhausted_space_returns_the_iterate_unconverged(rng, kept):
     # after n iterations the Krylov space is the whole space, so the next
     # basis vector is rounding noise: no tolerance is met, nothing breaks
     # down, and the iterate solves the system
     n = 20
     A = rng.standard_normal((n, n)) + 6 * np.eye(n)
     b = rng.standard_normal(n)
-    x, report = gmres(MatrixOp(A), b, cfg=GmresConfig(tol=1e-300),
-                      keep_basis=True)
+    x, report = gmres(MatrixOp(A), b, cfg=GmresConfig(tol=1e-300))
     assert not report.converged and report.iterations == n
-    assert report.basis.shape == (n, n)
+    # n basis vectors written, each of unit norm, and no (n + 1)th
+    (mapping,) = kept
+    Q = basis_rows(mapping, n, n)
+    assert Q[:n].any(axis=1).all() and not Q[n].any()
     assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
 
 
 # -- bitwise equivalence with the dense-solve bookkeeping ---------------------
 
-def _dense_bookkeeping_gmres(apply_op, b, precond, cfg, log=None,
-                             keep_basis=False):
+def _dense_bookkeeping_gmres(apply_op, b, precond, cfg, log=None):
     """gmres with the least-squares bookkeeping done the direct way: Givens
     rotations indexed element by element on NumPy arrays of the dense
     Hessenberg, and every iterate from its triangle, packed column by column
     and solved with the same BLAS tpsv (and checked against a dense solve).
-    Arnoldi is the same CGS2."""
+    Arnoldi is the same CGS2.  Returns the iterate, the report and the
+    basis, maxiter + 1 rows, those never reached zero."""
     apply_m = precond.apply
     report = SolveReport()
     n = len(b)
     beta = np.linalg.norm(b)
     maxiter = min(cfg.maxiter, n)
-    Q = np.empty((maxiter + 1, n))
+    Q = np.zeros((maxiter + 1, n))
     H = np.zeros((maxiter + 1, maxiter))
     g = np.zeros(maxiter + 1)
     cs = np.zeros(maxiter)
@@ -358,14 +391,10 @@ def _dense_bookkeeping_gmres(apply_op, b, precond, cfg, log=None,
         if est <= cfg.tol:
             report.iterations = j + 1
             report.converged = True
-            if keep_basis:
-                report.basis = Q[: j + 1].copy()
-            return solution(j), report
+            return solution(j), report, Q
         Q[j + 1] = w / hnext
     report.iterations = maxiter
-    if keep_basis:
-        report.basis = Q[: maxiter + 1].copy()
-    return solution(maxiter - 1), report
+    return solution(maxiter - 1), report, Q
 
 
 class DiagonalScaling:
@@ -380,8 +409,8 @@ def _bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
 
-@pytest.mark.parametrize("case", ["converged", "maxiter", "keep_basis"])
-def test_bookkeeping_is_bitwise_equal_to_dense_solves(rng, case):
+@pytest.mark.parametrize("case", ["converged", "maxiter"])
+def test_bookkeeping_is_bitwise_equal_to_dense_solves(rng, case, kept):
     # a slowly converging system, so that both the rotations and the
     # triangular solves of late iterations carry rounding that shows
     n = 160
@@ -389,24 +418,19 @@ def test_bookkeeping_is_bitwise_equal_to_dense_solves(rng, case):
     b = rng.standard_normal(n)
     M = DiagonalScaling(rng.uniform(1.0, 3.0, n))
     cfg = {"converged": GmresConfig(tol=1e-12, maxiter=n),
-           "maxiter": GmresConfig(tol=1e-300, maxiter=47),
-           "keep_basis": GmresConfig(tol=1e-12, maxiter=n)}[case]
-    keep = case == "keep_basis"
-    runs = []
-    for solver in (gmres, _dense_bookkeeping_gmres):
-        lines = []
-        x, report = solver(MatrixOp(A), b, M, cfg,
-                           log=lambda *a: lines.append(a), keep_basis=keep)
-        runs.append((x, report, lines))
-    (x, report, lines), (x0, report0, lines0) = runs
-    assert report.converged == (case != "maxiter")
+           "maxiter": GmresConfig(tol=1e-300, maxiter=47)}[case]
+    lines, lines0 = [], []
+    x, report = gmres(MatrixOp(A), b, M, cfg, log=lambda *a: lines.append(a))
+    x0, report0, Q0 = _dense_bookkeeping_gmres(
+        MatrixOp(A), b, M, cfg, log=lambda *a: lines0.append(a))
+    assert report.converged == (case == "converged")
     assert report.iterations == report0.iterations >= 40
     assert _bits(report.residual_history) == _bits(report0.residual_history)
     assert _bits(report.true_residuals) == _bits(report0.true_residuals)
     assert lines == lines0
     assert _bits(x) == _bits(x0)
-    if keep:
-        assert _bits(report.basis) == _bits(report0.basis)
+    (mapping,) = kept
+    assert _bits(basis_rows(mapping, len(Q0) - 1, n)) == _bits(Q0)
 
 
 # -- properties on random diagonally dominant systems -------------------------
@@ -440,10 +464,12 @@ def test_property_residual_estimate_never_increases(system):
 def test_property_unconverged_iterate_is_krylov_least_squares(system, k):
     A, b = system
     k = min(k, len(b) - 1)
-    x, report = gmres(MatrixOp(A), b, cfg=GmresConfig(tol=1e-300, maxiter=k),
-                      keep_basis=True)
+    with kept_mappings() as made:
+        x, report = gmres(MatrixOp(A), b,
+                          cfg=GmresConfig(tol=1e-300, maxiter=k))
     assert not report.converged and report.iterations == k
-    Qk = report.basis[:k]
+    (mapping,) = made
+    Qk = basis_rows(mapping, k, len(b))[:k]
     z = np.linalg.lstsq(A @ Qk.T, b, rcond=None)[0]
     x_ls = Qk.T @ z
     assert np.linalg.norm(x - x_ls) <= 1e-8 * np.linalg.norm(x_ls)
@@ -484,18 +510,24 @@ def test_defect_row_basis_matches_the_full_path(preset, k, n_slabs, kind):
 
 
 @pytest.mark.parametrize("kind", ["mf", "block"])
-def test_defect_row_basis_is_orthonormal(kind):
+def test_defect_row_basis_is_orthonormal(kind, kept):
     s, b = solve_system("gcc1d", 1, 6)
     M = build_preconditioner(s, kind)
-    _, report = gmres(s.apply, b, M, keep_basis=True)
-    Q = report.basis
-    assert Q.shape == (report.iterations, s.ndof)
+    _, report = gmres(s.apply, b, M)
+    assert report.converged
+    # every basis vector lies in span{b} + the defect rows: its coordinates
+    # are one along b's part off the rows, then the rows themselves
+    rows = M.defect.rows
+    m = len(rows) + 1
+    (mapping,) = kept
+    basis = basis_rows(mapping, m, m)
+    assert not basis[report.iterations :].any()
+    Q = basis[: report.iterations]
     assert np.abs(Q @ Q.T - np.eye(len(Q))).max() <= 1e-8
-    # every basis vector lies in span{b} + the defect rows
     off = np.ones(s.ndof, dtype=bool)
-    off[M.defect.rows] = False
-    b_off = b[off] / np.linalg.norm(b[off])
-    assert np.abs(Q[:, off] - np.outer(Q[:, off] @ b_off, b_off)).max() <= 1e-14
+    off[rows] = False
+    q0 = np.concatenate(([np.linalg.norm(b[off])], b[rows])) / np.linalg.norm(b)
+    assert np.abs(Q[0] - q0).max() <= 1e-14
 
 
 def test_defect_row_basis_needs_no_operator_apply_in_arnoldi():
@@ -552,22 +584,23 @@ def test_defect_row_basis_applies_m_only_outside_arnoldi(
 
 
 @pytest.mark.parametrize("kind", ["mf", "block"])
-def test_rhs_on_the_defect_rows_only(kind, rng):
+def test_rhs_on_the_defect_rows_only(kind, rng, kept):
     # b' = 0: the basis has no coordinate along b', only the defect rows
     s, _ = solve_system("gcc1d", 1, 6)
     M = build_preconditioner(s, kind)
     b = np.zeros(s.ndof)
     b[M.defect.rows] = rng.standard_normal(len(M.defect.rows))
     cfg = GmresConfig(tol=1e-7, maxiter=3000)
-    x, report = gmres(s.apply, b, M, cfg, keep_basis=True)
+    x, report = gmres(s.apply, b, M, cfg)
     x_full, full = gmres(s.apply, b, ApplyOnly(M), cfg)
     assert report.converged
     assert abs(report.iterations - full.iterations) <= 1
     assert np.linalg.norm(x - x_full) <= 1e-6 * np.linalg.norm(x_full)
     assert np.linalg.norm(b - s.apply(x)) <= 10 * cfg.tol * np.linalg.norm(b)
-    off = np.ones(s.ndof, dtype=bool)
-    off[M.defect.rows] = False
-    assert np.all(report.basis[:, off] == 0)
+    # the first solve's coordinates are the defect rows alone
+    m = len(M.defect.rows)
+    Q = basis_rows(kept[0], min(cfg.maxiter, m), m)
+    assert np.all(Q[0] == b[M.defect.rows] / np.linalg.norm(b))
 
 
 def test_scaled_operator_takes_the_full_path():

@@ -34,29 +34,28 @@ def test_invalid_mesh_inputs():
 
 def test_two_sided_data_domain():
     mesh = build_interval_mesh(0, 1, 4)
-    data = mark_data_domain(mesh, [[0, 0.25], [0.75, 1]])
-    assert list(data.element_mask) == [True, False, False, True]
+    mask = mark_data_domain(mesh, [[0, 0.25], [0.75, 1]])
+    assert list(mask) == [True, False, False, True]
 
 
 def test_one_sided_data_domain():
     mesh = build_interval_mesh(0, 1, 4)
-    data = mark_data_domain(mesh, [[0, 0.25]])
-    assert list(data.element_mask) == [True, False, False, False]
+    mask = mark_data_domain(mesh, [[0, 0.25]])
+    assert list(mask) == [True, False, False, False]
 
 
 def test_marking_order_independent():
     mesh = build_interval_mesh(0, 1, 8)
     a = mark_data_domain(mesh, [[0, 0.25], [0.75, 1]])
     b = mark_data_domain(mesh, [[0.75, 1], [0, 0.25]])
-    assert np.array_equal(a.element_mask, b.element_mask)
-    assert a.intervals == b.intervals
+    assert np.array_equal(a, b)
 
 
 def test_marking_idempotent_under_duplicates():
     mesh = build_interval_mesh(0, 1, 8)
     a = mark_data_domain(mesh, [[0, 0.25]])
     b = mark_data_domain(mesh, [[0, 0.25], [0, 0.25]])
-    assert np.array_equal(a.element_mask, b.element_mask)
+    assert np.array_equal(a, b)
 
 
 def test_misaligned_endpoint_rejected():

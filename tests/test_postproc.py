@@ -29,7 +29,6 @@ def test_time_continuous_input_unchanged(rng):
     for n in range(1, 3):
         u[n, 0] = u[n - 1, -1]
     sol = lift(space, u)
-    assert np.all(sol.jumps == 0)
     assert np.allclose(sol.coeffs, u, atol=1e-13)
 
 
@@ -62,7 +61,6 @@ def test_piecewise_constant_unit_jump():
     u = np.zeros((2, 2, space.n_x))
     u[1] = 1.0
     sol = lift(space, u)
-    assert np.allclose(sol.jumps[1], 1.0)
     start, middle, end = sol.coeffs_at([0.0, 0.5, 1.0])[1]
     assert np.allclose(start, 0.0, atol=1e-13)
     assert np.allclose(middle, 0.5, atol=1e-13)
@@ -102,7 +100,6 @@ def test_lift_is_projection(rng):
     once = lift(space, u)
     twice = lift(space, once.coeffs)
     assert np.allclose(once.coeffs, twice.coeffs, atol=1e-12)
-    assert np.all(twice.jumps == pytest.approx(0.0, abs=1e-12))
 
 
 def test_theta_norm_values():

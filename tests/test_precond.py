@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waveuc.cli import main
-from waveuc.config import PRECONDITIONERS, PRESETS
+from waveuc.config import PRESETS
 from waveuc.krylov import GmresConfig, gmres
 from waveuc.precond import (
     KINDS,
@@ -303,7 +303,6 @@ def test_unknown_kind_rejected():
 
 
 def test_every_configurable_kind_is_one_class_of_the_table():
-    assert tuple(KINDS) == PRECONDITIONERS
     s = make_system()
     for kind, cls in KINDS.items():
         M = build_preconditioner(s, kind)
@@ -316,7 +315,7 @@ def test_identity_apply_returns_its_argument():
     assert build_preconditioner(s, "none").apply(r) is r
 
 
-@pytest.mark.parametrize("kind", PRECONDITIONERS)
+@pytest.mark.parametrize("kind", KINDS)
 def test_every_kind_solves_through_its_apply_alone(kind):
     s = make_system(n_elems=8, n_slabs=4)
     b = s.assemble_rhs(PRESETS["gcc1d"].u)

@@ -132,7 +132,7 @@ def test_masked_spatial_mass():
     mesh = build_interval_mesh(0, 1, 4)
     data = mark_data_domain(mesh, [[0, 0.25]])
     b = SpatialBasis(1)
-    M = spatial_matrix(mesh, b, b, mask=data.element_mask).tocsr().toarray()
+    M = spatial_matrix(mesh, b, b, mask=data).tocsr().toarray()
     assert M[:2, :2] == pytest.approx(0.25 / 6 * np.array([[2, 1], [1, 2]]))
     assert np.all(M[2:] == 0) and np.all(M[:, 2:] == 0)
 

@@ -325,11 +325,13 @@ def test_rhs_supported_on_masked_elements():
         assert np.any(block[0][:, 0] != 0)
 
 
-def loop_data_functional(system, space, u_omega):
+def loop_data_functional(system, space, u_omega,
+                         points=DATA_QUADRATURE_POINTS):
     """Reference for the batched right-hand side: slab by slab, time point
     by time point and element by element quadrature of (u_omega, first
-    test field of space) over the marked elements."""
-    xg, wg = np.polynomial.legendre.leggauss(DATA_QUADRATURE_POINTS)
+    test field of space) over the marked elements, with the Gauss rule of
+    the given number of points in time and in space."""
+    xg, wg = np.polynomial.legendre.leggauss(points)
     pts, wts = (xg + 1) / 2, wg / 2
     mesh, dt, k = system.mesh, system.config.dt, space.degree_x
     out = np.zeros((system.n_slabs, space.n_modes, space.n_x))
@@ -337,7 +339,7 @@ def loop_data_functional(system, space, u_omega):
         for tq, wt in zip(pts, wts):
             tau = (n + tq) * dt
             psi = space.tbasis.eval(np.array(tq))
-            for e in np.flatnonzero(system.data.element_mask):
+            for e in np.flatnonzero(system.data):
                 for xq, wx in zip(pts, wts):
                     x = mesh.vertices[e] + mesh.h * xq
                     phi = space.xbasis.eval(np.array(xq))
@@ -365,6 +367,21 @@ def test_rhs_matches_loop_reference(preset, k, q, kstar, qstar):
         assert np.all(block[space.n_field :] == 0)
 
 
+@pytest.mark.parametrize("preset,k,n_slabs", [("gcc1d", 2, 4),
+                                               ("nogcc1d", 3, 2)])
+def test_rhs_matches_a_20_point_rule(preset, k, n_slabs):
+    # the data is no polynomial, so this pins how many points the right-hand
+    # side's rule takes: 6 points give 4e-15 and 2e-12 here, 4 points 1e-9
+    # and 4e-6
+    s = make_system(preset=preset, n_elems=2 * n_slabs, n_slabs=n_slabs,
+                    k=k, q=k, kstar=k, qstar=k)
+    u = PRESETS[preset].u
+    ref = loop_data_functional(s, s.primal, u, points=20)
+    b = s.slab_view(s.assemble_rhs(u))[:, : s.primal.n_field]
+    err = np.abs(b - ref.reshape(n_slabs, -1)).max()
+    assert err <= 1e-11 * np.abs(ref).max()
+
+
 def per_time_rhs(system, u_omega):
     """The right-hand side with u_omega called once per quadrature time, on
     the points of the marked elements, and the rest of assemble_rhs's
@@ -372,7 +389,7 @@ def per_time_rhs(system, u_omega):
     rule = gauss_rule(DATA_QUADRATURE_POINTS)
     N, dt, h = system.n_slabs, system.config.dt, system.mesh.h
     space = system.primal
-    elems = np.flatnonzero(system.data.element_mask)
+    elems = np.flatnonzero(system.data)
     xq = system.mesh.vertices[elems, None] + h * rule.points
     taus = (np.arange(N) * dt)[:, None] + dt * rule.points
     f = np.array([np.broadcast_to(u_omega(tau, xq), xq.shape)
