@@ -6,6 +6,7 @@ import contextlib
 import csv
 import itertools
 import math
+import os
 import sys
 import time
 from dataclasses import replace
@@ -87,12 +88,18 @@ def run_solve(config, preset, residual_log=None):
 
 def _open_out(out):
     """The CSV sink: the file out, or stdout when out is empty.  Callers open
-    it before any assembly, so that an unwritable path fails at once."""
-    return (open(out, "w", newline="") if out
+    it before any assembly, so that an unwritable path fails at once.  The
+    file is opened without truncating it and _write_rows empties it, so a
+    run that fails before its rows leaves an existing file as it was."""
+    return (open(out, "a", newline="") if out
             else contextlib.nullcontext(sys.stdout))
 
 
 def _write_rows(rows, sink):
+    # a pipe or device (--out /dev/stdout) holds no old rows and cannot be
+    # truncated
+    if sink is not sys.stdout and os.path.isfile(sink.name):
+        sink.truncate(0)
     writer = csv.DictWriter(sink, fieldnames=CSV_HEADER)
     writer.writeheader()
     writer.writerows(rows)
@@ -175,14 +182,13 @@ def _add_common_flags(p):
 
 
 def _elems_for_slabs(config):
-    """Element count giving h = dt on the configuration's own [a, b] and T."""
-    exact = (config.n_slabs * (config.b - config.a) / config.T
-             if config.T else math.nan)
+    """Element count giving h = dt on [0, 1] and the configuration's T."""
+    exact = config.n_slabs / config.T if config.T else math.nan
     n = round(exact) if math.isfinite(exact) else 0
     if n < 1 or abs(exact - n) > 1e-9:
         raise ValueError(
-            f"cannot match h = dt with N = {config.n_slabs} on [{config.a}, "
-            f"{config.b}] and T = {config.T}"
+            f"cannot match h = dt with N = {config.n_slabs} on [0, 1] and "
+            f"T = {config.T}"
         )
     return n
 

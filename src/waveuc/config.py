@@ -1,7 +1,7 @@
 """Run configuration, validation and the built-in experiment presets."""
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,8 +40,6 @@ class DiscretizationConfig:
     n_elems: int = 16
     n_slabs: int = 8
     T: float = 0.5
-    a: float = 0.0
-    b: float = 1.0
     omega: tuple = ((0.0, 0.25), (0.75, 1.0))
     precond: str = "mf"
     lam: Optional[float] = None
@@ -54,15 +52,18 @@ class DiscretizationConfig:
 
     @property
     def h(self):
-        return (self.b - self.a) / self.n_elems
+        return 1.0 / self.n_elems
+
+    def mesh(self):
+        """The spatial mesh: n_elems elements on the domain [0, 1]."""
+        return build_interval_mesh(0.0, 1.0, self.n_elems)
 
     def resolved_lambda(self):
         return default_lambda(self.k) if self.lam is None else self.lam
 
     def validate(self):
         # nan fails every comparison below and inf passes most of them
-        reals = [("T", self.T), ("a", self.a), ("b", self.b),
-                 ("tol", self.tol)]
+        reals = [("T", self.T), ("tol", self.tol)]
         if self.lam is not None:
             reals.append(("lam", self.lam))
         reals += [(f"omega[{i}]", v)
@@ -84,8 +85,6 @@ class DiscretizationConfig:
             raise ValueError("need at least one element and one slab")
         if self.T <= 0:
             raise ValueError("final time must be positive")
-        if self.b <= self.a:
-            raise ValueError("empty spatial domain")
         ratio = self.dt / self.h
         if not MIN_DT_OVER_H <= ratio <= MAX_DT_OVER_H:
             raise ValueError(
@@ -104,14 +103,15 @@ class DiscretizationConfig:
         if self.tol <= 0 or self.maxiter < 1:
             raise ValueError("invalid solver tolerance or iteration cap")
         # the measurement region must be a union of elements of this mesh
-        mark_data_domain(build_interval_mesh(self.a, self.b, self.n_elems),
-                         self.omega)
+        mark_data_domain(self.mesh(), self.omega)
         return self
 
 
 @dataclass(frozen=True)
 class ExperimentPreset:
-    """A named experiment: geometry, measurement region and exact solution.
+    """A named experiment: measurement region, exact solution, restricted
+    region.  Every experiment is posed on the interval [0, 1] over (0, T)
+    (DiscretizationConfig.mesh and .T).
 
     u and dt_u take an array of times and an array of points that broadcast
     together (the RHS and the error norms pass times of shape (times, 1, 1)
@@ -121,9 +121,6 @@ class ExperimentPreset:
     """
 
     name: str
-    a: float
-    b: float
-    T: float
     omega: tuple
     u: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dt_u: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -132,9 +129,7 @@ class ExperimentPreset:
     restricted_region: Optional[Callable[[np.ndarray], tuple]] = None
 
     def make_config(self, **overrides):
-        cfg = DiscretizationConfig(a=self.a, b=self.b, T=self.T,
-                                   omega=self.omega)
-        return replace(cfg, **overrides)
+        return DiscretizationConfig(**{"omega": self.omega, **overrides})
 
 
 def _standing_wave(t, x):
@@ -155,9 +150,6 @@ PRESETS = {
     # reliable everywhere
     "gcc1d": ExperimentPreset(
         name="gcc1d",
-        a=0.0,
-        b=1.0,
-        T=0.5,
         omega=((0.0, 0.25), (0.75, 1.0)),
         u=_standing_wave,
         dt_u=_standing_wave_dt,
@@ -167,9 +159,6 @@ PRESETS = {
     # domain of dependence of the data
     "nogcc1d": ExperimentPreset(
         name="nogcc1d",
-        a=0.0,
-        b=1.0,
-        T=0.5,
         omega=((0.0, 0.25),),
         u=_standing_wave,
         dt_u=_standing_wave_dt,

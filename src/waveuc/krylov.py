@@ -93,7 +93,8 @@ def gmres(apply_op, b, precond=Identity(), cfg: Optional[GmresConfig] = None,
 
     The basis and the packed triangle are reserved as one private anonymous
     mapping.  With m coordinates per basis vector (len(b) on the full path;
-    the defect rows, plus one along b's part off them, on the other) and
+    len(defect.rows) + 1 on the other: one along b's part off the defect
+    rows, zero when b has none, then those rows) and
     maxiter = min(cfg.maxiter, m), its first (maxiter + 1) m doubles are the
     basis rows in those coordinates.  Neither the iterate nor the report
     views it, so the mapping is released when gmres returns and the basis
@@ -221,10 +222,11 @@ def _coordinates(apply_op, precond, b, beta):
     precond inverts apply_op up to the defect E = A - M^-1, which is nonzero
     only on the rows S = precond.defect.rows.  Then A M = I + E M, so every
     Krylov vector lies in span{b} + R^S.  Coordinate 0 lies along
-    e = b' / |b'|, where b' is b with S zeroed (dropped when b' = 0), the
-    others are the rows S, and on S
+    e = b' / |b'|, where b' is b with S zeroed (e = b' = 0 when b has no
+    part off S, and coordinate 0 then stays 0), the others are the rows S,
+    so m = |S| + 1 whatever b is, and on S
 
-        step(q) = q + q[0] (E M e) + defect.em(q[lead:]),
+        step(q) = q + q[0] (E M e) + defect.em(q[1:]),
 
     with E M e = defect(M e) from one apply of M per solve and defect.em
     giving E M on S from S alone: the Arnoldi step applies neither A nor
@@ -240,25 +242,23 @@ def _coordinates(apply_op, precond, b, beta):
         return len(b), (lambda q: q), step, b / beta
 
     rows = defect.rows
-    b_off = b.copy()
-    b_off[rows] = 0.0
-    off_norm = np.linalg.norm(b_off)
-    lead = 1 if off_norm > 0.0 else 0
-    e = b_off / off_norm if lead else None
+    e = b.copy()
+    e[rows] = 0.0
+    off_norm = np.linalg.norm(e)
+    if off_norm > 0.0:
+        e /= off_norm
+    em_e = defect(precond.apply(e))
 
     def expand(q):
-        v = q[0] * e if lead else np.zeros(len(b))
-        v[rows] = q[lead:]
+        v = q[0] * e
+        v[rows] = q[1:]
         return v
-
-    em_e = defect(precond.apply(e)) if lead else None
 
     def step(q):
         w = q.copy()
-        w[lead:] += defect.em(q[lead:])
-        if lead:
-            w[lead:] += q[0] * em_e
+        w[1:] += defect.em(q[1:])
+        w[1:] += q[0] * em_e
         return w
 
-    q0 = np.concatenate(([off_norm] if lead else [], b[rows])) / beta
+    q0 = np.concatenate(([off_norm], b[rows])) / beta
     return len(q0), expand, step, q0

@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import gauss_rule
-from .mesh import build_interval_mesh, mark_data_domain
+from .mesh import mark_data_domain
 from .slab_forms import (
     SlabSpace,
     assemble_A,
@@ -72,7 +72,7 @@ class SpaceTimeSystem:
     def __init__(self, config):
         config.validate()
         self.config = config
-        self.mesh = build_interval_mesh(config.a, config.b, config.n_elems)
+        self.mesh = config.mesh()
         # the measurement region, as a mask over the mesh's elements
         self.data = mark_data_domain(self.mesh, config.omega)
         self.primal = SlabSpace(self.mesh, config.k, config.q, config.dt)

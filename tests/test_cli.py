@@ -1,4 +1,5 @@
 import csv
+import os
 import re
 
 import numpy as np
@@ -23,7 +24,12 @@ def read_rows(path):
 
 def test_presets_match_experiment_setups():
     gcc = PRESETS["gcc1d"]
-    assert (gcc.a, gcc.b, gcc.T) == (0.0, 1.0, 0.5)
+    # every experiment is posed on [0, 1] over (0, 1/2)
+    for preset in PRESETS.values():
+        cfg = preset.make_config()
+        mesh = cfg.mesh()
+        assert (mesh.a, mesh.b, cfg.T) == (0.0, 1.0, 0.5)
+        assert cfg.omega == preset.omega
     assert gcc.omega == ((0.0, 0.25), (0.75, 1.0))
     nogcc = PRESETS["nogcc1d"]
     assert nogcc.omega == ((0.0, 0.25),)
@@ -72,7 +78,7 @@ NAN, INF = float("nan"), float("inf")
 
 @pytest.mark.parametrize("field,value", [
     ("tol", INF), ("tol", NAN), ("lam", INF), ("lam", NAN),
-    ("T", INF), ("T", NAN), ("a", -INF), ("b", NAN),
+    ("T", INF), ("T", NAN), ("T", -INF), ("lam", -INF),
     ("omega", ((0.0, INF),)), ("omega", ((NAN, 0.25),)),
 ])
 def test_config_rejects_non_finite(field, value):
@@ -451,3 +457,61 @@ def test_unwritable_sink_exits_1_before_any_assembly(argv, tmp_path,
     (line,) = captured.err.splitlines()
     assert line.startswith("error:") and str(missing) in line
     assert not missing.exists()
+
+
+STALE = "stale,content\n" * 1000
+
+
+def refuse_reservation(*args, **kwargs):
+    raise MemoryError("cannot reserve 8 bytes for the GMRes basis")
+
+
+@pytest.mark.parametrize("argv, fakes", [
+    (["solve", "--residual-log", "{missing}/resid.log"], {}),
+    (["solve", "--precond", "dfb", "--lambda", "1e308"], {}),
+    (["iters", "--precond-list", "mf,dfb", "--slab-list", "2",
+      "--lambda", "1e308"], {}),
+    (["solve"], {"waveuc.cli.gmres": refuse_reservation}),
+], ids=["unwritable-residual-log", "breakdown", "sweep-breakdown",
+        "refused-reservation"])
+def test_failing_run_leaves_an_existing_out_file_as_it_was(
+        argv, fakes, tmp_path, monkeypatch):
+    # --out is opened before the solve but emptied only when the rows are
+    # written, so a run that exits 1 keeps the previous results
+    for name, fake in fakes.items():
+        monkeypatch.setattr(name, fake)
+    out = tmp_path / "prev.csv"
+    out.write_text(STALE)
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    assert main(argv + ["--slabs", "2", "--elems", "4", "--out", str(out)]) == 1
+    assert out.read_text() == STALE
+
+
+@pytest.mark.parametrize("argv, n_rows", [
+    (["solve", "--slabs", "2", "--elems", "4"], 1),
+    (["iters", "--precond-list", "mf,ml", "--slab-list", "2"], 2),
+], ids=["solve", "iters"])
+def test_written_rows_replace_an_existing_out_file(argv, n_rows, tmp_path):
+    # a longer previous file is emptied, not appended to or overwritten in
+    # part
+    out = tmp_path / "prev.csv"
+    out.write_text(STALE)
+    assert main(argv + ["--out", str(out)]) == 0
+    assert len(read_rows(out)) == n_rows
+    assert "stale" not in out.read_text()
+
+
+def test_out_may_be_a_pipe_or_device():
+    # neither holds old rows nor can be truncated: both are written as
+    # they are
+    r, w = os.pipe()
+    try:
+        assert main(["solve", "--slabs", "2", "--elems", "4",
+                     "--out", f"/dev/fd/{w}"]) == 0
+    finally:
+        os.close(w)
+    with os.fdopen(r) as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == ",".join(CSV_HEADER) and len(lines) == 2
+    assert main(["solve", "--slabs", "2", "--elems", "4",
+                 "--out", os.devnull]) == 0

@@ -558,8 +558,8 @@ def test_defect_row_basis_needs_no_operator_apply_in_arnoldi():
 def test_defect_row_basis_applies_m_only_outside_arnoldi(
         preset, k, n_slabs, kind, off_rows, rng):
     # M is applied at the true-residual checks, for the returned iterate
-    # unless the last check computed it and, when b has a part off the
-    # defect rows, once for E M of that part
+    # unless the last check computed it and once for E M of b's part off
+    # the defect rows, which is zero when b has none
     s, b = solve_system(preset, k, n_slabs)
     M = build_preconditioner(s, kind)
     off = np.ones(s.ndof, dtype=bool)
@@ -580,12 +580,12 @@ def test_defect_row_basis_applies_m_only_outside_arnoldi(
     assert report.converged and report.iterations > 20
     on_check = report.iterations % 10 == 0
     assert on_check == (preset == "nogcc1d")
-    assert len(calls) == len(report.true_residuals) + (not on_check) + off_rows
+    assert len(calls) == len(report.true_residuals) + (not on_check) + 1
 
 
 @pytest.mark.parametrize("kind", ["mf", "block"])
 def test_rhs_on_the_defect_rows_only(kind, rng, kept):
-    # b' = 0: the basis has no coordinate along b', only the defect rows
+    # b' = 0: the coordinate along b' is kept, and stays zero
     s, _ = solve_system("gcc1d", 1, 6)
     M = build_preconditioner(s, kind)
     b = np.zeros(s.ndof)
@@ -597,10 +597,13 @@ def test_rhs_on_the_defect_rows_only(kind, rng, kept):
     assert abs(report.iterations - full.iterations) <= 1
     assert np.linalg.norm(x - x_full) <= 1e-6 * np.linalg.norm(x_full)
     assert np.linalg.norm(b - s.apply(x)) <= 10 * cfg.tol * np.linalg.norm(b)
-    # the first solve's coordinates are the defect rows alone
-    m = len(M.defect.rows)
+    # the first solve's coordinates are the zero one along b', then the
+    # defect rows
+    m = len(M.defect.rows) + 1
     Q = basis_rows(kept[0], min(cfg.maxiter, m), m)
-    assert np.all(Q[0] == b[M.defect.rows] / np.linalg.norm(b))
+    assert np.all(Q[0] == np.concatenate(([0.0], b[M.defect.rows]))
+                  / np.linalg.norm(b))
+    assert np.all(Q[:, 0] == 0.0)
 
 
 def test_scaled_operator_takes_the_full_path():

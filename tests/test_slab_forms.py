@@ -295,6 +295,41 @@ def test_dual_stabilizer_constant_value():
     assert z @ (Sd @ z) == pytest.approx(expected, rel=1e-12)
 
 
+def quadrature_dual_stabilizer_energy(space, Z):
+    """Direct space-time quadrature of the dual stabilizer's form for one
+    field pair: the integrals of z1^2, (d/dx z1)^2 and z2^2 over the slab,
+    plus 1/h times the time integral of z1^2 at both lateral ends."""
+    mesh, dt, h = space.mesh, space.dt, space.mesh.h
+    tr = gauss_rule(space.degree_t + 3)
+    xr = gauss_rule(space.degree_x + 3)
+    total = 0.0
+    for wt, tq in zip(tr.weights, tr.points):
+        for e in range(mesh.n_elems):
+            for wx, xq in zip(xr.weights, xr.points):
+                z1 = eval_elem(space, Z, 0, tq, e, xq)
+                dxz1 = eval_elem(space, Z, 0, tq, e, xq, dx=1)
+                z2 = eval_elem(space, Z, 1, tq, e, xq)
+                total += dt * wt * h * wx * (z1**2 + dxz1**2 + z2**2)
+        for (e, ref) in ((0, 0.0), (mesh.n_elems - 1, 1.0)):
+            total += dt * wt / h * eval_elem(space, Z, 0, tq, e, ref) ** 2
+    return total
+
+
+@pytest.mark.parametrize("kstar,qstar", [(1, 0), (1, 1), (2, 0), (2, 2),
+                                         (3, 1)])
+def test_dual_stabilizer_matches_direct_quadrature(kstar, qstar, rng):
+    # random z1 and z2, so that every term of S* weighs in: z1's mass,
+    # stiffness and boundary terms and z2's mass
+    mesh = build_interval_mesh(0, 1, 3)
+    space = SlabSpace(mesh, kstar, qstar, dt=0.25)
+    Sd = assemble_dual_stabilizer(space).tocsr()
+    for _ in range(3):
+        Z = pair_coeffs(space, rng)
+        z = Z.ravel()
+        assert z @ (Sd @ z) == pytest.approx(
+            quadrature_dual_stabilizer_energy(space, Z), rel=1e-12, abs=0)
+
+
 def test_dual_stabilizer_positive_definite():
     mesh = build_interval_mesh(0, 1, 3)
     space = SlabSpace(mesh, 1, 1, dt=0.25)
