@@ -56,7 +56,7 @@ class DiscretizationConfig:
 
     def mesh(self):
         """The spatial mesh: n_elems elements on the domain [0, 1]."""
-        return build_interval_mesh(0.0, 1.0, self.n_elems)
+        return build_interval_mesh(self.n_elems)
 
     def resolved_lambda(self):
         return default_lambda(self.k) if self.lam is None else self.lam
@@ -116,17 +116,18 @@ class ExperimentPreset:
     u and dt_u take an array of times and an array of points that broadcast
     together (the RHS and the error norms pass times of shape (times, 1, 1)
     beside points of shape (..., points)) and return their values there.
-    restricted_region takes an array of times and returns the two ends of
-    the subinterval at each, as arrays or scalars.
+    restricted_region takes an array of times and the final time T and
+    returns the two ends of the subinterval at each time, as arrays or
+    scalars.
     """
 
     name: str
     omega: tuple
     u: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dt_u: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    # times -> spatial subintervals on which continuation is theoretically
-    # reliable; None when the whole domain is covered
-    restricted_region: Optional[Callable[[np.ndarray], tuple]] = None
+    # (times, T) -> spatial subintervals on which continuation is
+    # theoretically reliable; None when the whole domain is covered
+    restricted_region: Optional[Callable[[np.ndarray, float], tuple]] = None
 
     def make_config(self, **overrides):
         return DiscretizationConfig(**{"omega": self.omega, **overrides})
@@ -140,9 +141,17 @@ def _standing_wave_dt(t, x):
     return -np.pi * np.sin(np.pi * t) * np.sin(np.pi * np.asarray(x))
 
 
-def _cone_region(t):
-    # grows from the left data block until t = 1/4, then shrinks again
-    return (0.0, np.minimum(0.25 + t, 0.75 - t))
+def _one_sided(e):
+    """The preset with data on (0, e) only.  Continuation over (0, T) is
+    reliable in the data's domain of dependence: the points (x, t) of [0, 1]
+    whose left-going characteristics, backwards and forwards in time, both
+    reach the data within (0, T), that is x < min(e + t, e + T - t)
+    (reflections at x = 1 ignored)."""
+    def cone(t, T):
+        return (0.0, np.minimum(np.minimum(e + t, (e + T) - t), 1.0))
+    return ExperimentPreset(name="nogcc1d", omega=((0.0, e),),
+                            u=_standing_wave, dt_u=_standing_wave_dt,
+                            restricted_region=cone)
 
 
 PRESETS = {
@@ -150,18 +159,12 @@ PRESETS = {
     # reliable everywhere
     "gcc1d": ExperimentPreset(
         name="gcc1d",
-        omega=((0.0, 0.25), (0.75, 1.0)),
+        omega=DiscretizationConfig.omega,
         u=_standing_wave,
         dt_u=_standing_wave_dt,
         restricted_region=None,
     ),
     # one-sided measurement region: continuation is reliable only inside the
     # domain of dependence of the data
-    "nogcc1d": ExperimentPreset(
-        name="nogcc1d",
-        omega=((0.0, 0.25),),
-        u=_standing_wave,
-        dt_u=_standing_wave_dt,
-        restricted_region=_cone_region,
-    ),
+    "nogcc1d": _one_sided(0.25),
 }

@@ -1,8 +1,9 @@
-"""Uniform 1D interval meshes and measurement-domain marking.
+"""Uniform meshes of the interval [0, 1] and measurement-domain marking.
 
-The measurement domain is resolved element-wise: mark_data_domain returns
-a boolean mask over the mesh's elements, the form every reader of the
-domain takes.
+Every experiment is posed on [0, 1], so the mesh has no other domain.  The
+measurement domain is resolved element-wise: mark_data_domain returns a
+boolean mask over the mesh's elements, the form every reader of the domain
+takes.
 """
 
 from dataclasses import dataclass
@@ -14,35 +15,22 @@ __all__ = ["IntervalMesh", "build_interval_mesh", "mark_data_domain"]
 
 @dataclass(frozen=True)
 class IntervalMesh:
-    """Uniform partition of [a, b] into n_elems elements of width h."""
+    """Uniform partition of [0, 1] into n_elems elements of width h."""
 
-    a: float
-    b: float
     n_elems: int
     h: float
     vertices: np.ndarray
-    # interior_facets[i] is the vertex index shared by elements i and i+1
-    interior_facets: np.ndarray
 
 
-def build_interval_mesh(a, b, n_elems):
-    if not b > a:
-        raise ValueError(f"empty domain: [{a}, {b}]")
+def build_interval_mesh(n_elems):
     if n_elems < 1:
         raise ValueError(f"need at least one element, got {n_elems}")
-    vertices = np.linspace(a, b, n_elems + 1)
-    return IntervalMesh(
-        a=float(a),
-        b=float(b),
-        n_elems=int(n_elems),
-        h=(b - a) / n_elems,
-        vertices=vertices,
-        interior_facets=np.arange(1, n_elems),
-    )
+    return IntervalMesh(n_elems=int(n_elems), h=1.0 / n_elems,
+                        vertices=np.linspace(0.0, 1.0, n_elems + 1))
 
 
 def mark_data_domain(mesh, intervals):
-    """The elements covered by a union of subintervals of [a, b], as a
+    """The elements covered by a union of subintervals of [0, 1], as a
     boolean mask: mask[e] is True iff element e lies inside one of them.
 
     Every interval endpoint must coincide with a mesh vertex (up to
@@ -55,7 +43,7 @@ def mark_data_domain(mesh, intervals):
     for lo, hi in intervals:
         if not hi > lo:
             raise ValueError(f"empty data interval: [{lo}, {hi}]")
-        if lo < mesh.a - tol or hi > mesh.b + tol:
+        if lo < -tol or hi > 1.0 + tol:
             raise ValueError(f"data interval [{lo}, {hi}] leaves the domain")
         for p in (lo, hi):
             if np.min(np.abs(mesh.vertices - p)) > tol:

@@ -97,27 +97,27 @@ class ErrorReport:
 
 def _squared_errors(sol, f, times, coeffs, region, rule):
     """Squared L2 distances between f(t, .) and the spatial functions with
-    coefficient rows coeffs, one per time t, over region(t) or the whole
-    mesh when region is None, by the quadrature rule on every element.
+    coefficient rows coeffs, one per time t, over region(t, T) or the
+    whole mesh [0, 1] when region is None, by the quadrature rule on every
+    element, where T = n_slabs * dt is the solution's final time.
 
     f and region are each called once, on all the times: f with times of
     shape (times, 1, 1) beside points of shape (times, elems, points), and
-    region with the times array, which returns the arrays (or scalars) of
-    the subintervals' ends.  All elements at all the times are handled in
-    one array expression;
-    elements cut by the region boundary get a sub-interval rule, and
-    elements outside it a zero length.  Only the cut elements evaluate the
-    spatial basis at their own points; every other element takes its
-    values at the rule's reference points.
+    region with the times array and T, which returns the arrays (or
+    scalars) of the subintervals' ends.  All elements at all the times are
+    handled in one array expression; elements cut by the region boundary
+    get a sub-interval rule, and elements outside it a zero length.  Only
+    the cut elements evaluate the spatial basis at their own points; every
+    other element takes its values at the rule's reference points.
     """
     mesh, xb = sol.mesh, sol.xbasis
     x0, x1 = mesh.vertices[:-1], mesh.vertices[1:]
     local = coeffs[:, element_dofs(mesh, xb.degree)]  # (times, elems, dofs)
     uh = local @ xb.eval(rule.points).T  # (times, elems, points)
     # the whole mesh is the same at every time, so it is not repeated
-    lo, hi = ((mesh.a, mesh.b) if region is None else
+    lo, hi = ((0.0, 1.0) if region is None else
               (np.asarray(end, dtype=float)[..., None]
-               for end in region(times)))
+               for end in region(times, sol.n_slabs * sol.dt)))
     a, b = np.maximum(x0, lo), np.minimum(x1, hi)
     width = np.maximum(b - a, 0.0)
     length = np.broadcast_to(width, uh.shape[:2])
@@ -140,8 +140,8 @@ def error_norms(u_exact, dt_u_exact, sol, region=None):
     The max-in-time norm is approximated by sampling Gauss-Lobatto points
     per slab (exact for the polynomial part).  The time derivative error is
     integrated with Gauss quadrature in time.  region, if given, maps an
-    array of times to the spatial subintervals over which restricted norms
-    are taken.
+    array of times and the final time T = n_slabs * dt to the spatial
+    subintervals over which restricted norms are taken.
     The times of all slabs are stacked, so each norm takes one
     _squared_errors call per region.
     """

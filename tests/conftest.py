@@ -47,7 +47,7 @@ class SlabFunction:
         out = np.empty_like(x)
         k, h = sp.degree_x, mesh.h
         for i, xi in enumerate(x):
-            e = min(int((xi - mesh.a) / h), mesh.n_elems - 1)
+            e = min(int(xi / h), mesh.n_elems - 1)
             ref = (xi - mesh.vertices[e]) / h
             phi = sp.xbasis.eval(np.array(ref), deriv=dx) / h**dx
             local = self.coeffs[field][:, e * k : e * k + k + 1]

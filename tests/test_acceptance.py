@@ -178,7 +178,7 @@ def test_criterion_7_no_gcc_restricted_convergence():
 
 
 def test_criterion_8_lifting():
-    mesh = build_interval_mesh(0, 1, 8)
+    mesh = build_interval_mesh(8)
     rng = np.random.default_rng(3)
     worst = 0.0
     for q in (1, 2):
@@ -215,7 +215,7 @@ def test_criterion_8_lifting():
 
 
 def test_criterion_9_stabilizer_structure():
-    mesh = build_interval_mesh(0, 1, 4)
+    mesh = build_interval_mesh(4)
     space = SlabSpace(mesh, 2, 1, dt=0.25)
     parts = {name: part.tocsr()
              for name, part in assemble_primal_stabilizers(space).items()}

@@ -28,7 +28,7 @@ def test_presets_match_experiment_setups():
     for preset in PRESETS.values():
         cfg = preset.make_config()
         mesh = cfg.mesh()
-        assert (mesh.a, mesh.b, cfg.T) == (0.0, 1.0, 0.5)
+        assert (mesh.vertices[0], mesh.vertices[-1], cfg.T) == (0.0, 1.0, 0.5)
         assert cfg.omega == preset.omega
     assert gcc.omega == ((0.0, 0.25), (0.75, 1.0))
     nogcc = PRESETS["nogcc1d"]

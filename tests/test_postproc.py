@@ -23,7 +23,7 @@ def random_displacement(space, n_slabs, rng):
 
 
 def test_time_continuous_input_unchanged(rng):
-    mesh = build_interval_mesh(0, 1, 4)
+    mesh = build_interval_mesh(4)
     space = SlabSpace(mesh, 1, 1, dt=0.25)
     u = random_displacement(space, 3, rng)
     for n in range(1, 3):
@@ -33,7 +33,7 @@ def test_time_continuous_input_unchanged(rng):
 
 
 def test_lifted_continuity_random(rng):
-    mesh = build_interval_mesh(0, 1, 4)
+    mesh = build_interval_mesh(4)
     for q in (1, 2):
         space = SlabSpace(mesh, 2, q, dt=0.25)
         u = random_displacement(space, 4, rng)
@@ -44,7 +44,7 @@ def test_lifted_continuity_random(rng):
 
 
 def test_first_slab_untouched(rng):
-    mesh = build_interval_mesh(0, 1, 4)
+    mesh = build_interval_mesh(4)
     space = SlabSpace(mesh, 1, 2, dt=0.25)
     u = random_displacement(space, 3, rng)
     sol = lift(space, u)
@@ -56,7 +56,7 @@ def test_first_slab_untouched(rng):
 def test_piecewise_constant_unit_jump():
     # constant 0 on slab 0, constant 1 on slab 1: the lifted function takes
     # the left limit at the interface and is affine on slab 1
-    mesh = build_interval_mesh(0, 1, 2)
+    mesh = build_interval_mesh(2)
     space = SlabSpace(mesh, 1, 1, dt=0.5)
     u = np.zeros((2, 2, space.n_x))
     u[1] = 1.0
@@ -68,7 +68,7 @@ def test_piecewise_constant_unit_jump():
 
 
 def test_q0_input_lifts_to_affine(rng):
-    mesh = build_interval_mesh(0, 1, 2)
+    mesh = build_interval_mesh(2)
     space = SlabSpace(mesh, 1, 0, dt=0.5)
     u = random_displacement(space, 3, rng)
     sol = lift(space, u)
@@ -79,7 +79,7 @@ def test_q0_input_lifts_to_affine(rng):
 
 @pytest.mark.parametrize("q", [1, 2])
 def test_coeffs_at_is_the_per_slab_evaluation(q, rng):
-    mesh = build_interval_mesh(0, 1, 4)
+    mesh = build_interval_mesh(4)
     space = SlabSpace(mesh, 2, q, dt=0.25)
     sol = lift(space, random_displacement(space, 3, rng))
     for xi in (0.3, np.linspace(0, 1, 5), np.array([[0.1, 0.9], [0.5, 1.0]])):
@@ -94,7 +94,7 @@ def test_coeffs_at_is_the_per_slab_evaluation(q, rng):
 
 
 def test_lift_is_projection(rng):
-    mesh = build_interval_mesh(0, 1, 4)
+    mesh = build_interval_mesh(4)
     space = SlabSpace(mesh, 1, 1, dt=0.25)
     u = random_displacement(space, 3, rng)
     once = lift(space, u)
@@ -105,7 +105,7 @@ def test_lift_is_projection(rng):
 def test_theta_norm_values():
     # integrating the lifting of a unit jump recovers the blending weight
     # norms |theta| = sqrt(dt/3) and |theta'| = dt^(-1/2)
-    mesh = build_interval_mesh(0, 1, 2)
+    mesh = build_interval_mesh(2)
     dt = 0.125
     space = SlabSpace(mesh, 1, 1, dt=dt)
     u = np.zeros((2, 2, space.n_x))
@@ -151,9 +151,51 @@ def test_error_norm_of_zero_solution():
 
 def test_restricted_region_definition():
     region = PRESETS["nogcc1d"].restricted_region
-    assert region(0.0) == pytest.approx((0.0, 0.25))
-    assert region(0.25) == pytest.approx((0.0, 0.5))
-    assert region(0.5) == pytest.approx((0.0, 0.25))
+    assert region(0.0, 0.5) == pytest.approx((0.0, 0.25))
+    assert region(0.25, 0.5) == pytest.approx((0.0, 0.5))
+    assert region(0.5, 0.5) == pytest.approx((0.0, 0.25))
+    # a later final time widens the cone up to the domain's end
+    assert region(0.5, 2.0) == pytest.approx((0.0, 0.75))
+    assert region(1.0, 2.0) == pytest.approx((0.0, 1.0))
+    assert region(2.0, 2.0) == pytest.approx((0.0, 0.25))
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_cone_at_half_is_the_fixed_cone_bitwise(n, q):
+    # at T = 0.5 the cone is (0, min(0.25 + t, 0.75 - t)) bit for bit at
+    # every time error_norms samples
+    cone = PRESETS["nogcc1d"].restricted_region
+    space = SlabSpace(build_interval_mesh(n), 1, q, dt=0.5 / n)
+    sol = lift(space, np.zeros((n, space.n_modes, space.n_x)))
+    calls = []
+
+    def recorded(t, T):
+        calls.append((t, T))
+        return cone(t, T)
+
+    zero = lambda t, x: 0.0 * x  # noqa: E731
+    error_norms(zero, zero, sol, region=recorded)
+    assert len(calls) == 2
+    for t, T in calls:
+        assert T == 0.5
+        lo, hi = cone(t, T)
+        assert lo == 0.0
+        assert np.array_equal(hi, np.minimum(0.25 + t, 0.75 - t))
+
+
+def test_restricted_norms_read_the_final_time():
+    # T = 2: an error that is nonzero only for t > 0.75, where the cone of
+    # T = 0.5 would be empty, counts over (0, min(0.25 + t, 2.25 - t, 1))
+    s = make_system(preset="nogcc1d", n_elems=8, n_slabs=8, T=2.0)
+    sol = lift(s.primal, np.zeros((8, s.primal.n_modes, s.primal.n_x)))
+    late = lambda t, x: (t > 0.75) + 0.0 * x  # noqa: E731
+    report = error_norms(late, late, sol,
+                         region=PRESETS["nogcc1d"].restricted_region)
+    assert report.err_LinfL2_u_restricted == pytest.approx(1.0, rel=1e-12)
+    # length 1 on (0.75, 1.25), then 2.25 - t down to 0.25 at t = 2
+    assert report.err_L2L2_ut_restricted == pytest.approx(
+        math.sqrt(0.5 + 0.75 * 0.625), rel=1e-12)
 
 
 def test_restricted_norm_monotone(rng):
@@ -162,9 +204,9 @@ def test_restricted_norm_monotone(rng):
     u = rng.standard_normal((s.n_slabs, s.primal.n_modes, s.primal.n_x))
     sol = lift(s.primal, u)
     small = error_norms(preset.u, preset.dt_u, sol,
-                        region=lambda t: (0.0, 0.25))
+                        region=lambda t, T: (0.0, 0.25))
     large = error_norms(preset.u, preset.dt_u, sol,
-                        region=lambda t: (0.0, 0.75))
+                        region=lambda t, T: (0.0, 0.75))
     full = error_norms(preset.u, preset.dt_u, sol)
     assert small.err_L2L2_ut_restricted <= large.err_L2L2_ut_restricted
     assert large.err_L2L2_ut_restricted <= full.err_L2L2_ut + 1e-12
@@ -181,7 +223,7 @@ def test_restricted_clipping_matches_analytic():
         lambda t, x: np.ones_like(x),
         lambda t, x: np.ones_like(x),
         sol,
-        region=lambda t: (0.0, 0.3),  # cuts through an element
+        region=lambda t, T: (0.0, 0.3),  # cuts through an element
     )
     assert report.err_L2L2_ut_restricted == pytest.approx(
         math.sqrt(0.3 * s.config.T), rel=1e-12
@@ -207,26 +249,27 @@ def pointwise_error_norms(u, dt_u, sol, region):
 
     samples = gauss_lobatto_nodes(sol.tbasis.cardinality + 2)
     trule = gauss_rule(ERROR_QUADRATURE_POINTS)
+    T = sol.n_slabs * sol.dt
     linf = [0.0, 0.0]
     l2 = [0.0, 0.0]
     for n in range(sol.n_slabs):
         fn = SlabFunction(space, [sol.coeffs[n], np.zeros_like(sol.coeffs[n])])
         for xi in samples:
             tau = (n + xi) * sol.dt
-            for i, (lo, hi) in enumerate([(mesh.a, mesh.b), region(tau)]):
+            for i, (lo, hi) in enumerate([(0.0, 1.0), region(tau, T)]):
                 e = sq_error(lambda x: u(tau, x),
                              lambda x: fn(0, xi, x), lo, hi)
                 linf[i] = max(linf[i], e)
         for w, xi in zip(trule.weights, trule.points):
             tau = (n + xi) * sol.dt
-            for i, (lo, hi) in enumerate([(mesh.a, mesh.b), region(tau)]):
+            for i, (lo, hi) in enumerate([(0.0, 1.0), region(tau, T)]):
                 l2[i] += sol.dt * w * sq_error(
                     lambda x: dt_u(tau, x),
                     lambda x: fn(0, xi, x, dtime=1), lo, hi)
     return np.sqrt([linf[0], l2[0], linf[1], l2[1]])
 
 
-def _window(t):
+def _window(t, T):
     # both endpoints move and cut elements
     return (0.15 + 0.3 * t, 0.7 - 0.2 * t)
 
@@ -242,7 +285,7 @@ def test_error_norms_match_pointwise_oracle(k, region, rng):
     sol = lift(s.primal, u)
     # the region's moving endpoints cut an element at every interior sample
     samples = gauss_lobatto_nodes(sol.tbasis.cardinality + 2)
-    ends = np.array([region((n + xi) * sol.dt)
+    ends = np.array([region((n + xi) * sol.dt, s.config.T)
                      for n in range(s.n_slabs) for xi in samples])
     off_vertex = np.abs(ends / s.mesh.h - np.round(ends / s.mesh.h)) > 1e-3
     assert off_vertex[:, 1].sum() >= len(ends) // 2
@@ -282,7 +325,7 @@ def slab_by_slab_error_norms(u, dt_u, sol, region):
     dofs = element_dofs(mesh, xb.degree)
 
     def squared(f, tau, c, reg):
-        lo, hi = (mesh.a, mesh.b) if reg is None else reg(tau)
+        lo, hi = (0.0, 1.0) if reg is None else reg(tau, sol.n_slabs * dt)
         a, b = np.maximum(x0, lo), np.minimum(x1, hi)
         length = np.maximum(b - a, 0.0)
         xq = a[:, None] + length[:, None] * rule.points
@@ -315,12 +358,12 @@ def test_error_norms_match_slab_by_slab_formula(preset_name, restricted):
     # the nodal interpolant of the exact solution: small errors, so the
     # comparison sees the rounding of the difference u - u_h
     times = (np.arange(s.n_slabs)[:, None] + space.tbasis.nodes) * s.config.dt
-    nodes = np.linspace(s.mesh.a, s.mesh.b, space.n_x)
+    nodes = np.linspace(0.0, 1.0, space.n_x)
     sol = lift(space, preset.u(times[..., None], nodes))
     region = preset.restricted_region if restricted else None
     if restricted:
         # on gcc1d, a window whose ends cut elements at most sample times
-        region = region or (lambda t: (0.15 + 0.3 * t, 0.7 - 0.2 * t))
+        region = region or (lambda t, T: (0.15 + 0.3 * t, 0.7 - 0.2 * t))
     report = error_norms(preset.u, preset.dt_u, sol, region=region)
     got = [report.err_LinfL2_u, report.err_L2L2_ut,
            report.err_LinfL2_u_restricted, report.err_L2L2_ut_restricted]

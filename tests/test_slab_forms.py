@@ -77,7 +77,7 @@ def quadrature_stabilizer_energy(space, V):
     J = G = I0 = R = 0.0
     for wt, tq in zip(tr.weights, tr.points):
         w_t = dt * wt
-        for v in mesh.interior_facets:
+        for v in range(1, mesh.n_elems):
             dl = eval_elem(space, V, 0, tq, v - 1, 1.0, dx=1)
             dr = eval_elem(space, V, 0, tq, v, 0.0, dx=1)
             J += w_t * h * (dl - dr) ** 2
@@ -112,7 +112,7 @@ def test_temporal_matrices_q1_analytic():
 
 
 def test_spatial_mass_p1_analytic():
-    mesh = build_interval_mesh(0, 1, 2)
+    mesh = build_interval_mesh(2)
     b = SpatialBasis(1)
     M = spatial_matrix(mesh, b, b).tocsr().toarray()
     h = 0.5
@@ -121,7 +121,7 @@ def test_spatial_mass_p1_analytic():
 
 
 def test_spatial_stiffness_p1_analytic():
-    mesh = build_interval_mesh(0, 1, 2)
+    mesh = build_interval_mesh(2)
     b = SpatialBasis(1)
     K = spatial_matrix(mesh, b, b, 1, 1).tocsr().toarray()
     expected = 2.0 * np.array([[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
@@ -129,7 +129,7 @@ def test_spatial_stiffness_p1_analytic():
 
 
 def test_masked_spatial_mass():
-    mesh = build_interval_mesh(0, 1, 4)
+    mesh = build_interval_mesh(4)
     data = mark_data_domain(mesh, [[0, 0.25]])
     b = SpatialBasis(1)
     M = spatial_matrix(mesh, b, b, mask=data).tocsr().toarray()
@@ -138,7 +138,7 @@ def test_masked_spatial_mass():
 
 
 def test_boundary_matrices():
-    mesh = build_interval_mesh(0, 1, 2)
+    mesh = build_interval_mesh(2)
     b = SpatialBasis(1)
     P = boundary_penalty_matrix(mesh, b, b).tocsr().toarray()
     expected = np.zeros((3, 3))
@@ -151,7 +151,7 @@ def test_boundary_matrices():
 
 
 def test_gradient_jump_p1_analytic():
-    mesh = build_interval_mesh(0, 1, 2)
+    mesh = build_interval_mesh(2)
     b = SpatialBasis(1)
     J = gradient_jump_matrix(mesh, b).tocsr().toarray()
     # single interior vertex; jump vector is (1, -2, 1)/h, weight h
@@ -160,7 +160,7 @@ def test_gradient_jump_p1_analytic():
 
 
 def test_gradient_jump_vanishes_for_affine():
-    mesh = build_interval_mesh(0, 1, 4)
+    mesh = build_interval_mesh(4)
     for k in (1, 2):
         b = SpatialBasis(k)
         nodes = np.linspace(0, 1, k * mesh.n_elems + 1)
@@ -174,7 +174,7 @@ def test_gradient_jump_vanishes_for_affine():
 
 def test_A_closure_on_affine_displacement():
     # u1 = x, u2 = 0: stiffness and boundary flux cancel exactly
-    mesh = build_interval_mesh(0, 1, 1)
+    mesh = build_interval_mesh(1)
     space = SlabSpace(mesh, 1, 1, dt=0.5)
     A = assemble_A(space, space).tocsr()
     U = np.zeros((2, space.n_modes, space.n_x))
@@ -185,7 +185,7 @@ def test_A_closure_on_affine_displacement():
 @pytest.mark.parametrize("orders", [(1, 1, 1, 1), (2, 1, 1, 2), (2, 2, 2, 2)])
 def test_A_matches_direct_quadrature(orders, rng):
     k, q, kstar, qstar = orders
-    mesh = build_interval_mesh(0, 1, 3)
+    mesh = build_interval_mesh(3)
     primal = SlabSpace(mesh, k, q, dt=0.25)
     dual = SlabSpace(mesh, kstar, qstar, dt=0.25)
     A = assemble_A(primal, dual).tocsr()
@@ -200,7 +200,7 @@ def test_A_matches_direct_quadrature(orders, rng):
 def test_A_vanishes_on_strong_solution():
     # the wave form tested against every dual basis function is zero for a
     # solution of the wave equation; quadrature is the only error source
-    mesh = build_interval_mesh(0, 1, 8)
+    mesh = build_interval_mesh(8)
     dual = SlabSpace(mesh, 3, 2, dt=0.25)
     dx_u1 = lambda t, x: np.pi * np.cos(np.pi * t) * np.cos(np.pi * x)
     dt_u2 = lambda t, x: -np.pi**2 * np.cos(np.pi * t) * np.sin(np.pi * x)
@@ -232,7 +232,7 @@ def test_A_vanishes_on_strong_solution():
 
 @pytest.mark.parametrize("k,q", [(1, 1), (2, 1), (2, 2)])
 def test_primal_stabilizer_matches_direct_quadrature(k, q, rng):
-    mesh = build_interval_mesh(0, 1, 3)
+    mesh = build_interval_mesh(3)
     space = SlabSpace(mesh, k, q, dt=0.25)
     parts = {name: part.tocsr()
              for name, part in assemble_primal_stabilizers(space).items()}
@@ -250,7 +250,7 @@ def test_primal_stabilizer_matches_direct_quadrature(k, q, rng):
 
 def test_stabilizers_vanish_on_compatible_affine_data():
     # u1 affine in space and time, u2 = du1/dt: J, G and I0 all vanish
-    mesh = build_interval_mesh(0, 1, 4)
+    mesh = build_interval_mesh(4)
     space = SlabSpace(mesh, 1, 1, dt=0.5)
     nodes = np.linspace(0, 1, space.n_x)
     V = np.zeros((2, 2, space.n_x))
@@ -266,7 +266,7 @@ def test_stabilizers_vanish_on_compatible_affine_data():
 
 
 def test_stabilizer_symmetry():
-    mesh = build_interval_mesh(0, 1, 3)
+    mesh = build_interval_mesh(3)
     space = SlabSpace(mesh, 2, 1, dt=0.25)
     for name, part in assemble_primal_stabilizers(space).items():
         mat = part.tocsr()
@@ -276,8 +276,8 @@ def test_stabilizer_symmetry():
 
 
 def test_boundary_penalty_scaling_in_h():
-    space_a = SlabSpace(build_interval_mesh(0, 1, 2), 1, 1, dt=0.5)
-    space_b = SlabSpace(build_interval_mesh(0, 1, 4), 1, 1, dt=0.5)
+    space_a = SlabSpace(build_interval_mesh(2), 1, 1, dt=0.5)
+    space_b = SlabSpace(build_interval_mesh(4), 1, 1, dt=0.5)
     Ra = assemble_primal_stabilizers(space_a)["R"].tocsr()
     Rb = assemble_primal_stabilizers(space_b)["R"].tocsr()
     # corner entry is Mt[0,0] / h, so halving h doubles it
@@ -285,7 +285,7 @@ def test_boundary_penalty_scaling_in_h():
 
 
 def test_dual_stabilizer_constant_value():
-    mesh = build_interval_mesh(0, 1, 4)
+    mesh = build_interval_mesh(4)
     space = SlabSpace(mesh, 1, 1, dt=0.25)
     Sd = assemble_dual_stabilizer(space).tocsr()
     Z = np.zeros((2, 2, space.n_x))
@@ -320,7 +320,7 @@ def quadrature_dual_stabilizer_energy(space, Z):
 def test_dual_stabilizer_matches_direct_quadrature(kstar, qstar, rng):
     # random z1 and z2, so that every term of S* weighs in: z1's mass,
     # stiffness and boundary terms and z2's mass
-    mesh = build_interval_mesh(0, 1, 3)
+    mesh = build_interval_mesh(3)
     space = SlabSpace(mesh, kstar, qstar, dt=0.25)
     Sd = assemble_dual_stabilizer(space).tocsr()
     for _ in range(3):
@@ -331,14 +331,14 @@ def test_dual_stabilizer_matches_direct_quadrature(kstar, qstar, rng):
 
 
 def test_dual_stabilizer_positive_definite():
-    mesh = build_interval_mesh(0, 1, 3)
+    mesh = build_interval_mesh(3)
     space = SlabSpace(mesh, 1, 1, dt=0.25)
     Sd = assemble_dual_stabilizer(space).tocsr().toarray()
     assert np.linalg.eigvalsh(Sd).min() > 0
 
 
 def test_data_mass_supported_on_marked_elements(rng):
-    mesh = build_interval_mesh(0, 1, 4)
+    mesh = build_interval_mesh(4)
     data = mark_data_domain(mesh, [[0, 0.25], [0.75, 1]])
     space = SlabSpace(mesh, 1, 1, dt=0.25)
     Mw = assemble_data_mass(space, space, data).tocsr().toarray()
@@ -350,6 +350,29 @@ def test_data_mass_supported_on_marked_elements(rng):
     for m in middle:
         for mode in range(space.n_modes):
             assert np.all(Mw[mode * space.n_x + m] == 0)
+
+
+@pytest.mark.parametrize("k,q", [(1, 1), (2, 2), (3, 1)])
+@pytest.mark.parametrize("omega", [[[0, 0.25]], [[0, 0.25], [0.75, 1]]],
+                         ids=["one-sided", "two-sided"])
+def test_data_mass_matches_direct_quadrature(k, q, omega, rng):
+    # the integral of u1^2 over the data elements and the slab; u2 and the
+    # elements off the data weigh nothing
+    mesh = build_interval_mesh(4)
+    data = mark_data_domain(mesh, omega)
+    space = SlabSpace(mesh, k, q, dt=0.25)
+    Mw = assemble_data_mass(space, space, data).tocsr()
+    tr = gauss_rule(q + 2)
+    xr = gauss_rule(k + 2)
+    for _ in range(3):
+        U = pair_coeffs(space, rng)
+        want = sum(space.dt * wt * mesh.h * wx
+                   * eval_elem(space, U, 0, tq, e, xq) ** 2
+                   for wt, tq in zip(tr.weights, tr.points)
+                   for e in np.flatnonzero(data)
+                   for wx, xq in zip(xr.weights, xr.points))
+        u = U.ravel()
+        assert u @ (Mw @ u) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 # -- time traces and interface coupling -------------------------------------
@@ -370,7 +393,7 @@ def trace_selections(space, V):
 
 def test_traces_q0_identity(rng):
     # the one mode is constant in time: both endpoints select it
-    space = SlabSpace(build_interval_mesh(0, 1, 2), 1, 0, dt=0.25)
+    space = SlabSpace(build_interval_mesh(2), 1, 0, dt=0.25)
     for _, _, selected, modes in trace_selections(space,
                                                   pair_coeffs(space, rng)):
         assert np.array_equal(selected, modes)
@@ -378,7 +401,7 @@ def test_traces_q0_identity(rng):
 
 def test_traces_q1_select_endpoint_modes(rng):
     # Gauss-Lobatto modes: mode 0 is the slab start, mode 1 its end
-    space = SlabSpace(build_interval_mesh(0, 1, 2), 1, 1, dt=0.25)
+    space = SlabSpace(build_interval_mesh(2), 1, 1, dt=0.25)
     for t_test, t_trial, selected, modes in trace_selections(
             space, pair_coeffs(space, rng)):
         expected = np.zeros_like(modes)
@@ -387,7 +410,7 @@ def test_traces_q1_select_endpoint_modes(rng):
 
 
 def test_interface_jump_form_vanishes_for_continuous(rng):
-    mesh = build_interval_mesh(0, 1, 2)
+    mesh = build_interval_mesh(2)
     space = SlabSpace(mesh, 1, 1, dt=0.25)
     blocks = {name: block.tocsr()
               for name, block in interface_jump_blocks(space).items()}
@@ -405,7 +428,7 @@ def test_interface_jump_form_vanishes_for_continuous(rng):
 
 def test_interface_jump_energy_analytic():
     # discontinuity only in u1, constant in space: energy = |jump|^2 / dt
-    mesh = build_interval_mesh(0, 1, 2)
+    mesh = build_interval_mesh(2)
     space = SlabSpace(mesh, 1, 1, dt=0.25)
     blocks = {name: block.tocsr()
               for name, block in interface_jump_blocks(space).items()}
@@ -429,7 +452,7 @@ def test_jump_weights_with_a_jump_varying_in_space(k):
     # energy, |j|^2 / dt + dt |j'|^2 integrated on the first field (W1 =
     # Mx / dt + dt Kx) and |j|^2 / dt on the second (W2 = Mx / dt)
     dt = 0.25
-    space = SlabSpace(build_interval_mesh(0, 1, 3), k, 1, dt=dt)
+    space = SlabSpace(build_interval_mesh(3), k, 1, dt=dt)
     plus = interface_jump_blocks(space)["plus"].tocsr()
     W = jump_weight(space).tocsr()
     j = np.linspace(0.0, 1.0, space.n_x)
@@ -445,7 +468,7 @@ def test_jump_weights_with_a_jump_varying_in_space(k):
 
 
 def test_interface_jump_blocks_symmetric_psd():
-    mesh = build_interval_mesh(0, 1, 2)
+    mesh = build_interval_mesh(2)
     space = SlabSpace(mesh, 2, 1, dt=0.25)
     blocks = {name: block.tocsr()
               for name, block in interface_jump_blocks(space).items()}
@@ -459,15 +482,46 @@ def test_interface_jump_blocks_symmetric_psd():
 
 
 def test_dfb_extras_reject_nonpositive_penalty():
-    mesh = build_interval_mesh(0, 1, 4)
+    mesh = build_interval_mesh(4)
     data = mark_data_domain(mesh, [[0, 0.25]])
     space = SlabSpace(mesh, 1, 1, dt=0.25)
     with pytest.raises(ValueError):
         assemble_dfb_extras(space, space, data, lam=0.0)
 
 
+@pytest.mark.parametrize("k,q", [(1, 1), (2, 2)])
+def test_dfb_extras_match_direct_quadrature(k, q, rng):
+    # nitsche: lam / h times y1 u1 at both lateral ends, over the slab;
+    # coupling at trial time s: y1(0) u2(s) + y2(0) u1(s) over [0, 1]
+    mesh = build_interval_mesh(4)
+    data = mark_data_domain(mesh, [[0, 0.25]])
+    space = SlabSpace(mesh, k, q, dt=0.25)
+    lam = 7.0
+    extras = {name: block.tocsr() for name, block in assemble_dfb_extras(
+        space, space, data, lam=lam).items()}
+    tr = gauss_rule(q + 2)
+    xr = gauss_rule(k + 2)
+    U, Y = pair_coeffs(space, rng), pair_coeffs(space, rng)
+    u, y = U.ravel(), Y.ravel()
+    ends = ((0, 0.0), (mesh.n_elems - 1, 1.0))
+    want = lam / mesh.h * sum(
+        space.dt * wt * eval_elem(space, Y, 0, tq, e, ref)
+        * eval_elem(space, U, 0, tq, e, ref)
+        for wt, tq in zip(tr.weights, tr.points) for e, ref in ends)
+    assert y @ (extras["nitsche"] @ u) == pytest.approx(want, rel=1e-10)
+    for name, s in (("coupling_diag", 0.0), ("coupling_sub", 1.0)):
+        want = sum(
+            mesh.h * wx * (eval_elem(space, Y, 0, 0.0, e, xq)
+                           * eval_elem(space, U, 1, s, e, xq)
+                           + eval_elem(space, Y, 1, 0.0, e, xq)
+                           * eval_elem(space, U, 0, s, e, xq))
+            for e in range(mesh.n_elems)
+            for wx, xq in zip(xr.weights, xr.points))
+        assert y @ (extras[name] @ u) == pytest.approx(want, rel=1e-10)
+
+
 def test_dfb_coupling_cancels_for_continuous(rng):
-    mesh = build_interval_mesh(0, 1, 4)
+    mesh = build_interval_mesh(4)
     data = mark_data_domain(mesh, [[0, 0.25]])
     space = SlabSpace(mesh, 1, 1, dt=0.25)
     extras = {name: block.tocsr() for name, block in assemble_dfb_extras(
@@ -480,7 +534,7 @@ def test_dfb_coupling_cancels_for_continuous(rng):
 
 
 def test_dual_interface_mass_values(rng):
-    mesh = build_interval_mesh(0, 1, 4)
+    mesh = build_interval_mesh(4)
     space = SlabSpace(mesh, 1, 1, dt=0.25)
     E = assemble_dual_interface_mass(space).tocsr()
     # zero incoming trace: no contribution
@@ -500,7 +554,7 @@ def test_quadrature_order_independence():
     # every derivative pair the assemblers use, between bases of unequal
     # orders, is integrated exactly by the default rule: it agrees with a
     # rule two points higher
-    mesh = build_interval_mesh(0, 1, 3)
+    mesh = build_interval_mesh(3)
     primal = SlabSpace(mesh, 2, 2, dt=0.25)
     dual = SlabSpace(mesh, 1, 1, dt=0.25)
     rule = gauss_rule(max(primal.degree_x, primal.degree_t) + 4)
@@ -566,7 +620,7 @@ def lil_gradient_jump(mesh, basis):
     d_left = basis.eval(np.array(1.0), deriv=1) / mesh.h
     d_right = basis.eval(np.array(0.0), deriv=1) / mesh.h
     out = sp.lil_matrix((n, n))
-    for v in mesh.interior_facets:
+    for v in range(1, mesh.n_elems):
         e_left, e_right = v - 1, v
         idx = np.concatenate(
             (e_left * k + np.arange(k + 1), e_right * k + np.arange(k + 1))
@@ -616,7 +670,7 @@ def test_point_forms_equal_frozen_lil_builders(n_elems):
     # rounds once where the frozen builder rounds h g g^T at every vertex:
     # the two agree bit for bit on 1, 2, 5 and 8 elements, and differ in the
     # last bit at k = 3 on 7 and 13 elements
-    mesh = build_interval_mesh(0, 1, n_elems)
+    mesh = build_interval_mesh(n_elems)
     for name, rebuilt, frozen in point_forms(mesh):
         new, old = rebuilt.toarray(), frozen.toarray()
         if n_elems not in (7, 13):
@@ -667,7 +721,7 @@ def test_transposes_are_views_with_scipys_products(preset, k, kstar, rng):
 
 @pytest.mark.parametrize("n_elems", [1, 2, 5])
 def test_point_forms_are_canonical_without_stored_zeros(n_elems):
-    for name, rebuilt, _ in point_forms(build_interval_mesh(0, 1, n_elems)):
+    for name, rebuilt, _ in point_forms(build_interval_mesh(n_elems)):
         assert_canonical(name, rebuilt)
 
 
@@ -718,14 +772,14 @@ def test_slab_form_indices_are_int32(preset, k, kstar):
 
 
 def test_element_dofs_share_vertices():
-    mesh = build_interval_mesh(0, 1, 3)
+    mesh = build_interval_mesh(3)
     dofs = element_dofs(mesh, 2)
     assert dofs.tolist() == [[0, 1, 2], [2, 3, 4], [4, 5, 6]]
 
 
 @pytest.mark.parametrize("fine,coarse", [(2, 1), (3, 1), (3, 2), (3, 3)])
 def test_spatial_embedding_interpolates_coarse_functions(fine, coarse, rng):
-    mesh = build_interval_mesh(0, 1, 4)
+    mesh = build_interval_mesh(4)
     E = _spatial_embedding(mesh, SpatialBasis(fine),
                            SpatialBasis(coarse)).tocsr()
     # a continuous piecewise polynomial of the coarse degree, given by its
