@@ -38,11 +38,9 @@ def run_solve(config, preset, residual_log=None):
     Returns (csv row dict, SolveReport, ErrorReport).
     """
     t0 = time.perf_counter()
-    log = None
-    sink = None
-    if residual_log is not None:
-        # opened before assembly, so that an unwritable path fails at once
-        sink = open(residual_log, "w")
+    # opened before assembly, so that an unwritable path fails at once
+    with (contextlib.nullcontext() if residual_log is None
+          else open(residual_log, "w")) as sink:
 
         def log(it, est, true_res):
             line = f"{it},{est:.6e}"
@@ -50,15 +48,12 @@ def run_solve(config, preset, residual_log=None):
                 line += f",{true_res:.6e}"
             sink.write(line + "\n")
 
-    try:
         system = SpaceTimeSystem(config)
         b = system.assemble_rhs(preset.u)
         precond = build_preconditioner(system, config.precond)
         x, report = gmres(system.apply, b, precond,
-                          GmresConfig(config.tol, config.maxiter), log=log)
-    finally:
-        if sink is not None:
-            sink.close()
+                          GmresConfig(config.tol, config.maxiter),
+                          log=None if sink is None else log)
 
     lifted = lift(system.primal, extract_primal_field(system, x))
     errors = error_norms(preset.u, preset.dt_u, lifted,
@@ -127,57 +122,55 @@ def _read_config_file(path):
     return values
 
 
-# keys settable via flags or a key = value config file, with their parsers
+# keys settable via flags or a key = value config file, each with the
+# field it sets (preset: the preset's name) and its parser
 _CONFIG_KEYS = {
-    "k": int, "q": int, "kstar": int, "qstar": int,
-    "elems": int, "slabs": int, "T": float,
-    "omega": _parse_omega, "precond": str, "lambda": float,
-    "tol": float, "maxiter": int,
+    "preset": ("preset", str),
+    "k": ("k", int), "q": ("q", int), "kstar": ("kstar", int),
+    "qstar": ("qstar", int), "elems": ("n_elems", int),
+    "slabs": ("n_slabs", int), "T": ("T", float),
+    "omega": ("omega", _parse_omega), "precond": ("precond", str),
+    "lambda": ("lam", float), "tol": ("tol", float),
+    "maxiter": ("maxiter", int),
 }
-_KEY_TO_FIELD = {
-    "elems": "n_elems", "slabs": "n_slabs", "lambda": "lam",
-}
+_CHOICES = {"preset": sorted(PRESETS), "precond": KINDS}
 
 
 def build_config(args):
     """The run's configuration and preset from a config file and the flags
     that override it; not yet validated."""
-    preset = PRESETS[args.preset]
     values = {}
     if getattr(args, "config", None):
         for key, raw in _read_config_file(args.config).items():
-            if key == "preset":
-                if raw not in PRESETS:
-                    raise ValueError(f"unknown preset {raw!r} (known: "
-                                     f"{', '.join(sorted(PRESETS))})")
-                preset = PRESETS[raw]
-                continue
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config key: {key}")
+            field, parse = _CONFIG_KEYS[key]
             try:
-                values[_KEY_TO_FIELD.get(key, key)] = _CONFIG_KEYS[key](raw)
+                values[field] = parse(raw)
             except ValueError as exc:
                 raise ValueError(f"config key {key}: invalid value {raw!r} "
                                  f"({exc})") from None
-    for key in _CONFIG_KEYS:  # flags arrive parsed by argparse
-        flag = getattr(args, _KEY_TO_FIELD.get(key, key), None)
+    for field, _ in _CONFIG_KEYS.values():  # flags arrive parsed by argparse
+        flag = getattr(args, field, None)
         if flag is not None:
-            values[_KEY_TO_FIELD.get(key, key)] = flag
+            values[field] = flag
+    name = values.pop("preset", "gcc1d")
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r} (known: "
+                         f"{', '.join(sorted(PRESETS))})")
     # degrees default pairwise: the dual orders follow the primal ones
     # unless set explicitly
     for dual, primal in (("kstar", "k"), ("qstar", "q")):
         if dual not in values and primal in values:
             values[dual] = values[primal]
-    return preset.make_config(**values), preset
+    return PRESETS[name].make_config(**values), PRESETS[name]
 
 
 def _add_common_flags(p):
-    p.add_argument("--preset", choices=sorted(PRESETS), default="gcc1d")
     p.add_argument("--config", help="key = value file; flags override it")
-    for key, parse in _CONFIG_KEYS.items():
-        p.add_argument(f"--{key}", type=parse,
-                       dest=_KEY_TO_FIELD.get(key, key),
-                       choices=KINDS if key == "precond" else None)
+    for key, (field, parse) in _CONFIG_KEYS.items():
+        p.add_argument(f"--{key}", type=parse, dest=field,
+                       choices=_CHOICES.get(key))
     p.add_argument("--out", help="CSV output path (default: stdout)")
 
 

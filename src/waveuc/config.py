@@ -130,7 +130,15 @@ class ExperimentPreset:
     restricted_region: Optional[Callable[[np.ndarray, float], tuple]] = None
 
     def make_config(self, **overrides):
-        return DiscretizationConfig(**{"omega": self.omega, **overrides})
+        """The preset's configuration with the given fields overridden.  A
+        restricted region is taken about the preset's omega, so a preset
+        with one refuses any other omega."""
+        omega = overrides.setdefault("omega", self.omega)
+        if self.restricted_region is not None and omega != self.omega:
+            raise ValueError(f"preset {self.name} measures on omega = "
+                             f"{self.omega} only, which its restricted "
+                             f"region follows; got omega = {omega}")
+        return DiscretizationConfig(**overrides)
 
 
 def _standing_wave(t, x):

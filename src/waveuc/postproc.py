@@ -3,10 +3,10 @@
 The discrete displacement is discontinuous across slab interfaces.  The
 lifting subtracts, on every slab after the first, the interface jump times
 the decaying linear blending weight theta_n(t) = (t_{n+1} - t) / dt, which
-yields a time-continuous function without touching the first slab.  Error
-norms are evaluated against the lifted displacement, whose spatial
-coefficients (or those of its time derivative) at given reference times
-LiftedSolution.coeffs_at returns on all slabs at once.
+yields a time-continuous function in the same slab space without touching
+the first slab.  Error norms are evaluated against the lifted displacement,
+whose spatial coefficients (or those of its time derivative) at given
+reference times LiftedSolution.coeffs_at returns on all slabs at once.
 """
 
 import math
@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import TemporalBasis, gauss_lobatto_nodes, gauss_rule
+from .basis import gauss_lobatto_nodes, gauss_rule
 from .slab_forms import element_dofs
 
 __all__ = ["LiftedSolution", "ErrorReport", "lift", "extract_primal_field",
@@ -26,16 +26,11 @@ ERROR_QUADRATURE_POINTS = 6
 
 @dataclass
 class LiftedSolution:
-    """Per-slab coefficients of the lifted displacement.
+    """The lifted displacement in the slab space it was lifted in: coeffs
+    has shape (n_slabs, q + 1, n_x), one row per slab in space's temporal
+    basis."""
 
-    coeffs has shape (n_slabs, degree_t + 1, n_x) in the nodal temporal
-    basis of degree max(q, 1).
-    """
-
-    mesh: object
-    xbasis: object
-    tbasis: TemporalBasis
-    dt: float
+    space: object
     coeffs: np.ndarray
 
     @property
@@ -47,8 +42,8 @@ class LiftedSolution:
         time derivative (deriv = 1) at the reference times xi of every
         slab, shape (n_slabs,) + shape(xi) + (n_x,)."""
         xi = np.asarray(xi, dtype=float)
-        values = self.tbasis.eval(xi.ravel(), deriv) @ self.coeffs
-        return (values / self.dt**deriv).reshape(
+        values = self.space.tbasis.eval(xi.ravel(), deriv) @ self.coeffs
+        return (values / self.space.dt**deriv).reshape(
             (self.n_slabs,) + xi.shape + (-1,))
 
 
@@ -61,30 +56,23 @@ def extract_primal_field(system, x):
 
 
 def lift(space, u1):
-    """Lift per-slab displacement coefficients to a time-continuous function.
+    """Lift per-slab displacement coefficients to a time-continuous function
+    in the same slab space.
 
-    u1 has shape (n_slabs, q + 1, n_x).  The lifted function lives in the
-    nodal temporal space of degree max(q, 1) per slab; the first slab is
-    returned unchanged (merely re-expressed in the richer basis).
+    u1 has shape (n_slabs, q + 1, n_x), with q >= 1: the temporal basis is
+    then nodal at both slab ends, so each slab's start and end traces are
+    its first and last modes.  The first slab is returned unchanged.
     """
+    if space.degree_t < 1:
+        raise ValueError("the lift needs a temporal degree q >= 1, whose "
+                         "basis is nodal at both slab ends")
     u1 = np.asarray(u1, dtype=float)
-    lift_basis = TemporalBasis(max(space.degree_t, 1))
-    embed = space.tbasis.eval(lift_basis.nodes)  # (modes_out, modes_in)
-    trace_plus = space.tbasis.eval(np.array(0.0))
-    trace_minus = space.tbasis.eval(np.array(1.0))
-    theta = 1.0 - lift_basis.nodes
-
-    coeffs = np.einsum("mi,niJ->nmJ", embed, u1)
+    theta = 1.0 - space.tbasis.nodes
+    coeffs = u1.copy()
     # the jump at the start of every slab but the first
-    jumps = trace_plus @ u1[1:] - trace_minus @ u1[:-1]
+    jumps = u1[1:, 0] - u1[:-1, -1]
     coeffs[1:] -= theta[:, None] * jumps[:, None, :]
-    return LiftedSolution(
-        mesh=space.mesh,
-        xbasis=space.xbasis,
-        tbasis=lift_basis,
-        dt=space.dt,
-        coeffs=coeffs,
-    )
+    return LiftedSolution(space, coeffs)
 
 
 @dataclass
@@ -110,14 +98,14 @@ def _squared_errors(sol, f, times, coeffs, region, rule):
     the cut elements evaluate the spatial basis at their own points; every
     other element takes its values at the rule's reference points.
     """
-    mesh, xb = sol.mesh, sol.xbasis
+    mesh, xb = sol.space.mesh, sol.space.xbasis
     x0, x1 = mesh.vertices[:-1], mesh.vertices[1:]
     local = coeffs[:, element_dofs(mesh, xb.degree)]  # (times, elems, dofs)
     uh = local @ xb.eval(rule.points).T  # (times, elems, points)
     # the whole mesh is the same at every time, so it is not repeated
     lo, hi = ((0.0, 1.0) if region is None else
               (np.asarray(end, dtype=float)[..., None]
-               for end in region(times, sol.n_slabs * sol.dt)))
+               for end in region(times, sol.n_slabs * sol.space.dt)))
     a, b = np.maximum(x0, lo), np.minimum(x1, hi)
     width = np.maximum(b - a, 0.0)
     length = np.broadcast_to(width, uh.shape[:2])
@@ -145,8 +133,8 @@ def error_norms(u_exact, dt_u_exact, sol, region=None):
     The times of all slabs are stacked, so each norm takes one
     _squared_errors call per region.
     """
-    dt = sol.dt
-    samples = gauss_lobatto_nodes(sol.tbasis.cardinality + 2)
+    dt = sol.space.dt
+    samples = gauss_lobatto_nodes(sol.space.n_modes + 2)
     # one Gauss rule serves in time and, per element, in space
     rule = gauss_rule(ERROR_QUADRATURE_POINTS)
     start = dt * np.arange(sol.n_slabs)[:, None]

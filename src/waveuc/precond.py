@@ -358,9 +358,9 @@ class _Defect:
 
     @property
     def trace_bytes(self):
-        """Bytes of the blocks em builds on its first call and keeps (none
-        while rows is empty): block's G on the traces and mf's G_ee, P and
-        D are len(system.trace)^2 = 4 r^2 doubles either way."""
+        """Bytes of the blocks em builds on its first call and keeps, even
+        when rows is empty (one slab): block's G on the traces and mf's
+        G_ee, P and D are len(system.trace)^2 = 4 r^2 doubles either way."""
         return 8 * len(self.system.trace) ** 2
 
     def __call__(self, z):
@@ -407,8 +407,6 @@ class _SweepDefect(_Defect):
 
     def em(self, v):
         """(E M v) on rows, for the v given by its values on rows."""
-        if len(v) == 0:
-            return np.zeros(0)
         G_ee, P, D = self._traces
         sys = self.system
         T, r, N = sys.trace, sys.n_end, sys.n_slabs
@@ -421,7 +419,8 @@ class _SweepDefect(_Defect):
         W[:-1, r:] = V[1:]
         X = W[:, :r]
         # the first slab's block has no plus term: one band solve there
-        X[0] = self._first.trace_solve(T[:r], T[:r], V[:1].T)[:, 0]
+        # (no row of X at N = 1)
+        X[:1] = self._first.trace_solve(T[:r], T[:r], V[:1].T).T
         X[1:] = V[1:] @ G_ee.T
         _carry(X, P)
         return (W @ D.T).ravel()
@@ -447,8 +446,6 @@ class _BlockDefect(_Defect):
 
     def em(self, v):
         """(E M v) on rows, for the v given by its values on rows."""
-        if len(v) == 0:
-            return np.zeros(0)
         sys = self.system
         V = np.zeros((len(sys.trace), sys.n_slabs))
         V.ravel()[self._trace_at] = v

@@ -410,6 +410,39 @@ def test_unknown_preset_in_config_file_exits_1(tmp_path, capsys):
     assert all(name in line for name in ("bogus", "gcc1d", "nogcc1d"))
 
 
+def test_preset_flag_overrides_config_file(tmp_path, solved):
+    # preset is one more config key, and the flag overrides the file
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("preset = nogcc1d\n")
+    out = tmp_path / "run.csv"
+    assert main(["solve", "--config", str(cfg_file), "--preset", "gcc1d",
+                 "--out", str(out)]) == 0
+    (row,) = read_rows(out)
+    assert row["preset"] == "gcc1d"
+
+
+@pytest.mark.parametrize("preset, hi, code", [
+    ("nogcc1d", 0.5, 1), ("nogcc1d", 0.25, 0), ("gcc1d", 0.5, 0)])
+@pytest.mark.parametrize("via", ["flag", "file"])
+def test_a_restricted_preset_refuses_another_omega(
+        via, preset, hi, code, tmp_path, solved, capsys):
+    # nogcc1d's restricted region is the cone of its own omega; gcc1d has
+    # no restricted region
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"omega = 0,{hi}\n" if via == "file" else "")
+    flags = ["--omega", f"0,{hi}"] if via == "flag" else []
+    assert main(["solve", "--preset", preset, "--config", str(cfg_file),
+                 *flags, "--out", str(tmp_path / "run.csv")]) == code
+    if code == 0:
+        assert [c.omega for c in solved] == [((0.0, hi),)]
+        return
+    assert solved == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error:") and "nogcc1d" in line and "0.5" in line
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--omega", "0.1"],
     ["solve", "--k", "x"],

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from waveuc.basis import gauss_lobatto_nodes, gauss_rule
+from waveuc.basis import TemporalBasis, gauss_lobatto_nodes, gauss_rule
 from waveuc.config import PRESETS
 from waveuc.mesh import build_interval_mesh
 from waveuc.postproc import (
@@ -67,14 +67,39 @@ def test_piecewise_constant_unit_jump():
     assert np.allclose(end, 1.0, atol=1e-13)
 
 
-def test_q0_input_lifts_to_affine(rng):
-    mesh = build_interval_mesh(2)
-    space = SlabSpace(mesh, 1, 0, dt=0.5)
-    u = random_displacement(space, 3, rng)
-    sol = lift(space, u)
-    assert sol.tbasis.degree == 1
-    left, right = sol.coeffs_at(1.0)[:-1], sol.coeffs_at(0.0)[1:]
-    assert np.abs(left - right).max() <= 1e-12
+def test_lift_refuses_q0(rng):
+    # q = 0 has no node at either slab end; validate refuses it for every
+    # run
+    space = SlabSpace(build_interval_mesh(2), 1, 0, dt=0.5)
+    with pytest.raises(ValueError, match="q >= 1"):
+        lift(space, random_displacement(space, 3, rng))
+
+
+def embedded_lift(space, u1):
+    """The lift through a second nodal temporal basis of degree q, which
+    u1 is embedded into, with the traces evaluated at 0 and 1."""
+    lift_basis = TemporalBasis(space.degree_t)
+    coeffs = np.einsum("mi,niJ->nmJ", space.tbasis.eval(lift_basis.nodes),
+                       u1)
+    jumps = (space.tbasis.eval(np.array(0.0)) @ u1[1:]
+             - space.tbasis.eval(np.array(1.0)) @ u1[:-1])
+    coeffs[1:] -= (1.0 - lift_basis.nodes)[:, None] * jumps[:, None, :]
+    return coeffs
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_lift_is_the_embedded_lift(q, rng):
+    # the embedding is the identity, exactly for q = 1, 2 and up to
+    # 8.9e-16 for q = 3
+    space = SlabSpace(build_interval_mesh(4), 2, q, dt=0.25)
+    u = random_displacement(space, 5, rng)
+    sol, want = lift(space, u), embedded_lift(space, u)
+    assert sol.space is space
+    got = sol.coeffs
+    if q < 3:
+        assert np.array_equal(got, want)
+    else:
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("q", [1, 2])
@@ -87,8 +112,8 @@ def test_coeffs_at_is_the_per_slab_evaluation(q, rng):
             got = sol.coeffs_at(xi, deriv)
             assert got.shape == (3,) + np.shape(xi) + (space.n_x,)
             for n in range(3):
-                want = (sol.tbasis.eval(xi, deriv) @ sol.coeffs[n]
-                        / sol.dt**deriv)
+                want = (sol.space.tbasis.eval(xi, deriv) @ sol.coeffs[n]
+                        / sol.space.dt**deriv)
                 assert (np.abs(got[n] - want).max()
                         <= 1e-14 * np.abs(want).max())
 
@@ -235,8 +260,8 @@ def pointwise_error_norms(u, dt_u, sol, region):
     integral split at the mesh vertices and the region endpoints, with an
     8-point Gauss rule on each piece and the lifted function evaluated point
     by point (SlabFunction)."""
-    mesh = sol.mesh
-    space = SlabSpace(mesh, sol.xbasis.degree, sol.tbasis.degree, sol.dt)
+    space = sol.space
+    mesh, dt = space.mesh, space.dt
     xg, wg = np.polynomial.legendre.leggauss(8)
 
     def sq_error(f, uh, lo, hi):
@@ -247,23 +272,23 @@ def pointwise_error_norms(u, dt_u, sol, region):
             total += (b - a) / 2 * wg @ (f(x) - uh(x)) ** 2
         return total
 
-    samples = gauss_lobatto_nodes(sol.tbasis.cardinality + 2)
+    samples = gauss_lobatto_nodes(space.n_modes + 2)
     trule = gauss_rule(ERROR_QUADRATURE_POINTS)
-    T = sol.n_slabs * sol.dt
+    T = sol.n_slabs * dt
     linf = [0.0, 0.0]
     l2 = [0.0, 0.0]
     for n in range(sol.n_slabs):
         fn = SlabFunction(space, [sol.coeffs[n], np.zeros_like(sol.coeffs[n])])
         for xi in samples:
-            tau = (n + xi) * sol.dt
+            tau = (n + xi) * dt
             for i, (lo, hi) in enumerate([(0.0, 1.0), region(tau, T)]):
                 e = sq_error(lambda x: u(tau, x),
                              lambda x: fn(0, xi, x), lo, hi)
                 linf[i] = max(linf[i], e)
         for w, xi in zip(trule.weights, trule.points):
-            tau = (n + xi) * sol.dt
+            tau = (n + xi) * dt
             for i, (lo, hi) in enumerate([(0.0, 1.0), region(tau, T)]):
-                l2[i] += sol.dt * w * sq_error(
+                l2[i] += dt * w * sq_error(
                     lambda x: dt_u(tau, x),
                     lambda x: fn(0, xi, x, dtime=1), lo, hi)
     return np.sqrt([linf[0], l2[0], linf[1], l2[1]])
@@ -284,8 +309,8 @@ def test_error_norms_match_pointwise_oracle(k, region, rng):
     u = rng.standard_normal((s.n_slabs, s.primal.n_modes, s.primal.n_x))
     sol = lift(s.primal, u)
     # the region's moving endpoints cut an element at every interior sample
-    samples = gauss_lobatto_nodes(sol.tbasis.cardinality + 2)
-    ends = np.array([region((n + xi) * sol.dt, s.config.T)
+    samples = gauss_lobatto_nodes(s.primal.n_modes + 2)
+    ends = np.array([region((n + xi) * s.config.dt, s.config.T)
                      for n in range(s.n_slabs) for xi in samples])
     off_vertex = np.abs(ends / s.mesh.h - np.round(ends / s.mesh.h)) > 1e-3
     assert off_vertex[:, 1].sum() >= len(ends) // 2
@@ -318,7 +343,8 @@ def slab_by_slab_error_norms(u, dt_u, sol, region):
     """The error norms one slab at a time, with the lifted function
     evaluated at every quadrature point of every element (the reference
     formula that error_norms batches over all slabs)."""
-    mesh, xb, tb, dt = sol.mesh, sol.xbasis, sol.tbasis, sol.dt
+    space = sol.space
+    mesh, xb, tb, dt = space.mesh, space.xbasis, space.tbasis, space.dt
     samples = gauss_lobatto_nodes(tb.cardinality + 2)
     rule = gauss_rule(ERROR_QUADRATURE_POINTS)
     x0, x1 = mesh.vertices[:-1], mesh.vertices[1:]

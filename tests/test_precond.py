@@ -536,6 +536,15 @@ def test_traces_are_built_on_the_first_em_only(kind):
 
 
 @pytest.mark.parametrize("kind", ["mf", "block"])
+def test_em_on_one_slab_is_empty(kind):
+    # one slab leaves no defect rows, and em takes its general path there
+    defect = build_preconditioner(make_system(n_slabs=1), kind).defect
+    assert len(defect.rows) == 0
+    em = defect.em(np.zeros(0))
+    assert em.shape == (0,) and em.dtype == float
+
+
+@pytest.mark.parametrize("kind", ["mf", "block"])
 def test_trace_bytes_are_what_the_first_em_keeps(kind):
     s = make_system(k=2, q=2, kstar=2, qstar=2, n_slabs=3)
     defect = build_preconditioner(s, kind).defect
